@@ -225,7 +225,7 @@ def _run_korn(cfg, out: Path, threads) -> list:
     mg = kc["M_grid"]
     m_grid = np.geomspace(mg["min"], mg["max"], mg["count"])
     sigma = SIGMA_LINE if cfg.domain["n"] == 1 else sigma_circle(kc["sigma_count"])
-    sweep = korn_sweep(m_grid, sigma, quad_nodes=kc["quad_nodes"], workers=threads)
+    sweep = korn_sweep(m_grid, sigma, quad_nodes=kc["quad_nodes"])
     header = ["M", "c", "s", "lam"] + [f"eig{j}" for j in range(1, 7)] + ["cond_flag"]
     return [
         write_csv(out / "korn_sweep.csv", header, sweep.rows),

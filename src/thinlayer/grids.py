@@ -166,7 +166,8 @@ class HField:
     @classmethod
     def from_spec(cls, grid: Grid, spec: np.ndarray) -> "HField":
         axes = tuple(range(-grid.n, 0))
-        return cls(grid, np.fft.ifftn(spec, axes=axes).real)
+        # copy: the .real view would keep the complex buffer (twice the size) alive
+        return cls(grid, np.fft.ifftn(spec, axes=axes).real.copy())
 
     def reality_defect(self) -> float:
         """Sup of the imaginary part of the inverse transform (should be ~0)."""

@@ -15,7 +15,9 @@ This never forms the near-singular q1 explicitly for the solve and keeps
 roughly twice the digits of a Cholesky-of-q1 approach. For M > 2 the
 assembly additionally evaluates a span-preserving exponential recombination
 of the basis whose members stay O(1) apart; the pencil spectrum is invariant
-under any such change of basis.
+under any such change of basis. The Gauss-Legendre rules behind the design
+matrices are built once per node count and shared, read-only, by every
+cell; each cell builds its design matrices once per resolution.
 
 The module also hosts the quadratic-form probe of the inequality itself on
 random divergence-free strip fields (stream-function and potential-flow
@@ -25,15 +27,13 @@ expansion rather than the unhalved convention of the evolution equations.
 """
 from __future__ import annotations
 
+import functools
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .chebyshev import clenshaw_curtis_weights, gl_nodes
-from .grids import Grid
-from .probes import ProbeReport
+from .probes import ProbeReport, _Strip
 
 __all__ = [
     "KornPencil",
@@ -158,6 +158,16 @@ def korn_basis_eval(M: float, sigma, coeffs, z):
 # -- gram assembly --------------------------------------------------------------------
 
 
+@functools.lru_cache(maxsize=8)
+def _gauss_legendre(nq: int):
+    """Read-only Gauss-Legendre nodes and weights on [-1, 1], built once per
+    node count: leggauss costs far more than the rest of a cell."""
+    x, w = np.polynomial.legendre.leggauss(nq)
+    x.flags.writeable = False
+    w.flags.writeable = False
+    return x, w
+
+
 def _design_matrices(M: float, sigma, nq: int, recombined: bool):
     """Quadrature design matrices (B1, B2) with q_i = B_i^T B_i.
 
@@ -165,7 +175,7 @@ def _design_matrices(M: float, sigma, nq: int, recombined: bool):
     the two quadratic forms.
     """
     c, s = sigma
-    x, w = np.polynomial.legendre.leggauss(nq)
+    x, w = _gauss_legendre(nq)
     z = 0.5 * M * (x + 1.0)
     w = 0.5 * M * w
     rw = np.sqrt(w)
@@ -201,18 +211,18 @@ def _boundary_forms(M: float, sigma, recombined: bool):
     return v1, v2
 
 
-def korn_gram(M: float, sigma, quad_nodes: int = 96):
-    """Gram matrices (q1, q2) of the two forms on the 6-member basis.
-
-    Assembled at quad_nodes and 2*quad_nodes Gauss-Legendre nodes; the two
-    resolutions must agree to 1e-10 relative or a QuadratureError is raised.
-    Uses the recombined exponential basis beyond M = 2 (same spans).
-    """
+def _check_cell(M: float, sigma, quad_nodes: int) -> tuple[float, float]:
     if not (np.isfinite(M) and M > 0.0):
         raise ValueError(f"M must be positive, got {M}")
     sigma = _check_sigma(sigma)
     if quad_nodes < 64:
         raise ValueError("need at least 64 quadrature nodes")
+    return sigma
+
+
+def _assemble(M: float, sigma, quad_nodes: int):
+    """Design matrices (b1, b2) at 2*quad_nodes and the Gram matrices
+    (q1, q2) built from them, after the node-doubling and symmetry checks."""
     recombined = M > 2.0
     b1, b2 = _design_matrices(M, sigma, 2 * quad_nodes, recombined)
     q1, q2 = b1.T @ b1, b2.T @ b2
@@ -229,6 +239,18 @@ def korn_gram(M: float, sigma, quad_nodes: int = 96):
         raise AssertionError("Gram assembly produced an asymmetric matrix")
     q1 = 0.5 * (q1 + q1.T)
     q2 = 0.5 * (q2 + q2.T)
+    return b1, b2, q1, q2
+
+
+def korn_gram(M: float, sigma, quad_nodes: int = 96):
+    """Gram matrices (q1, q2) of the two forms on the 6-member basis.
+
+    Assembled at quad_nodes and 2*quad_nodes Gauss-Legendre nodes; the two
+    resolutions must agree to 1e-10 relative or a QuadratureError is raised.
+    Uses the recombined exponential basis beyond M = 2 (same spans).
+    """
+    sigma = _check_cell(M, sigma, quad_nodes)
+    _, _, q1, q2 = _assemble(M, sigma, quad_nodes)
     return q1, q2
 
 
@@ -284,14 +306,8 @@ class KornPencil:
 
 def korn_pencil(M: float, sigma, quad_nodes: int = 96) -> KornPencil:
     """Assemble and solve one (M, sigma) cell."""
-    if not (np.isfinite(M) and M > 0.0):
-        raise ValueError(f"M must be positive, got {M}")
-    sigma = _check_sigma(sigma)
-    if quad_nodes < 64:
-        raise ValueError("need at least 64 quadrature nodes")
-    recombined = M > 2.0
-    q1, q2 = korn_gram(M, sigma, quad_nodes)
-    b1, b2 = _design_matrices(M, sigma, 2 * quad_nodes, recombined)
+    sigma = _check_cell(M, sigma, quad_nodes)
+    b1, b2, q1, q2 = _assemble(M, sigma, quad_nodes)
     spectrum = _pencil_eigs(b1, b2, M, sigma)
     return KornPencil(
         M=float(M),
@@ -366,7 +382,7 @@ def _sweep_cell(M: float, sigma, quad_nodes: int) -> dict:
     return row
 
 
-def korn_sweep(M_grid=None, sigma_grid=None, quad_nodes: int = 96, workers=None):
+def korn_sweep(M_grid=None, sigma_grid=None, quad_nodes: int = 96):
     """Lambda over the (M, sigma) grid; conditioning failures are recorded
     per cell rather than raised."""
     M_grid = default_m_grid() if M_grid is None else np.asarray(M_grid, dtype=float)
@@ -378,12 +394,7 @@ def korn_sweep(M_grid=None, sigma_grid=None, quad_nodes: int = 96, workers=None)
         _check_sigma(s) for s in sigma_grid
     )
 
-    cells = [(M, sig) for sig in sigma_grid for M in M_grid]
-    if workers and workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(lambda c: _sweep_cell(c[0], c[1], quad_nodes), cells))
-    else:
-        rows = [_sweep_cell(M, sig, quad_nodes) for M, sig in cells]
+    rows = [_sweep_cell(M, sig, quad_nodes) for sig in sigma_grid for M in M_grid]
 
     good = [r for r in rows if r["lam"] is not None]
     if not good:
@@ -408,25 +419,13 @@ def korn_sweep(M_grid=None, sigma_grid=None, quad_nodes: int = 96, workers=None)
 # -- inequality probe ------------------------------------------------------------------
 
 
-def _strip_quadrature(nx: int, nz: int, eps: float):
-    g = Grid(1, nx)
-    x = g.nodes
-    zeta = gl_nodes(nz)
-    wz = clenshaw_curtis_weights(nz) * eps
-    wx = g.dx  # uniform trapezoid == exact for band-limited fields
-    return x, zeta, wx, wz
-
-
-def _korn_ratio(parts: dict, eps: float, gamma_bar: float, wx: float, wz) -> float:
+def _korn_ratio(parts: dict, strip: _Strip, gamma_bar: float) -> float:
     """(2 ||D(u)||^2 + eps gamma |u_H(0)|^2) / ||u||_H1^2 on the strip.
 
     parts carries nodal arrays (nz, nx): uh, uv, dux_h, duz_h, dux_v, duz_v.
     D is the symmetrized half-gradient.
     """
-
-    def integral(f2):
-        return wx * float((wz[:, None] * f2).sum())
-
+    integral = strip.integral
     l2 = integral(parts["uh"] ** 2 + parts["uv"] ** 2)
     grad2 = integral(
         parts["dux_h"] ** 2
@@ -442,8 +441,8 @@ def _korn_ratio(parts: dict, eps: float, gamma_bar: float, wx: float, wz) -> flo
         + 2.0 * parts["duz_v"] ** 2
         + (parts["duz_h"] + parts["dux_v"]) ** 2
     )
-    trace = wx * float((parts["uh"][0] ** 2).sum())
-    return (two_d2 + eps * gamma_bar * trace) / h1
+    trace = strip.wx * float((parts["uh"][0] ** 2).sum())
+    return (two_d2 + strip.eps * gamma_bar * trace) / h1
 
 
 def _stream_sample(rng, x, zeta, eps, kmax=4, mdeg=3):
@@ -519,21 +518,18 @@ def korn_probe(
         raise ValueError("need at least 50 samples per epsilon")
     rows = []
     for eps in eps_list:
-        if not 0.0 < eps < 1.0:
-            raise ValueError(f"eps must lie in (0, 1), got {eps}")
-        x, zeta, wx, wz = _strip_quadrature(nx, nz, eps)
+        strip = _Strip(nx, nz, eps)
+        x, zeta = strip.x, strip.zeta
         ratios = []
         for i in range(samples):
             rng = np.random.Generator(np.random.Philox([seed, i]))
-            r = _korn_ratio(_stream_sample(rng, x, zeta, eps), eps, gamma_bar, wx, wz)
+            r = _korn_ratio(_stream_sample(rng, x, zeta, eps), strip, gamma_bar)
             if np.isfinite(r):
                 ratios.append(r)
-        ratios.append(
-            _korn_ratio(_translation_sample(x, zeta), eps, gamma_bar, wx, wz)
-        )
+        ratios.append(_korn_ratio(_translation_sample(x, zeta), strip, gamma_bar))
         for k in (1, 2):
             ratios.append(
-                _korn_ratio(_potential_sample(k, x, zeta, eps), eps, gamma_bar, wx, wz)
+                _korn_ratio(_potential_sample(k, x, zeta, eps), strip, gamma_bar)
             )
         rows.append(
             {

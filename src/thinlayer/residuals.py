@@ -438,6 +438,7 @@ def convergence_study(
 
     results = [None] * len(eps_list)
     if workers and workers > 1:
+        s.h0.spec, s.u0.spec  # fill the shared lazy caches here: HField.spec has no lock
         with ThreadPoolExecutor(max_workers=workers) as pool:
             futures = {i: pool.submit(one, e) for i, e in enumerate(eps_list)}
             for i, fut in futures.items():

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from thinlayer import korn
 from thinlayer.korn import (
     SIGMA_LINE,
     ConditioningError,
@@ -162,6 +163,31 @@ def test_spectrum_sigma_symmetry():
         assert np.abs(a - b).max() <= 1e-10 * np.abs(a).max()
 
 
+def test_gauss_legendre_rule_is_cached_read_only():
+    for nq in (96, 192):
+        x, w = korn._gauss_legendre(nq)
+        xr, wr = np.polynomial.legendre.leggauss(nq)
+        assert np.array_equal(x, xr) and np.array_equal(w, wr)
+        assert not x.flags.writeable and not w.flags.writeable
+        again = korn._gauss_legendre(nq)
+        assert again[0] is x and again[1] is w
+
+
+def test_pencil_matches_uncached_assembly(monkeypatch):
+    # reference: every rule straight from leggauss, and the spectrum's design
+    # matrices built anew rather than taken from the Gram assembly
+    cells = [(M, (math.cos(0.7), math.sin(0.7))) for M in (0.05, 2.0, 50.0)]
+    pencils = [korn_pencil(M, sig) for M, sig in cells]
+    monkeypatch.setattr(korn, "_gauss_legendre", np.polynomial.legendre.leggauss)
+    for (M, sig), p in zip(cells, pencils):
+        q1, q2 = korn_gram(M, sig)
+        b1, b2 = korn._design_matrices(M, sig, 192, M > 2.0)
+        spectrum = korn._pencil_eigs(b1, b2, M, sig)
+        assert np.array_equal(p.spectrum, spectrum)
+        assert np.array_equal(p.q1, q1) and np.array_equal(p.q2, q2)
+        assert np.array_equal(p.b1, b1) and np.array_equal(p.b2, b2)
+
+
 def test_pencil_validation():
     with pytest.raises(ValueError):
         korn_pencil(float("nan"), (1.0, 0.0))
@@ -208,11 +234,11 @@ def test_sweep_lambda_monotone_near_zero():
     assert lams[0] > 1.0 - 1e-2
 
 
-def test_sweep_parallel_matches_serial():
-    serial = korn_sweep(default_m_grid(12), sigma_circle(2))
-    threaded = korn_sweep(default_m_grid(12), sigma_circle(2), workers=4)
-    assert serial.rows == threaded.rows
-    assert serial.inf_lambda == threaded.inf_lambda
+def test_sweep_repeats_exactly():
+    first = korn_sweep(default_m_grid(12), sigma_circle(2))
+    second = korn_sweep(default_m_grid(12), sigma_circle(2))
+    assert first.rows == second.rows
+    assert first.inf_lambda == second.inf_lambda
 
 
 def test_sweep_validation():

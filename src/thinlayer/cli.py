@@ -5,8 +5,8 @@
 Each pipeline reads only the config (plus the two flags), writes CSV/JSON
 through the deterministic emitters, and finishes by writing a manifest that
 checksums every emitted file. Exit codes: 0 success, 2 config validation
-failure, 3 numerical failure (vacuum, blowup, conditioning, uncertified
-solve), 64 usage error, 1 I/O failure.
+failure, 3 numerical failure (vacuum, blowup, step above the stability
+bound, conditioning, uncertified solve), 64 usage error, 1 I/O failure.
 """
 from __future__ import annotations
 
@@ -46,6 +46,7 @@ from .shallow_water import (
     BlowupError,
     DegenerateStateError,
     Params,
+    StabilityError,
     initial_wave,
     sw_energy,
     sw_solve,
@@ -67,6 +68,7 @@ SUBCOMMANDS = (
 NUMERICAL_FAILURES = (
     DegenerateStateError,
     BlowupError,
+    StabilityError,
     ConditioningError,
     QuadratureError,
     SolverError,

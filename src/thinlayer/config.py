@@ -150,8 +150,8 @@ def validate_tree(tree: dict) -> list:
     if _check_keys(out, d, "domain", {"n", "N", "L"}):
         if d["n"] not in (1, 2):
             out.append("domain.n: must be 1 or 2")
-        if not _is_int(d["N"]) or d["N"] < 8 or d["N"] % 2:
-            out.append("domain.N: must be an even integer >= 8")
+        if not _is_int(d["N"]) or d["N"] < 8 or d["N"] & (d["N"] - 1):
+            out.append("domain.N: must be a power of two >= 8")
         if not _is_num(d["L"]) or d["L"] <= 0.0:
             out.append("domain.L: must be positive")
 

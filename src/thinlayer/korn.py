@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .probes import ProbeReport, _Strip
+from .probes import KMAX, PDEG, ProbeReport, _probe_rows, _Strip
 
 __all__ = [
     "KornPencil",
@@ -445,26 +445,27 @@ def _korn_ratio(parts: dict, strip: _Strip, gamma_bar: float) -> float:
     return (two_d2 + strip.eps * gamma_bar * trace) / h1
 
 
-def _stream_sample(rng, x, zeta, eps, kmax=4, mdeg=3):
+def _stream_sample(rng, strip: _Strip):
     """Divergence-free field from a random stream function.
 
-    psi = sum_k trig(kx) P_k(zeta) with P_k(0) = 0, so u = (psi_z, -psi_x)
-    satisfies u_V = 0 at the bottom identically.
+    psi = sum_k trig(kx) P_k(zeta) with P_k(0) = 0 (modes k <= KMAX, degree
+    PDEG), so u = (psi_z, -psi_x) satisfies u_V = 0 at the bottom identically.
     """
-    nz, nx = zeta.size, x.size
-    parts = {key: np.zeros((nz, nx)) for key in
+    eps = strip.eps
+    (cosk, sink), zp = strip.trig[0], strip.zeta_powers
+    shape = (strip.zeta.size, strip.x.size)
+    parts = {key: np.zeros(shape) for key in
              ("uh", "uv", "dux_h", "duz_h", "dux_v", "duz_v")}
-    zc = zeta[:, None]
-    for k in range(1, kmax + 1):
+    for k in range(1, KMAX + 1):
         a, b = rng.standard_normal(2) / k**2
-        t = a * np.cos(k * x) + b * np.sin(k * x)
-        dt = -a * k * np.sin(k * x) + b * k * np.cos(k * x)
+        t = a * cosk[k] + b * sink[k]
+        dt = -a * k * sink[k] + b * k * cosk[k]
         ddt = -(k * k) * t
-        coef = rng.standard_normal(mdeg)
-        P = sum(coef[m - 1] * zc**m for m in range(1, mdeg + 1))
-        dP = sum(m * coef[m - 1] * zc ** (m - 1) for m in range(1, mdeg + 1)) / eps
+        coef = rng.standard_normal(PDEG)
+        P = sum(coef[m - 1] * zp[m] for m in range(1, PDEG + 1))
+        dP = sum(m * coef[m - 1] * zp[m - 1] for m in range(1, PDEG + 1)) / eps
         ddP = sum(
-            m * (m - 1) * coef[m - 1] * zc ** (m - 2) for m in range(2, mdeg + 1)
+            m * (m - 1) * coef[m - 1] * zp[m - 2] for m in range(2, PDEG + 1)
         ) / eps**2
         parts["uh"] += t * dP
         parts["uv"] -= dt * P
@@ -475,12 +476,13 @@ def _stream_sample(rng, x, zeta, eps, kmax=4, mdeg=3):
     return parts
 
 
-def _potential_sample(k, x, zeta, eps):
+def _potential_sample(k: int, strip: _Strip):
     """u = grad psi with psi = cosh(k z) cos(k x): divergence free, flat at
     the bottom; the family behind the pencil's eigenvalue 2."""
-    z = eps * zeta[:, None]
+    z = strip.eps * strip.zeta[:, None]
     ch, sh = np.cosh(k * z), np.sinh(k * z)
-    cx, sx = np.cos(k * x), np.sin(k * x)
+    cosk, sink = strip.trig[0]
+    cx, sx = cosk[k], sink[k]
     return {
         "uh": -k * sx * ch,
         "uv": k * cx * sh,
@@ -491,9 +493,9 @@ def _potential_sample(k, x, zeta, eps):
     }
 
 
-def _translation_sample(x, zeta):
-    nz, nx = zeta.size, x.size
-    parts = {key: np.zeros((nz, nx)) for key in
+def _translation_sample(strip: _Strip):
+    shape = (strip.zeta.size, strip.x.size)
+    parts = {key: np.zeros(shape) for key in
              ("uh", "uv", "dux_h", "duz_h", "dux_v", "duz_v")}
     parts["uh"] += 1.0
     return parts
@@ -513,33 +515,19 @@ def korn_probe(
     streams, so results do not depend on evaluation order), plus the rigid
     translation (ratio exactly gamma_bar) and potential-flow extremals.
     """
-    eps_list = [float(e) for e in np.atleast_1d(eps_list)]
-    if samples < 50:
-        raise ValueError("need at least 50 samples per epsilon")
-    rows = []
-    for eps in eps_list:
-        strip = _Strip(nx, nz, eps)
-        x, zeta = strip.x, strip.zeta
-        ratios = []
-        for i in range(samples):
-            rng = np.random.Generator(np.random.Philox([seed, i]))
-            r = _korn_ratio(_stream_sample(rng, x, zeta, eps), strip, gamma_bar)
-            if np.isfinite(r):
-                ratios.append(r)
-        ratios.append(_korn_ratio(_translation_sample(x, zeta), strip, gamma_bar))
+
+    def draw(strip, rng):
+        return _korn_ratio(_stream_sample(rng, strip), strip, gamma_bar)
+
+    def anchors(strip):
+        yield _korn_ratio(_translation_sample(strip), strip, gamma_bar)
         for k in (1, 2):
-            ratios.append(
-                _korn_ratio(_potential_sample(k, x, zeta, eps), strip, gamma_bar)
-            )
-        rows.append(
-            {
-                "eps": eps,
-                "n_samples": len(ratios),
-                "max_ratio": float(max(ratios)),
-                "min_ratio": float(min(ratios)),
-            }
-        )
+            yield _korn_ratio(_potential_sample(k, strip), strip, gamma_bar)
+
+    rows = _probe_rows(eps_list, samples, seed, nx, nz, draw, anchors)
     mins = [r["min_ratio"] for r in rows]
     spread = max(mins) / min(mins) if min(mins) > 0.0 else float("inf")
     verdict = "bounded" if min(mins) > 0.0 and spread < 3.0 else "unbounded trend"
-    return ProbeReport(tag="korn", eps_list=eps_list, rows=rows, verdict=verdict)
+    return ProbeReport(
+        tag="korn", eps_list=[r["eps"] for r in rows], rows=rows, verdict=verdict
+    )

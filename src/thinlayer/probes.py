@@ -14,18 +14,24 @@ not drift as the strip thins. Samples are trigonometric in x (modes <= 4)
 and polynomial in the scaled vertical coordinate, so all norms except Linf
 are computed by exact quadrature (trapezoid in x, Clenshaw-Curtis in z);
 Linf is the nodal sup. Every sample gets its own counter-keyed stream, so
-reports are independent of evaluation order and thread count.
+reports are independent of evaluation order and thread count. The trig and
+zeta-power tables are built once per strip and shared by its samples.
 
 The zero-bottom trace ratio is the one tag whose sharp constant lives at
 horizontal wavenumbers comparable to 1/eps: any fixed band limit makes the
 unscaled ratio decay like sqrt(eps), which would read as a spurious trend.
 That tag therefore draws from an eps-adapted family, low modes plus
 boundary-layer modes k ~ q/eps with sinh(kz)/sinh(k eps) profiles, keeping
-k*eps pinned so the extremal ratio is genuinely scale-free.
+k*eps pinned so the extremal ratio is genuinely scale-free. Its modes are
+orthogonal in x, so its x-integrals are taken in closed form (the x-mean
+of cos^2 is 1/2): they equal the trapezoid sums on any grid of at least
+4 kmax points, Clenshaw-Curtis still integrates in z, and the cost of a
+sample does not depend on eps.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -79,7 +85,11 @@ class ProbeReport:
 
 
 class _Strip:
-    """Quadrature and differentiation context for one epsilon."""
+    """Quadrature, differentiation tables and layer-mode norms for one epsilon.
+
+    Every table is built on first use and then shared, read-only, by all
+    samples drawn on the strip.
+    """
 
     def __init__(self, nx: int, nz: int, eps: float):
         if not 0.0 < eps < 1.0:
@@ -90,7 +100,6 @@ class _Strip:
         self.wz = clenshaw_curtis_weights(nz) * eps
         self.wx = self.grid.dx
         self.eps = eps
-        self.k = np.arange(1, KMAX + 1)
 
     def integral(self, f):
         return self.wx * float((self.wz[:, None] * f).sum())
@@ -103,89 +112,119 @@ class _Strip:
             np.sum(np.sqrt(1.0 + k * k) * np.abs(coef) ** 2)
         )
 
+    @cached_property
+    def trig(self) -> tuple:
+        """(cos, sin) factors of modes 0..KMAX and their first two
+        x-derivatives, indexed by order; each array is (KMAX+1, nx)."""
+        ks = np.arange(KMAX + 1)[:, None]
+        kx = ks * self.x[None, :]
+        c, s = np.cos(kx), np.sin(kx)
+        return _frozen(
+            (c, s), (-ks * s, ks * c), (-(ks**2) * c, -(ks**2) * s)
+        )
+
+    @cached_property
+    def zeta_basis(self) -> tuple:
+        """d^order/dz of the zeta powers 0..PDEG, indexed by order, as
+        (basis (PDEG+1, nz), 1 / eps^order)."""
+        zeta, eps = self.zeta, self.eps
+        powers = np.arange(PDEG + 1)
+        b0 = zeta[None, :] ** powers[:, None]
+        b1 = powers[:, None] * zeta[None, :] ** np.maximum(powers - 1, 0)[:, None]
+        b1[0] = 0.0
+        b2 = (
+            powers * (powers - 1)
+        )[:, None] * zeta[None, :] ** np.maximum(powers - 2, 0)[:, None]
+        b2[:2] = 0.0
+        _frozen(b0, b1, b2)
+        return (b0, 1.0), (b1, 1.0 / eps), (b2, 1.0 / eps**2)
+
+    @cached_property
+    def zeta_powers(self) -> tuple:
+        """zeta^m as (nz, 1) columns, m = 0..PDEG (scalar exponents, so the
+        square is exactly zeta * zeta)."""
+        zc = self.zeta[:, None]
+        return _frozen(*(zc**m for m in range(PDEG + 1)))
+
+    @cached_property
+    def layer_norms(self) -> tuple:
+        """Squared H1 and top-trace norms of cos(k x + phi) g(z) per
+        boundary-layer mode k, g = sinh(k z) / sinh(k eps):
+
+            (L/2) sum_z w_z ((1 + k^2) g^2 + g'^2)   and   (L/2) sqrt(1 + k^2).
+
+        The x-mean of cos^2 and sin^2 is 1/2 and the phase drops out.
+        """
+        k = np.array(_layer_modes(self.eps), dtype=float)
+        kc = k[:, None]
+        z = self.eps * self.zeta[None, :]
+        s = np.sinh(kc * self.eps)
+        g = np.sinh(kc * z) / s
+        dg = kc * np.cosh(kc * z) / s
+        half_l = 0.5 * self.grid.L
+        h1 = half_l * (((1.0 + kc * kc) * g * g + dg * dg) * self.wz).sum(axis=1)
+        return _frozen(h1, half_l * np.sqrt(1.0 + k * k))
+
+
+def _frozen(*arrays):
+    for a in arrays:
+        if isinstance(a, tuple):
+            _frozen(*a)
+        else:
+            a.flags.writeable = False
+    return arrays
+
 
 class _Sample:
     """u = sum_k trig(k x) P_k(zeta) with closed-form derivatives."""
 
-    def __init__(self, strip: _Strip, coeffs: np.ndarray, zero_bottom: bool):
+    def __init__(self, strip: _Strip, coeffs: np.ndarray):
         # coeffs: (KMAX + 1, 2, PDEG + 1): per mode, cos/sin, power of zeta
         self.strip = strip
         self.c = coeffs.copy()
-        if zero_bottom:
-            self.c[:, :, 0] = 0.0  # kill the zeta^0 term: u(., 0) = 0
         self.c[0, 1, :] = 0.0  # sin(0 x) carries nothing
-
-    def _horizontal(self, order: int):
-        """trig factors and their x-derivatives, shape (KMAX+1, nx)."""
-        x = self.strip.x
-        ks = np.arange(KMAX + 1)[:, None]
-        kx = ks * x[None, :]
-        if order == 0:
-            return np.cos(kx), np.sin(kx)
-        if order == 1:
-            return -ks * np.sin(kx), ks * np.cos(kx)
-        return -(ks**2) * np.cos(kx), -(ks**2) * np.sin(kx)
-
-    def _vertical(self, order: int):
-        """zeta-polynomial values per (mode, parity), shape (KMAX+1, 2, nz)."""
-        zeta = self.strip.zeta
-        eps = self.strip.eps
-        powers = np.arange(PDEG + 1)
-        if order == 0:
-            basis = zeta[None, :] ** powers[:, None]
-            scale = 1.0
-        elif order == 1:
-            basis = powers[:, None] * zeta[None, :] ** np.maximum(powers - 1, 0)[:, None]
-            basis[0] = 0.0
-            scale = 1.0 / eps
-        else:
-            basis = (
-                powers * (powers - 1)
-            )[:, None] * zeta[None, :] ** np.maximum(powers - 2, 0)[:, None]
-            basis[:2] = 0.0
-            scale = 1.0 / eps**2
-        return scale * np.einsum("kpm,mz->kpz", self.c, basis)
 
     def derivative(self, dx: int = 0, dz: int = 0) -> np.ndarray:
         """Nodal values of d^dx_x d^dz_z u, shape (nz, nx)."""
-        cosk, sink = self._horizontal(dx)
-        prof = self._vertical(dz)
+        cosk, sink = self.strip.trig[dx]
+        basis, scale = self.strip.zeta_basis[dz]
+        prof = scale * np.einsum("kpm,mz->kpz", self.c, basis)
         return np.einsum("kz,kx->zx", prof[:, 0], cosk) + np.einsum(
             "kz,kx->zx", prof[:, 1], sink
         )
+
+    @cached_property
+    def u(self) -> np.ndarray:
+        return self.derivative()
+
+    def h1_sq(self) -> float:
+        integral = self.strip.integral
+        ux, uz = self.derivative(dx=1), self.derivative(dz=1)
+        return integral(self.u * self.u) + integral(ux * ux + uz * uz)
+
+    def top_trace_sq(self) -> float:
+        return self.strip.boundary_half_norm_sq(self.u[-1])
 
 
 class _LayerSample:
     """Zero-bottom field with boundary-layer vertical profiles.
 
-    u = sum_j c_j cos(k_j x + phi_j) sinh(k_j z) / sinh(k_j eps), mixing the
+    u = sum_j a_j cos(k_j x + phi_j) sinh(k_j z) / sinh(k_j eps), mixing the
     low modes with modes k ~ q/eps whose trace ratio does not degenerate as
-    the strip thins. Only first derivatives are defined; the trace tags need
-    nothing higher.
+    the strip thins. The k_j are distinct positive integers, so the modes are
+    orthogonal in every x-integral and each squared norm is sum_j a_j^2 times
+    the strip's per-mode norm. The phases drop out and are not drawn.
     """
 
     def __init__(self, strip: _Strip, rng):
         self.strip = strip
-        self.modes = _layer_modes(strip.eps)
-        m = len(self.modes)
-        self.amp = rng.standard_normal(m)
-        self.phase = rng.uniform(0.0, 2.0 * np.pi, m)
+        self.amp = rng.standard_normal(strip.layer_norms[0].size)
 
-    def derivative(self, dx: int = 0, dz: int = 0) -> np.ndarray:
-        if dx + dz > 1:
-            raise ValueError("layer samples carry first derivatives only")
-        strip = self.strip
-        z = strip.eps * strip.zeta[:, None]
-        out = np.zeros((strip.zeta.size, strip.x.size))
-        for a, phi, k in zip(self.amp, self.phase, self.modes):
-            t = np.cos(k * strip.x + phi)
-            g = np.sinh(k * z) / np.sinh(k * strip.eps)
-            if dx == 1:
-                t = -k * np.sin(k * strip.x + phi)
-            if dz == 1:
-                g = k * np.cosh(k * z) / np.sinh(k * strip.eps)
-            out += a * t * g
-        return out
+    def h1_sq(self) -> float:
+        return float((self.amp * self.amp * self.strip.layer_norms[0]).sum())
+
+    def top_trace_sq(self) -> float:
+        return float((self.amp * self.amp * self.strip.layer_norms[1]).sum())
 
 
 def _layer_modes(eps: float) -> list:
@@ -196,15 +235,12 @@ def _layer_modes(eps: float) -> list:
 def _scaled_ratio(tag: str, sample) -> float:
     strip = sample.strip
     eps = strip.eps
-    u = sample.derivative()
-    ux, uz = sample.derivative(dx=1), sample.derivative(dz=1)
-    l2 = strip.integral(u * u)
-    h1_sq = l2 + strip.integral(ux * ux + uz * uz)
+    h1_sq = sample.h1_sq()
     if h1_sq < 1e-24:
         return float("nan")  # degenerate sample
 
     if tag == "L6":
-        l6 = strip.integral(u**6) ** (1.0 / 6.0)
+        l6 = strip.integral(sample.u**6) ** (1.0 / 6.0)
         return eps ** (1.0 / 3.0) * l6 / np.sqrt(h1_sq)
     if tag == "Agmon":
         uxx = sample.derivative(dx=2)
@@ -213,12 +249,44 @@ def _scaled_ratio(tag: str, sample) -> float:
         h2 = np.sqrt(
             h1_sq + strip.integral(uxx * uxx + 2.0 * uxz * uxz + uzz * uzz)
         )
-        return np.sqrt(eps) * np.abs(u).max() / h2
+        return np.sqrt(eps) * np.abs(sample.u).max() / h2
     if tag in ("trace_zero", "trace_general"):
-        half = np.sqrt(strip.boundary_half_norm_sq(u[-1]))
+        half = np.sqrt(sample.top_trace_sq())
         scale = 1.0 if tag == "trace_zero" else np.sqrt(eps)
         return scale * half / np.sqrt(h1_sq)
     raise ValueError(f"unknown tag {tag!r}, expected one of {PROBE_TAGS}")
+
+
+def _probe_rows(eps_list, samples: int, seed: int, nx: int, nz: int, draw, anchors):
+    """One row of ratio extremes per epsilon, on a _Strip(nx, nz, eps).
+
+    Sample i draws from its own counter-keyed stream Philox([seed, i]) through
+    draw(strip, rng); non-finite (degenerate) ratios are skipped. The ratios
+    of anchors(strip), closed-form extremals, are always kept.
+    """
+    eps_list = [float(e) for e in np.atleast_1d(eps_list)]
+    if samples < 50:
+        raise ValueError("need at least 50 samples per epsilon")
+    rows = []
+    for eps in eps_list:
+        strip = _Strip(nx, nz, eps)
+        ratios = []
+        for i in range(samples):
+            r = draw(strip, np.random.Generator(np.random.Philox([seed, i])))
+            if np.isfinite(r):
+                ratios.append(float(r))
+        ratios += [float(r) for r in anchors(strip)]
+        if not ratios:
+            raise ValueError(f"all samples degenerate at eps = {eps}")
+        rows.append(
+            {
+                "eps": eps,
+                "n_samples": len(ratios),
+                "max_ratio": max(ratios),
+                "min_ratio": min(ratios),
+            }
+        )
+    return rows
 
 
 def anisotropy_probe(
@@ -237,42 +305,24 @@ def anisotropy_probe(
     """
     if tag not in PROBE_TAGS:
         raise ValueError(f"unknown tag {tag!r}, expected one of {PROBE_TAGS}")
-    eps_list = [float(e) for e in np.atleast_1d(eps_list)]
-    if samples < 50:
-        raise ValueError("need at least 50 samples per epsilon")
-    zero_bottom = tag == "trace_zero"
-    rows = []
-    for eps in eps_list:
-        nx_eff = nx
-        if zero_bottom:
-            kmax = max(_layer_modes(eps))
-            nx_eff = max(nx, 1 << (4 * kmax - 1).bit_length())
-        strip = _Strip(nx_eff, nz, eps)
-        ratios = []
-        for i in range(samples):
-            rng = np.random.Generator(np.random.Philox([seed, i]))
-            if zero_bottom:
-                r = _scaled_ratio(tag, _LayerSample(strip, rng))
-            else:
-                coeffs = rng.standard_normal((KMAX + 1, 2, PDEG + 1))
-                coeffs /= (1.0 + np.arange(KMAX + 1))[:, None, None] ** 2
-                r = _scaled_ratio(tag, _Sample(strip, coeffs, zero_bottom))
-            if np.isfinite(r):
-                ratios.append(float(r))
-        if not zero_bottom:
-            const = np.zeros((KMAX + 1, 2, PDEG + 1))
-            const[0, 0, 0] = 1.0
-            ratios.append(float(_scaled_ratio(tag, _Sample(strip, const, False))))
-        if not ratios:
-            raise ValueError(f"all samples degenerate at eps = {eps}")
-        rows.append(
-            {
-                "eps": eps,
-                "n_samples": len(ratios),
-                "max_ratio": max(ratios),
-                "min_ratio": min(ratios),
-            }
-        )
+
+    def draw(strip, rng):
+        if tag == "trace_zero":
+            return _scaled_ratio(tag, _LayerSample(strip, rng))
+        coeffs = rng.standard_normal((KMAX + 1, 2, PDEG + 1))
+        coeffs /= (1.0 + np.arange(KMAX + 1))[:, None, None] ** 2
+        return _scaled_ratio(tag, _Sample(strip, coeffs))
+
+    def anchors(strip):
+        if tag == "trace_zero":
+            return []
+        const = np.zeros((KMAX + 1, 2, PDEG + 1))
+        const[0, 0, 0] = 1.0
+        return [_scaled_ratio(tag, _Sample(strip, const))]
+
+    rows = _probe_rows(eps_list, samples, seed, nx, nz, draw, anchors)
     tops = [r["max_ratio"] for r in rows]
     verdict = "bounded" if max(tops) / min(tops) < 3.0 else "unbounded trend"
-    return ProbeReport(tag=tag, eps_list=eps_list, rows=rows, verdict=verdict)
+    return ProbeReport(
+        tag=tag, eps_list=[r["eps"] for r in rows], rows=rows, verdict=verdict
+    )

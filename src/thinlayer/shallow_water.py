@@ -21,6 +21,7 @@ __all__ = [
     "SWTrajectory",
     "DegenerateStateError",
     "BlowupError",
+    "StabilityError",
     "initial_wave",
     "sym_grad",
     "sw_rhs",
@@ -43,6 +44,10 @@ class DegenerateStateError(ValueError):
 
 class BlowupError(RuntimeError):
     """Non-finite values appeared during time stepping."""
+
+
+class StabilityError(ValueError):
+    """The requested step exceeds the explicit stability bound."""
 
 
 @dataclass(frozen=True)
@@ -217,7 +222,7 @@ def sw_step(
         raise ValueError(f"dt must be positive, got {dt}")
     bound = stable_dt(s, p)
     if dt > bound * (1.0 + 1e-9):
-        raise ValueError(f"dt = {dt:.4g} exceeds the stability bound {bound:.4g}")
+        raise StabilityError(f"dt = {dt:.4g} exceeds the stability bound {bound:.4g}")
 
     k1h, k1u = sw_rhs(s, p) if k1 is None else k1
     k2h, k2u = sw_rhs(_advanced(s, 0.5 * dt, k1h, k1u), p)

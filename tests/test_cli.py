@@ -66,6 +66,26 @@ def test_numerical_failure_maps_to_exit_3(tmp_path, capsys):
     assert "numerical failure" in capsys.readouterr().err
 
 
+def test_validate_rejects_what_grid_rejects(tmp_path, capsys):
+    cfg = _config(tmp_path, {"domain": {"N": 48}})
+    assert run("validate", cfg) == 2
+    assert "domain.N: must be a power of two >= 8" in capsys.readouterr().err
+    assert run("sw", cfg, out=tmp_path / "out") == 2
+
+
+@pytest.mark.parametrize("tree", [{"sw": {"dt": 0.1}}, {"params": {"Re": 1e-3}}])
+def test_stability_breach_maps_to_exit_3(tmp_path, capsys, tree):
+    assert run("sw", _config(tmp_path, tree), out=tmp_path / "out") == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert "exceeds the stability bound" in err[0]
+
+
+def test_probe_pipeline_tiny_eps(tmp_path):
+    cfg = _config(tmp_path, {"probes": {"eps_list": [0.1, 1e-5]}})
+    assert main(["probe", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+
+
 def test_sw_pipeline_diagnostics(tmp_path):
     cfg = _config(tmp_path)
     out = tmp_path / "out"

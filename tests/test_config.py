@@ -10,6 +10,7 @@ from thinlayer.config import (
     validate_config,
     validate_tree,
 )
+from thinlayer.grids import Grid
 
 
 def _write(tmp_path, tree, name="cfg.json"):
@@ -104,3 +105,14 @@ def test_value_range_checks(tmp_path):
         "output.formats",
     ):
         assert any(needle in m for m in msgs), needle
+
+
+def test_grid_size_check_matches_grid():
+    for N in range(1, 140):
+        try:
+            Grid(1, N)
+            grid_ok = True
+        except ValueError:
+            grid_ok = False
+        msgs = validate_tree({"domain": {"N": N}})
+        assert grid_ok == (not any(m.startswith("domain.N") for m in msgs)), N

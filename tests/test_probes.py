@@ -1,8 +1,17 @@
 """Scaled-inequality probes: anchors, uniformity, determinism."""
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from thinlayer.probes import PROBE_TAGS, ProbeReport, anisotropy_probe
+from thinlayer.probes import (
+    PROBE_TAGS,
+    ProbeReport,
+    _layer_modes,
+    _LayerSample,
+    _Strip,
+    anisotropy_probe,
+)
 
 EPS_SWEEP = [0.1, 0.01, 0.001]
 TWO_PI = 2.0 * np.pi
@@ -72,3 +81,63 @@ def test_report_structure_validated():
         ProbeReport("L6", [0.1], [dict(good, min_ratio=2.0)], "bounded")
     with pytest.raises(ValueError):
         ProbeReport("L6", [0.1], [dict(good, max_ratio=float("nan"))], "bounded")
+
+
+def _layer_reference(eps, seed, samples, nx=64, nz=24):
+    """(h1_sq, trace_sq) per trace_zero sample from nodal values.
+
+    The nodal composition of the boundary-layer family: every mode is
+    evaluated on a trapezoid grid of at least 4 * kmax points, and the norms
+    are taken by quadrature and FFT like those of the polynomial samples.
+    """
+    modes = _layer_modes(eps)
+    strip = _Strip(max(nx, 1 << (4 * max(modes) - 1).bit_length()), nz, eps)
+    z = eps * strip.zeta[:, None]
+    out = []
+    for i in range(samples):
+        rng = np.random.Generator(np.random.Philox([seed, i]))
+        amp = rng.standard_normal(len(modes))
+        phase = rng.uniform(0.0, 2.0 * np.pi, len(modes))
+        u, ux, uz = (np.zeros((nz, strip.x.size)) for _ in range(3))
+        for a, phi, k in zip(amp, phase, modes):
+            arg = k * strip.x + phi
+            s = np.sinh(k * eps)
+            u += a * np.cos(arg) * (np.sinh(k * z) / s)
+            ux += a * (-k * np.sin(arg)) * (np.sinh(k * z) / s)
+            uz += a * np.cos(arg) * (k * np.cosh(k * z) / s)
+        h1_sq = strip.integral(u * u) + strip.integral(ux * ux + uz * uz)
+        out.append((h1_sq, strip.boundary_half_norm_sq(u[-1])))
+    return out
+
+
+@pytest.mark.parametrize("seed", [0, 5, 11])
+def test_trace_zero_matches_nodal_reference(seed):
+    # closed-form x-sums of the layer family equal the nodal quadrature
+    samples = 50
+    rep = anisotropy_probe("trace_zero", EPS_SWEEP, samples=samples, seed=seed)
+    for eps, row in zip(EPS_SWEEP, rep.rows):
+        ref = _layer_reference(eps, seed, samples)
+        strip = _Strip(64, 24, eps)
+        for i, (h1_sq, trace_sq) in enumerate(ref):
+            rng = np.random.Generator(np.random.Philox([seed, i]))
+            sample = _LayerSample(strip, rng)
+            assert abs(sample.h1_sq() - h1_sq) <= 1e-13 * h1_sq
+            assert abs(sample.top_trace_sq() - trace_sq) <= 1e-13 * trace_sq
+        ratios = [np.sqrt(t) / np.sqrt(h) for h, t in ref]
+        assert row["n_samples"] == len(ratios)
+        assert abs(row["max_ratio"] - max(ratios)) <= 1e-13 * max(ratios)
+        assert abs(row["min_ratio"] - min(ratios)) <= 1e-13 * min(ratios)
+
+
+def test_trace_zero_tiny_eps_is_cheap():
+    # at eps = 1e-5 the layer modes reach k = 1e5; the closed form never
+    # builds an x grid for them, so the probe stays small at any eps
+    anisotropy_probe("trace_zero", [0.1], samples=50)  # lazy numpy imports
+    tracemalloc.start()
+    try:
+        rep = anisotropy_probe("trace_zero", [0.1, 1e-5], samples=50)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.verdict == "bounded"
+    assert peak < 1 << 20

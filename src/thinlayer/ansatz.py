@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import chebyshev as cheb
-from .grids import Grid, HField, div, grad, nonlinear, to_fine, from_fine
+from .grids import Grid, HField, _spec_to_fine, div, from_fine, grad, nonlinear
 from .shallow_water import DegenerateStateError, Params, SWState, sw_rhs, sym_grad
 from .thinfields import ThinField
 
@@ -28,9 +28,10 @@ __all__ = ["ZPoly", "AnsatzFields", "AnsatzRate", "build_ansatz", "ansatz_rate",
 class ZPoly:
     """Polynomial in z with scalar horizontal fields as coefficients.
 
-    value(x, z) = sum_k coeffs[k](x) * z**k. Products dealias coefficient
-    pairs; at_height performs the whole Horner evaluation in one padded
-    pass so truncation is committed only once.
+    value(x, z) = sum_k coeffs[k](x) * z**k. A product pads both factors'
+    coefficients in one pass and dealiases every coefficient pair in one
+    batched projection; at_height performs the whole Horner evaluation in
+    one padded pass so truncation is committed only once.
     """
 
     __slots__ = ("grid", "coeffs")
@@ -80,11 +81,16 @@ class ZPoly:
 
     def __mul__(self, other):
         if isinstance(other, ZPoly):
-            out = [self._zero_field() for _ in range(len(self.coeffs) + len(other.coeffs) - 1)]
-            for i, a in enumerate(self.coeffs):
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] = out[i + j] + a * b
-            return ZPoly(out)
+            p, q = len(self.coeffs), len(other.coeffs)
+            fine = _spec_to_fine(self.grid, np.stack([c.spec for c in self.coeffs + other.coeffs]))
+            pairs = (fine[:p, None] * fine[None, p:]).reshape((p * q,) + fine.shape[1:])
+            prods = from_fine(self.grid, pairs).values.reshape((p, q) + self.grid.shape)
+            # one pair at a time in (i, j) order: a vectorised sum rounds differently
+            out = np.zeros((p + q - 1,) + self.grid.shape)
+            for i in range(p):
+                for j in range(q):
+                    out[i + j] += prods[i, j]
+            return ZPoly([HField(self.grid, v) for v in out])
         if isinstance(other, HField):
             return ZPoly([other * c for c in self.coeffs])
         return ZPoly([c * float(other) for c in self.coeffs])
@@ -111,8 +117,7 @@ class ZPoly:
 
     def at_height(self, eta: HField) -> HField:
         """Evaluation at a variable height eta(x), one padded Horner pass."""
-        fine = [to_fine(c) for c in self.coeffs]
-        e = to_fine(eta)
+        *fine, e = _spec_to_fine(self.grid, np.stack([c.spec for c in self.coeffs + [eta]]))
         acc = fine[-1]
         for c in reversed(fine[:-1]):
             acc = acc * e + c
@@ -206,14 +211,8 @@ def _pressure_factor(p: Params) -> float:
     return -2.0 * p.eps * p.F**2 / p.Re * (1.0 + p.eps**2 * p.gamma_bar)
 
 
-def build_ansatz(s: SWState, p: Params, order: int = 2) -> AnsatzFields:
-    """Coefficients of the approximation seeded by (h0, u0).
-
-    Only the displayed second order is implemented; the argument exists so
-    higher-order constructions can slot in without an interface change.
-    """
-    if order != 2:
-        raise NotImplementedError("only the second-order construction is implemented")
+def build_ansatz(s: SWState, p: Params) -> AnsatzFields:
+    """Second-order coefficients of the approximation seeded by (h0, u0)."""
     h0, u0 = s.h0, s.u0
     if h0.values.min() <= 0.0:
         raise DegenerateStateError("depth must stay positive")

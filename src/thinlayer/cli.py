@@ -2,11 +2,13 @@
 
     thinlayer <subcommand> --config <path> [--out <dir>] [--threads <n>]
 
-Each pipeline reads only the config (plus the two flags), writes CSV/JSON
-through the deterministic emitters, and finishes by writing a manifest that
+Each pipeline reads only the config (plus --out), writes CSV/JSON through
+the deterministic emitters, and finishes by writing a manifest that
 checksums every emitted file. Exit codes: 0 success, 2 config validation
 failure, 3 numerical failure (vacuum, blowup, step above the stability
 bound, conditioning, uncertified solve), 64 usage error, 1 I/O failure.
+--threads is accepted for compatibility and has no effect: every pipeline
+runs serially.
 """
 from __future__ import annotations
 
@@ -88,7 +90,7 @@ def _build_parser() -> _Parser:
     parser.add_argument("subcommand", choices=SUBCOMMANDS)
     parser.add_argument("--config", required=True, help="path to the JSON config")
     parser.add_argument("--out", default=None, help="override output.dir")
-    parser.add_argument("--threads", type=int, default=None, help="worker count")
+    parser.add_argument("--threads", type=int, help="accepted for compatibility; no effect")
     return parser
 
 
@@ -133,7 +135,7 @@ def _component_columns(n: int, base: str):
 # -- pipelines -------------------------------------------------------------------
 
 
-def _run_sw(cfg, out: Path, threads) -> list:
+def _run_sw(cfg, out: Path) -> list:
     sw = cfg.sw
     p = _params(cfg, cfg.study["eps_list"][0])
     traj = sw_solve(_initial_state(cfg), p, sw["T"], sw["dt"])
@@ -151,7 +153,7 @@ def _run_sw(cfg, out: Path, threads) -> list:
     return [write_csv(out / "sw_diagnostics.csv", ["t", "mass", "energy", "min_h", "max_u"], rows)]
 
 
-def _run_ansatz(cfg, out: Path, threads) -> list:
+def _run_ansatz(cfg, out: Path) -> list:
     state = _evolved_state(cfg, cfg.study["t_eval"])
     eps = cfg.study["eps_list"][0]
     a = build_ansatz(state, _params(cfg, eps))
@@ -175,7 +177,7 @@ def _run_ansatz(cfg, out: Path, threads) -> list:
     return [write_csv(out / "ansatz_coefficients.csv", header, rows)]
 
 
-def _study_report(cfg, threads):
+def _study_report(cfg):
     base = _params(cfg, cfg.study["eps_list"][0])
     return convergence_study(
         _initial_state(cfg),
@@ -183,18 +185,17 @@ def _study_report(cfg, threads):
         cfg.study["eps_list"],
         t_eval=cfg.study["t_eval"],
         nz=cfg.study["nz"],
-        workers=threads,
     )
 
 
-def _run_residuals(cfg, out: Path, threads) -> list:
-    report = _study_report(cfg, threads)
+def _run_residuals(cfg, out: Path) -> list:
+    report = _study_report(cfg)
     header = ["eps", "kind", "component", "norm_sup", "norm_l2"]
     return [write_csv(out / "residual_records.csv", header, report.records)]
 
 
-def _run_study(cfg, out: Path, threads) -> list:
-    report = _study_report(cfg, threads)
+def _run_study(cfg, out: Path) -> list:
+    report = _study_report(cfg)
     files = [
         write_csv(
             out / "study_records.csv",
@@ -222,7 +223,7 @@ def _run_study(cfg, out: Path, threads) -> list:
     return files
 
 
-def _run_korn(cfg, out: Path, threads) -> list:
+def _run_korn(cfg, out: Path) -> list:
     kc = cfg.korn
     mg = kc["M_grid"]
     m_grid = np.geomspace(mg["min"], mg["max"], mg["count"])
@@ -235,7 +236,7 @@ def _run_korn(cfg, out: Path, threads) -> list:
     ]
 
 
-def _run_laplace(cfg, out: Path, threads) -> list:
+def _run_laplace(cfg, out: Path) -> list:
     rows = []
     worst_tanh = 0.0
     ratios = []
@@ -265,7 +266,7 @@ def _run_laplace(cfg, out: Path, threads) -> list:
     ]
 
 
-def _run_probe(cfg, out: Path, threads) -> list:
+def _run_probe(cfg, out: Path) -> list:
     pc = cfg.probes
     rows = []
     verdicts = {}
@@ -285,7 +286,7 @@ def _run_probe(cfg, out: Path, threads) -> list:
     ]
 
 
-def _run_lagrangian(cfg, out: Path, threads) -> list:
+def _run_lagrangian(cfg, out: Path) -> list:
     # chart identity runs presuppose a flat initial height; the configured
     # velocity perturbation supplies the motion
     sw = cfg.sw
@@ -318,7 +319,10 @@ PIPELINES = {
 
 
 def run(subcommand: str, config_path, out=None, threads=None) -> int:
-    """Execute one pipeline (or all) and write the manifest; returns exit code."""
+    """Execute one pipeline (or all) and write the manifest; returns exit code.
+
+    threads is accepted for compatibility and ignored.
+    """
     if subcommand == "validate":
         violations = validate_config(config_path)
         for v in violations:
@@ -348,7 +352,7 @@ def run(subcommand: str, config_path, out=None, threads=None) -> int:
     emitted = []
     try:
         for name in names:
-            emitted += PIPELINES[name](cfg, out_dir, threads)
+            emitted += PIPELINES[name](cfg, out_dir)
     except NUMERICAL_FAILURES as exc:
         print(f"numerical failure in {subcommand}: {exc}", file=sys.stderr)
         return 3

@@ -3,9 +3,7 @@
 A Grid is the uniform tensor grid on the torus [0, L)^n, n in {1, 2}, with N
 points per direction. HField wraps real nodal samples of a scalar or vector
 field together with a cached spectrum; all derivatives are spectral and all
-products of fields are dealiased by zero-padding (factor 2, which makes the
-product of two band-limited fields the exact projection onto the retained
-modes).
+products of fields are dealiased by zero-padding onto a grid PAD times finer.
 
 Conventions: spectra use the numpy fftn layout; the Nyquist slot of odd-order
 derivatives is zeroed (the trigonometric interpolant of real data has a
@@ -23,6 +21,10 @@ __all__ = ["Grid", "HField", "deriv", "grad", "div", "nonlinear", "dealiased_pro
 TWO_PI = 2.0 * np.pi
 
 MAX_DERIV_ORDER = 4
+
+# Padding factor of every dealiased product: 2 makes the product of two
+# band-limited fields the exact projection onto the retained modes.
+PAD = 2
 
 
 def _is_power_of_two(m: int) -> bool:
@@ -352,33 +354,33 @@ def _truncate_axis(spec: np.ndarray, axis: int, M: int, N: int) -> np.ndarray:
     return out
 
 
-def _spec_to_fine(grid: Grid, spec: np.ndarray, factor: int = 2) -> np.ndarray:
+def _spec_to_fine(grid: Grid, spec: np.ndarray) -> np.ndarray:
     """Fine-grid nodal values of spectra stacked on any leading axes."""
-    M = factor * grid.N
+    M = PAD * grid.N
     for a in range(-grid.n, 0):
         spec = _pad_axis(spec, a, grid.N, M)
     axes = tuple(range(-grid.n, 0))
-    return np.fft.ifftn(spec, axes=axes).real * factor**grid.n
+    return np.fft.ifftn(spec, axes=axes).real * PAD**grid.n
 
 
-def _fine_to_spec(grid: Grid, fine_values: np.ndarray, factor: int = 2) -> np.ndarray:
+def _fine_to_spec(grid: Grid, fine_values: np.ndarray) -> np.ndarray:
     """Spectra on grid of fine-grid nodal values stacked on any leading axes."""
-    M = factor * grid.N
+    M = PAD * grid.N
     axes = tuple(range(-grid.n, 0))
     spec = np.fft.fftn(fine_values, axes=axes)
     for a in range(-grid.n, 0):
         spec = _truncate_axis(spec, a, M, grid.N)
-    return spec / factor**grid.n
+    return spec / PAD**grid.n
 
 
-def to_fine(f: HField, factor: int = 2) -> np.ndarray:
-    """Nodal values of f interpolated onto the factor-refined grid."""
-    return _spec_to_fine(f.grid, f.spec, factor)
+def to_fine(f: HField) -> np.ndarray:
+    """Nodal values of f interpolated onto the PAD-refined grid."""
+    return _spec_to_fine(f.grid, f.spec)
 
 
-def from_fine(grid: Grid, fine_values: np.ndarray, factor: int = 2) -> HField:
+def from_fine(grid: Grid, fine_values: np.ndarray) -> HField:
     """Project fine-grid nodal values back onto grid (exact L2 projection)."""
-    return HField.from_spec(grid, _fine_to_spec(grid, fine_values, factor))
+    return HField.from_spec(grid, _fine_to_spec(grid, fine_values))
 
 
 def nonlinear(grid: Grid, fn, *fields) -> HField:

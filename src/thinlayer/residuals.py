@@ -20,7 +20,6 @@ claimed one can be traced to the term responsible.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -410,7 +409,6 @@ def convergence_study(
     eps_list,
     t_eval: float = 0.25,
     nz: int = 24,
-    workers: int | None = None,
 ) -> StudyReport:
     """Sweep the aspect ratio over one shared shallow-water state.
 
@@ -432,19 +430,10 @@ def convergence_study(
     else:
         s = init
 
-    def one(e: float):
-        pvar = Params(F=base.F, Re=base.Re, gamma_bar=base.gamma_bar, eps=e)
-        return _residual_records(s, pvar, nz)
-
-    results = [None] * len(eps_list)
-    if workers and workers > 1:
-        s.h0.spec, s.u0.spec  # fill the shared lazy caches here: HField.spec has no lock
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = {i: pool.submit(one, e) for i, e in enumerate(eps_list)}
-            for i, fut in futures.items():
-                results[i] = fut.result()
-    else:
-        results = [one(e) for e in eps_list]
+    results = [
+        _residual_records(s, Params(F=base.F, Re=base.Re, gamma_bar=base.gamma_bar, eps=e), nz)
+        for e in eps_list
+    ]
 
     records = [row for recs, _ in results for row in recs]
     term_records = [row for _, trecs in results for row in trecs]

@@ -254,7 +254,7 @@ class SWTrajectory:
     downstream consumers sample.
     """
 
-    def __init__(self, states, tendencies, dt: float, scheme: str = "rk4"):
+    def __init__(self, states, tendencies, dt: float):
         states = list(states)
         tendencies = list(tendencies)
         if len(states) < 2:
@@ -269,7 +269,6 @@ class SWTrajectory:
         self.states = states
         self.tendencies = tendencies
         self.dt = float(dt)
-        self.scheme = scheme
 
     def __len__(self) -> int:
         return len(self.states)

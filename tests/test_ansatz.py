@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 
 from conftest import loglog_slope
-from thinlayer.grids import Grid, HField
+from thinlayer.grids import Grid, HField, from_fine, to_fine
 from thinlayer.norms import NormKind, norm
 from thinlayer.shallow_water import Params, SWState, sw_step
 from thinlayer.ansatz import (
@@ -53,6 +53,46 @@ def test_zpoly_product_matches_pointwise():
     for z in (0.0, 0.3, 1.7):
         want = (np.cos(x) + z * np.sin(x)) * (1.0 + 0.5 * np.sin(2 * x) + z * np.cos(x))
         assert np.abs(r.at_z(z).values - want).max() < 1e-13
+
+
+def _pairwise_product(p, q):
+    """Product one dealiased HField pair at a time, summed in (i, j) order."""
+    g = p.grid
+    out = [HField(g, np.zeros(g.shape)) for _ in range(p.degree + q.degree + 1)]
+    for i, a in enumerate(p.coeffs):
+        for j, b in enumerate(q.coeffs):
+            out[i + j] = out[i + j] + a * b
+    return out
+
+
+def _padded_horner(p, eta):
+    """at_height with every coefficient padded on its own."""
+    fine = [to_fine(c) for c in p.coeffs]
+    e = to_fine(eta)
+    acc = fine[-1]
+    for c in reversed(fine[:-1]):
+        acc = acc * e + c
+    return from_fine(p.grid, acc)
+
+
+@pytest.mark.parametrize("n, N", [(1, 32), (2, 16)])
+def test_zpoly_product_matches_pairwise_hfield_products(n, N):
+    # the batched product and padding must not move a single bit
+    g = Grid(n, N)
+    rng = np.random.default_rng(7)
+
+    def poly(degree):
+        return ZPoly([HField(g, rng.standard_normal(g.shape)) for _ in range(degree + 1)])
+
+    for dp, dq in ((3, 3), (3, 4), (1, 4)):
+        p, q = poly(dp), poly(dq)
+        got = p * q
+        want = _pairwise_product(p, q)
+        assert got.degree == dp + dq
+        for a, b in zip(got.coeffs, want):
+            assert (a.values == b.values).all()
+        eta = HField(g, 0.1 + 0.01 * rng.standard_normal(g.shape))
+        assert (p.at_height(eta).values == _padded_horner(p, eta).values).all()
 
 
 def test_zpoly_calculus():
@@ -120,12 +160,6 @@ def test_build_resting_bump():
         assert np.abs(f.values).max() < 1e-14
     _, _, pres = eval_ansatz(a, 0, 0.01)
     assert abs(pres - (P.eps * (1 + aamp) - 0.01)) < 1e-15
-
-
-def test_build_rejects_other_orders():
-    g = Grid(1, 32)
-    with pytest.raises(NotImplementedError):
-        build_ansatz(_state(g, lambda x: 1.0 + 0.0 * x, [lambda x: 0.0 * x]), P, order=3)
 
 
 # -- structural invariants ------------------------------------------------------

@@ -2,6 +2,7 @@
 import csv
 import json
 import math
+import threading
 
 import pytest
 
@@ -193,3 +194,13 @@ def test_rerun_is_byte_identical_across_threads(tmp_path):
             }
         )
     assert digests[0] == digests[1]
+
+
+def test_all_starts_no_thread(tmp_path, monkeypatch):
+    # HField.spec fills its lazy cache without a lock, which is safe only
+    # while every pipeline stays on the calling thread
+    def refuse(self):
+        raise AssertionError(f"a pipeline started thread {self.name}")
+
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    assert run("all", _config(tmp_path), out=tmp_path / "out", threads=4) == 0

@@ -1,6 +1,4 @@
 """Residual assembly oracles and the aspect-ratio convergence study."""
-import time
-
 import numpy as np
 import pytest
 
@@ -298,41 +296,6 @@ def test_study_single_mode_orders():
     row = rep.records[0]
     assert set(row) == {"eps", "kind", "component", "norm_sup", "norm_l2"}
     assert rep.summary()["eps_list"] == eps_list
-
-
-def test_study_parallel_matches_serial():
-    g = Grid(1, 32)
-    init = _state(g, lambda x: 1.0 + 0.05 * np.cos(x), [lambda x: 0.0 * x])
-    base = Params(F=1.0, Re=1.0, gamma_bar=1.0, eps=0.1)
-    eps_list = [0.1, 0.05, 0.025, 0.0125]
-    a = convergence_study(init, base, eps_list, t_eval=0.0, nz=8)
-    b = convergence_study(init, base, eps_list, t_eval=0.0, nz=8, workers=3)
-    assert a.records == b.records
-    assert a.slopes == b.slopes
-
-
-def test_study_pool_transforms_shared_state_once(monkeypatch):
-    # the pool threads share the evolved state; a lazy spectrum cache filled
-    # by racing threads would be transformed once per thread. The sleep hands
-    # the interpreter lock to another thread inside every transform, which
-    # opens that race wide.
-    fftn = np.fft.fftn
-    calls = []
-
-    def counted(*args, **kwargs):
-        calls.append(1)
-        time.sleep(1e-4)
-        return fftn(*args, **kwargs)
-
-    monkeypatch.setattr(np.fft, "fftn", counted)
-    base = Params(F=1.0, Re=1.0, gamma_bar=1.0, eps=0.1)
-    eps_list = [0.1, 0.05, 0.025, 0.0125]
-    counts = []
-    for workers in (1, 3):
-        calls.clear()
-        convergence_study(_wavy(), base, eps_list, t_eval=0.0, nz=8, workers=workers)
-        counts.append(len(calls))
-    assert counts[0] == counts[1] > 0
 
 
 def test_residuals_two_dimensional():

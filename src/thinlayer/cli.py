@@ -50,7 +50,6 @@ from .shallow_water import (
     Params,
     StabilityError,
     initial_wave,
-    sw_energy,
     sw_solve,
 )
 
@@ -139,18 +138,8 @@ def _run_sw(cfg, out: Path) -> list:
     sw = cfg.sw
     p = _params(cfg, cfg.study["eps_list"][0])
     traj = sw_solve(_initial_state(cfg), p, sw["T"], sw["dt"])
-    rows = []
-    for s in traj.states:
-        rows.append(
-            {
-                "t": float(s.t),
-                "mass": float(s.h0.integral()),
-                "energy": sw_energy(s, p),
-                "min_h": float(s.h0.values.min()),
-                "max_u": float(s.max_speed()),
-            }
-        )
-    return [write_csv(out / "sw_diagnostics.csv", ["t", "mass", "energy", "min_h", "max_u"], rows)]
+    header = ["t", "mass", "energy", "min_h", "max_u"]
+    return [write_csv(out / "sw_diagnostics.csv", header, traj.diagnostics(p))]
 
 
 def _run_ansatz(cfg, out: Path) -> list:

@@ -191,6 +191,8 @@ def validate_tree(tree: dict) -> list:
     st = t["study"]
     if _check_keys(out, st, "study", {"eps_list", "t_eval", "nz"}):
         _check_eps_list(out, st["eps_list"], "study.eps_list")
+        if isinstance(st["eps_list"], list) and 0 < len(st["eps_list"]) < 4:
+            out.append("study.eps_list: need at least 4 aspect ratios")
         if not _is_num(st["t_eval"]) or st["t_eval"] <= 0.0:
             out.append("study.t_eval: must be positive")
         if not _is_int(st["nz"]) or st["nz"] < 4:

@@ -22,6 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chebyshev import clenshaw_curtis_weights, diff_matrix, gl_nodes
+from .grids import HField
+from .norms import _sq_l2_thin
 from .thinfields import ThinField
 
 __all__ = [
@@ -161,10 +163,8 @@ def divergence_lift(h: ThinField, eps: float | None = None) -> DivergenceLift:
         raise ValueError("divergence lift is posed on the flat-top strip (h0 == 1)")
     eps = h.eps
     grid, nz = h.grid, h.nz
-    axes = tuple(range(1, 1 + grid.n))
     # work with O(1) trigonometric coefficients, not raw fft sums
-    unscale = grid.N**grid.n
-    hhat = np.fft.fftn(h.values, axes=axes) / unscale
+    hhat = HField(grid, h.values).coefficients
     wz = clenshaw_curtis_weights(nz)
 
     # incompatible constant: the strip mean of the source
@@ -221,31 +221,29 @@ def divergence_lift(h: ThinField, eps: float | None = None) -> DivergenceLift:
         phihat[:, j] = col
         worst = max(worst, res)
 
-    phihat = phihat.reshape((nz,) + grid.shape) * unscale
-    phi_vals = np.real(np.fft.ifftn(phihat, axes=axes))
+    phi = HField.from_coefficients(grid, phihat.reshape((nz,) + grid.shape))
 
     def strip_norm_sq(vals):
-        cell = grid.volume / grid.N**grid.n
-        col = (wz.reshape((nz,) + (1,) * grid.n) * vals**2).sum(axis=0) * eps
-        return float(col.sum()) * cell
+        return _sq_l2_thin(ThinField(grid, eps, nz, vals))
 
-    dz1 = np.tensordot(d, phi_vals, axes=(1, 0)) / eps
-    dz2 = np.tensordot(d, dz1, axes=(1, 0)) / eps
-    proxy = strip_norm_sq(phi_vals) + strip_norm_sq(dz1) + strip_norm_sq(dz2)
+    def dz(vals):
+        return np.tensordot(d, vals, axes=(1, 0)) / eps
+
+    dz1 = dz(phi.values)
+    proxy = strip_norm_sq(phi.values) + strip_norm_sq(dz1) + strip_norm_sq(dz(dz1))
     for a in range(grid.n):
-        kg = grid.kgrids()[a]
-        dxa = np.real(np.fft.ifftn(1j * kg * phihat, axes=axes))
-        proxy += strip_norm_sq(dxa)
-        proxy += strip_norm_sq(np.tensordot(d, dxa, axes=(1, 0)) / eps)
+        dxa = phi.dx(a).values
+        proxy += strip_norm_sq(dxa) + strip_norm_sq(dz(dxa))
         for b in range(a, grid.n):
-            kgb = grid.kgrids()[b]
+            orders = [0] * grid.n
+            orders[a] += 1
+            orders[b] += 1
             mult = 2.0 if b > a else 1.0
-            dxab = np.real(np.fft.ifftn(-kg * kgb * phihat, axes=axes))
-            proxy += mult * strip_norm_sq(dxab)
+            proxy += mult * strip_norm_sq(phi.deriv(orders).values)
     source = strip_norm_sq(h.values)
     ratio = float(np.sqrt(proxy / source)) if source > 0.0 else 0.0
     return DivergenceLift(
-        phi=ThinField(grid, eps, nz, phi_vals),
+        phi=ThinField(grid, eps, nz, phi.values),
         compatibility=compat,
         ratio=ratio,
         residual=worst,

@@ -7,7 +7,10 @@ products of fields are dealiased by zero-padding onto a grid PAD times finer.
 
 Conventions: spectra use the numpy fftn layout; the Nyquist slot of odd-order
 derivatives is zeroed (the trigonometric interpolant of real data has a
-cosine Nyquist mode whose derivative vanishes at the nodes).
+cosine Nyquist mode whose derivative vanishes at the nodes; Trefethen,
+Spectral Methods in MATLAB, ch. 3). This is the only module that transforms:
+other modules take spectra, coefficients, derivative symbols and Parseval
+sums from here.
 """
 from __future__ import annotations
 
@@ -64,14 +67,14 @@ class Grid:
         """1d node coordinates x_j = j L / N (same along every axis)."""
         return np.arange(self.N) * self.dx
 
+    def _per_axis(self, v: np.ndarray) -> list[np.ndarray]:
+        """The 1d array v laid along each axis in turn, broadcastable to shape."""
+        return [v.reshape([self.N if b == a else 1 for b in range(self.n)])
+                for a in range(self.n)]
+
     def coords(self) -> list[np.ndarray]:
         """Node coordinate arrays broadcastable to ``shape``, one per axis."""
-        out = []
-        for a in range(self.n):
-            sh = [1] * self.n
-            sh[a] = self.N
-            out.append(self.nodes.reshape(sh))
-        return out
+        return self._per_axis(self.nodes)
 
     @cached_property
     def axis_wavenumbers(self) -> np.ndarray:
@@ -80,25 +83,33 @@ class Grid:
 
     def kgrids(self) -> list[np.ndarray]:
         """Wavenumber arrays broadcastable to ``shape``, one per axis."""
-        out = []
-        for a in range(self.n):
-            sh = [1] * self.n
-            sh[a] = self.N
-            out.append(self.axis_wavenumbers.reshape(sh))
-        return out
+        return self._per_axis(self.axis_wavenumbers)
+
+    @cached_property
+    def ik(self) -> np.ndarray:
+        """First-derivative symbols i kappa_a, shape (n,) + shape, read-only."""
+        ik1 = _symbol(self.axis_wavenumbers, 1)
+        ik = np.stack(np.meshgrid(*([ik1] * self.n), indexing="ij"))
+        ik.flags.writeable = False
+        return ik
 
     @cached_property
     def dealias_keep(self) -> np.ndarray:
         """Boolean mask of the 2/3-rule band: |m_a| <= floor(N/3) per axis."""
         cut = self.N // 3
         m = np.fft.fftfreq(self.N, d=1.0 / self.N)  # integer mode numbers
-        keep1 = np.abs(m) <= cut
         mask = np.ones(self.shape, dtype=bool)
-        for a in range(self.n):
-            sh = [1] * self.n
-            sh[a] = self.N
-            mask &= keep1.reshape(sh)
+        for keep in self._per_axis(np.abs(m) <= cut):
+            mask &= keep
         return mask
+
+
+def _symbol(kappa: np.ndarray, order: int) -> np.ndarray:
+    """(i kappa)^order along one axis; odd orders zero the Nyquist slot."""
+    mult = (1j * kappa) ** order
+    if order % 2 == 1:
+        mult[kappa.size // 2] = 0.0
+    return mult
 
 
 class HField:
@@ -171,6 +182,26 @@ class HField:
         # copy: the .real view would keep the complex buffer (twice the size) alive
         return cls(grid, np.fft.ifftn(spec, axes=axes).real.copy())
 
+    @property
+    def coefficients(self) -> np.ndarray:
+        """Trigonometric coefficients c_k of f = sum_k c_k exp(i k.x): spec / N^n."""
+        return self.spec / self.grid.N**self.grid.n
+
+    @classmethod
+    def from_coefficients(cls, grid: Grid, coeffs: np.ndarray) -> "HField":
+        """Field of the given trigonometric coefficients (inverse of coefficients)."""
+        return cls.from_spec(grid, coeffs * grid.N**grid.n)
+
+    def sobolev_sq(self, s: float) -> float:
+        """Squared H^s norm by Parseval, volume * sum_k (1 + |k|^2)^s |c_k|^2,
+        summed over components."""
+        g = self.grid
+        mult = (1.0 + sum(k * k for k in g.kgrids())) ** s
+        return sum(
+            float((mult * np.abs(c.coefficients) ** 2).sum()) * g.volume
+            for c in self.components()
+        )
+
     def reality_defect(self) -> float:
         """Sup of the imaginary part of the inverse transform (should be ~0)."""
         axes = tuple(range(-self.grid.n, 0))
@@ -205,7 +236,7 @@ class HField:
         points = np.atleast_2d(np.asarray(points, dtype=float))
         if points.shape[1] != self.grid.n:
             raise ValueError(f"points must have shape (npts, {self.grid.n})")
-        c = self.spec / self.grid.N**self.grid.n
+        c = self.coefficients
         kappa = self.grid.axis_wavenumbers
         # phase matrices per axis: (npts, N)
         phases = [np.exp(1j * np.outer(points[:, a], kappa)) for a in range(self.grid.n)]
@@ -272,18 +303,10 @@ def deriv(f: HField, orders) -> HField:
         raise ValueError("NaN in field values")
     if sum(orders) == 0:
         return f
-    spec = f.spec.copy()
-    N = f.grid.N
-    kappa = f.grid.axis_wavenumbers
+    spec = f.spec
     for a, o in enumerate(orders):
-        if o == 0:
-            continue
-        mult = (1j * kappa) ** o
-        if o % 2 == 1:
-            mult[N // 2] = 0.0
-        sh = [1] * f.grid.n
-        sh[a] = N
-        spec = spec * mult.reshape(sh)
+        if o:
+            spec = spec * f.grid._per_axis(_symbol(f.grid.axis_wavenumbers, o))[a]
     return HField.from_spec(f.grid, spec)
 
 
@@ -305,71 +328,44 @@ def div(v: HField) -> HField:
 # -- dealiasing by zero padding ---------------------------------------------
 
 
-def _pad_axis(spec: np.ndarray, axis: int, N: int, M: int) -> np.ndarray:
-    """Zero-pad one fft axis from N to M modes, splitting the Nyquist slot."""
-    shape = list(spec.shape)
-    shape[axis] = M
-    out = np.zeros(shape, dtype=complex)
-    half = N // 2
-    src = [slice(None)] * spec.ndim
-    dst = [slice(None)] * spec.ndim
-    # modes 0 .. half-1
-    src[axis] = slice(0, half)
-    dst[axis] = slice(0, half)
-    out[tuple(dst)] = spec[tuple(src)]
-    # modes -(half-1) .. -1
-    src[axis] = slice(N - half + 1, N)
-    dst[axis] = slice(M - half + 1, M)
-    out[tuple(dst)] = spec[tuple(src)]
-    # Nyquist: split symmetrically to keep the spectrum Hermitian
-    src[axis] = half
-    ny = spec[tuple(src)]
-    dst[axis] = half
-    out[tuple(dst)] = 0.5 * ny
-    dst[axis] = M - half
-    out[tuple(dst)] = 0.5 * ny
-    return out
+def _resize_axis(spec: np.ndarray, axis: int, size: int) -> np.ndarray:
+    """Zero-pad or truncate one fft axis (counted from the end) to size modes.
 
+    Padding splits the Nyquist slot symmetrically to keep the spectrum
+    Hermitian; truncation, its adjoint, folds the +-N/2 pair back into it.
+    """
+    n = spec.shape[axis]
+    half = min(n, size) // 2
 
-def _truncate_axis(spec: np.ndarray, axis: int, M: int, N: int) -> np.ndarray:
-    """Adjoint of _pad_axis: keep the low band, folding +-N/2 into Nyquist."""
+    def at(idx):
+        return (..., idx) + (slice(None),) * (-axis - 1)
+
     shape = list(spec.shape)
-    shape[axis] = N
+    shape[axis] = size
     out = np.zeros(shape, dtype=complex)
-    half = N // 2
-    src = [slice(None)] * spec.ndim
-    dst = [slice(None)] * spec.ndim
-    src[axis] = slice(0, half)
-    dst[axis] = slice(0, half)
-    out[tuple(dst)] = spec[tuple(src)]
-    src[axis] = slice(M - half + 1, M)
-    dst[axis] = slice(N - half + 1, N)
-    out[tuple(dst)] = spec[tuple(src)]
-    lo = [slice(None)] * spec.ndim
-    hi = [slice(None)] * spec.ndim
-    lo[axis] = half
-    hi[axis] = M - half
-    dst[axis] = half
-    out[tuple(dst)] = spec[tuple(lo)] + spec[tuple(hi)]
+    out[at(slice(0, half))] = spec[at(slice(0, half))]
+    out[at(slice(1 - half, None))] = spec[at(slice(1 - half, None))]
+    if size > n:
+        out[at(half)] = out[at(-half)] = 0.5 * spec[at(half)]
+    else:
+        out[at(half)] = spec[at(half)] + spec[at(-half)]
     return out
 
 
 def _spec_to_fine(grid: Grid, spec: np.ndarray) -> np.ndarray:
     """Fine-grid nodal values of spectra stacked on any leading axes."""
-    M = PAD * grid.N
     for a in range(-grid.n, 0):
-        spec = _pad_axis(spec, a, grid.N, M)
+        spec = _resize_axis(spec, a, PAD * grid.N)
     axes = tuple(range(-grid.n, 0))
     return np.fft.ifftn(spec, axes=axes).real * PAD**grid.n
 
 
 def _fine_to_spec(grid: Grid, fine_values: np.ndarray) -> np.ndarray:
     """Spectra on grid of fine-grid nodal values stacked on any leading axes."""
-    M = PAD * grid.N
     axes = tuple(range(-grid.n, 0))
     spec = np.fft.fftn(fine_values, axes=axes)
-    for a in range(-grid.n, 0):
-        spec = _truncate_axis(spec, a, M, grid.N)
+    for a in axes:
+        spec = _resize_axis(spec, a, grid.N)
     return spec / PAD**grid.n
 
 

@@ -222,11 +222,17 @@ def _check_cell(M: float, sigma, quad_nodes: int) -> tuple[float, float]:
 
 def _assemble(M: float, sigma, quad_nodes: int):
     """Design matrices (b1, b2) at 2*quad_nodes and the Gram matrices
-    (q1, q2) built from them, after the node-doubling and symmetry checks."""
+    (q1, q2) built from them, after the node-doubling and symmetry checks.
+
+    Beyond M ~ 350 the squared basis overflows: that is a ConditioningError,
+    raised before the infinities reach a warning or the pencil."""
     recombined = M > 2.0
-    b1, b2 = _design_matrices(M, sigma, 2 * quad_nodes, recombined)
-    q1, q2 = b1.T @ b1, b2.T @ b2
-    c1, c2 = (b.T @ b for b in _design_matrices(M, sigma, quad_nodes, recombined))
+    with np.errstate(over="ignore", invalid="ignore"):
+        b1, b2 = _design_matrices(M, sigma, 2 * quad_nodes, recombined)
+        q1, q2 = b1.T @ b1, b2.T @ b2
+        c1, c2 = (b.T @ b for b in _design_matrices(M, sigma, quad_nodes, recombined))
+    if not all(np.isfinite(q).all() for q in (q1, q2, c1, c2)):
+        raise ConditioningError(f"Gram matrices overflow at M = {M:.4g}, sigma = {sigma}")
     scale = max(np.abs(q1).max(), np.abs(q2).max())
     drift = max(np.abs(q1 - c1).max(), np.abs(q2 - c2).max())
     if drift > 1e-10 * scale:

@@ -101,13 +101,7 @@ def _norm_h(f: HField, kind: NormKind) -> float:
         mag2 = f.values**2 if not f.is_vector else (f.values**2).sum(axis=0)
         return float(((mag2**3).sum() * g.dx**g.n) ** (1.0 / 6.0))
     if kind.kind == "boundary_Hs":
-        total = 0.0
-        k2 = sum(k * k for k in g.kgrids())
-        mult = (1.0 + k2) ** kind.s
-        for c in f.components():
-            coeff = c.spec / g.N**g.n
-            total += float((mult * np.abs(coeff) ** 2).sum()) * g.volume
-        return np.sqrt(total)
+        return np.sqrt(f.sobolev_sq(kind.s))
     raise AssertionError(kind)
 
 

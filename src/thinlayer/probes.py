@@ -36,7 +36,7 @@ from functools import cached_property
 import numpy as np
 
 from .chebyshev import clenshaw_curtis_weights, gl_nodes
-from .grids import Grid
+from .grids import Grid, HField
 
 __all__ = ["ProbeReport", "anisotropy_probe", "PROBE_TAGS"]
 
@@ -103,14 +103,6 @@ class _Strip:
 
     def integral(self, f):
         return self.wx * float((self.wz[:, None] * f).sum())
-
-    def boundary_half_norm_sq(self, trace: np.ndarray) -> float:
-        """|g|_{1/2}^2 = L sum_k (1 + k^2)^{1/2} |g_k|^2 on the top circle."""
-        coef = np.fft.fft(trace) / trace.size
-        k = self.grid.axis_wavenumbers
-        return self.grid.L * float(
-            np.sum(np.sqrt(1.0 + k * k) * np.abs(coef) ** 2)
-        )
 
     @cached_property
     def trig(self) -> tuple:
@@ -203,7 +195,8 @@ class _Sample:
         return integral(self.u * self.u) + integral(ux * ux + uz * uz)
 
     def top_trace_sq(self) -> float:
-        return self.strip.boundary_half_norm_sq(self.u[-1])
+        """|u(., eps)|_{1/2}^2 on the top circle."""
+        return HField(self.strip.grid, self.u[-1]).sobolev_sq(0.5)
 
 
 class _LayerSample:

@@ -106,15 +106,8 @@ class ThinField:
 
     def dx_at_zeta(self, axis: int) -> "ThinField":
         """Horizontal spectral derivative at fixed zeta (per level)."""
-        axes = tuple(range(-self.grid.n, 0))
-        spec = np.fft.fftn(self.values, axes=axes)
-        kappa = self.grid.axis_wavenumbers
-        mult = 1j * kappa
-        mult[self.grid.N // 2] = 0.0
-        sh = [1] * self.values.ndim
-        sh[axis - self.grid.n] = self.grid.N
-        spec = spec * mult.reshape(sh)
-        vals = np.fft.ifftn(spec, axes=axes).real
+        levels = HField(self.grid, self.values.reshape((-1,) + self.grid.shape))
+        vals = levels.dx(axis).values.reshape(self.values.shape)
         return ThinField(self.grid, self.eps, self.nz, vals, self.h0)
 
     def dx(self, axis: int) -> "ThinField":

@@ -74,6 +74,17 @@ def test_validate_rejects_what_grid_rejects(tmp_path, capsys):
     assert run("sw", cfg, out=tmp_path / "out") == 2
 
 
+def test_validate_requires_four_study_eps(tmp_path, capsys):
+    # the order fit of the residual study needs four aspect ratios
+    cfg = _config(tmp_path, {"study": {"eps_list": [0.9, 0.5]}})
+    assert run("validate", cfg) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "study.eps_list: need at least 4 aspect ratios"
+    ]
+    assert run("study", cfg, out=tmp_path / "out") == 2
+    assert len(capsys.readouterr().err.splitlines()) == 1
+
+
 @pytest.mark.parametrize("tree", [{"sw": {"dt": 0.1}}, {"params": {"Re": 1e-3}}])
 def test_stability_breach_maps_to_exit_3(tmp_path, capsys, tree):
     assert run("sw", _config(tmp_path, tree), out=tmp_path / "out") == 3

@@ -4,6 +4,9 @@ The derivative oracle is an independent 8th-order centered finite-difference
 evaluation of f = exp(sin x) on a 4096-point grid; the spectral result on a
 coarse grid must match at the shared nodes.
 """
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -156,6 +159,54 @@ def test_eval_at_2d():
     pts = np.array([[0.3, 1.1], [2.0, 5.0]])
     want = np.sin(pts[:, 0]) * np.cos(2 * pts[:, 1])
     assert np.abs(f.eval_at(pts) - want).max() < 1e-12
+
+
+def test_fft_is_called_only_in_grids():
+    # the Fourier layout has one home; the rfft layout switch edits one module
+    src = Path(__file__).resolve().parents[1] / "src" / "thinlayer"
+    pattern = re.compile(r"\b(np|numpy)\.fft\b|from numpy import fft")
+    hits = [
+        f"{path.name}:{i}"
+        for path in sorted(src.glob("*.py"))
+        if path.name != "grids.py"
+        for i, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+        if pattern.search(line)
+    ]
+    assert sorted(src.glob("*.py")) and hits == []
+
+
+@pytest.mark.parametrize("n,N", [(1, 16), (2, 8)])
+def test_ik_is_read_only_first_derivative(n, N):
+    g = Grid(n, N)
+    ik = g.ik
+    assert ik.shape == (n,) + g.shape and g.ik is ik
+    assert not ik.flags.writeable
+    with pytest.raises(ValueError):
+        ik[0] = 0.0
+    f = HField(g, np.random.default_rng(3).standard_normal(g.shape))
+    for a in range(n):
+        assert np.array_equal(HField.from_spec(g, f.spec * ik[a]).values, f.dx(a).values)
+        nyquist = [slice(None)] * n
+        nyquist[a] = N // 2
+        assert np.all(ik[a][tuple(nyquist)] == 0.0)
+
+
+def test_coefficients_and_sobolev_sum():
+    g = Grid(2, 16)
+    x, y = g.coords()
+    f = HField(g, 0.5 + np.cos(x) * np.sin(2 * y))
+    c = f.coefficients
+    assert abs(c[0, 0] - 0.5) < 1e-15
+    back = HField.from_coefficients(g, c)
+    assert np.abs(back.values - f.values).max() < 1e-14
+    # mean^2 plus (1 + 5)^s times the L2 mass of the product mode
+    for s in (-0.5, 0.0, 0.5, 1.5):
+        want = g.volume * (0.25 + 6.0**s / 4.0)
+        assert abs(f.sobolev_sq(s) - want) <= 1e-13 * want
+    l2_sq = float((f.values**2).sum()) * g.dx**2
+    assert abs(f.sobolev_sq(0.0) - l2_sq) <= 1e-13 * l2_sq
+    vec = HField.stack([f, 2.0 * f])
+    assert abs(vec.sobolev_sq(0.5) - 5.0 * f.sobolev_sq(0.5)) <= 1e-13 * vec.sobolev_sq(0.5)
 
 
 # -- dealiasing ---------------------------------------------------------------

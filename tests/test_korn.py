@@ -1,5 +1,6 @@
 """Thin-domain Korn pencil: spectrum structure, sweep, and probe."""
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -239,6 +240,20 @@ def test_sweep_repeats_exactly():
     second = korn_sweep(default_m_grid(12), sigma_circle(2))
     assert first.rows == second.rows
     assert first.inf_lambda == second.inf_lambda
+
+
+def test_sweep_overflow_is_a_counted_failure_without_warnings():
+    # from M ~ 350 the squared basis overflows the Gram matrices; those
+    # cells fail as conditioning failures and numpy stays quiet
+    m_grid = np.geomspace(1e-8, 1e8, 12)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        sweep = korn_sweep(m_grid, SIGMA_LINE)
+    assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
+    overflowed = [r for r in sweep.rows if "overflow" in r["cond_flag"]]
+    assert sweep.failures == len(overflowed) > 0
+    assert all(r["M"] > 350.0 and r["lam"] is None for r in overflowed)
+    assert all(r["lam"] is not None for r in sweep.rows if r["M"] < 350.0)
 
 
 def test_sweep_validation():

@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from thinlayer.grids import HField
 from thinlayer.probes import (
     PROBE_TAGS,
     ProbeReport,
@@ -88,7 +89,8 @@ def _layer_reference(eps, seed, samples, nx=64, nz=24):
 
     The nodal composition of the boundary-layer family: every mode is
     evaluated on a trapezoid grid of at least 4 * kmax points, and the norms
-    are taken by quadrature and FFT like those of the polynomial samples.
+    are taken by quadrature and the grids Parseval sum like those of the
+    polynomial samples.
     """
     modes = _layer_modes(eps)
     strip = _Strip(max(nx, 1 << (4 * max(modes) - 1).bit_length()), nz, eps)
@@ -106,7 +108,7 @@ def _layer_reference(eps, seed, samples, nx=64, nz=24):
             ux += a * (-k * np.sin(arg)) * (np.sinh(k * z) / s)
             uz += a * np.cos(arg) * (k * np.cosh(k * z) / s)
         h1_sq = strip.integral(u * u) + strip.integral(ux * ux + uz * uz)
-        out.append((h1_sq, strip.boundary_half_norm_sq(u[-1])))
+        out.append((h1_sq, HField(strip.grid, u[-1]).sobolev_sq(0.5)))
     return out
 
 

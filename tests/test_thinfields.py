@@ -112,3 +112,25 @@ def test_vertical_eval_vector_and_2d():
     x, y = g.nodes[2], g.nodes[3]
     want = x + 2 * y + 0.05
     assert np.abs(out - np.array([want, 2 * want])).max() < 1e-12
+
+
+@pytest.mark.parametrize("n,vector", [(1, False), (2, False), (1, True)])
+def test_dx_at_zeta_is_per_level_derivative_on_a_real_buffer(n, vector):
+    g = Grid(n, 16)
+    tf = ThinField.from_function(
+        g, 0.1, 6, lambda *xz: np.sin(xz[0]) * (1.0 + xz[-1]) + np.cos(2 * xz[n - 1])
+    )
+    if vector:
+        tf = ThinField(g, 0.1, 6, np.stack([tf.values, -tf.values]))
+    for axis in range(n):
+        d = tf.dx_at_zeta(axis)
+        assert d.values.shape == tf.values.shape
+        levels = tf.values.reshape((-1,) + g.shape)
+        for m, level in enumerate(levels):
+            want = HField(g, level).dx(axis).values
+            assert np.abs(d.values.reshape(levels.shape)[m] - want).max() < 1e-13
+        # no view onto the complex inverse transform keeps it alive
+        arr = d.values
+        while arr is not None:
+            assert not np.iscomplexobj(arr)
+            arr = arr.base

@@ -257,17 +257,16 @@ def _run_laplace(cfg, out: Path) -> list:
 
 def _run_probe(cfg, out: Path) -> list:
     pc = cfg.probes
-    rows = []
-    verdicts = {}
-    for tag in PROBE_TAGS:
-        rep = anisotropy_probe(tag, pc["eps_list"], pc["samples"], seed=pc["seed"])
-        verdicts[tag] = {"verdict": rep.verdict, "spread": rep.spread()}
-        rows += [{"tag": tag, **r} for r in rep.rows]
-    rep = korn_probe(
-        pc["eps_list"], cfg.params["gamma_bar"], pc["samples"], seed=pc["seed"]
+    reports = [
+        anisotropy_probe(tag, pc["eps_list"], pc["samples"], seed=pc["seed"])
+        for tag in PROBE_TAGS
+    ]
+    reports.append(
+        korn_probe(pc["eps_list"], cfg.params["gamma_bar"], pc["samples"], seed=pc["seed"])
     )
-    verdicts["korn"] = {"verdict": rep.verdict, "spread": rep.spread()}
-    rows += [{"tag": "korn", **r} for r in rep.rows]
+    summaries = [rep.summary() for rep in reports]
+    verdicts = {s["tag"]: {"verdict": s["verdict"], "spread": s["spread"]} for s in summaries}
+    rows = [{"tag": s["tag"], **r} for s in summaries for r in s["rows"]]
     header = ["tag", "eps", "n_samples", "max_ratio", "min_ratio"]
     return [
         write_csv(out / "probe_ratios.csv", header, rows),

@@ -143,7 +143,7 @@ class DivergenceLift:
     """Neumann potential with Delta phi = h on the strip, mean zero."""
 
     phi: ThinField
-    compatibility: float  # mean of h removed before the k = 0 solve
+    compatibility: float  # constant removed from h by the k = 0 solve
     ratio: float  # ||phi||_{H2 proxy} / ||h||_{L2}
     residual: float
 
@@ -151,9 +151,10 @@ class DivergenceLift:
 def divergence_lift(h: ThinField, eps: float | None = None) -> DivergenceLift:
     """Solve Delta phi = h with homogeneous Neumann data top and bottom.
 
-    Per-mode collocation; the k = 0 column is solvable only for mean-zero
-    sources, so the strip mean of h is projected out and reported. phi is
-    normalized to strip mean zero.
+    Per-mode collocation; the k = 0 column is solvable only for compatible
+    sources, so the constant that its bordered solve cannot absorb is
+    projected out and reported. For smooth sources it is the strip mean of
+    h. phi is normalized to strip mean zero.
     """
     if h.is_vector:
         raise ValueError("divergence lift expects a scalar source")
@@ -166,11 +167,6 @@ def divergence_lift(h: ThinField, eps: float | None = None) -> DivergenceLift:
     # work with O(1) trigonometric coefficients, not raw fft sums
     hhat = HField(grid, h.values).coefficients
     wz = clenshaw_curtis_weights(nz)
-
-    # incompatible constant: the strip mean of the source
-    dc = hhat[(slice(None),) + (0,) * grid.n]
-    compat = float(np.real(wz @ dc))
-    hhat[(slice(None),) + (0,) * grid.n] -= compat
 
     k2 = np.zeros(grid.shape)
     for kg in grid.kgrids():
@@ -186,7 +182,9 @@ def divergence_lift(h: ThinField, eps: float | None = None) -> DivergenceLift:
         # a plain solve turns into amplified rounding. Deflate it: solve for
         # the mean-zero part plus the constant's scaled coefficient, whose
         # unit column keeps the bordered system well conditioned; the eps^2
-        # in the source cancels the eps^2 in the response exactly.
+        # in the source cancels the eps^2 in the response exactly. At k = 0
+        # the border unknown instead takes up the constant that the Neumann
+        # rows cannot absorb: the projection is the solve's own.
         a2 = eps * eps * kk
         rhs = -(eps * eps) * flat_h[:, j]
         scale = float(np.abs(rhs).max())
@@ -204,12 +202,8 @@ def divergence_lift(h: ThinField, eps: float | None = None) -> DivergenceLift:
         sol = np.linalg.solve(mb, rb)
         col, cs = sol[:nz], sol[nz]
         if kk == 0.0:
-            # genuine nullspace: cs measures leftover incompatibility
-            if abs(cs) > RESIDUAL_TOL * max(1.0, scale):
-                raise SolverError(
-                    f"k = 0 lift column: incompatibility {abs(cs):.3e} "
-                    "survived the projection"
-                )
+            rhs[1 : nz - 1] -= cs  # the projected source
+            compat = float(np.real(-cs / (eps * eps)))
         else:
             col = col + (cs / a2)
         res = float(np.abs(m @ col - rhs).max())

@@ -30,6 +30,16 @@ MAX_DERIV_ORDER = 4
 PAD = 2
 
 
+def _fft(a: np.ndarray, n: int) -> np.ndarray:
+    """fftn over the last n axes; in 1D, fft skips fftn's argument handling."""
+    return np.fft.fft(a) if n == 1 else np.fft.fftn(a, axes=tuple(range(-n, 0)))
+
+
+def _ifft(a: np.ndarray, n: int) -> np.ndarray:
+    """Inverse of _fft."""
+    return np.fft.ifft(a) if n == 1 else np.fft.ifftn(a, axes=tuple(range(-n, 0)))
+
+
 def _is_power_of_two(m: int) -> bool:
     return m >= 1 and (m & (m - 1)) == 0
 
@@ -170,17 +180,15 @@ class HField:
 
     @property
     def spec(self) -> np.ndarray:
-        """Cached fftn over the spatial axes (numpy scaling)."""
+        """Cached transform over the spatial axes (numpy fftn layout and scaling)."""
         if self._spec is None:
-            axes = tuple(range(-self.grid.n, 0))
-            object.__setattr__(self, "_spec", np.fft.fftn(self.values, axes=axes))
+            object.__setattr__(self, "_spec", _fft(self.values, self.grid.n))
         return self._spec
 
     @classmethod
     def from_spec(cls, grid: Grid, spec: np.ndarray) -> "HField":
-        axes = tuple(range(-grid.n, 0))
         # copy: the .real view would keep the complex buffer (twice the size) alive
-        return cls(grid, np.fft.ifftn(spec, axes=axes).real.copy())
+        return cls(grid, _ifft(spec, grid.n).real.copy())
 
     @property
     def coefficients(self) -> np.ndarray:
@@ -204,8 +212,7 @@ class HField:
 
     def reality_defect(self) -> float:
         """Sup of the imaginary part of the inverse transform (should be ~0)."""
-        axes = tuple(range(-self.grid.n, 0))
-        return float(np.abs(np.fft.ifftn(self.spec, axes=axes).imag).max())
+        return float(np.abs(_ifft(self.spec, self.grid.n).imag).max())
 
     def mask_two_thirds(self) -> "HField":
         """Project onto the 2/3-rule band."""
@@ -356,15 +363,13 @@ def _spec_to_fine(grid: Grid, spec: np.ndarray) -> np.ndarray:
     """Fine-grid nodal values of spectra stacked on any leading axes."""
     for a in range(-grid.n, 0):
         spec = _resize_axis(spec, a, PAD * grid.N)
-    axes = tuple(range(-grid.n, 0))
-    return np.fft.ifftn(spec, axes=axes).real * PAD**grid.n
+    return _ifft(spec, grid.n).real * PAD**grid.n
 
 
 def _fine_to_spec(grid: Grid, fine_values: np.ndarray) -> np.ndarray:
     """Spectra on grid of fine-grid nodal values stacked on any leading axes."""
-    axes = tuple(range(-grid.n, 0))
-    spec = np.fft.fftn(fine_values, axes=axes)
-    for a in axes:
+    spec = _fft(fine_values, grid.n)
+    for a in range(-grid.n, 0):
         spec = _resize_axis(spec, a, grid.N)
     return spec / PAD**grid.n
 

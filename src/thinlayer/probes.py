@@ -14,8 +14,10 @@ not drift as the strip thins. Samples are trigonometric in x (modes <= 4)
 and polynomial in the scaled vertical coordinate, so all norms except Linf
 are computed by exact quadrature (trapezoid in x, Clenshaw-Curtis in z);
 Linf is the nodal sup. Every sample gets its own counter-keyed stream, so
-reports are independent of evaluation order and thread count. The trig and
-zeta-power tables are built once per strip and shared by its samples.
+reports are independent of evaluation order. The trig and zeta-power tables
+are built once per strip and shared by its samples; the Korn probe draws
+its stream functions as the same samples. Each ProbeReport derives its own
+spread and verdict.
 
 The zero-bottom trace ratio is the one tag whose sharp constant lives at
 horizontal wavenumbers comparable to 1/eps: any fixed band limit makes the
@@ -43,16 +45,22 @@ __all__ = ["ProbeReport", "anisotropy_probe", "PROBE_TAGS"]
 PROBE_TAGS = ("L6", "Agmon", "trace_zero", "trace_general")
 KMAX = 4  # horizontal band limit of the samples
 PDEG = 3  # vertical polynomial degree
+SPREAD_LIMIT = 3.0  # largest per-eps extreme over the smallest, for "bounded"
 
 
 @dataclass(frozen=True)
 class ProbeReport:
-    """Extremal scaled ratios of one inequality over random fields."""
+    """Extremal scaled ratios of one inequality over random fields.
+
+    The verdict reads the side of the ratio band that the inequality bounds:
+    the floor min_ratio for korn (a coercivity constant), the ceiling
+    max_ratio for every other tag. It is "bounded" when that side's spread
+    over eps stays below SPREAD_LIMIT. A zero floor has infinite spread.
+    """
 
     tag: str
     eps_list: list
     rows: list  # one dict per eps: eps, n_samples, max_ratio, min_ratio
-    verdict: str
 
     def __post_init__(self):
         if len(self.rows) != len(self.eps_list):
@@ -65,21 +73,29 @@ class ProbeReport:
             if not (
                 np.isfinite(row["max_ratio"])
                 and np.isfinite(row["min_ratio"])
-                and row["max_ratio"] >= row["min_ratio"] > 0.0
+                and row["max_ratio"] >= row["min_ratio"] >= 0.0
             ):
                 raise ValueError(f"bad ratio bounds in row {row}")
 
     def spread(self) -> float:
-        """Ratio of the largest to the smallest per-eps max ratio."""
-        tops = [r["max_ratio"] for r in self.rows]
-        return max(tops) / min(tops)
+        """Largest over smallest per-eps value of the bounded side; inf when
+        the smallest is 0."""
+        key = "min_ratio" if self.tag == "korn" else "max_ratio"
+        side = [r[key] for r in self.rows]
+        return max(side) / min(side) if min(side) > 0.0 else float("inf")
+
+    @property
+    def verdict(self) -> str:
+        return "bounded" if self.spread() < SPREAD_LIMIT else "unbounded trend"
 
     def summary(self) -> dict:
+        """JSON-ready report; an infinite spread is written as null."""
+        spread = self.spread()
         return {
             "tag": self.tag,
             "eps_list": list(self.eps_list),
             "rows": [dict(r) for r in self.rows],
-            "spread": self.spread(),
+            "spread": spread if np.isfinite(spread) else None,
             "verdict": self.verdict,
         }
 
@@ -130,13 +146,6 @@ class _Strip:
         b2[:2] = 0.0
         _frozen(b0, b1, b2)
         return (b0, 1.0), (b1, 1.0 / eps), (b2, 1.0 / eps**2)
-
-    @cached_property
-    def zeta_powers(self) -> tuple:
-        """zeta^m as (nz, 1) columns, m = 0..PDEG (scalar exponents, so the
-        square is exactly zeta * zeta)."""
-        zc = self.zeta[:, None]
-        return _frozen(*(zc**m for m in range(PDEG + 1)))
 
     @cached_property
     def layer_norms(self) -> tuple:
@@ -314,8 +323,4 @@ def anisotropy_probe(
         return [_scaled_ratio(tag, _Sample(strip, const))]
 
     rows = _probe_rows(eps_list, samples, seed, nx, nz, draw, anchors)
-    tops = [r["max_ratio"] for r in rows]
-    verdict = "bounded" if max(tops) / min(tops) < 3.0 else "unbounded trend"
-    return ProbeReport(
-        tag=tag, eps_list=[r["eps"] for r in rows], rows=rows, verdict=verdict
-    )
+    return ProbeReport(tag=tag, eps_list=[r["eps"] for r in rows], rows=rows)

@@ -334,11 +334,7 @@ class StudyReport:
         }
 
 
-def _thin_norms(tf: ThinField) -> tuple[float, float]:
-    return norm(tf, NormKind.Linf()), norm(tf, NormKind.L2())
-
-
-def _field_norms(f: HField) -> tuple[float, float]:
+def _sup_l2(f: ThinField | HField) -> tuple[float, float]:
     return norm(f, NormKind.Linf()), norm(f, NormKind.L2())
 
 
@@ -380,25 +376,25 @@ def _residual_records(s: SWState, pvar: Params, nz: int):
             )
     for i in range(n + 1):
         tf = ThinField(s.grid, pvar.eps, nz, total_vals[i], h0)
-        sup, l2 = _thin_norms(tf)
+        sup, l2 = _sup_l2(tf)
         add("interior_momentum", comp_names[i], sup, l2)
 
-    sup, l2 = _thin_norms(divergence_residual(a, nz))
+    sup, l2 = _sup_l2(divergence_residual(a, nz))
     add("divergence", "scalar", sup, l2)
 
-    sup, l2 = _field_norms(kinematic_residual(a, r, pvar))
+    sup, l2 = _sup_l2(kinematic_residual(a, r, pvar))
     add("kinematic", "scalar", sup, l2)
 
     trac = traction_residual(a, pvar)
     for i in range(n + 1):
-        sup, l2 = _field_norms(trac.component(i))
+        sup, l2 = _sup_l2(trac.component(i))
         add("traction", comp_names[i], sup, l2)
 
     bot_v, bot_slip = bottom_residual(a, pvar)
-    sup, l2 = _field_norms(bot_v)
+    sup, l2 = _sup_l2(bot_v)
     add("bottom", "V", sup, l2)
     for i in range(n):
-        sup, l2 = _field_norms(bot_slip.component(i))
+        sup, l2 = _sup_l2(bot_slip.component(i))
         add("bottom", comp_names[i], sup, l2)
     return records, term_records
 

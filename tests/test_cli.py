@@ -215,3 +215,20 @@ def test_all_starts_no_thread(tmp_path, monkeypatch):
 
     monkeypatch.setattr(threading.Thread, "start", refuse)
     assert run("all", _config(tmp_path), out=tmp_path / "out", threads=4) == 0
+
+
+def test_probe_without_friction_reports_an_unbounded_floor(tmp_path, capsys):
+    # at gamma_bar = 0 the rigid translation has Korn ratio 0: the run
+    # completes and reports the floor instead of ending in a traceback
+    tree = {
+        "params": {"gamma_bar": 0.0},
+        "probes": {"samples": 50, "eps_list": [0.1, 0.01]},
+    }
+    cfg, out = _config(tmp_path, tree), tmp_path / "out"
+    assert run("validate", cfg) == 0
+    assert main(["probe", "--config", str(cfg), "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    summary = json.loads((out / "probe_summary.json").read_text())
+    assert summary["korn"] == {"spread": None, "verdict": "unbounded trend"}
+    rows = _read_csv(out / "probe_ratios.csv")
+    assert [float(r["min_ratio"]) for r in rows if r["tag"] == "korn"] == [0.0, 0.0]

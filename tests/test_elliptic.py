@@ -140,6 +140,52 @@ def test_lift_mean_zero_normalization():
     assert abs(strip_mean) <= 1e-13
 
 
+def _rough_mean_sources():
+    # x-means whose zeta degree exceeds what the Clenshaw-Curtis mean
+    # projects out of the Neumann collocation rows on nz = 12
+    rng = np.random.default_rng(4)
+    return {
+        "zeta^10": lambda z, x: z**10 + 0.0 * x,
+        "zeta^11": lambda z, x: z**11 + np.cos(x),
+        "random": lambda z, x: rng.standard_normal(x.shape),
+    }
+
+
+@pytest.mark.parametrize("name", ["zeta^10", "zeta^11", "random"])
+def test_lift_projects_rough_means_compatibly(name):
+    from thinlayer.chebyshev import clenshaw_curtis_weights, diff_matrix
+    from thinlayer.grids import HField
+
+    g, nz, eps = Grid(1, 16), 12, 0.1
+    h = _flat_field(g, eps, nz, _rough_mean_sources()[name])
+    lift = divergence_lift(h)
+    assert lift.residual <= 1e-12
+    # an independent Laplacian of phi meets the projected source inside and
+    # the Neumann data on both walls; phi has strip mean zero
+    d = diff_matrix(nz)
+    phi = lift.phi.values
+    lap = d @ d @ phi / eps**2 + HField(g, phi).deriv([2]).values
+    src = h.values - lift.compatibility
+    assert np.abs(lap[1:-1] - src[1:-1]).max() <= 1e-9 * np.abs(h.values).max()
+    assert np.abs(d[[0, -1]] @ phi).max() <= 1e-13
+    wz = clenshaw_curtis_weights(nz)
+    assert abs(wz @ phi.mean(axis=1)) <= 1e-14
+    # the removed constant is close to the strip mean of the source
+    assert abs(lift.compatibility - wz @ h.values.mean(axis=1)) <= 1e-2
+
+
+def test_lift_compatibility_is_the_mean_for_polynomial_sources():
+    from thinlayer.chebyshev import clenshaw_curtis_weights
+
+    g, nz = Grid(1, 16), 12
+    wz = clenshaw_curtis_weights(nz)
+    for m in range(10):
+        h = _flat_field(g, 0.1, nz, lambda z, x: z**m + np.cos(x))
+        lift = divergence_lift(h)
+        assert abs(lift.compatibility - wz @ h.values.mean(axis=1)) <= 1e-14
+        assert abs(lift.compatibility - 1.0 / (m + 1)) <= 1e-14
+
+
 def test_lift_vertical_source_solved_in_z():
     # source with genuine z structure: check the PDE residual directly on
     # the k = 1 mode via the analytic second derivative of the output

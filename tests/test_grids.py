@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from thinlayer import grids
 from thinlayer.grids import (
     Grid,
     HField,
@@ -173,6 +174,28 @@ def test_fft_is_called_only_in_grids():
         if pattern.search(line)
     ]
     assert sorted(src.glob("*.py")) and hits == []
+
+
+@pytest.mark.parametrize("n,N", [(1, 64), (2, 16)])
+def test_transforms_equal_fftn_bit_for_bit(n, N):
+    # the 1D shortcut through fft/ifft changes no bit of the fftn results
+    g = Grid(n, N)
+    axes = tuple(range(-n, 0))
+    rng = np.random.default_rng(5)
+    f = HField(g, rng.standard_normal(g.shape))
+    assert np.array_equal(f.spec, np.fft.fftn(f.values, axes=axes))
+    back = HField.from_spec(g, f.spec).values
+    assert np.array_equal(back, np.fft.ifftn(f.spec, axes=axes).real)
+    stack = np.fft.fftn(rng.standard_normal((3, 2) + g.shape), axes=axes)
+    fine = grids._spec_to_fine(g, stack)
+    padded = stack
+    for a in axes:
+        padded = grids._resize_axis(padded, a, grids.PAD * N)
+    assert np.array_equal(fine, np.fft.ifftn(padded, axes=axes).real * grids.PAD**n)
+    back = np.fft.fftn(fine, axes=axes)
+    for a in axes:
+        back = grids._resize_axis(back, a, N)
+    assert np.array_equal(grids._fine_to_spec(g, fine), back / grids.PAD**n)
 
 
 @pytest.mark.parametrize("n,N", [(1, 16), (2, 8)])

@@ -19,6 +19,7 @@ from thinlayer.korn import (
     korn_sweep,
     sigma_circle,
 )
+from thinlayer.probes import KMAX, PDEG, _Strip
 
 # High-precision references for Lambda(M, sigma), frozen from a 50-digit
 # reimplementation of the same pencil (Cholesky + symmetric eigensolve).
@@ -293,3 +294,75 @@ def test_probe_deterministic_across_calls():
     a = korn_probe([0.05], gamma_bar=1.0, samples=52, seed=11)
     b = korn_probe([0.05], gamma_bar=1.0, samples=52, seed=11)
     assert a.rows == b.rows
+
+
+def _stream_reference(rng, strip):
+    """(uh, uv, dux_h, duz_h, dux_v, duz_v) of a random stream function,
+    differentiated by hand mode by mode: psi = sum_k (a cos kx + b sin kx)
+    / k^2 * sum_m p_m zeta^m with the same draws as korn_probe's samples."""
+    eps = strip.eps
+    cosk, sink = strip.trig[0]
+    zc = strip.zeta[:, None]
+    zp = [zc**m for m in range(PDEG + 1)]
+    fields = [np.zeros((strip.zeta.size, strip.x.size)) for _ in range(6)]
+    uh, uv, dux_h, duz_h, dux_v, duz_v = fields
+    for k in range(1, KMAX + 1):
+        a, b = rng.standard_normal(2) / k**2
+        t = a * cosk[k] + b * sink[k]
+        dt = -a * k * sink[k] + b * k * cosk[k]
+        ddt = -(k * k) * t
+        coef = rng.standard_normal(PDEG)
+        P = sum(coef[m - 1] * zp[m] for m in range(1, PDEG + 1))
+        dP = sum(m * coef[m - 1] * zp[m - 1] for m in range(1, PDEG + 1)) / eps
+        ddP = sum(
+            m * (m - 1) * coef[m - 1] * zp[m - 2] for m in range(2, PDEG + 1)
+        ) / eps**2
+        uh += t * dP
+        uv -= dt * P
+        dux_h += dt * dP
+        duz_h += t * ddP
+        dux_v -= ddt * P
+        duz_v -= dt * dP
+    return tuple(fields)
+
+
+def _philox(seed, i):
+    return np.random.Generator(np.random.Philox([seed, i]))
+
+
+@pytest.mark.parametrize("seed", [0, 3, 11])
+def test_stream_samples_match_hand_derivatives(seed):
+    # the stream function as a trig x zeta-polynomial sample, differentiated
+    # through the shared tables, against the mode-by-mode algebra
+    for eps in (0.1, 0.01, 0.001):
+        strip = _Strip(32, 24, eps)
+        for i in range(8):
+            ref = _stream_reference(_philox(seed, i), strip)
+            got = korn._stream_fields(korn._random_stream(_philox(seed, i), strip))
+            for g, r in zip(got, ref):
+                assert np.abs(g - r).max() <= 1e-13 * np.abs(r).max()
+            want = korn._korn_ratio(ref, strip, 0.7)
+            assert abs(korn._korn_ratio(got, strip, 0.7) - want) <= 1e-13 * want
+
+
+@pytest.mark.parametrize("seed", [0, 3, 11])
+def test_probe_rows_match_hand_derivatives(seed):
+    eps_list, gamma, samples = [0.1, 0.01, 0.001], 0.7, 64
+    rep = korn_probe(eps_list, gamma_bar=gamma, samples=samples, seed=seed)
+    for eps, row in zip(eps_list, rep.rows):
+        strip = _Strip(32, 24, eps)
+        ratios = [
+            korn._korn_ratio(_stream_reference(_philox(seed, i), strip), strip, gamma)
+            for i in range(samples)
+        ]
+        shape = (strip.zeta.size, strip.x.size)
+        translation = (np.ones(shape),) + tuple(np.zeros(shape) for _ in range(5))
+        ratios.append(korn._korn_ratio(translation, strip, gamma))
+        ratios += [
+            korn._korn_ratio(korn._potential_fields(k, strip), strip, gamma)
+            for k in (1, 2)
+        ]
+        assert row["n_samples"] == len(ratios)
+        assert abs(row["max_ratio"] - max(ratios)) <= 1e-13 * max(ratios)
+        assert abs(row["min_ratio"] - min(ratios)) <= 1e-13 * min(ratios)
+

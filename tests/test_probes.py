@@ -74,14 +74,46 @@ def test_probe_validation():
 
 def test_report_structure_validated():
     good = {"eps": 0.1, "n_samples": 50, "max_ratio": 1.0, "min_ratio": 0.5}
-    rep = ProbeReport("L6", [0.1], [good], "bounded")
+    rep = ProbeReport("L6", [0.1], [good])
     assert rep.summary()["spread"] == 1.0
+    assert rep.summary()["verdict"] == rep.verdict == "bounded"
     with pytest.raises(ValueError):
-        ProbeReport("L6", [0.1, 0.01], [good], "bounded")
+        ProbeReport("L6", [0.1, 0.01], [good])
     with pytest.raises(ValueError):
-        ProbeReport("L6", [0.1], [dict(good, min_ratio=2.0)], "bounded")
+        ProbeReport("L6", [0.1], [dict(good, min_ratio=2.0)])
     with pytest.raises(ValueError):
-        ProbeReport("L6", [0.1], [dict(good, max_ratio=float("nan"))], "bounded")
+        ProbeReport("L6", [0.1], [dict(good, max_ratio=float("nan"))])
+    with pytest.raises(ValueError):
+        ProbeReport("L6", [0.1], [dict(good, min_ratio=-0.5)])
+
+
+def _rows(eps_list, tops, floors):
+    return [
+        {"eps": e, "n_samples": 50, "max_ratio": t, "min_ratio": f}
+        for e, t, f in zip(eps_list, tops, floors)
+    ]
+
+
+def test_report_spread_reads_the_bounded_side():
+    # ceilings for the interpolation and trace tags, the floor for korn
+    rows = _rows([0.1, 0.01], [2.0, 2.0], [1.0, 0.25])
+    assert ProbeReport("L6", [0.1, 0.01], rows).spread() == 1.0
+    korn = ProbeReport("korn", [0.1, 0.01], rows)
+    assert korn.spread() == 4.0
+    assert korn.summary()["spread"] == 4.0
+    assert korn.verdict == "unbounded trend"
+    rows = _rows([0.1, 0.01], [2.0, 8.0], [1.0, 1.0])
+    assert ProbeReport("korn", [0.1, 0.01], rows).verdict == "bounded"
+    assert ProbeReport("L6", [0.1, 0.01], rows).verdict == "unbounded trend"
+
+
+def test_report_zero_floor_has_no_finite_spread():
+    rows = _rows([0.1, 0.01], [2.0, 2.0], [0.0, 0.0])
+    rep = ProbeReport("korn", [0.1, 0.01], rows)
+    assert rep.spread() == float("inf")
+    assert rep.verdict == "unbounded trend"
+    assert rep.summary()["spread"] is None
+    assert ProbeReport("L6", [0.1, 0.01], rows).verdict == "bounded"
 
 
 def _layer_reference(eps, seed, samples, nx=64, nz=24):

@@ -8,9 +8,14 @@ products of fields are dealiased by zero-padding onto a grid PAD times finer.
 Conventions: spectra use the numpy fftn layout; the Nyquist slot of odd-order
 derivatives is zeroed (the trigonometric interpolant of real data has a
 cosine Nyquist mode whose derivative vanishes at the nodes; Trefethen,
-Spectral Methods in MATLAB, ch. 3). This is the only module that transforms:
-other modules take spectra, coefficients, derivative symbols and Parseval
-sums from here.
+Spectral Methods in MATLAB, ch. 3). Off-grid evaluation (HField.eval_at)
+follows the same interpolant: a Nyquist slot evaluates as a cosine, the
+symmetric split that padding uses, so eval_at at the PAD-fine nodes equals
+to_fine. It folds the Hermitian spectrum onto modes 0..N/2 of the last
+axis and keeps the real part of that half sum; its phases are integer
+powers of one exponential per point and axis. This is the only module that
+transforms: other modules take spectra, coefficients, derivative symbols,
+Parseval sums and off-grid values from here.
 """
 from __future__ import annotations
 
@@ -243,16 +248,7 @@ class HField:
         points = np.atleast_2d(np.asarray(points, dtype=float))
         if points.shape[1] != self.grid.n:
             raise ValueError(f"points must have shape (npts, {self.grid.n})")
-        c = self.coefficients
-        kappa = self.grid.axis_wavenumbers
-        # phase matrices per axis: (npts, N)
-        phases = [np.exp(1j * np.outer(points[:, a], kappa)) for a in range(self.grid.n)]
-        if self.grid.n == 1:
-            out = np.tensordot(c, phases[0], axes=([-1], [1]))  # (..., npts)
-        else:
-            tmp = np.tensordot(c, phases[1], axes=([-1], [1]))  # (..., N0, npts)
-            out = np.einsum("...kp,pk->...p", tmp, phases[0])
-        return out.real
+        return _eval_coefficients(self.grid, self.coefficients, points)
 
     # -- arithmetic --------------------------------------------------------
 
@@ -288,6 +284,38 @@ class HField:
 
     def __neg__(self):
         return HField(self.grid, -self.values)
+
+
+def _eval_coefficients(grid: Grid, c: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """Real trigonometric sum of Hermitian coefficients c (fftn layout, stacked
+    on any leading axes) at points of shape (npts, n); returns (..., npts).
+
+    The last axis is folded onto modes 0..N/2 (weight 2 on the interior
+    modes), and the value is the real part of that half sum. Phases are
+    integer powers of one exp(2 pi i x / L) per point and axis, built by
+    doubling; the leading axis in 2D takes its negative modes as their
+    conjugates. Nyquist slots evaluate as cosines, the symmetric split of
+    _resize_axis.
+    """
+    half = grid.N // 2
+    powers = np.empty((half + 1,) + points.T.shape, dtype=complex)  # (m, n, npts)
+    powers[0] = 1.0
+    powers[1] = np.exp((1j * TWO_PI / grid.L) * points.T)
+    m = 1
+    while m < half:  # powers m+1..2m from powers 1..m
+        top = min(2 * m, half)
+        np.multiply(powers[1 : top - m + 1], powers[m], out=powers[m + 1 : top + 1])
+        m = top
+    powers[half] = powers[half].real
+    weights = np.full(half + 1, 2.0)
+    weights[0] = weights[half] = 1.0
+    folded = c[..., : half + 1] * weights
+    if grid.n == 2:
+        lead = np.concatenate([powers[:, 0], powers[half - 1 : 0 : -1, 0].conj()])
+        folded = lead.T @ folded  # (..., npts, half + 1)
+        last = powers[:, 1].T
+        return (folded.real * last.real - folded.imag * last.imag).sum(-1)
+    return (folded @ powers[:, 0]).real
 
 
 def deriv(f: HField, orders) -> HField:

@@ -7,10 +7,12 @@ The map follows the column ODEs
 integrated with RK4 over a stored shallow-water trajectory; velocities at
 stage times come from the trajectory's cubic Hermite interpolant and spatial
 values from trigonometric evaluation, so positions never need wrapping into
-the periodic box. Two structural facts shape the data layout: X0 does not
-depend on the vertical label z0 (positions are stored once per column), and
-the vertical ODE is linear and homogeneous in Z0, so every level of a column
-shares one integrating factor Z0/z0, stored once.
+the periodic box. The sampler stacks the coefficients of u0 and div u0 once
+per state, so each RK4 stage is one call of the grids evaluation kernel
+with one phase table for both fields. Two structural facts shape the data
+layout: X0 does not depend on the vertical label z0 (positions are stored
+once per column), and the vertical ODE is linear and homogeneous in Z0, so
+every level of a column shares one integrating factor Z0/z0, stored once.
 
 The closed-form identities Z0 = z0*h0(t, X0) and det(dX0/dx0)*h0(t, X0) = 1
 tie the map back to the evolved height field; `chart_identities` measures
@@ -26,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chebyshev import diff_matrix, gl_nodes
-from .grids import Grid, HField, div, grad
+from .grids import Grid, HField, _eval_coefficients, grad
 from .shallow_water import BlowupError, Params, SWTrajectory
 
 __all__ = [
@@ -151,15 +153,19 @@ def _material_nodes(grid: Grid) -> np.ndarray:
 
 
 def _flow_sampler(state, shape):
-    """Evaluators of (u0, div u0) at arbitrary positions (n,) + shape."""
-    n = state.grid.n
-    dfield = div(state.u0)
+    """Evaluator of (u0, div u0) at arbitrary positions (n,) + shape.
+
+    The coefficients of u0 and of div u0 = sum_a i kappa_a c_a are stacked
+    once, so each call is one evaluation over shared phase tables.
+    """
+    g = state.grid
+    n = g.n
+    c_u = state.u0.coefficients
+    stacked = np.concatenate([c_u, (g.ik * c_u).sum(0)[None]])
 
     def at(pos):
-        pts = pos.reshape(n, -1).T
-        u = state.u0.eval_at(pts).reshape((n,) + shape)
-        d = dfield.eval_at(pts).reshape(shape)
-        return u, d
+        vals = _eval_coefficients(g, stacked, pos.reshape(n, -1).T)
+        return vals[:n].reshape((n,) + shape), vals[n].reshape(shape)
 
     return at
 
@@ -418,22 +424,17 @@ def chart_records(chart: Chart, traj: SWTrajectory) -> list[dict]:
     if len(traj) != chart.times.size or np.abs(traj.times - chart.times).max() > 1e-9:
         raise ValueError("chart and trajectory must share times")
     n = chart.grid.n
+    keys = ["t"] + [f"x0_{a + 1}" for a in range(n)] + [f"X0_{a + 1}" for a in range(n)]
+    keys += ["Z0_over_z0", "det_h0_minus_1"]
     x0 = _material_nodes(chart.grid).reshape(n, -1)
+    ncol = x0.shape[1]
     rows = []
     for i, s in enumerate(traj.states):
         X = chart.positions(i).reshape(n, -1)
-        pts = X.T
-        hX = s.h0.eval_at(pts).reshape(-1)
+        hX = s.h0.eval_at(X.T)
         _, det = _xjacobian(chart, i)
         vol = (det.reshape(-1) * hX) - 1.0
-        zf = chart.zfactor[i].reshape(-1)
-        for j in range(x0.shape[1]):
-            row = {"t": float(chart.times[i])}
-            for a in range(n):
-                row[f"x0_{a + 1}"] = float(x0[a, j])
-            for a in range(n):
-                row[f"X0_{a + 1}"] = float(X[a, j])
-            row["Z0_over_z0"] = float(zf[j])
-            row["det_h0_minus_1"] = float(vol[j])
-            rows.append(row)
+        columns = [[float(chart.times[i])] * ncol, *x0.tolist(), *X.tolist(),
+                   chart.zfactor[i].reshape(-1).tolist(), vol.tolist()]
+        rows.extend(dict(zip(keys, cells)) for cells in zip(*columns))
     return rows

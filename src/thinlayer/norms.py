@@ -87,13 +87,13 @@ def _multi_indices(dim: int, order: int):
 def _norm_h(f: HField, kind: NormKind) -> float:
     g = f.grid
     if kind.kind == "L2":
-        return np.sqrt(_sq_l2_h(f))
+        return float(np.sqrt(_sq_l2_h(f)))
     if kind.kind == "Hk":
         total = 0.0
         for orders in _multi_indices(g.n, kind.k):
             for c in f.components():
                 total += _sq_l2_h(c.deriv(orders))
-        return np.sqrt(total)
+        return float(np.sqrt(total))
     if kind.kind == "Linf":
         mag = np.abs(f.values) if not f.is_vector else np.sqrt((f.values**2).sum(axis=0))
         return float(mag.max())
@@ -101,7 +101,7 @@ def _norm_h(f: HField, kind: NormKind) -> float:
         mag2 = f.values**2 if not f.is_vector else (f.values**2).sum(axis=0)
         return float(((mag2**3).sum() * g.dx**g.n) ** (1.0 / 6.0))
     if kind.kind == "boundary_Hs":
-        return np.sqrt(f.sobolev_sq(kind.s))
+        return float(np.sqrt(f.sobolev_sq(kind.s)))
     raise AssertionError(kind)
 
 
@@ -122,7 +122,7 @@ def _sq_l2_thin(tf: ThinField) -> float:
 
 def _norm_thin(tf: ThinField, kind: NormKind) -> float:
     if kind.kind == "L2":
-        return np.sqrt(_sq_l2_thin(tf))
+        return float(np.sqrt(_sq_l2_thin(tf)))
     if kind.kind == "Hk":
         total = 0.0
         for orders in _multi_indices(tf.grid.n + 1, kind.k):
@@ -132,7 +132,7 @@ def _norm_thin(tf: ThinField, kind: NormKind) -> float:
                     for _ in range(m):
                         d = d.derivative(direction)
                 total += _sq_l2_thin(d)
-        return np.sqrt(total)
+        return float(np.sqrt(total))
     if kind.kind == "Linf":
         mag = np.abs(tf.values) if not tf.is_vector else np.sqrt((tf.values**2).sum(axis=0))
         return float(mag.max())

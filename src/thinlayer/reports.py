@@ -25,7 +25,8 @@ def _cell(value) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, float):
-        return repr(value)
+        # float(): numpy scalars (float subclasses) repr as np.float64(...)
+        return repr(float(value))
     return str(value)
 
 

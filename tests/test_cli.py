@@ -2,6 +2,7 @@
 import csv
 import json
 import math
+import re
 import threading
 
 import pytest
@@ -186,6 +187,24 @@ def test_manifest_covers_every_artifact(tmp_path):
     for entry in manifest["files"]:
         assert entry["sha256"] == file_sha256(out / entry["name"])
     assert len(manifest["config_sha256"]) == 64
+
+
+# columns whose cells are labels; every other CSV cell is a number
+LABEL_COLUMNS = {"tag", "kind", "component", "term", "cond_flag"}
+
+
+def test_every_csv_cell_is_a_number_or_a_label(tmp_path):
+    out = tmp_path / "out"
+    assert run("all", _config(tmp_path), out=out) == 0
+    paths = sorted(out.glob("*.csv"))
+    assert paths
+    for path in paths:
+        for row in _read_csv(path):
+            for col, cell in row.items():
+                if col in LABEL_COLUMNS:
+                    assert re.fullmatch(r"[A-Za-z_][A-Za-z0-9_]*|", cell), (path.name, col, cell)
+                else:
+                    float(cell)  # raises on a non-number such as np.float64(...)
 
 
 def test_rerun_is_byte_identical_across_threads(tmp_path):

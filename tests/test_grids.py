@@ -162,6 +162,47 @@ def test_eval_at_2d():
     assert np.abs(f.eval_at(pts) - want).max() < 1e-12
 
 
+def _eval_reference(f, points):
+    """Full complex sum over the fftn layout, one exp per phase.
+
+    It reads a Nyquist slot as exp(-i N x / 2), so it agrees with eval_at
+    only on fields without Nyquist content.
+    """
+    c = f.coefficients
+    kappa = f.grid.axis_wavenumbers
+    phases = [np.exp(1j * np.outer(points[:, a], kappa)) for a in range(f.grid.n)]
+    if f.grid.n == 1:
+        out = np.tensordot(c, phases[0], axes=([-1], [1]))
+    else:
+        tmp = np.tensordot(c, phases[1], axes=([-1], [1]))
+        out = np.einsum("...kp,pk->...p", tmp, phases[0])
+    return out.real
+
+
+@pytest.mark.parametrize("n,N", [(1, 64), (2, 16), (2, 32)])
+def test_eval_at_matches_full_sum_on_masked_fields(n, N):
+    g = Grid(n, N)
+    rng = np.random.default_rng(10 * n + N)
+    pts = rng.uniform(-10.0, 20.0, (300, n))
+    for shape in (g.shape, (n,) + g.shape):
+        f = HField(g, rng.standard_normal(shape)).mask_two_thirds()
+        want = _eval_reference(f, pts)
+        assert f.eval_at(pts).shape == want.shape
+        assert np.abs(f.eval_at(pts) - want).max() <= 1e-13 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("n,N", [(1, 32), (1, 64), (2, 16), (2, 32)])
+def test_eval_at_fine_nodes_is_to_fine(n, N):
+    # Nyquist slots included: eval_at reads them as padding splits them
+    g = Grid(n, N)
+    rng = np.random.default_rng(7 * n + N)
+    f = HField(g, rng.standard_normal((2,) + g.shape))
+    fine = Grid(n, grids.PAD * N, g.L)
+    pts = np.stack([np.broadcast_to(x, fine.shape) for x in fine.coords()]).reshape(n, -1).T
+    want = to_fine(f)
+    assert np.abs(f.eval_at(pts).reshape(want.shape) - want).max() < 1e-13
+
+
 def test_fft_is_called_only_in_grids():
     # the Fourier layout has one home; the rfft layout switch edits one module
     src = Path(__file__).resolve().parents[1] / "src" / "thinlayer"

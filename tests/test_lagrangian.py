@@ -4,7 +4,7 @@ import pytest
 
 from thinlayer.ansatz import build_ansatz
 from thinlayer.chebyshev import gl_nodes
-from thinlayer.grids import Grid, HField
+from thinlayer.grids import Grid, HField, div
 from thinlayer.lagrangian import (
     Chart,
     DegenerateChartError,
@@ -16,6 +16,7 @@ from thinlayer.lagrangian import (
     integrate_chart,
     jacobian,
     transformed_deformation,
+    _flow_sampler,
 )
 from thinlayer.shallow_water import (
     Params,
@@ -55,6 +56,24 @@ GF_TEST = lambda x, z: np.stack(
 
 
 # -- integration ------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("n,N", [(1, 32), (2, 16)])
+def test_stacked_sampler_matches_field_evaluation(n, N):
+    # (u0, div u0) from stacked coefficients in one kernel call, against two
+    # eval_at calls on u0 and on the div() field
+    g = Grid(n, N)
+    rng = np.random.default_rng(3 * n + N)
+    u0 = HField(g, rng.standard_normal((n,) + g.shape))
+    state = SWState(0.0, HField(g, 1.0 + 0.3 * rng.random(g.shape)), u0)
+    shape = (5, 7)
+    pos = rng.uniform(-10.0, 20.0, (n,) + shape)
+    u, d = _flow_sampler(state, shape)(pos)
+    pts = pos.reshape(n, -1).T
+    want_u = u0.eval_at(pts).reshape((n,) + shape)
+    want_d = div(u0).eval_at(pts).reshape(shape)
+    assert np.abs(u - want_u).max() <= 1e-13 * np.abs(want_u).max()
+    assert np.abs(d - want_d).max() <= 1e-13 * np.abs(want_d).max()
 
 
 def test_rest_chart_is_identity():

@@ -8,8 +8,12 @@ horizontal-field coefficients:
 
 ZPoly carries that structure: z is an independent coordinate, so horizontal
 derivatives act on coefficients and vertical derivatives shift them. The
-incompressibility of the triple (u0, u1, u2) against (w1, w2, w3) is an
-algebraic identity of the construction, not an approximation.
+depth polynomials of u_H and u_V are written once, in `_velocity_polys`,
+for the coefficients of an AnsatzFields or of its time derivative
+AnsatzRate; every other reader (the residuals, eval_ansatz) evaluates
+those polynomials. The incompressibility of the triple (u0, u1, u2)
+against (w1, w2, w3) is an algebraic identity of the construction, not an
+approximation.
 """
 from __future__ import annotations
 
@@ -50,10 +54,6 @@ class ZPoly:
         self.coeffs = coeffs
 
     @classmethod
-    def const(cls, field: HField) -> "ZPoly":
-        return cls([field])
-
-    @classmethod
     def zero(cls, grid: Grid) -> "ZPoly":
         return cls([HField(grid, np.zeros(grid.shape))])
 
@@ -91,8 +91,6 @@ class ZPoly:
                 for j in range(q):
                     out[i + j] += prods[i, j]
             return ZPoly([HField(self.grid, v) for v in out])
-        if isinstance(other, HField):
-            return ZPoly([other * c for c in self.coeffs])
         return ZPoly([c * float(other) for c in self.coeffs])
 
     __rmul__ = __mul__
@@ -163,14 +161,10 @@ class AnsatzFields:
 
     def horizontal_polys(self) -> list[ZPoly]:
         """One ZPoly per horizontal velocity component."""
-        return [
-            ZPoly([self.u0.component(i), self.u1.component(i), 0.5 * self.u2.component(i)])
-            for i in range(self.grid.n)
-        ]
+        return _velocity_polys(self)[:-1]
 
     def vertical_poly(self) -> ZPoly:
-        zero = HField(self.grid, np.zeros(self.grid.shape))
-        return ZPoly([zero, self.w1, 0.5 * self.w2, self.w3 * (1.0 / 6.0)])
+        return _velocity_polys(self)[-1]
 
     def pressure_poly(self) -> ZPoly:
         hydro = self.eps * self.base.h0 + self.p_nonhydro
@@ -191,6 +185,18 @@ class AnsatzRate:
     w2: HField
     w3: HField
     p_nonhydro: HField
+
+
+def _velocity_polys(c: AnsatzFields | AnsatzRate) -> list[ZPoly]:
+    """u_H = u0 + u1 z + u2 z^2/2, one ZPoly per component, then
+    u_V = w1 z + w2 z^2/2 + w3 z^3/6, from the coefficients of c."""
+    g = c.u0.grid
+    zero = HField(g, np.zeros(g.shape))
+    horizontal = [
+        ZPoly([c.u0.component(i), c.u1.component(i), 0.5 * c.u2.component(i)])
+        for i in range(g.n)
+    ]
+    return horizontal + [ZPoly([zero, c.w1, 0.5 * c.w2, c.w3 * (1.0 / 6.0)])]
 
 
 def _stress_vec(u: HField, gh: HField) -> HField:
@@ -266,10 +272,5 @@ def eval_ansatz(a: AnsatzFields, x_index, z: float):
     if z < 0.0 or z > 1.01 * a.eps * h_here:
         raise ValueError(f"z = {z} outside [0, 1.01*eps*h0] = [0, {1.01 * a.eps * h_here}]")
 
-    vec = (slice(None),) + idx
-    u0v, u1v, u2v = a.u0.values[vec], a.u1.values[vec], a.u2.values[vec]
-    uH = u0v + z * (u1v + z * (0.5 * u2v))
-    w1v, w2v, w3v = a.w1.values[idx], a.w2.values[idx], a.w3.values[idx]
-    uV = z * (w1v + z * (0.5 * w2v + z * (w3v / 6.0)))
-    pres = a.eps * h_here + float(a.p_nonhydro.values[idx]) - z
-    return uH, float(uV), float(pres)
+    *uH, uV, pres = (q.at_z(z).values[idx] for q in _velocity_polys(a) + [a.pressure_poly()])
+    return np.array(uH), float(uV), float(pres)

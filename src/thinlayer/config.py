@@ -160,6 +160,8 @@ def validate_tree(tree: dict) -> list:
         for name in ("F", "Re"):
             if not _is_num(p[name]) or p[name] <= 0.0:
                 out.append(f"params.{name}: must be positive")
+        if _is_num(p["F"]) and p["F"] > 0.0 and p["F"] * p["F"] == 0.0:
+            out.append("params.F: F * F underflows to 0")
         if not _is_num(p["gamma_bar"]) or p["gamma_bar"] < 0.0:
             out.append("params.gamma_bar: must be nonnegative")
 

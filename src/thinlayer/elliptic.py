@@ -71,21 +71,43 @@ def _mode_operator(nz: int, a: float):
     return d, -d @ d + (a * a) * np.eye(nz)
 
 
-def _check_mode_args(k: float, eps: float, nz: int):
-    if k == 0.0 or not np.isfinite(k):
-        raise ValueError(f"mode number must be finite and nonzero, got {k}")
-    if not 0.0 < eps < 1.0:
-        raise ValueError(f"eps must lie in (0, 1), got {eps}")
-    if nz < 8:
-        raise ValueError("need nz >= 8 collocation nodes")
-
-
 def _h1_pair(values: np.ndarray, k: float, eps: float) -> float:
     """integral of p'^2 + k^2 p^2 over (0, eps) by Clenshaw-Curtis."""
     nz = values.shape[0]
     dp = diff_matrix(nz) @ values / eps
     w = clenshaw_curtis_weights(nz) * eps
     return float(w @ (dp * dp + (k * k) * values * values))
+
+
+def _mode_profile(
+    k: float, eps: float, nz: int, slope: float, top: float, label: str
+) -> ModeProfile:
+    """Solve -p'' + k^2 p = 0, p'(0) = slope, p(eps) = top.
+
+    The ratio is the H1 pair ||p'||^2 + k^2 ||p||^2 over the data norm
+    |k| top^2 + eps slope^2 (0 for zero data).
+    """
+    if k == 0.0 or not np.isfinite(k):
+        raise ValueError(f"mode number must be finite and nonzero, got {k}")
+    if not 0.0 < eps < 1.0:
+        raise ValueError(f"eps must lie in (0, 1), got {eps}")
+    if nz < 8:
+        raise ValueError("need nz >= 8 collocation nodes")
+    d, m = _mode_operator(nz, abs(k) * eps)
+    rhs = np.zeros(nz)
+    m[0] = d[0]
+    rhs[0] = eps * slope  # physical slope in zeta units
+    m[-1] = 0.0
+    m[-1, -1] = 1.0
+    rhs[-1] = top
+    scale = max(abs(top), eps * abs(slope))
+    values, res = _solve_certified(m, rhs, scale, label)
+    data = abs(k) * top * top + eps * slope * slope
+    ratio = _h1_pair(values, k, eps) / data if data != 0.0 else 0.0
+    return ModeProfile(
+        k=float(k), eps=float(eps), z=eps * gl_nodes(nz), values=values,
+        ratio=ratio, residual=res,
+    )
 
 
 def mode_pressure_dirichlet_top(
@@ -96,21 +118,7 @@ def mode_pressure_dirichlet_top(
     The returned ratio (||p'||^2 + k^2 ||p||^2) / (|k| h_k^2) measures the
     H1 cost of lifting unit surface data; its exact value is tanh(|k| eps).
     """
-    _check_mode_args(k, eps, nz)
-    a = abs(k) * eps
-    d, op = _mode_operator(nz, a)
-    m = op.copy()
-    rhs = np.zeros(nz)
-    m[0] = d[0]  # p'(0) = 0 in zeta units
-    m[-1] = 0.0
-    m[-1, -1] = 1.0
-    rhs[-1] = h_k
-    values, res = _solve_certified(m, rhs, abs(h_k), "dirichlet-top mode solve")
-    ratio = _h1_pair(values, k, eps) / (abs(k) * h_k * h_k) if h_k != 0.0 else 0.0
-    return ModeProfile(
-        k=float(k), eps=float(eps), z=eps * gl_nodes(nz), values=values,
-        ratio=ratio, residual=res,
-    )
+    return _mode_profile(k, eps, nz, 0.0, h_k, "dirichlet-top mode solve")
 
 
 def mode_pressure_neumann_bottom(
@@ -121,21 +129,7 @@ def mode_pressure_neumann_bottom(
     Closed form: p = -g_k sinh(|k|(eps - z)) / (|k| cosh(|k| eps)). The ratio
     is (||p'||^2 + k^2 ||p||^2) / (eps g_k^2), eps-uniform by construction.
     """
-    _check_mode_args(k, eps, nz)
-    a = abs(k) * eps
-    d, op = _mode_operator(nz, a)
-    m = op.copy()
-    rhs = np.zeros(nz)
-    m[0] = d[0]
-    rhs[0] = eps * g_k  # physical slope g_k in zeta units
-    m[-1] = 0.0
-    m[-1, -1] = 1.0
-    values, res = _solve_certified(m, rhs, eps * abs(g_k), "neumann-bottom mode solve")
-    ratio = _h1_pair(values, k, eps) / (eps * g_k * g_k) if g_k != 0.0 else 0.0
-    return ModeProfile(
-        k=float(k), eps=float(eps), z=eps * gl_nodes(nz), values=values,
-        ratio=ratio, residual=res,
-    )
+    return _mode_profile(k, eps, nz, g_k, 0.0, "neumann-bottom mode solve")
 
 
 @dataclass(frozen=True)

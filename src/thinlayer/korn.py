@@ -204,16 +204,6 @@ def _design_matrices(M: float, sigma, nq: int, recombined: bool):
     return b1, b2
 
 
-def _boundary_forms(M: float, sigma, recombined: bool):
-    """The two linear forms whose product is the boundary form q2 - q1."""
-    c, s = sigma
-    zM = np.array([M])
-    U, dU, _ = _vector_basis(sigma, zM, recombined)
-    v1 = c * U[:, 0, 0] + s * U[:, 1, 0]
-    v2 = c * dU[:, 0, 0] + s * dU[:, 1, 0]
-    return v1, v2
-
-
 def _check_cell(M: float, sigma, quad_nodes: int) -> tuple[float, float]:
     if not (np.isfinite(M) and M > 0.0):
         raise ValueError(f"M must be positive, got {M}")
@@ -440,8 +430,8 @@ def _korn_ratio(fields, strip: _Strip, gamma_bar: float) -> float:
     l2 = integral(uh**2 + uv**2)
     grad2 = integral(dux_h**2 + duz_h**2 + dux_v**2 + duz_v**2)
     h1 = l2 + grad2
-    if h1 < 1e-12:
-        return float("nan")  # degenerate sample, skipped by the caller
+    if h1 < 1e-12 * strip.grid.L * strip.eps:
+        return float("nan")  # degenerate (floor scales with the area L*eps); skipped
     two_d2 = integral(2.0 * dux_h**2 + 2.0 * duz_v**2 + (duz_h + dux_v) ** 2)
     trace = strip.wx * float((uh[0] ** 2).sum())
     return (two_d2 + strip.eps * gamma_bar * trace) / h1

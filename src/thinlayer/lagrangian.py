@@ -18,7 +18,8 @@ The closed-form identities Z0 = z0*h0(t, X0) and det(dX0/dx0)*h0(t, X0) = 1
 tie the map back to the evolved height field; `chart_identities` measures
 both, and they converge at the integrator's order. `jacobian`,
 `transformed_deformation` and `chain_rule_check` provide the change-of-
-variable algebra used by the fixed-domain form of the equations.
+variable algebra used by the fixed-domain form of the equations; the
+per-node inverses come from `np.linalg.inv`.
 """
 from __future__ import annotations
 
@@ -307,49 +308,19 @@ def jacobian(chart: Chart, t: float) -> JacobianField:
     return JacobianField(t=float(t), z_levels=chart.z_levels, matrices=A, dets=dets)
 
 
-def _direct_inverse(mats: np.ndarray) -> np.ndarray:
-    """Adjugate inverse of stacked 2x2 or 3x3 matrices."""
-    m = mats.shape[-1]
-    out = np.empty_like(mats)
-    if m == 2:
-        det = mats[..., 0, 0] * mats[..., 1, 1] - mats[..., 0, 1] * mats[..., 1, 0]
-        out[..., 0, 0] = mats[..., 1, 1]
-        out[..., 1, 1] = mats[..., 0, 0]
-        out[..., 0, 1] = -mats[..., 0, 1]
-        out[..., 1, 0] = -mats[..., 1, 0]
-    elif m == 3:
-        a = mats
-        out[..., 0, 0] = a[..., 1, 1] * a[..., 2, 2] - a[..., 1, 2] * a[..., 2, 1]
-        out[..., 0, 1] = a[..., 0, 2] * a[..., 2, 1] - a[..., 0, 1] * a[..., 2, 2]
-        out[..., 0, 2] = a[..., 0, 1] * a[..., 1, 2] - a[..., 0, 2] * a[..., 1, 1]
-        out[..., 1, 0] = a[..., 1, 2] * a[..., 2, 0] - a[..., 1, 0] * a[..., 2, 2]
-        out[..., 1, 1] = a[..., 0, 0] * a[..., 2, 2] - a[..., 0, 2] * a[..., 2, 0]
-        out[..., 1, 2] = a[..., 0, 2] * a[..., 1, 0] - a[..., 0, 0] * a[..., 1, 2]
-        out[..., 2, 0] = a[..., 1, 0] * a[..., 2, 1] - a[..., 1, 1] * a[..., 2, 0]
-        out[..., 2, 1] = a[..., 0, 1] * a[..., 2, 0] - a[..., 0, 0] * a[..., 2, 1]
-        out[..., 2, 2] = a[..., 0, 0] * a[..., 1, 1] - a[..., 0, 1] * a[..., 1, 0]
-        det = (
-            a[..., 0, 0] * out[..., 0, 0]
-            + a[..., 0, 1] * out[..., 1, 0]
-            + a[..., 0, 2] * out[..., 2, 0]
-        )
-    else:
-        raise ValueError(f"only 2x2 and 3x3 nodes are supported, got {m}x{m}")
-    return out / det[..., None, None]
-
-
 def transformed_deformation(grad_u: np.ndarray, A) -> np.ndarray:
     """P = (grad u) A^-1 A^-T + A^-T (grad u)^T A^-T per node.
 
     A may be a JacobianField or a raw matrix stack; with A = Id this reduces
     to the symmetric velocity gradient. A condition estimate above 1e8
-    attaches a RuntimeWarning (results keep flowing; the caller judges).
+    attaches a RuntimeWarning (results keep flowing; the caller judges); an
+    exactly singular node raises numpy.linalg.LinAlgError.
     """
     mats = A.matrices if isinstance(A, JacobianField) else np.asarray(A, dtype=float)
     gu = np.asarray(grad_u, dtype=float)
     if gu.shape[-2:] != mats.shape[-2:]:
         raise ValueError("grad_u and A must have matching node dimension")
-    inv = _direct_inverse(mats)
+    inv = np.linalg.inv(mats)
     cond = np.sqrt(
         (mats**2).sum(axis=(-2, -1)).max() * (inv**2).sum(axis=(-2, -1)).max()
     )

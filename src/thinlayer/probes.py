@@ -238,8 +238,8 @@ def _scaled_ratio(tag: str, sample) -> float:
     strip = sample.strip
     eps = strip.eps
     h1_sq = sample.h1_sq()
-    if h1_sq < 1e-24:
-        return float("nan")  # degenerate sample
+    if h1_sq < 1e-24 * strip.grid.L * eps:
+        return float("nan")  # degenerate sample; the floor scales with the area L*eps
 
     if tag == "L6":
         l6 = strip.integral(sample.u**6) ** (1.0 / 6.0)
@@ -263,8 +263,9 @@ def _probe_rows(eps_list, samples: int, seed: int, nx: int, nz: int, draw, ancho
     """One row of ratio extremes per epsilon, on a _Strip(nx, nz, eps).
 
     Sample i draws from its own counter-keyed stream Philox([seed, i]) through
-    draw(strip, rng); non-finite (degenerate) ratios are skipped. The ratios
-    of anchors(strip), closed-form extremals, are always kept.
+    draw(strip, rng). The ratios of anchors(strip), closed-form extremals,
+    join them; a non-finite (degenerate) ratio, sample or anchor, is skipped,
+    and n_samples counts the ratios kept.
     """
     eps_list = [float(e) for e in np.atleast_1d(eps_list)]
     if samples < 50:
@@ -277,7 +278,7 @@ def _probe_rows(eps_list, samples: int, seed: int, nx: int, nz: int, draw, ancho
             r = draw(strip, np.random.Generator(np.random.Philox([seed, i])))
             if np.isfinite(r):
                 ratios.append(float(r))
-        ratios += [float(r) for r in anchors(strip)]
+        ratios += [float(r) for r in anchors(strip) if np.isfinite(r)]
         if not ratios:
             raise ValueError(f"all samples degenerate at eps = {eps}")
         rows.append(

@@ -2,8 +2,10 @@
 
 Every residual is assembled exactly as a polynomial in z with spectral
 coefficient fields (the ZPoly calculus), then sampled on the collocation
-grid only for norm-taking. Two cancellations are applied analytically
-before any discretization:
+grid only for norm-taking. The interior momentum residual is sampled once
+per term (`_interior_samples`); `interior_residual` is the nodal sum of
+those samples, the same sum the convergence study reports. Two
+cancellations are applied analytically before any discretization:
 
   * the hydrostatic pair dz(p)/(eps F^2) + 1/(eps F^2) in the vertical
     momentum (the pressure is linear in z, so the pair is identically
@@ -24,10 +26,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .ansatz import AnsatzFields, AnsatzRate, ZPoly, ansatz_rate, build_ansatz
+from .ansatz import AnsatzFields, AnsatzRate, ZPoly, _velocity_polys, ansatz_rate, build_ansatz
 from .grids import HField
 from .norms import NormKind, norm
-from .shallow_water import Params, SWState, stable_dt, sw_solve
+from .shallow_water import Params, StabilityError, SWState, stable_dt, sw_solve
 from .thinfields import ThinField
 
 __all__ = [
@@ -63,20 +65,6 @@ def _component_names(n: int) -> list[str]:
     return [f"H{i + 1}" for i in range(n)] + ["V"]
 
 
-def _velocity_polys(a: AnsatzFields) -> list[ZPoly]:
-    return a.horizontal_polys() + [a.vertical_poly()]
-
-
-def _rate_polys(r: AnsatzRate, grid) -> list[ZPoly]:
-    zero = HField(grid, np.zeros(grid.shape))
-    out = [
-        ZPoly([r.u0.component(i), r.u1.component(i), 0.5 * r.u2.component(i)])
-        for i in range(grid.n)
-    ]
-    out.append(ZPoly([zero, r.w1, 0.5 * r.w2, r.w3 * (1.0 / 6.0)]))
-    return out
-
-
 def _stress_polys(vel: list[ZPoly], n: int) -> list[list[ZPoly]]:
     """D(u_a) as an (n+1) x (n+1) array of vertical polynomials."""
     S = [[None] * (n + 1) for _ in range(n + 1)]
@@ -100,7 +88,7 @@ def interior_polys(a: AnsatzFields, r: AnsatzRate, p: Params) -> dict[str, list[
     vel = _velocity_polys(a)
     zero_poly = ZPoly.zero(a.grid)
 
-    time = _rate_polys(r, a.grid)
+    time = _velocity_polys(r)
 
     advection = []
     for comp in vel:
@@ -127,6 +115,22 @@ def interior_polys(a: AnsatzFields, r: AnsatzRate, p: Params) -> dict[str, list[
     return {"time": time, "advection": advection, "pressure": pressure, "viscous": viscous}
 
 
+def _interior_samples(a: AnsatzFields, r: AnsatzRate, p: Params, nz: int) -> dict:
+    """Nodal samples of every interior_polys term, components stacked as
+    (n+1, nz) + grid.shape, and their sum in INTERIOR_TERMS order under
+    "total"."""
+    h0 = a.base.h0
+    out = {
+        name: np.stack([q.to_thinfield(p.eps, nz, h0).values for q in polys])
+        for name, polys in interior_polys(a, r, p).items()
+    }
+    total = out[INTERIOR_TERMS[0]]
+    for name in INTERIOR_TERMS[1:]:
+        total = total + out[name]
+    out["total"] = total
+    return out
+
+
 def interior_residual(
     a: AnsatzFields,
     r: AnsatzRate,
@@ -141,20 +145,11 @@ def interior_residual(
     roundoff amplification the guard avoids.
     """
     _check_pair(a, r, p)
-    n = a.grid.n
-    terms = interior_polys(a, r, p)
     h0 = a.base.h0
-    comps = []
-    for i in range(n + 1):
-        poly = terms["time"][i]
-        for name in ("advection", "pressure", "viscous"):
-            poly = poly + terms[name][i]
-        comps.append(poly.to_thinfield(p.eps, nz, h0).values)
-    vals = np.stack(comps)
+    vals = _interior_samples(a, r, p, nz)["total"]
     if not guard_hydrostatic:
         psamp = a.pressure_poly().to_thinfield(p.eps, nz, h0)
-        vals = vals.copy()
-        vals[n] += (psamp.dz().values + 1.0) / (p.eps * p.F**2)
+        vals[a.grid.n] += (psamp.dz().values + 1.0) / (p.eps * p.F**2)
     return ThinField(a.grid, p.eps, nz, vals, h0)
 
 
@@ -186,6 +181,12 @@ def _surface_stress(a: AnsatzFields) -> list[list[HField]]:
     return [[S[i][j].at_height(eta) for j in range(n + 1)] for i in range(n + 1)]
 
 
+def _surface_pressure(a: AnsatzFields, p: Params) -> HField:
+    """p_nonhydro / (eps F^2), the surface pressure, with the eps cancelled
+    analytically."""
+    return (-2.0 / p.Re) * (1.0 + p.eps**2 * p.gamma_bar) * (-a.w1)
+
+
 def traction_residual(a: AnsatzFields, p: Params) -> HField:
     """(D(u_a)/Re - p_a/(eps F^2) Id)|_{z=eps h0} (-eps grad h0, 1).
 
@@ -199,8 +200,7 @@ def traction_residual(a: AnsatzFields, p: Params) -> HField:
     n = a.grid.n
     h0 = a.base.h0
     Ssurf = _surface_stress(a)
-    # p_nonhydro / (eps F^2) with the eps cancelled analytically
-    p_over = (-2.0 / p.Re) * (1.0 + p.eps**2 * p.gamma_bar) * (-a.w1)
+    p_over = _surface_pressure(a, p)
     normal_H = [(-p.eps) * h0.dx(j) for j in range(n)]
     rows = []
     for i in range(n + 1):
@@ -246,38 +246,25 @@ def solved_form_residual(a: AnsatzFields, p: Params) -> tuple[HField, HField]:
     if p != a.params:
         raise ValueError("parameter mismatch between ansatz and call")
     n = a.grid.n
-    h0 = a.base.h0
-    eta = p.eps * h0
-    vel = _velocity_polys(a)
-    g_vec = [(p.eps) * h0.dx(j) for j in range(n)]
+    # D(u_a) at the surface: D_x(u_H) is the horizontal block,
+    # S[i][n] = dz u_H + grad u_V and S[n][n] = 2 dz u_V
+    S = _surface_stress(a)
+    g_vec = [p.eps * a.base.h0.dx(j) for j in range(n)]
 
-    # D_x(u_H) at the surface (horizontal block only)
-    Dx = [
-        [(vel[i].dx(j) + vel[j].dx(i)).at_height(eta) for j in range(n)] for i in range(n)
-    ]
-    dzuV = vel[n].dz().at_height(eta)
-    dzuH = [vel[i].dz().at_height(eta) for i in range(n)]
-    graduV = [vel[n].dx(i).at_height(eta) for i in range(n)]
-
-    gDg = HField(a.grid, np.zeros(a.grid.shape))
+    gDg = g2 = HField(a.grid, np.zeros(a.grid.shape))
     Dg = []
     for i in range(n):
-        acc = Dx[i][0] * g_vec[0]
+        acc = S[i][0] * g_vec[0]
         for j in range(1, n):
-            acc = acc + Dx[i][j] * g_vec[j]
+            acc = acc + S[i][j] * g_vec[j]
         Dg.append(acc)
         gDg = gDg + g_vec[i] * acc
-    g2 = g_vec[0] * g_vec[0]
-    for j in range(1, n):
-        g2 = g2 + g_vec[j] * g_vec[j]
+        g2 = g2 + g_vec[i] * g_vec[i]
     one_minus = 1.0 - g2
 
-    p_surf_over = (-2.0 / p.Re) * (1.0 + p.eps**2 * p.gamma_bar) * (-a.w1)
-    bracket = 2.0 * dzuV - gDg
-    r_p = p.Re * (one_minus * p_surf_over) - bracket
-    rows = []
-    for i in range(n):
-        rows.append(one_minus * (dzuH[i] + graduV[i]) - one_minus * Dg[i] + bracket * g_vec[i])
+    bracket = S[n][n] - gDg
+    r_p = p.Re * (one_minus * _surface_pressure(a, p)) - bracket
+    rows = [one_minus * S[i][n] - one_minus * Dg[i] + bracket * g_vec[i] for i in range(n)]
     return r_p, HField.stack(rows)
 
 
@@ -340,8 +327,7 @@ def _sup_l2(f: ThinField | HField) -> tuple[float, float]:
 
 def _residual_records(s: SWState, pvar: Params, nz: int):
     """All residual norms for one eps; returns (records, term_records)."""
-    n = s.grid.n
-    comp_names = _component_names(n)
+    comp_names = _component_names(s.grid.n)
     a = build_ansatz(s, pvar)
     r = ansatz_rate(s, pvar)
     records = []
@@ -358,44 +344,32 @@ def _residual_records(s: SWState, pvar: Params, nz: int):
             }
         )
 
-    terms = interior_polys(a, r, pvar)
-    h0 = s.h0
-    total_vals = None
+    def thin(vals):
+        return ThinField(s.grid, pvar.eps, nz, vals, s.h0).components()
+
+    samples = _interior_samples(a, r, pvar, nz)
     for name in INTERIOR_TERMS:
-        comps = [terms[name][i].to_thinfield(pvar.eps, nz, h0) for i in range(n + 1)]
-        vals = np.stack([c.values for c in comps])
-        total_vals = vals if total_vals is None else total_vals + vals
-        for i, c in enumerate(comps):
+        for comp, c in zip(comp_names, thin(samples[name])):
             term_records.append(
                 {
                     "eps": pvar.eps,
                     "term": name,
-                    "component": comp_names[i],
+                    "component": comp,
                     "norm_sup": norm(c, NormKind.Linf()),
                 }
             )
-    for i in range(n + 1):
-        tf = ThinField(s.grid, pvar.eps, nz, total_vals[i], h0)
-        sup, l2 = _sup_l2(tf)
-        add("interior_momentum", comp_names[i], sup, l2)
+    for comp, c in zip(comp_names, thin(samples["total"])):
+        add("interior_momentum", comp, *_sup_l2(c))
 
-    sup, l2 = _sup_l2(divergence_residual(a, nz))
-    add("divergence", "scalar", sup, l2)
-
-    sup, l2 = _sup_l2(kinematic_residual(a, r, pvar))
-    add("kinematic", "scalar", sup, l2)
-
-    trac = traction_residual(a, pvar)
-    for i in range(n + 1):
-        sup, l2 = _sup_l2(trac.component(i))
-        add("traction", comp_names[i], sup, l2)
+    add("divergence", "scalar", *_sup_l2(divergence_residual(a, nz)))
+    add("kinematic", "scalar", *_sup_l2(kinematic_residual(a, r, pvar)))
+    for comp, c in zip(comp_names, traction_residual(a, pvar).components()):
+        add("traction", comp, *_sup_l2(c))
 
     bot_v, bot_slip = bottom_residual(a, pvar)
-    sup, l2 = _sup_l2(bot_v)
-    add("bottom", "V", sup, l2)
-    for i in range(n):
-        sup, l2 = _sup_l2(bot_slip.component(i))
-        add("bottom", comp_names[i], sup, l2)
+    add("bottom", "V", *_sup_l2(bot_v))
+    for comp, c in zip(comp_names, bot_slip.components()):
+        add("bottom", comp, *_sup_l2(c))
     return records, term_records
 
 
@@ -412,7 +386,9 @@ def convergence_study(
     once to t_eval and the resulting state seeds the ansatz at every eps.
     t_eval should avoid states where residuals vanish identically (at a
     resting initial wave, every coefficient except the hydrostatic
-    pressure is zero at t=0).
+    pressure is zero at t=0). The evolution takes its own steps,
+    t_eval / ceil(t_eval / (0.4 stable_dt)); a bound that allows no finite
+    step count raises StabilityError.
     """
     eps_list = [float(e) for e in eps_list]
     if len(eps_list) < 4:
@@ -421,7 +397,11 @@ def convergence_study(
         raise ValueError("eps_list must be strictly decreasing")
 
     if t_eval > 0.0:
-        nsteps = max(1, math.ceil(t_eval / (0.4 * stable_dt(init, base))))
+        bound = 0.4 * stable_dt(init, base)
+        steps = t_eval / bound if bound > 0.0 else math.inf
+        if not math.isfinite(steps):
+            raise StabilityError(f"study step bound {bound:.3g} allows no finite step count")
+        nsteps = max(1, math.ceil(steps))
         s = sw_solve(init, base, T=t_eval, dt=t_eval / nsteps)[-1]
     else:
         s = init

@@ -70,6 +70,8 @@ class Params:
                 raise ValueError(f"{name} must be finite, got {v}")
         if self.F <= 0.0 or self.Re <= 0.0:
             raise ValueError("F and Re must be positive")
+        if self.F * self.F == 0.0:
+            raise ValueError(f"F * F underflows to 0 at F = {self.F}")
         if self.gamma_bar < 0.0:
             raise ValueError(f"gamma_bar must be nonnegative, got {self.gamma_bar}")
         if not 0.0 < self.eps < 1.0:

@@ -251,3 +251,39 @@ def test_probe_without_friction_reports_an_unbounded_floor(tmp_path, capsys):
     assert summary["korn"] == {"spread": None, "verdict": "unbounded trend"}
     rows = _read_csv(out / "probe_ratios.csv")
     assert [float(r["min_ratio"]) for r in rows if r["tag"] == "korn"] == [0.0, 0.0]
+
+
+def test_probe_anchors_survive_thin_strips(tmp_path):
+    # the degeneracy floors scale with the strip area L*eps, so the
+    # closed-form anchors stay finite on strips far thinner than 1e-12
+    tree = {"probes": {"eps_list": [0.1, 1e-14, 1e-30]}, "params": {"gamma_bar": 0.7}}
+    out = tmp_path / "out"
+    assert run("probe", _config(tmp_path, tree), out=out) == 0
+    summary = json.loads((out / "probe_summary.json").read_text())
+    assert {tag: s["verdict"] for tag, s in summary.items()} == {
+        tag: "bounded" for tag in ("L6", "Agmon", "trace_zero", "trace_general", "korn")
+    }
+    rows = _read_csv(out / "probe_ratios.csv")
+    floors = [float(r["min_ratio"]) for r in rows if r["tag"] == "korn"]
+    assert len(floors) == 3
+    assert all(abs(f - 0.7) <= 1e-12 for f in floors)
+
+
+def test_underflowing_froude_number_is_invalid(tmp_path, capsys):
+    cfg = _config(tmp_path, {"params": {"F": 1e-162}})
+    assert run("validate", cfg) == 2
+    assert capsys.readouterr().err.splitlines() == ["params.F: F * F underflows to 0"]
+    for sub in ("sw", "ansatz", "study", "lagrangian"):
+        assert main([sub, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize("Re", [1e-306, 5e-324])
+def test_study_without_a_finite_step_count_maps_to_exit_3(tmp_path, capsys, Re):
+    cfg = _config(tmp_path, {"params": {"Re": Re}})
+    assert run("validate", cfg) == 0
+    assert main(["study", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 3
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
+    assert "no finite step count" in err

@@ -11,6 +11,7 @@ from thinlayer.config import (
     validate_tree,
 )
 from thinlayer.grids import Grid
+from thinlayer.shallow_water import Params
 
 
 def _write(tmp_path, tree, name="cfg.json"):
@@ -116,3 +117,17 @@ def test_grid_size_check_matches_grid():
             grid_ok = False
         msgs = validate_tree({"domain": {"N": N}})
         assert grid_ok == (not any(m.startswith("domain.N") for m in msgs)), N
+
+
+def test_froude_check_matches_params():
+    # F * F must not underflow to 0: Params divides by it
+    for F in (1.0, 1e-150, 1e-154, 1e-162, 5e-324):
+        try:
+            Params(F=F, Re=1.0, gamma_bar=1.0, eps=0.1)
+            params_ok = True
+        except ValueError:
+            params_ok = False
+        msgs = validate_tree({"params": {"F": F}})
+        assert params_ok == (not any(m.startswith("params.F") for m in msgs)), F
+    assert not validate_tree({"params": {"F": 1e-154}})
+    assert validate_tree({"params": {"F": 1e-162}}) == ["params.F: F * F underflows to 0"]

@@ -10,6 +10,7 @@ from thinlayer.probes import (
     ProbeReport,
     _layer_modes,
     _LayerSample,
+    _probe_rows,
     _Strip,
     anisotropy_probe,
 )
@@ -175,3 +176,13 @@ def test_trace_zero_tiny_eps_is_cheap():
         tracemalloc.stop()
     assert rep.verdict == "bounded"
     assert peak < 1 << 20
+
+
+def test_probe_rows_skip_non_finite_anchors():
+    # a degenerate anchor is skipped like a degenerate sample and not counted
+    def draw(strip, rng):
+        return rng.uniform(0.5, 1.0)
+
+    rows = _probe_rows([0.1], 50, 0, 16, 8, draw, lambda strip: [np.nan, 2.0])
+    assert rows[0]["n_samples"] == 51
+    assert rows[0]["max_ratio"] == 2.0 and rows[0]["min_ratio"] >= 0.5

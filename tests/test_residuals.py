@@ -6,6 +6,7 @@ from thinlayer.ansatz import AnsatzFields, ansatz_rate, build_ansatz
 from thinlayer.grids import Grid, HField
 from thinlayer.norms import NormKind, norm
 from thinlayer.residuals import (
+    _residual_records,
     bottom_residual,
     convergence_study,
     divergence_residual,
@@ -15,7 +16,7 @@ from thinlayer.residuals import (
     solved_form_residual,
     traction_residual,
 )
-from thinlayer.shallow_water import Params, SWState
+from thinlayer.shallow_water import Params, SWState, stable_dt, sw_solve
 
 P = Params(F=1.0, Re=2.0, gamma_bar=0.5, eps=0.1)
 
@@ -296,6 +297,33 @@ def test_study_single_mode_orders():
     row = rep.records[0]
     assert set(row) == {"eps", "kind", "component", "norm_sup", "norm_l2"}
     assert rep.summary()["eps_list"] == eps_list
+
+
+@pytest.mark.parametrize("n, N", [(1, 32), (2, 16)])
+def test_study_interior_rows_are_interior_residual_norms(n, N):
+    # one interior assembly: the study reports the norms of interior_residual
+    # exactly, not of a differently rounded sum
+    g = Grid(n, N)
+    if n == 1:
+        init = _state(g, lambda x: 1.0 + 0.05 * np.cos(x), [lambda x: 0.05 * np.sin(x)])
+    else:
+        init = _state(
+            g,
+            lambda x, y: 1.0 + 0.05 * np.cos(x) + 0.03 * np.sin(y),
+            [lambda x, y: 0.05 * np.sin(x + y), lambda x, y: 0.02 * np.cos(x) + 0.0 * y],
+        )
+    base = Params(F=1.0, Re=1.0, gamma_bar=1.0, eps=0.1)
+    nsteps = int(np.ceil(0.25 / (0.4 * stable_dt(init, base))))
+    s = sw_solve(init, base, T=0.25, dt=0.25 / nsteps)[-1]
+    for eps in (0.1, 0.0125):
+        p = Params(F=1.0, Re=1.0, gamma_bar=1.0, eps=eps)
+        res = interior_residual(build_ansatz(s, p), ansatz_rate(s, p), p, nz=24)
+        records, _ = _residual_records(s, p, nz=24)
+        rows = [r for r in records if r["kind"] == "interior_momentum"]
+        assert len(rows) == n + 1
+        for i, row in enumerate(rows):
+            assert row["norm_sup"] == norm(res.component(i), NormKind.Linf())
+            assert row["norm_l2"] == norm(res.component(i), NormKind.L2())
 
 
 def test_residuals_two_dimensional():

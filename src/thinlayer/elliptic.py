@@ -162,7 +162,7 @@ def divergence_lift(h: ThinField, eps: float | None = None) -> DivergenceLift:
     hhat = HField(grid, h.values).coefficients
     wz = clenshaw_curtis_weights(nz)
 
-    k2 = np.zeros(grid.shape)
+    k2 = np.zeros(grid.spec_shape)
     for kg in grid.kgrids():
         k2 = k2 + kg**2
     flat_k2 = k2.reshape(-1)
@@ -209,7 +209,7 @@ def divergence_lift(h: ThinField, eps: float | None = None) -> DivergenceLift:
         phihat[:, j] = col
         worst = max(worst, res)
 
-    phi = HField.from_coefficients(grid, phihat.reshape((nz,) + grid.shape))
+    phi = HField.from_coefficients(grid, phihat.reshape((nz,) + grid.spec_shape))
 
     def strip_norm_sq(vals):
         return _sq_l2_thin(ThinField(grid, eps, nz, vals))

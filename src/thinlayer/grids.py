@@ -5,17 +5,22 @@ points per direction. HField wraps real nodal samples of a scalar or vector
 field together with a cached spectrum; all derivatives are spectral and all
 products of fields are dealiased by zero-padding onto a grid PAD times finer.
 
-Conventions: spectra use the numpy fftn layout; the Nyquist slot of odd-order
-derivatives is zeroed (the trigonometric interpolant of real data has a
-cosine Nyquist mode whose derivative vanishes at the nodes; Trefethen,
-Spectral Methods in MATLAB, ch. 3). Off-grid evaluation (HField.eval_at)
-follows the same interpolant: a Nyquist slot evaluates as a cosine, the
-symmetric split that padding uses, so eval_at at the PAD-fine nodes equals
-to_fine. It folds the Hermitian spectrum onto modes 0..N/2 of the last
-axis and keeps the real part of that half sum; its phases are integer
-powers of one exponential per point and axis. This is the only module that
-transforms: other modules take spectra, coefficients, derivative symbols,
-Parseval sums and off-grid values from here.
+Layout: every spectrum is a numpy rfftn half spectrum, shape
+Grid.spec_shape. The last axis holds modes 0..N/2; the leading axis in 2D
+keeps the full layout (modes 0..N/2-1, then -N/2..-1). The modes with a
+negative last index are the conjugates of stored ones, as a real field's
+spectrum is Hermitian, so a sum over the whole spectrum weights the interior
+columns 1..N/2-1 by 2 (Grid.half_weights). The Nyquist slot is index N/2 of
+either axis. Odd-order derivatives zero it (the trigonometric interpolant of
+real data has a cosine Nyquist mode whose derivative vanishes at the nodes;
+Trefethen, Spectral Methods in MATLAB, ch. 3); padding splits it
+symmetrically and truncation folds the +-N/2 pair back into it (Orszag
+1971). Off-grid evaluation (HField.eval_at) follows the same interpolant: a
+Nyquist slot evaluates as a cosine, so eval_at at the PAD-fine nodes equals
+to_fine; its phases are integer powers of one exponential per point and
+axis. This is the only module that transforms, and it uses only numpy's
+real-input transforms: other modules take spectra, coefficients, derivative
+symbols, Parseval sums and off-grid values from here.
 """
 from __future__ import annotations
 
@@ -35,14 +40,17 @@ MAX_DERIV_ORDER = 4
 PAD = 2
 
 
-def _fft(a: np.ndarray, n: int) -> np.ndarray:
-    """fftn over the last n axes; in 1D, fft skips fftn's argument handling."""
-    return np.fft.fft(a) if n == 1 else np.fft.fftn(a, axes=tuple(range(-n, 0)))
+def _rfft(a: np.ndarray, n: int) -> np.ndarray:
+    """Half spectrum over the last n axes; in 1D, rfft skips rfftn's argument
+    handling."""
+    return np.fft.rfft(a) if n == 1 else np.fft.rfftn(a, axes=tuple(range(-n, 0)))
 
 
-def _ifft(a: np.ndarray, n: int) -> np.ndarray:
-    """Inverse of _fft."""
-    return np.fft.ifft(a) if n == 1 else np.fft.ifftn(a, axes=tuple(range(-n, 0)))
+def _irfft(a: np.ndarray, n: int, size: int) -> np.ndarray:
+    """Inverse of _rfft onto size points per axis."""
+    if n == 1:
+        return np.fft.irfft(a, size)
+    return np.fft.irfftn(a, (size,) * n, axes=tuple(range(-n, 0)))
 
 
 def _is_power_of_two(m: int) -> bool:
@@ -70,6 +78,12 @@ class Grid:
         return (self.N,) * self.n
 
     @property
+    def spec_shape(self) -> tuple[int, ...]:
+        """Shape of a half spectrum: N on the leading axis in 2D, N/2 + 1 on
+        the last."""
+        return (self.N,) * (self.n - 1) + (self.N // 2 + 1,)
+
+    @property
     def dx(self) -> float:
         return self.L / self.N
 
@@ -82,49 +96,66 @@ class Grid:
         """1d node coordinates x_j = j L / N (same along every axis)."""
         return np.arange(self.N) * self.dx
 
-    def _per_axis(self, v: np.ndarray) -> list[np.ndarray]:
-        """The 1d array v laid along each axis in turn, broadcastable to shape."""
-        return [v.reshape([self.N if b == a else 1 for b in range(self.n)])
-                for a in range(self.n)]
-
     def coords(self) -> list[np.ndarray]:
         """Node coordinate arrays broadcastable to ``shape``, one per axis."""
-        return self._per_axis(self.nodes)
+        if self.n == 1:
+            return [self.nodes]
+        return [self.nodes[:, None], self.nodes[None, :]]
+
+    def _spectral(self, v: np.ndarray) -> list[np.ndarray]:
+        """A 1d array over the full axis layout laid along each spectral axis:
+        whole on the leading axis in 2D, its entries for modes 0..N/2 on the
+        last; broadcastable to spec_shape."""
+        half = v[: self.N // 2 + 1]
+        return [half] if self.n == 1 else [v[:, None], half]
+
+    @cached_property
+    def _modes(self) -> np.ndarray:
+        """Integer mode numbers of the full axis layout: 0..N/2-1, -N/2..-1."""
+        m = np.arange(self.N)
+        return np.where(m < self.N // 2, m, m - self.N)
 
     @cached_property
     def axis_wavenumbers(self) -> np.ndarray:
-        """Angular wavenumbers along one axis, fftn layout."""
-        return TWO_PI * np.fft.fftfreq(self.N, d=self.dx)
+        """Angular wavenumbers 2 pi m / L of the full axis layout."""
+        return (TWO_PI / self.L) * self._modes
 
     def kgrids(self) -> list[np.ndarray]:
-        """Wavenumber arrays broadcastable to ``shape``, one per axis."""
-        return self._per_axis(self.axis_wavenumbers)
+        """Wavenumber arrays broadcastable to spec_shape, one per axis. The
+        Nyquist slot carries -N/2 on both axes, as in the full layout."""
+        return self._spectral(self.axis_wavenumbers)
+
+    @cached_property
+    def half_weights(self) -> np.ndarray:
+        """Weight of each last-axis column in a sum over the whole spectrum:
+        2 on modes 1..N/2-1, whose conjugates are not stored, 1 on 0 and N/2."""
+        w = np.full(self.N // 2 + 1, 2.0)
+        w[0] = w[-1] = 1.0
+        return w
 
     @cached_property
     def ik(self) -> np.ndarray:
-        """First-derivative symbols i kappa_a, shape (n,) + shape, read-only."""
-        ik1 = _symbol(self.axis_wavenumbers, 1)
-        ik = np.stack(np.meshgrid(*([ik1] * self.n), indexing="ij"))
+        """First-derivative symbols i kappa_a, shape (n,) + spec_shape, read-only."""
+        ik = np.stack([np.broadcast_to(s, self.spec_shape) for s in _symbol(self, 1)])
         ik.flags.writeable = False
         return ik
 
     @cached_property
     def dealias_keep(self) -> np.ndarray:
         """Boolean mask of the 2/3-rule band: |m_a| <= floor(N/3) per axis."""
-        cut = self.N // 3
-        m = np.fft.fftfreq(self.N, d=1.0 / self.N)  # integer mode numbers
-        mask = np.ones(self.shape, dtype=bool)
-        for keep in self._per_axis(np.abs(m) <= cut):
+        mask = np.ones(self.spec_shape, dtype=bool)
+        for keep in self._spectral(np.abs(self._modes) <= self.N // 3):
             mask &= keep
         return mask
 
 
-def _symbol(kappa: np.ndarray, order: int) -> np.ndarray:
-    """(i kappa)^order along one axis; odd orders zero the Nyquist slot."""
-    mult = (1j * kappa) ** order
+def _symbol(grid: Grid, order: int) -> list[np.ndarray]:
+    """(i kappa_a)^order per axis, broadcastable to spec_shape; odd orders
+    zero the Nyquist slot, index N/2 of either axis."""
+    mult = (1j * grid.axis_wavenumbers) ** order
     if order % 2 == 1:
-        mult[kappa.size // 2] = 0.0
-    return mult
+        mult[grid.N // 2] = 0.0
+    return grid._spectral(mult)
 
 
 class HField:
@@ -185,19 +216,21 @@ class HField:
 
     @property
     def spec(self) -> np.ndarray:
-        """Cached transform over the spatial axes (numpy fftn layout and scaling)."""
+        """Cached half spectrum over the spatial axes (numpy rfftn layout and
+        scaling), shape grid.spec_shape per component."""
         if self._spec is None:
-            object.__setattr__(self, "_spec", _fft(self.values, self.grid.n))
+            object.__setattr__(self, "_spec", _rfft(self.values, self.grid.n))
         return self._spec
 
     @classmethod
     def from_spec(cls, grid: Grid, spec: np.ndarray) -> "HField":
-        # copy: the .real view would keep the complex buffer (twice the size) alive
-        return cls(grid, _ifft(spec, grid.n).real.copy())
+        """Real field of a half spectrum (inverse of spec)."""
+        return cls(grid, _irfft(spec, grid.n, grid.N))
 
     @property
     def coefficients(self) -> np.ndarray:
-        """Trigonometric coefficients c_k of f = sum_k c_k exp(i k.x): spec / N^n."""
+        """Trigonometric coefficients c_k of f = sum_k c_k exp(i k.x): spec / N^n,
+        half layout; the modes with a negative last index are conj(c_{-k})."""
         return self.spec / self.grid.N**self.grid.n
 
     @classmethod
@@ -209,15 +242,11 @@ class HField:
         """Squared H^s norm by Parseval, volume * sum_k (1 + |k|^2)^s |c_k|^2,
         summed over components."""
         g = self.grid
-        mult = (1.0 + sum(k * k for k in g.kgrids())) ** s
+        mult = (1.0 + sum(k * k for k in g.kgrids())) ** s * g.half_weights
         return sum(
             float((mult * np.abs(c.coefficients) ** 2).sum()) * g.volume
             for c in self.components()
         )
-
-    def reality_defect(self) -> float:
-        """Sup of the imaginary part of the inverse transform (should be ~0)."""
-        return float(np.abs(_ifft(self.spec, self.grid.n).imag).max())
 
     def mask_two_thirds(self) -> "HField":
         """Project onto the 2/3-rule band."""
@@ -287,15 +316,15 @@ class HField:
 
 
 def _eval_coefficients(grid: Grid, c: np.ndarray, points: np.ndarray) -> np.ndarray:
-    """Real trigonometric sum of Hermitian coefficients c (fftn layout, stacked
-    on any leading axes) at points of shape (npts, n); returns (..., npts).
+    """Real trigonometric sum of half-layout coefficients c (stacked on any
+    leading axes) at points of shape (npts, n); returns (..., npts).
 
-    The last axis is folded onto modes 0..N/2 (weight 2 on the interior
-    modes), and the value is the real part of that half sum. Phases are
+    The value is the real part of the half sum weighted by half_weights,
+    which counts each interior last-axis mode for its conjugate. Phases are
     integer powers of one exp(2 pi i x / L) per point and axis, built by
     doubling; the leading axis in 2D takes its negative modes as their
     conjugates. Nyquist slots evaluate as cosines, the symmetric split of
-    _resize_axis.
+    _spec_to_fine.
     """
     half = grid.N // 2
     powers = np.empty((half + 1,) + points.T.shape, dtype=complex)  # (m, n, npts)
@@ -307,9 +336,7 @@ def _eval_coefficients(grid: Grid, c: np.ndarray, points: np.ndarray) -> np.ndar
         np.multiply(powers[1 : top - m + 1], powers[m], out=powers[m + 1 : top + 1])
         m = top
     powers[half] = powers[half].real
-    weights = np.full(half + 1, 2.0)
-    weights[0] = weights[half] = 1.0
-    folded = c[..., : half + 1] * weights
+    folded = c * grid.half_weights
     if grid.n == 2:
         lead = np.concatenate([powers[:, 0], powers[half - 1 : 0 : -1, 0].conj()])
         folded = lead.T @ folded  # (..., npts, half + 1)
@@ -341,7 +368,7 @@ def deriv(f: HField, orders) -> HField:
     spec = f.spec
     for a, o in enumerate(orders):
         if o:
-            spec = spec * f.grid._per_axis(_symbol(f.grid.axis_wavenumbers, o))[a]
+            spec = spec * _symbol(f.grid, o)[a]
     return HField.from_spec(f.grid, spec)
 
 
@@ -364,7 +391,8 @@ def div(v: HField) -> HField:
 
 
 def _resize_axis(spec: np.ndarray, axis: int, size: int) -> np.ndarray:
-    """Zero-pad or truncate one fft axis (counted from the end) to size modes.
+    """Zero-pad or truncate one full-layout axis (counted from the end) to
+    size modes.
 
     Padding splits the Nyquist slot symmetrically to keep the spectrum
     Hermitian; truncation, its adjoint, folds the +-N/2 pair back into it.
@@ -387,19 +415,40 @@ def _resize_axis(spec: np.ndarray, axis: int, size: int) -> np.ndarray:
     return out
 
 
+def _resize_half(spec: np.ndarray, size: int, lead: bool) -> np.ndarray:
+    """Zero-pad or truncate the half (last) axis to the modes 0..size/2.
+
+    Padding halves the Nyquist column; the conjugate column at -N/2, which
+    the half layout leaves implicit, holds the other half. Truncation folds
+    the +-N/2 pair back into it, S[k1, N/2] + conj(S[-k1, N/2]), where k1
+    runs over the leading axis when lead is set.
+    """
+    half = min(spec.shape[-1] - 1, size // 2)
+    out = np.zeros(spec.shape[:-1] + (size // 2 + 1,), dtype=complex)
+    out[..., :half] = spec[..., :half]
+    col = spec[..., half]
+    if size // 2 > half:
+        out[..., half] = 0.5 * col
+    else:
+        mirror = col[..., -np.arange(col.shape[-1]) % col.shape[-1]] if lead else col
+        out[..., half] = col + mirror.conj()
+    return out
+
+
 def _spec_to_fine(grid: Grid, spec: np.ndarray) -> np.ndarray:
     """Fine-grid nodal values of spectra stacked on any leading axes."""
-    for a in range(-grid.n, 0):
-        spec = _resize_axis(spec, a, PAD * grid.N)
-    return _ifft(spec, grid.n).real * PAD**grid.n
+    size = PAD * grid.N
+    if grid.n == 2:
+        spec = _resize_axis(spec, -2, size)
+    return _irfft(_resize_half(spec, size, grid.n == 2), grid.n, size) * PAD**grid.n
 
 
 def _fine_to_spec(grid: Grid, fine_values: np.ndarray) -> np.ndarray:
     """Spectra on grid of fine-grid nodal values stacked on any leading axes."""
-    spec = _fft(fine_values, grid.n)
-    for a in range(-grid.n, 0):
-        spec = _resize_axis(spec, a, grid.N)
-    return spec / PAD**grid.n
+    spec = _rfft(fine_values, grid.n)
+    if grid.n == 2:
+        spec = _resize_axis(spec, -2, grid.N)
+    return _resize_half(spec, grid.N, grid.n == 2) / PAD**grid.n
 
 
 def to_fine(f: HField) -> np.ndarray:

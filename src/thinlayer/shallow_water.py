@@ -163,7 +163,7 @@ def sw_rhs(s: SWState, p: Params) -> tuple[HField, HField]:
     U = state[1:]
     dU = U[:, None] * ik  # dU[i, a] = d u_i / d x_a
 
-    fine = _spec_to_fine(g, np.concatenate([state, dU.reshape((n * n,) + g.shape)]))
+    fine = _spec_to_fine(g, np.concatenate([state, dU.reshape((n * n,) + g.spec_shape)]))
     hf, uf = fine[0], fine[1 : 1 + n]
     duf = fine[1 + n :].reshape((n, n) + hf.shape)
     Df = duf + duf.swapaxes(0, 1)
@@ -177,7 +177,7 @@ def sw_rhs(s: SWState, p: Params) -> tuple[HField, HField]:
     ]))
     hu, adv = prods[:n], prods[n : 2 * n]
     hh, hdiv = prods[2 * n], prods[2 * n + 1]
-    hD = prods[2 * n + 2 :].reshape((n, n) + g.shape)
+    hD = prods[2 * n + 2 :].reshape((n, n) + g.spec_shape)
 
     dth0 = -(ik * hu).sum(axis=0)
     gradp = ik * hh * (0.5 / p.F**2)
@@ -199,6 +199,13 @@ def stable_dt(s: SWState, p: Params) -> float:
     return bound
 
 
+def _check_step(s: SWState, p: Params, dt: float) -> None:
+    """Raise StabilityError when dt exceeds stable_dt(s, p)."""
+    bound = stable_dt(s, p)
+    if dt > bound * (1.0 + 1e-9):
+        raise StabilityError(f"dt = {dt:.4g} exceeds the stability bound {bound:.4g}")
+
+
 def _advanced(s: SWState, w: float, kh: HField, ku: HField) -> SWState:
     return SWState(s.t + w, s.h0 + w * kh, s.u0 + w * ku)
 
@@ -215,9 +222,7 @@ def sw_step(
     dt = float(dt)
     if not dt > 0.0:
         raise ValueError(f"dt must be positive, got {dt}")
-    bound = stable_dt(s, p)
-    if dt > bound * (1.0 + 1e-9):
-        raise StabilityError(f"dt = {dt:.4g} exceeds the stability bound {bound:.4g}")
+    _check_step(s, p, dt)
 
     k1h, k1u = sw_rhs(s, p) if k1 is None else k1
     k2h, k2u = sw_rhs(_advanced(s, 0.5 * dt, k1h, k1u), p)
@@ -324,13 +329,16 @@ def sw_solve(init: SWState, p: Params, T: float, dt: float) -> SWTrajectory:
     """Advance init over [t0, t0 + T] in steps of dt.
 
     T must be an integer multiple of dt so the trajectory stays uniform.
-    Vacuum and blowup errors propagate with the failing time attached.
+    The step bound is checked before the first tendency is evaluated, so an
+    unstable dt fails before any arithmetic on the state. Vacuum and blowup
+    errors propagate with the failing time attached.
     """
     if not (T > 0.0 and dt > 0.0):
         raise ValueError("T and dt must be positive")
     nsteps = int(round(T / dt))
     if nsteps < 1 or abs(nsteps * dt - T) > 1e-9 * max(1.0, T):
         raise ValueError(f"T = {T} is not an integer multiple of dt = {dt}")
+    _check_step(init, p, dt)
     states = [init]
     tendencies = [sw_rhs(init, p)]
     s = init

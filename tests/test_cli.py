@@ -4,6 +4,7 @@ import json
 import math
 import re
 import threading
+import warnings
 
 import pytest
 
@@ -287,3 +288,17 @@ def test_study_without_a_finite_step_count_maps_to_exit_3(tmp_path, capsys, Re):
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and "Traceback" not in err
     assert "no finite step count" in err
+
+
+def test_unstable_step_fails_before_any_tendency(tmp_path, capsys):
+    # 1/Re = inf: the step bound rejects dt before sw_rhs multiplies by it
+    cfg = _config(tmp_path, {"params": {"Re": 5e-324}})
+    assert run("validate", cfg) == 0
+    for sub in ("sw", "ansatz", "lagrangian"):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main([sub, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 3
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and "Traceback" not in err
+        assert "exceeds the stability bound" in err

@@ -41,7 +41,7 @@ def test_grid_rejects_bad_arguments(bad):
 def test_grid_nodes_and_wavenumbers():
     g = Grid(1, 8)
     assert np.allclose(g.nodes, np.arange(8) * TWO_PI / 8)
-    # integer wavenumbers on the 2 pi torus, fftn layout
+    # integer wavenumbers on the 2 pi torus, full axis layout
     assert np.allclose(np.sort(g.axis_wavenumbers), [-4, -3, -2, -1, 0, 1, 2, 3])
 
 
@@ -132,9 +132,10 @@ def test_spectral_roundtrip_and_reality():
     g = Grid(1, 64)
     rng = np.random.default_rng(0)
     f = HField(g, rng.standard_normal(64))
+    assert f.spec.shape == g.spec_shape == (33,)
     back = HField.from_spec(g, f.spec)
+    assert back.values.dtype == np.float64  # real by construction
     assert np.abs(back.values - f.values).max() < 1e-12
-    assert f.reality_defect() < 1e-12
 
 
 def test_eval_at_nodes_reproduces_values():
@@ -163,13 +164,15 @@ def test_eval_at_2d():
 
 
 def _eval_reference(f, points):
-    """Full complex sum over the fftn layout, one exp per phase.
+    """Full complex sum over the full (fftn) spectrum, one exp per phase.
 
-    It reads a Nyquist slot as exp(-i N x / 2), so it agrees with eval_at
-    only on fields without Nyquist content.
+    The full coefficients come from np.fft.fftn here, independent of the
+    half layout. It reads a Nyquist slot as exp(-i N x / 2), so it agrees
+    with eval_at only on fields without Nyquist content.
     """
-    c = f.coefficients
-    kappa = f.grid.axis_wavenumbers
+    g = f.grid
+    c = np.fft.fftn(f.values, axes=tuple(range(-g.n, 0))) / g.N**g.n
+    kappa = TWO_PI * np.fft.fftfreq(g.N, d=g.dx)
     phases = [np.exp(1j * np.outer(points[:, a], kappa)) for a in range(f.grid.n)]
     if f.grid.n == 1:
         out = np.tensordot(c, phases[0], axes=([-1], [1]))
@@ -204,7 +207,8 @@ def test_eval_at_fine_nodes_is_to_fine(n, N):
 
 
 def test_fft_is_called_only_in_grids():
-    # the Fourier layout has one home; the rfft layout switch edits one module
+    # the Fourier layout has one home, and that home uses only the real-input
+    # transforms: no second (complex, full) layout next to the half one
     src = Path(__file__).resolve().parents[1] / "src" / "thinlayer"
     pattern = re.compile(r"\b(np|numpy)\.fft\b|from numpy import fft")
     hits = [
@@ -215,35 +219,93 @@ def test_fft_is_called_only_in_grids():
         if pattern.search(line)
     ]
     assert sorted(src.glob("*.py")) and hits == []
+    text = (src / "grids.py").read_text(encoding="utf-8")
+    assert "import fft" not in text and "fft import" not in text
+    calls = re.findall(r"\b(?:np|numpy)\.fft\.(\w+)", text)
+    assert calls and set(calls) <= {"rfft", "irfft", "rfftn", "irfftn"}
+    assert len(re.findall(r"\b(?:np|numpy)\.fft\b", text)) == len(calls)
+
+
+def _full_resize(spec, axes, size):
+    """Zero-pad or truncate full (fftn) spectra along axes to size modes:
+    padding splits the Nyquist slot symmetrically, truncation folds the
+    +-N/2 pair back into it. The full-layout reference of grids' padding."""
+    for axis in axes:
+        spec = np.moveaxis(spec, axis, 0)
+        n = spec.shape[0]
+        half = min(n, size) // 2
+        out = np.zeros((size,) + spec.shape[1:], dtype=complex)
+        out[:half] = spec[:half]
+        out[1 - half :] = spec[1 - half :]
+        if size > n:
+            out[half] = out[-half] = 0.5 * spec[half]
+        else:
+            out[half] = spec[half] + spec[-half]
+        spec = np.moveaxis(out, 0, axis)
+    return spec
+
+
+def _half_resize(g, spec, size):
+    """grids' padding or truncation of half spectra to size points per axis."""
+    if g.n == 2:
+        spec = grids._resize_axis(spec, -2, size)
+    return grids._resize_half(spec, size, g.n == 2)
 
 
 @pytest.mark.parametrize("n,N", [(1, 64), (2, 16)])
-def test_transforms_equal_fftn_bit_for_bit(n, N):
-    # the 1D shortcut through fft/ifft changes no bit of the fftn results
+def test_transforms_equal_rfftn_bit_for_bit(n, N):
+    # the 1D shortcut through rfft/irfft changes no bit of the rfftn results
     g = Grid(n, N)
     axes = tuple(range(-n, 0))
+    size = grids.PAD * N
     rng = np.random.default_rng(5)
     f = HField(g, rng.standard_normal(g.shape))
-    assert np.array_equal(f.spec, np.fft.fftn(f.values, axes=axes))
+    assert np.array_equal(f.spec, np.fft.rfftn(f.values, axes=axes))
     back = HField.from_spec(g, f.spec).values
-    assert np.array_equal(back, np.fft.ifftn(f.spec, axes=axes).real)
-    stack = np.fft.fftn(rng.standard_normal((3, 2) + g.shape), axes=axes)
+    assert np.array_equal(back, np.fft.irfftn(f.spec, g.shape, axes=axes))
+    stack = np.fft.rfftn(rng.standard_normal((3, 2) + g.shape), axes=axes)
     fine = grids._spec_to_fine(g, stack)
-    padded = stack
-    for a in axes:
-        padded = grids._resize_axis(padded, a, grids.PAD * N)
-    assert np.array_equal(fine, np.fft.ifftn(padded, axes=axes).real * grids.PAD**n)
-    back = np.fft.fftn(fine, axes=axes)
-    for a in axes:
-        back = grids._resize_axis(back, a, N)
+    padded = _half_resize(g, stack, size)
+    assert np.array_equal(fine, np.fft.irfftn(padded, (size,) * n, axes=axes) * grids.PAD**n)
+    back = _half_resize(g, np.fft.rfftn(fine, axes=axes), N)
     assert np.array_equal(grids._fine_to_spec(g, fine), back / grids.PAD**n)
+
+
+@pytest.mark.parametrize("n,N", [(1, 16), (2, 8), (2, 16)])
+def test_half_layout_nyquist_matches_full_layout(n, N):
+    # Nyquist content on every axis. Padding and truncation are exact
+    # inverses on the half layout; padding matches the full layout's
+    # symmetric split, and the half-layout fold S[k1, N/2] + conj(S[-k1, N/2])
+    # matches the full layout's fold of the +-N/2 pair, both built here on
+    # np.fft.fftn spectra
+    g = Grid(n, N)
+    axes = tuple(range(-n, 0))
+    size = grids.PAD * N
+    rng = np.random.default_rng(N + n)
+    values = rng.standard_normal((3,) + g.shape)
+    spec = np.fft.rfftn(values, axes=axes)
+    for a in axes:
+        assert np.abs(np.take(spec, N // 2, axis=a)).min() > 1e-3
+    again = grids._fine_to_spec(g, grids._spec_to_fine(g, spec))
+    assert np.abs(again - spec).max() <= 1e-14 * np.abs(spec).max()
+
+    padded = _full_resize(np.fft.fftn(values, axes=axes), axes, size)
+    want = np.fft.ifftn(padded, axes=axes).real * grids.PAD**n
+    assert np.abs(grids._spec_to_fine(g, spec) - want).max() <= 1e-14 * np.abs(want).max()
+
+    fine = rng.standard_normal((3,) + (size,) * n)
+    full = _full_resize(np.fft.fftn(fine, axes=axes), axes, N) / grids.PAD**n
+    half = grids._fine_to_spec(g, fine)
+    assert half.shape == (3,) + g.spec_shape
+    assert np.abs(half - full[..., : N // 2 + 1]).max() <= 1e-14 * np.abs(full).max()
 
 
 @pytest.mark.parametrize("n,N", [(1, 16), (2, 8)])
 def test_ik_is_read_only_first_derivative(n, N):
     g = Grid(n, N)
     ik = g.ik
-    assert ik.shape == (n,) + g.shape and g.ik is ik
+    assert ik.shape == (n,) + g.spec_shape and g.ik is ik
+    assert g.spec_shape == (N,) * (n - 1) + (N // 2 + 1,)
     assert not ik.flags.writeable
     with pytest.raises(ValueError):
         ik[0] = 0.0

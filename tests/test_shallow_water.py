@@ -100,7 +100,18 @@ def test_rhs_flat_depth_single_mode():
 
     adv = sin x cos x, D(u0) = 2 cos x, div(h0 D) = -2 sin x,
     2 grad(h0 div u0) = -2 sin x, so
-    dtu0 = -sin x cos x - (4 + gamma_bar) sin x / Re.
+    dtu0 = -sin x cos x - (4 + gamma_bar) sin x / Re
+         = -sin(2x) / 2 - (4 + gamma_bar) sin x / Re.
+
+    dtu0 is checked mode by mode. Its answer modes k = 1, 2 must match their
+    exact coefficients to 1e-15. Every other mode must stay below the
+    rounding floor of a second spectral derivative, eps_mach (1 + k^2)
+    max|dtu0|: the viscous terms differentiate twice, so the rounding noise
+    of mode k grows like k^2, and the real inverse transform keeps all of it.
+    A nodal bound of 1e-13 sat on that floor, with its largest error from
+    the band-edge modes 20 and 21. A wrong viscous factor (3 for 4) or a
+    dropped gamma_bar moves mode 1 by 0.25 or 0.125, some fourteen orders of
+    magnitude above its bound.
     """
     g = Grid(1, 64)
     p = Params(F=1.0, Re=2.0, gamma_bar=0.5, eps=0.1)
@@ -109,7 +120,15 @@ def test_rhs_flat_depth_single_mode():
     x = g.nodes
     assert np.abs(dth.values + np.cos(x)).max() < 1e-13
     want = -np.sin(x) * np.cos(x) - (4.0 + p.gamma_bar) * np.sin(x) / p.Re
-    assert np.abs(dtu.values[0] - want).max() < 1e-13
+    c = np.fft.rfft(dtu.values[0]) / g.N
+    # sin(kx) has coefficient -i/2 at mode k
+    exact = {1: 0.5j * (4.0 + p.gamma_bar) / p.Re, 2: 0.25j}
+    for k, ck in exact.items():
+        assert abs(c[k] - ck) <= 1e-15
+    k = np.arange(c.size)
+    floor = np.finfo(float).eps * (1.0 + k**2) * np.abs(want).max()
+    rest = ~np.isin(k, list(exact))
+    assert np.all(np.abs(c[rest]) <= floor[rest])
 
 
 def test_rhs_two_dimensional_shear():

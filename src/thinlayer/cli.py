@@ -177,14 +177,12 @@ def _study_report(cfg):
     )
 
 
-def _run_residuals(cfg, out: Path) -> list:
-    report = _study_report(cfg)
+def _run_residuals(report, out: Path) -> list:
     header = ["eps", "kind", "component", "norm_sup", "norm_l2"]
     return [write_csv(out / "residual_records.csv", header, report.records)]
 
 
-def _run_study(cfg, out: Path) -> list:
-    report = _study_report(cfg)
+def _run_study(report, out: Path) -> list:
     files = [
         write_csv(
             out / "study_records.csv",
@@ -294,6 +292,10 @@ def _run_lagrangian(cfg, out: Path) -> list:
     ]
 
 
+# Pipelines that write the convergence study; they take its report, which
+# one run computes once, instead of the config.
+STUDY_PIPELINES = ("residuals", "study")
+
 PIPELINES = {
     "sw": _run_sw,
     "ansatz": _run_ansatz,
@@ -338,9 +340,15 @@ def run(subcommand: str, config_path, out=None, threads=None) -> int:
 
     names = list(PIPELINES) if subcommand == "all" else [subcommand]
     emitted = []
+    report = None
     try:
         for name in names:
-            emitted += PIPELINES[name](cfg, out_dir)
+            if name in STUDY_PIPELINES:
+                if report is None:
+                    report = _study_report(cfg)
+                emitted += PIPELINES[name](report, out_dir)
+            else:
+                emitted += PIPELINES[name](cfg, out_dir)
     except NUMERICAL_FAILURES as exc:
         print(f"numerical failure in {subcommand}: {exc}", file=sys.stderr)
         return 3

@@ -21,6 +21,13 @@ to_fine; its phases are integer powers of one exponential per point and
 axis. This is the only module that transforms, and it uses only numpy's
 real-input transforms: other modules take spectra, coefficients, derivative
 symbols, Parseval sums and off-grid values from here.
+
+Padded transforms run either on fresh buffers or in a FineWork: padded
+half spectra zeroed once, fine nodal fields and fine half spectra, which
+the transforms fill through numpy's out= arguments. A FineWork belongs to
+one loop of its caller (shallow_water.sw_solve builds one per solve for
+every sw_rhs call and drops it on return), and no array of it is ever
+returned: _fine_to_spec truncates into fresh N-band spectra.
 """
 from __future__ import annotations
 
@@ -40,17 +47,19 @@ MAX_DERIV_ORDER = 4
 PAD = 2
 
 
-def _rfft(a: np.ndarray, n: int) -> np.ndarray:
-    """Half spectrum over the last n axes; in 1D, rfft skips rfftn's argument
-    handling."""
-    return np.fft.rfft(a) if n == 1 else np.fft.rfftn(a, axes=tuple(range(-n, 0)))
-
-
-def _irfft(a: np.ndarray, n: int, size: int) -> np.ndarray:
-    """Inverse of _rfft onto size points per axis."""
+def _rfft(a: np.ndarray, n: int, out: np.ndarray | None = None) -> np.ndarray:
+    """Half spectrum over the last n axes, written into out when given; in
+    1D, rfft skips rfftn's argument handling."""
     if n == 1:
-        return np.fft.irfft(a, size)
-    return np.fft.irfftn(a, (size,) * n, axes=tuple(range(-n, 0)))
+        return np.fft.rfft(a, out=out)
+    return np.fft.rfftn(a, axes=tuple(range(-n, 0)), out=out)
+
+
+def _irfft(a: np.ndarray, n: int, size: int, out: np.ndarray | None = None) -> np.ndarray:
+    """Inverse of _rfft onto size points per axis, written into out when given."""
+    if n == 1:
+        return np.fft.irfft(a, size, out=out)
+    return np.fft.irfftn(a, (size,) * n, axes=tuple(range(-n, 0)), out=out)
 
 
 def _is_power_of_two(m: int) -> bool:
@@ -390,65 +399,102 @@ def div(v: HField) -> HField:
 # -- dealiasing by zero padding ---------------------------------------------
 
 
-def _resize_axis(spec: np.ndarray, axis: int, size: int) -> np.ndarray:
-    """Zero-pad or truncate one full-layout axis (counted from the end) to
-    size modes.
-
-    Padding splits the Nyquist slot symmetrically to keep the spectrum
-    Hermitian; truncation, its adjoint, folds the +-N/2 pair back into it.
-    """
-    n = spec.shape[axis]
-    half = min(n, size) // 2
-
-    def at(idx):
-        return (..., idx) + (slice(None),) * (-axis - 1)
-
-    shape = list(spec.shape)
-    shape[axis] = size
-    out = np.zeros(shape, dtype=complex)
-    out[at(slice(0, half))] = spec[at(slice(0, half))]
-    out[at(slice(1 - half, None))] = spec[at(slice(1 - half, None))]
-    if size > n:
-        out[at(half)] = out[at(-half)] = 0.5 * spec[at(half)]
-    else:
-        out[at(half)] = spec[at(half)] + spec[at(-half)]
-    return out
-
-
-def _resize_half(spec: np.ndarray, size: int, lead: bool) -> np.ndarray:
-    """Zero-pad or truncate the half (last) axis to the modes 0..size/2.
-
-    Padding halves the Nyquist column; the conjugate column at -N/2, which
-    the half layout leaves implicit, holds the other half. Truncation folds
-    the +-N/2 pair back into it, S[k1, N/2] + conj(S[-k1, N/2]), where k1
-    runs over the leading axis when lead is set.
-    """
-    half = min(spec.shape[-1] - 1, size // 2)
-    out = np.zeros(spec.shape[:-1] + (size // 2 + 1,), dtype=complex)
-    out[..., :half] = spec[..., :half]
-    col = spec[..., half]
-    if size // 2 > half:
-        out[..., half] = 0.5 * col
-    else:
-        mirror = col[..., -np.arange(col.shape[-1]) % col.shape[-1]] if lead else col
-        out[..., half] = col + mirror.conj()
-    return out
-
-
-def _spec_to_fine(grid: Grid, spec: np.ndarray) -> np.ndarray:
-    """Fine-grid nodal values of spectra stacked on any leading axes."""
+def _fine_spec_shape(grid: Grid) -> tuple[int, ...]:
+    """Half-spectrum shape of the PAD-fine grid."""
     size = PAD * grid.N
-    if grid.n == 2:
-        spec = _resize_axis(spec, -2, size)
-    return _irfft(_resize_half(spec, size, grid.n == 2), grid.n, size) * PAD**grid.n
+    return (size,) * (grid.n - 1) + (size // 2 + 1,)
 
 
-def _fine_to_spec(grid: Grid, fine_values: np.ndarray) -> np.ndarray:
-    """Spectra on grid of fine-grid nodal values stacked on any leading axes."""
-    spec = _rfft(fine_values, grid.n)
+class FineWork:
+    """Fine-grid work area for stacks of padded fields.
+
+    padded holds npadded padded half spectra and is zeroed once:
+    _spec_to_fine writes only the retained block and its split Nyquist
+    slots, the same entries on every call, so the zero band stays zero. fine
+    holds nfine nodal fields on the PAD-fine grid and spec nspec fine half
+    spectra. A caller that transforms in a loop builds one work area, hands
+    slices of it to _spec_to_fine and _fine_to_spec, and drops it when the
+    loop ends; the spectra _fine_to_spec returns are always fresh arrays.
+    """
+
+    __slots__ = ("padded", "fine", "spec")
+
+    def __init__(self, grid: Grid, npadded: int, nfine: int, nspec: int):
+        shape = _fine_spec_shape(grid)
+        self.padded = np.zeros((npadded,) + shape, dtype=complex)
+        self.fine = np.empty((nfine,) + (PAD * grid.N,) * grid.n)
+        self.spec = np.empty((nspec,) + shape, dtype=complex)
+
+
+def _pad(grid: Grid, spec: np.ndarray, padded: np.ndarray) -> None:
+    """Write spectra into the retained block of a zeroed padded buffer.
+
+    The Nyquist row (2D) and column are split symmetrically, half at +N/2
+    and half at -N/2, to keep the spectrum Hermitian; on the half axis the
+    -N/2 half is implicit.
+    """
+    h = grid.N // 2
     if grid.n == 2:
-        spec = _resize_axis(spec, -2, grid.N)
-    return _resize_half(spec, grid.N, grid.n == 2) / PAD**grid.n
+        padded[..., : h + 1, : h + 1] = spec[..., : h + 1, :]
+        padded[..., 1 - h :, : h + 1] = spec[..., 1 - h :, :]
+        padded[..., h, : h + 1] *= 0.5
+        padded[..., -h, : h + 1] = padded[..., h, : h + 1]
+    else:
+        padded[..., : h + 1] = spec
+    padded[..., h] *= 0.5
+
+
+def _truncate(grid: Grid, spec: np.ndarray) -> np.ndarray:
+    """Fresh N-band copy of fine half spectra, the adjoint of _pad.
+
+    The +-N/2 pair of each axis folds back into its Nyquist slot: S[N/2] +
+    S[-N/2] on the leading axis in 2D, and on the half axis S[k1, N/2] +
+    conj(S[-k1, N/2]), where k1 runs over the leading axis in 2D.
+    """
+    h = grid.N // 2
+    out = np.empty(spec.shape[: -grid.n] + grid.spec_shape, dtype=complex)
+    if grid.n == 2:
+        out[..., :h, :] = spec[..., :h, : h + 1]
+        out[..., h + 1 :, :] = spec[..., 1 - h :, : h + 1]
+        np.add(spec[..., h, : h + 1], spec[..., -h, : h + 1], out=out[..., h, :])
+        col = out[..., h]
+        out[..., h] = col + col[..., -np.arange(grid.N) % grid.N].conj()
+    else:
+        out[...] = spec[..., : h + 1]
+        out[..., h] += spec[..., h].conj()
+    return out
+
+
+def _spec_to_fine(
+    grid: Grid,
+    spec: np.ndarray,
+    padded: np.ndarray | None = None,
+    out: np.ndarray | None = None,
+) -> np.ndarray:
+    """Fine-grid nodal values of spectra stacked on any leading axes.
+
+    padded, a FineWork.padded slice, receives the padded spectra and out,
+    a FineWork.fine slice, the values; both are fresh when not given.
+    """
+    if padded is None:
+        padded = np.zeros(spec.shape[: -grid.n] + _fine_spec_shape(grid), dtype=complex)
+    _pad(grid, spec, padded)
+    fine = _irfft(padded, grid.n, PAD * grid.N, out)
+    fine *= PAD**grid.n
+    return fine
+
+
+def _fine_to_spec(
+    grid: Grid, fine_values: np.ndarray, spec: np.ndarray | None = None
+) -> np.ndarray:
+    """Spectra on grid of fine-grid nodal values stacked on any leading axes.
+
+    spec, a FineWork.spec slice, receives the fine spectra; the returned
+    N-band spectra are fresh either way.
+    """
+    out = _truncate(grid, _rfft(fine_values, grid.n, spec))
+    out /= PAD**grid.n
+    return out
 
 
 def to_fine(f: HField) -> np.ndarray:

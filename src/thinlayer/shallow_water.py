@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grids import Grid, HField, _fine_to_spec, _spec_to_fine
+from .grids import FineWork, Grid, HField, _fine_to_spec, _spec_to_fine
 
 __all__ = [
     "Params",
@@ -130,7 +130,22 @@ def sym_grad(u: HField) -> list[list[HField]]:
     return [[du[i][a] + du[a][i] for a in range(n)] for i in range(n)]
 
 
-def sw_rhs(s: SWState, p: Params) -> tuple[HField, HField]:
+def _nprod(n: int) -> int:
+    """Products sw_rhs forms on the padded grid: h0 u0, the advection,
+    h0^2, h0 div u0 and h0 D(u0)."""
+    return n * n + 2 * n + 2
+
+
+def _rhs_work(grid: Grid) -> FineWork:
+    """Work area of sw_rhs: padded spectra of its 1 + n + n^2 inputs (h0,
+    u0, grad u0); fine slots for its products followed by the inputs; fine
+    spectra of its products."""
+    n = grid.n
+    nin = 1 + n + n * n
+    return FineWork(grid, nin, _nprod(n) + nin, _nprod(n))
+
+
+def sw_rhs(s: SWState, p: Params, work: FineWork | None = None) -> tuple[HField, HField]:
     """Tendencies (dth0, dtu0) of the depth/velocity system.
 
     dth0 = -div(h0 u0)
@@ -142,14 +157,18 @@ def sw_rhs(s: SWState, p: Params) -> tuple[HField, HField]:
     operator, effective viscosity about 4 max(h0) / Re, would outrun the
     advertised step bound).
 
-    The transforms are batched. The inputs enter through their cached
-    spectra (h0.spec, u0.spec), which later readers of the state such as
-    sw_energy reuse; from there every field, product and quotient
-    is stacked and moved between the spectral, padded and nodal
-    representations with one transform per stage (five). The projections are
-    those of the HField product/derivative path: each quadratic product and
-    each quotient by h0 is formed on the padded grid and truncated to the
-    N-mode band before it is differentiated or combined, so the two agree to
+    The transforms are batched, one per stage (five). The inputs enter
+    through their cached spectra (h0.spec, u0.spec), which later readers of
+    the state such as sw_energy reuse. The padded stages live in work, the
+    area sw_solve builds once per solve (a fresh one when work is None): the
+    fine fields h0, u0 and grad u0 sit behind the product slots, the
+    products are formed in place and transformed from there, and the two
+    quotients by h0 reuse the first 2n padded and product slots, which are
+    spent by then. Only the truncated spectra and the returned tendencies
+    are fresh arrays; nothing of work is returned. The projections are those
+    of the HField product/derivative path: each quadratic product and each
+    quotient by h0 is formed on the padded grid and truncated to the N-mode
+    band before it is differentiated or combined, so the two agree to
     rounding.
     """
     h0, u0 = s.h0, s.u0
@@ -157,32 +176,44 @@ def sw_rhs(s: SWState, p: Params) -> tuple[HField, HField]:
     n = g.n
     if h0.values.min() <= 0.0:
         raise DegenerateStateError("depth must stay positive")
+    if work is None:
+        work = _rhs_work(g)
     ik = g.ik  # ik[a] = d/dx_a
 
     state = np.concatenate([h0.spec[None], u0.spec])
     U = state[1:]
     dU = U[:, None] * ik  # dU[i, a] = d u_i / d x_a
+    stage = np.concatenate([state, dU.reshape((n * n,) + g.spec_shape)])
 
-    fine = _spec_to_fine(g, np.concatenate([state, dU.reshape((n * n,) + g.spec_shape)]))
+    nprod = _nprod(n)
+    fine = _spec_to_fine(g, stage, work.padded[: len(stage)], work.fine[nprod:])
     hf, uf = fine[0], fine[1 : 1 + n]
     duf = fine[1 + n :].reshape((n, n) + hf.shape)
-    Df = duf + duf.swapaxes(0, 1)
-    divf = np.trace(duf)
-    prods = _fine_to_spec(g, np.concatenate([
-        hf * uf,
-        (uf * duf).sum(axis=1),
-        (hf * hf)[None],
-        (hf * divf)[None],
-        (hf * Df).reshape((n * n,) + hf.shape),
-    ]))
-    hu, adv = prods[:n], prods[n : 2 * n]
-    hh, hdiv = prods[2 * n], prods[2 * n + 1]
-    hD = prods[2 * n + 2 :].reshape((n, n) + g.spec_shape)
+    prods = work.fine[:nprod]  # h0 u0 | (u0 . grad) u0 | h0^2 | h0 div u0 | h0 D(u0)
+    np.multiply(hf, uf, out=prods[:n])
+    adv = prods[n : 2 * n]
+    hD = prods[2 * n + 2 :].reshape(duf.shape)
+    np.multiply(uf[0], duf[:, 0], out=adv)
+    for a in range(1, n):  # hD[0] is scratch until h0 D(u0) is formed
+        np.multiply(uf[a], duf[:, a], out=hD[0])
+        adv += hD[0]
+    np.multiply(hf, hf, out=prods[2 * n])
+    np.trace(duf, out=prods[2 * n + 1])
+    prods[2 * n + 1] *= hf
+    np.add(duf, duf.swapaxes(0, 1), out=hD)
+    hD *= hf
+    spec = _fine_to_spec(g, prods, work.spec)
+    hu, adv = spec[:n], spec[n : 2 * n]
+    hh, hdiv = spec[2 * n], spec[2 * n + 1]
+    hD = spec[2 * n + 2 :].reshape((n, n) + g.spec_shape)
 
     dth0 = -(ik * hu).sum(axis=0)
     gradp = ik * hh * (0.5 / p.F**2)
     visc = (hD * ik).sum(axis=1) + 2.0 * ik * hdiv - p.gamma_bar * U
-    quot = _fine_to_spec(g, _spec_to_fine(g, np.concatenate([gradp, visc])) / hf)
+    q = work.fine[: 2 * n]
+    _spec_to_fine(g, np.concatenate([gradp, visc]), work.padded[: 2 * n], q)
+    q /= hf
+    quot = _fine_to_spec(g, q, work.spec[: 2 * n])
     dtu0 = -adv - quot[:n] + quot[n:] * (1.0 / p.Re)
 
     out = HField.from_spec(g, np.concatenate([dth0[None], dtu0]) * g.dealias_keep).values
@@ -211,23 +242,28 @@ def _advanced(s: SWState, w: float, kh: HField, ku: HField) -> SWState:
 
 
 def sw_step(
-    s: SWState, p: Params, dt: float, k1: tuple[HField, HField] | None = None
+    s: SWState,
+    p: Params,
+    dt: float,
+    k1: tuple[HField, HField] | None = None,
+    work: FineWork | None = None,
 ) -> SWState:
     """One explicit RK4 step of length dt.
 
     dt must respect the stable_dt bound. The new state is checked for
     finiteness and against the vacuum floor. k1 is sw_rhs(s, p) when the
     caller already holds it (first same as last); it is evaluated otherwise.
+    work is the sw_rhs work area of the caller's solve, if it keeps one.
     """
     dt = float(dt)
     if not dt > 0.0:
         raise ValueError(f"dt must be positive, got {dt}")
     _check_step(s, p, dt)
 
-    k1h, k1u = sw_rhs(s, p) if k1 is None else k1
-    k2h, k2u = sw_rhs(_advanced(s, 0.5 * dt, k1h, k1u), p)
-    k3h, k3u = sw_rhs(_advanced(s, 0.5 * dt, k2h, k2u), p)
-    k4h, k4u = sw_rhs(_advanced(s, dt, k3h, k3u), p)
+    k1h, k1u = sw_rhs(s, p, work) if k1 is None else k1
+    k2h, k2u = sw_rhs(_advanced(s, 0.5 * dt, k1h, k1u), p, work)
+    k3h, k3u = sw_rhs(_advanced(s, 0.5 * dt, k2h, k2u), p, work)
+    k4h, k4u = sw_rhs(_advanced(s, dt, k3h, k3u), p, work)
     c = dt / 6.0
     h_new = s.h0 + c * (k1h + 2.0 * (k2h + k3h) + k4h)
     u_new = s.u0 + c * (k1u + 2.0 * (k2u + k3u) + k4u)
@@ -331,7 +367,8 @@ def sw_solve(init: SWState, p: Params, T: float, dt: float) -> SWTrajectory:
     T must be an integer multiple of dt so the trajectory stays uniform.
     The step bound is checked before the first tendency is evaluated, so an
     unstable dt fails before any arithmetic on the state. Vacuum and blowup
-    errors propagate with the failing time attached.
+    errors propagate with the failing time attached. One sw_rhs work area
+    serves every tendency of the solve and is dropped when it returns.
     """
     if not (T > 0.0 and dt > 0.0):
         raise ValueError("T and dt must be positive")
@@ -339,13 +376,14 @@ def sw_solve(init: SWState, p: Params, T: float, dt: float) -> SWTrajectory:
     if nsteps < 1 or abs(nsteps * dt - T) > 1e-9 * max(1.0, T):
         raise ValueError(f"T = {T} is not an integer multiple of dt = {dt}")
     _check_step(init, p, dt)
+    work = _rhs_work(init.grid)
     states = [init]
-    tendencies = [sw_rhs(init, p)]
+    tendencies = [sw_rhs(init, p, work)]
     s = init
     for _ in range(nsteps):
-        s = sw_step(s, p, dt, k1=tendencies[-1])
+        s = sw_step(s, p, dt, k1=tendencies[-1], work=work)
         states.append(s)
-        tendencies.append(sw_rhs(s, p))
+        tendencies.append(sw_rhs(s, p, work))
     return SWTrajectory(states, tendencies, dt)
 
 

@@ -8,7 +8,9 @@ import warnings
 
 import pytest
 
+from thinlayer import cli
 from thinlayer.cli import main, run
+from thinlayer.residuals import convergence_study
 from thinlayer.reports import MANIFEST_NAME, file_sha256
 
 # Small domain and short horizons so the whole battery stays quick; every
@@ -188,6 +190,21 @@ def test_manifest_covers_every_artifact(tmp_path):
     for entry in manifest["files"]:
         assert entry["sha256"] == file_sha256(out / entry["name"])
     assert len(manifest["config_sha256"]) == 64
+
+
+def test_all_computes_the_convergence_study_once(tmp_path, monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return convergence_study(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "convergence_study", counted)
+    out = tmp_path / "out"
+    assert run("all", _config(tmp_path), out=out) == 0
+    assert len(calls) == 1
+    residual = (out / "residual_records.csv").read_bytes()
+    assert residual and residual == (out / "study_records.csv").read_bytes()
 
 
 # columns whose cells are labels; every other CSV cell is a number

@@ -246,10 +246,23 @@ def _full_resize(spec, axes, size):
 
 
 def _half_resize(g, spec, size):
-    """grids' padding or truncation of half spectra to size points per axis."""
+    """Zero-pad or truncate half (rfftn) spectra to size points per axis, one
+    axis at a time into fresh arrays: the leading axis in 2D as in
+    _full_resize, then the half axis, whose padding halves the Nyquist
+    column and whose truncation folds it as S[k1, N/2] + conj(S[-k1, N/2]).
+    The reference of grids' in-place padding and its truncation."""
     if g.n == 2:
-        spec = grids._resize_axis(spec, -2, size)
-    return grids._resize_half(spec, size, g.n == 2)
+        spec = _full_resize(spec, (-2,), size)
+    half = min(spec.shape[-1] - 1, size // 2)
+    out = np.zeros(spec.shape[:-1] + (size // 2 + 1,), dtype=complex)
+    out[..., :half] = spec[..., :half]
+    col = spec[..., half]
+    if size // 2 > half:
+        out[..., half] = 0.5 * col
+    else:
+        mirror = col[..., -np.arange(col.shape[-1]) % col.shape[-1]] if g.n == 2 else col
+        out[..., half] = col + mirror.conj()
+    return out
 
 
 @pytest.mark.parametrize("n,N", [(1, 64), (2, 16)])

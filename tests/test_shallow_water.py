@@ -1,4 +1,7 @@
 """Depth/velocity system: symbolic tendencies, conservation, convergence."""
+import tracemalloc
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,7 +9,8 @@ from hypothesis import strategies as st
 
 import thinlayer
 from conftest import loglog_slope
-from thinlayer.grids import Grid, HField, div, grad, nonlinear
+from thinlayer import shallow_water
+from thinlayer.grids import FineWork, Grid, HField, div, grad, nonlinear
 from thinlayer.shallow_water import (
     DegenerateStateError,
     Params,
@@ -349,6 +353,73 @@ def test_solve_reuses_stored_tendency():
         assert np.abs(state.u0.values - s.u0.values).max() <= 1e-15
         for got, want in zip(traj.tendencies[i], sw_rhs(state, p)):
             assert np.abs(got.values - want.values).max() <= 1e-15
+
+
+@pytest.mark.parametrize("N", [16, 32])
+def test_solve_2d_tendencies_equal_standalone_rhs(N):
+    """Every tendency a 2D solve stores, each evaluated in the solve's one
+    work area, equals sw_rhs on its own fresh work area bit for bit; a
+    work-area array leaking into a returned field would be overwritten by
+    the later calls of the solve."""
+    g = Grid(2, N)
+    p = Params(F=0.8, Re=5.0, gamma_bar=0.5, eps=0.1)
+    h0 = HField.from_function(g, lambda x, y: 1.0 + 0.1 * np.cos(x) * np.sin(2 * y))
+    u0 = HField.stack([
+        HField.from_function(g, lambda x, y: 0.05 * np.sin(x + y)),
+        HField.from_function(g, lambda x, y: 0.03 * np.cos(2 * x - y)),
+    ])
+    traj = sw_solve(SWState(0.0, h0, u0), p, T=0.05, dt=0.01)
+    for state, stored in zip(traj.states, traj.tendencies):
+        for got, want in zip(stored, sw_rhs(state, p)):
+            assert np.array_equal(got.values, want.values)
+
+
+def _solve_10_steps_2d():
+    g = Grid(2, 32)
+    p = Params(F=0.8, Re=5.0, gamma_bar=0.5, eps=0.1)
+    init = initial_wave(g, amplitude=0.1, velocity_amplitude=0.05)
+    return sw_solve(init, p, T=0.01, dt=0.001)
+
+
+def test_solve_allocates_no_padded_stage_per_rhs():
+    """tracemalloc peak of a 10-step 2D N = 32 solve, less its one sw_rhs
+    work area, stays within 1.5 MB.
+
+    What remains (about 1.29 MB) is the trajectory the solve returns, with
+    its initial state (about 0.84 MB), and the transients of one sw_rhs call
+    (numpy's own transform buffers, the truncated spectra, the returned
+    tendencies: about 0.44 MB). An sw_rhs that allocated its padded stages
+    per call again read about 2.3 MB, and a solve that stopped handing its
+    work area down adds about 1.1 MB per extra work area.
+    """
+    work = shallow_water._rhs_work(Grid(2, 32))
+    area = work.padded.nbytes + work.fine.nbytes + work.spec.nbytes
+    del work
+    _solve_10_steps_2d()  # cached grid symbols, first-call imports
+    tracemalloc.start()
+    try:
+        _solve_10_steps_2d()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - area <= 1.5 * 2**20
+
+
+def test_solve_drops_its_work_area(monkeypatch):
+    """sw_solve builds one work area, and none is reachable once it returns."""
+    built = []
+
+    class Recorded(FineWork):
+        __slots__ = ("__weakref__",)
+
+        def __init__(self, *args):
+            super().__init__(*args)
+            built.append(weakref.ref(self))
+
+    monkeypatch.setattr(shallow_water, "FineWork", Recorded)
+    traj = _solve_10_steps_2d()
+    assert len(built) == 1 and built[0]() is None
+    assert len(traj) == 11
 
 
 def test_trajectory_interpolation():

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -35,12 +36,7 @@ from .korn import (
     korn_sweep,
     sigma_circle,
 )
-from .lagrangian import (
-    DegenerateChartError,
-    chart_identities,
-    chart_records,
-    integrate_chart,
-)
+from .lagrangian import DegenerateChartError, chart_check, chart_records, integrate_chart
 from .probes import PROBE_TAGS, anisotropy_probe
 from .reports import write_csv, write_json, write_manifest
 from .residuals import convergence_study
@@ -139,7 +135,8 @@ def _run_sw(cfg, out: Path) -> list:
     p = _params(cfg, cfg.study["eps_list"][0])
     traj = sw_solve(_initial_state(cfg), p, sw["T"], sw["dt"])
     header = ["t", "mass", "energy", "min_h", "max_u"]
-    return [write_csv(out / "sw_diagnostics.csv", header, traj.diagnostics(p))]
+    rows = map(itemgetter(*header), traj.diagnostics(p))
+    return [write_csv(out / "sw_diagnostics.csv", header, rows)]
 
 
 def _run_ansatz(cfg, out: Path) -> list:
@@ -152,18 +149,13 @@ def _run_ansatz(cfg, out: Path) -> list:
     for name in ("u0", "u1", "u2"):
         header += _component_columns(n, name)
     header += ["w1", "w2", "w3"]
-    coords = [np.broadcast_to(c, grid.shape).reshape(-1) for c in grid.coords()]
-    cols = list(coords)
+    cols = [np.broadcast_to(c, grid.shape).reshape(-1) for c in grid.coords()]
     for fld in (a.u0, a.u1, a.u2):
         vals = fld.values if fld.is_vector else fld.values[None]
         cols += [vals[i].reshape(-1) for i in range(n)]
     for fld in (a.w1, a.w2, a.w3):
         cols.append(fld.values.reshape(-1))
-    rows = [
-        {h: float(col[j]) for h, col in zip(header, cols)}
-        for j in range(coords[0].size)
-    ]
-    return [write_csv(out / "ansatz_coefficients.csv", header, rows)]
+    return [write_csv(out / "ansatz_coefficients.csv", header, zip(*cols))]
 
 
 def _study_report(cfg):
@@ -177,22 +169,26 @@ def _study_report(cfg):
     )
 
 
+RECORD_HEADER = ["eps", "kind", "component", "norm_sup", "norm_l2"]
+TERM_HEADER = ["eps", "term", "component", "norm_sup"]
+
+
 def _run_residuals(report, out: Path) -> list:
-    header = ["eps", "kind", "component", "norm_sup", "norm_l2"]
-    return [write_csv(out / "residual_records.csv", header, report.records)]
+    rows = map(itemgetter(*RECORD_HEADER), report.records)
+    return [write_csv(out / "residual_records.csv", RECORD_HEADER, rows)]
 
 
 def _run_study(report, out: Path) -> list:
     files = [
         write_csv(
             out / "study_records.csv",
-            ["eps", "kind", "component", "norm_sup", "norm_l2"],
-            report.records,
+            RECORD_HEADER,
+            map(itemgetter(*RECORD_HEADER), report.records),
         ),
         write_csv(
             out / "study_terms.csv",
-            ["eps", "term", "component", "norm_sup"],
-            report.term_records,
+            TERM_HEADER,
+            map(itemgetter(*TERM_HEADER), report.term_records),
         ),
         write_json(
             out / "study_summary.json",
@@ -218,7 +214,7 @@ def _run_korn(cfg, out: Path) -> list:
     sweep = korn_sweep(m_grid, sigma, quad_nodes=kc["quad_nodes"])
     header = ["M", "c", "s", "lam"] + [f"eig{j}" for j in range(1, 7)] + ["cond_flag"]
     return [
-        write_csv(out / "korn_sweep.csv", header, sweep.rows),
+        write_csv(out / "korn_sweep.csv", header, map(itemgetter(*header), sweep.rows)),
         write_json(out / "korn_summary.json", sweep.summary()),
     ]
 
@@ -234,13 +230,7 @@ def _run_laplace(cfg, out: Path) -> list:
             worst_tanh = max(worst_tanh, abs(top.ratio - np.tanh(k * eps)))
             ratios.append(bot.ratio)
             rows.append(
-                {
-                    "k": k,
-                    "eps": eps,
-                    "dirichlet_ratio": top.ratio,
-                    "neumann_ratio": bot.ratio,
-                    "max_residual": max(top.residual, bot.residual),
-                }
+                (k, eps, top.ratio, bot.ratio, max(top.residual, bot.residual))
             )
     summary = {
         "max_tanh_deviation": worst_tanh,
@@ -264,7 +254,11 @@ def _run_probe(cfg, out: Path) -> list:
     )
     summaries = [rep.summary() for rep in reports]
     verdicts = {s["tag"]: {"verdict": s["verdict"], "spread": s["spread"]} for s in summaries}
-    rows = [{"tag": s["tag"], **r} for s in summaries for r in s["rows"]]
+    rows = [
+        (s["tag"], r["eps"], r["n_samples"], r["max_ratio"], r["min_ratio"])
+        for s in summaries
+        for r in s["rows"]
+    ]
     header = ["tag", "eps", "n_samples", "max_ratio", "min_ratio"]
     return [
         write_csv(out / "probe_ratios.csv", header, rows),
@@ -280,11 +274,9 @@ def _run_lagrangian(cfg, out: Path) -> list:
     p = _params(cfg, eps)
     traj = sw_solve(_initial_state(cfg, flat=True), p, sw["T"], sw["dt"])
     chart = integrate_chart(traj, eps)
-    ids = chart_identities(chart, traj)
-    rows = chart_records(chart, traj)
-    header = list(rows[0].keys()) if rows else []
+    ids, defect = chart_check(chart, traj)
     return [
-        write_csv(out / "lagrangian_chart.csv", header, rows),
+        write_csv(out / "lagrangian_chart.csv", *chart_records(chart, defect)),
         write_json(
             out / "lagrangian_summary.json",
             {"height_identity_sup": ids["height"], "volume_identity_sup": ids["volume"]},

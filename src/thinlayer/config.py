@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -109,7 +111,13 @@ def _merge_defaults(tree: dict) -> dict:
 
 
 def _is_num(v) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
+    """A finite int or float: json parses NaN, Infinity and 1e400 as floats,
+    and an integer literal may lie beyond the float range."""
+    return (
+        isinstance(v, (int, float))
+        and not isinstance(v, bool)
+        and abs(v) <= sys.float_info.max
+    )
 
 
 def _is_int(v) -> bool:
@@ -148,7 +156,7 @@ def validate_tree(tree: dict) -> list:
 
     d = t["domain"]
     if _check_keys(out, d, "domain", {"n", "N", "L"}):
-        if d["n"] not in (1, 2):
+        if not _is_int(d["n"]) or d["n"] not in (1, 2):
             out.append("domain.n: must be 1 or 2")
         if not _is_int(d["N"]) or d["N"] < 8 or d["N"] & (d["N"] - 1):
             out.append("domain.N: must be a power of two >= 8")
@@ -181,14 +189,12 @@ def validate_tree(tree: dict) -> list:
         for name in ("T", "dt"):
             if not _is_num(s[name]) or s[name] <= 0.0:
                 out.append(f"sw.{name}: must be positive")
-        if (
-            _is_num(s.get("T"))
-            and _is_num(s.get("dt"))
-            and s["dt"] > 0.0
-            and abs(round(s["T"] / s["dt"]) * s["dt"] - s["T"])
-            > 1e-9 * max(1.0, s["T"])
-        ):
-            out.append("sw.T: must be an integer multiple of sw.dt")
+        if _is_num(s.get("T")) and _is_num(s.get("dt")) and s["dt"] > 0.0:
+            steps = s["T"] / s["dt"]
+            if not math.isfinite(steps):
+                out.append("sw.dt: sw.T / sw.dt overflows")
+            elif abs(round(steps) * s["dt"] - s["T"]) > 1e-9 * max(1.0, s["T"]):
+                out.append("sw.T: must be an integer multiple of sw.dt")
 
     st = t["study"]
     if _check_keys(out, st, "study", {"eps_list", "t_eval", "nz"}):
@@ -240,12 +246,14 @@ def validate_config(path) -> list:
     """Violations for the file at path; parse errors become diagnostics."""
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         return [f"cannot read {path}: {exc}"]
     try:
         tree = json.loads(text)
     except json.JSONDecodeError as exc:
         return [f"parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}"]
+    except ValueError as exc:  # an integer literal longer than int_max_str_digits
+        return [f"parse error: {exc}"]
     return validate_tree(tree)
 
 

@@ -15,8 +15,11 @@ once per column), and the vertical ODE is linear and homogeneous in Z0, so
 every level of a column shares one integrating factor Z0/z0, stored once.
 
 The closed-form identities Z0 = z0*h0(t, X0) and det(dX0/dx0)*h0(t, X0) = 1
-tie the map back to the evolved height field; `chart_identities` measures
-both, and they converge at the integrator's order. `jacobian`,
+tie the map back to the evolved height field. `chart_check` measures both
+in one pass over the trajectory, one evaluation of h0 at X0 and one
+dX0/dx0 per state, and keeps the per-column volume defect; `chart_records`
+streams the chart's CSV rows from that defect without touching h0 again.
+Both identities converge at the integrator's order. `jacobian`,
 `transformed_deformation` and `chain_rule_check` provide the change-of-
 variable algebra used by the fixed-domain form of the equations; the
 per-node inverses come from `np.linalg.inv`.
@@ -25,6 +28,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -37,6 +41,7 @@ __all__ = [
     "JacobianField",
     "DegenerateChartError",
     "integrate_chart",
+    "chart_check",
     "chart_identities",
     "jacobian",
     "transformed_deformation",
@@ -262,26 +267,34 @@ def _xjacobian(chart: Chart, i: int):
     return F, det
 
 
-def chart_identities(chart: Chart, traj: SWTrajectory) -> dict:
-    """Sup residuals of the height and volume identities over all times.
+def chart_check(chart: Chart, traj: SWTrajectory) -> tuple[dict, np.ndarray]:
+    """Identity sups and the volume defect, from one pass over the states.
 
-    height: |Z0 - z0 h0(t, X0)|, volume: |det(dX0/dx0) h0(t, X0) - 1|.
-    Both vanish for the continuous map; discretely they decay at the
-    integrator's order.
+    Each state costs one evaluation of h0 at X0 and one dX0/dx0. Returns
+    ({"height", "volume"}, defect): height is sup |Z0 - z0 h0(t, X0)|,
+    defect[i] is det(dX0/dx0) h0(t, X0) - 1 per column at time index i
+    (shaped like chart.zfactor), and volume is sup |defect|. Both identities
+    vanish for the continuous map; discretely they decay at the integrator's
+    order.
     """
     if len(traj) != chart.times.size or np.abs(traj.times - chart.times).max() > 1e-9:
         raise ValueError("chart and trajectory must share times")
     n, shape = chart.grid.n, chart.grid.shape
     zcol = chart.z_levels.reshape((-1,) + (1,) * n)
+    defect = np.empty_like(chart.zfactor)
     height = 0.0
-    volume = 0.0
     for i, s in enumerate(traj.states):
         pts = chart.positions(i).reshape(n, -1).T
         hX = s.h0.eval_at(pts).reshape(shape)
         height = max(height, float(np.abs(chart.heights(i) - zcol * hX).max()))
         _, det = _xjacobian(chart, i)
-        volume = max(volume, float(np.abs(det * hX - 1.0).max()))
-    return {"height": height, "volume": volume}
+        defect[i] = det * hX - 1.0
+    return {"height": height, "volume": float(np.abs(defect).max())}, defect
+
+
+def chart_identities(chart: Chart, traj: SWTrajectory) -> dict:
+    """Sup residuals of the height and volume identities over all times."""
+    return chart_check(chart, traj)[0]
 
 
 def jacobian(chart: Chart, t: float) -> JacobianField:
@@ -387,25 +400,29 @@ def bottom_slip_residual(chart: Chart, t: float, u_h, dz_u_h, p: Params) -> np.n
     return det * du - p.eps * p.gamma_bar * u
 
 
-def chart_records(chart: Chart, traj: SWTrajectory) -> list[dict]:
-    """Flat per-(time, column) rows for CSV export.
+def chart_records(chart: Chart, defect: np.ndarray):
+    """Header and lazy per-(time, column) rows of the chart for CSV export.
 
-    Columns: t, x0_*, X0_*, Z0_over_z0, det_h0_minus_1.
+    Columns: t, x0_*, X0_*, Z0_over_z0, det_h0_minus_1; defect is the array
+    `chart_check` returns. Rows are tuples in header order, built one time
+    index at a time.
     """
-    if len(traj) != chart.times.size or np.abs(traj.times - chart.times).max() > 1e-9:
-        raise ValueError("chart and trajectory must share times")
     n = chart.grid.n
-    keys = ["t"] + [f"x0_{a + 1}" for a in range(n)] + [f"X0_{a + 1}" for a in range(n)]
-    keys += ["Z0_over_z0", "det_h0_minus_1"]
-    x0 = _material_nodes(chart.grid).reshape(n, -1)
-    ncol = x0.shape[1]
-    rows = []
-    for i, s in enumerate(traj.states):
-        X = chart.positions(i).reshape(n, -1)
-        hX = s.h0.eval_at(X.T)
-        _, det = _xjacobian(chart, i)
-        vol = (det.reshape(-1) * hX) - 1.0
-        columns = [[float(chart.times[i])] * ncol, *x0.tolist(), *X.tolist(),
-                   chart.zfactor[i].reshape(-1).tolist(), vol.tolist()]
-        rows.extend(dict(zip(keys, cells)) for cells in zip(*columns))
-    return rows
+    header = ["t"] + [f"x0_{a + 1}" for a in range(n)] + [f"X0_{a + 1}" for a in range(n)]
+    header += ["Z0_over_z0", "det_h0_minus_1"]
+    if defect.shape != chart.zfactor.shape:
+        raise ValueError("defect must have the shape of chart.zfactor")
+
+    def rows():
+        x0 = _material_nodes(chart.grid).reshape(n, -1).tolist()
+        for i, t in enumerate(chart.times.tolist()):
+            X = chart.positions(i).reshape(n, -1).tolist()
+            yield from zip(
+                repeat(t),
+                *x0,
+                *X,
+                chart.zfactor[i].reshape(-1).tolist(),
+                defect[i].reshape(-1).tolist(),
+            )
+
+    return header, rows()

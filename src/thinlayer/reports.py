@@ -3,7 +3,10 @@
 Everything written here must be byte-identical across reruns with the same
 config and seed, on any thread count, so floats are rendered with repr
 (shortest round-trip form), line endings are fixed to "\n", and JSON keys
-are sorted. The manifest is the one exception: it carries a wall-clock
+are sorted. Every CSV goes through `write_csv`, which takes any iterable of
+rows, each a sequence of cells in header order, and streams them to the
+open file one line at a time, so a lazily generated table is never held in
+memory whole. The manifest is the one exception: it carries a wall-clock
 timestamp by design and is therefore excluded when reruns are compared;
 its checksums are how the comparison is made without it.
 """
@@ -11,10 +14,9 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
 from pathlib import Path
 
-__all__ = ["RunManifest", "write_csv", "write_json", "write_manifest", "file_sha256"]
+__all__ = ["write_csv", "write_json", "write_manifest", "file_sha256"]
 
 MANIFEST_NAME = "manifest.json"
 
@@ -31,12 +33,14 @@ def _cell(value) -> str:
 
 
 def write_csv(path, header, rows) -> Path:
-    """Rows are dicts keyed by header names; missing keys become blanks."""
+    """Write rows, each a sequence of cells in header order; None is blank.
+
+    Returns the path of the closed file.
+    """
     path = Path(path)
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_cell(row.get(col)) for col in header))
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+    with path.open("w", encoding="utf-8", newline="\n") as fh:
+        fh.write(",".join(header) + "\n")
+        fh.writelines(",".join(map(_cell, row)) + "\n" for row in rows)
     return path
 
 
@@ -64,24 +68,6 @@ def file_sha256(path) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
-@dataclass(frozen=True)
-class RunManifest:
-    """Checksummed inventory of one run's emitted files."""
-
-    config_sha256: str
-    version: str
-    created: str
-    files: list  # dicts: name, sha256, bytes
-
-    def to_dict(self) -> dict:
-        return {
-            "config_sha256": self.config_sha256,
-            "version": self.version,
-            "created": self.created,
-            "files": self.files,
-        }
-
-
 def write_manifest(out_dir, config_sha256: str, version: str, paths) -> Path:
     """Checksum every emitted file and drop manifest.json next to them."""
     from datetime import datetime, timezone
@@ -96,10 +82,10 @@ def write_manifest(out_dir, config_sha256: str, version: str, paths) -> Path:
                 "bytes": p.stat().st_size,
             }
         )
-    manifest = RunManifest(
-        config_sha256=config_sha256,
-        version=version,
-        created=datetime.now(timezone.utc).isoformat(),
-        files=files,
-    )
-    return write_json(out_dir / MANIFEST_NAME, manifest.to_dict())
+    manifest = {
+        "config_sha256": config_sha256,
+        "version": version,
+        "created": datetime.now(timezone.utc).isoformat(),
+        "files": files,
+    }
+    return write_json(out_dir / MANIFEST_NAME, manifest)

@@ -131,26 +131,11 @@ def _interior_samples(a: AnsatzFields, r: AnsatzRate, p: Params, nz: int) -> dic
     return out
 
 
-def interior_residual(
-    a: AnsatzFields,
-    r: AnsatzRate,
-    p: Params,
-    nz: int,
-    guard_hydrostatic: bool = True,
-) -> ThinField:
-    """Momentum residual on the thin grid, components (H1..Hn, V).
-
-    guard_hydrostatic=False re-inserts the hydrostatic pair through sampled
-    Chebyshev differentiation of the pressure; it exists to demonstrate the
-    roundoff amplification the guard avoids.
-    """
+def interior_residual(a: AnsatzFields, r: AnsatzRate, p: Params, nz: int) -> ThinField:
+    """Momentum residual on the thin grid, components (H1..Hn, V)."""
     _check_pair(a, r, p)
-    h0 = a.base.h0
     vals = _interior_samples(a, r, p, nz)["total"]
-    if not guard_hydrostatic:
-        psamp = a.pressure_poly().to_thinfield(p.eps, nz, h0)
-        vals[a.grid.n] += (psamp.dz().values + 1.0) / (p.eps * p.F**2)
-    return ThinField(a.grid, p.eps, nz, vals, h0)
+    return ThinField(a.grid, p.eps, nz, vals, a.base.h0)
 
 
 def divergence_residual(a: AnsatzFields, nz: int) -> ThinField:

@@ -8,7 +8,7 @@ import warnings
 
 import pytest
 
-from thinlayer import cli
+from thinlayer import cli, grids, lagrangian
 from thinlayer.cli import main, run
 from thinlayer.residuals import convergence_study
 from thinlayer.reports import MANIFEST_NAME, file_sha256
@@ -319,3 +319,50 @@ def test_unstable_step_fails_before_any_tendency(tmp_path, capsys):
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1 and "Traceback" not in err
         assert "exceeds the stability bound" in err
+
+
+# json parses NaN, Infinity and overflowing literals; none of them is a number
+# the pipelines can use, and T / dt must not overflow either
+NON_FINITE_CONFIGS = [
+    '{"domain": {"n": 2.0}}',
+    '{"domain": {"n": true}}',
+    '{"domain": {"L": 1e400}}',
+    '{"domain": {"L": 1' + "0" * 400 + '}}',
+    '{"domain": {"L": 1' + "0" * 5000 + '}}',
+    '{"params": {"Re": 1e400}}',
+    '{"params": {"F": NaN}}',
+    '{"params": {"gamma_bar": Infinity}}',
+    '{"korn": {"M_grid": {"max": Infinity}}}',
+    '{"study": {"t_eval": NaN}}',
+    '{"sw": {"dt": 5e-324}}',
+    '{"sw": {"T": Infinity}}',
+]
+
+
+@pytest.mark.parametrize(
+    "text", NON_FINITE_CONFIGS, ids=lambda t: t if len(t) < 60 else f"{t[:24]}..{len(t)}"
+)
+def test_non_finite_config_values_are_invalid(tmp_path, capsys, text):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(text, encoding="utf-8")
+    for sub in ("validate", "sw"):
+        assert main([sub, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_lagrangian_pipeline_evaluates_h0_once_per_state(tmp_path, monkeypatch):
+    seen = []
+    eval_at, xjacobian = grids.HField.eval_at, lagrangian._xjacobian
+    monkeypatch.setattr(grids.HField, "eval_at", lambda f, x: seen.append("h") or eval_at(f, x))
+    monkeypatch.setattr(lagrangian, "_xjacobian", lambda c, i: seen.append("J") or xjacobian(c, i))
+    out = tmp_path / "out"
+    assert run("lagrangian", _config(tmp_path), out=out) == 0
+    states = round(FAST["sw"]["T"] / FAST["sw"]["dt"]) + 1
+    assert seen.count("h") == seen.count("J") == states
+    rows = _read_csv(out / "lagrangian_chart.csv")
+    assert len(rows) == states * FAST["domain"]["N"]
+    summary = json.loads((out / "lagrangian_summary.json").read_text())
+    worst = max(abs(float(r["det_h0_minus_1"])) for r in rows)
+    assert worst == summary["volume_identity_sup"]

@@ -131,3 +131,10 @@ def test_froude_check_matches_params():
         assert params_ok == (not any(m.startswith("params.F") for m in msgs)), F
     assert not validate_tree({"params": {"F": 1e-154}})
     assert validate_tree({"params": {"F": 1e-162}}) == ["params.F: F * F underflows to 0"]
+
+
+def test_undecodable_file_is_a_diagnostic(tmp_path):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b'\xff{"domain": {}}')
+    msgs = validate_config(path)
+    assert len(msgs) == 1 and "cannot read" in msgs[0]

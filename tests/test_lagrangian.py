@@ -11,6 +11,7 @@ from thinlayer.lagrangian import (
     JacobianField,
     bottom_slip_residual,
     chain_rule_check,
+    chart_check,
     chart_identities,
     chart_records,
     integrate_chart,
@@ -344,11 +345,17 @@ def test_chart_records_shape():
     init = initial_wave(g, amplitude=0.0, wavenumber=1, velocity_amplitude=0.1)
     traj = sw_solve(init, p, T=0.1, dt=0.05)
     c = integrate_chart(traj, eps=EPS, nlev=4)
-    rows = chart_records(c, traj)
+    ids, defect = chart_check(c, traj)
+    assert ids == chart_identities(c, traj)
+    header, rows = chart_records(c, defect)
+    rows = list(rows)
+    assert header == ["t", "x0_1", "X0_1", "Z0_over_z0", "det_h0_minus_1"]
     assert len(rows) == len(traj) * 16
-    assert set(rows[0]) == {"t", "x0_1", "X0_1", "Z0_over_z0", "det_h0_minus_1"}
-    assert rows[0]["t"] == 0.0 and rows[0]["Z0_over_z0"] == 1.0
-    assert max(abs(r["det_h0_minus_1"]) for r in rows) < 1e-8
+    assert all(isinstance(r, tuple) and len(r) == len(header) for r in rows)
+    assert rows[0][0] == 0.0 and rows[0][3] == 1.0
+    assert max(abs(r[4]) for r in rows) == ids["volume"] < 1e-8
+    with pytest.raises(ValueError):
+        chart_records(c, defect[1:])
 
 
 def test_two_dimensional_chart():
@@ -371,13 +378,10 @@ def test_two_dimensional_chart():
         ]
     )
     assert chain_rule_check(c, 0.1, f, gf) < 1e-9
-    rows = chart_records(c, traj)
-    assert set(rows[0]) == {
-        "t",
-        "x0_1",
-        "x0_2",
-        "X0_1",
-        "X0_2",
-        "Z0_over_z0",
-        "det_h0_minus_1",
-    }
+    ids_once, defect = chart_check(c, traj)
+    assert ids_once == ids
+    header, rows = chart_records(c, defect)
+    assert header == ["t", "x0_1", "x0_2", "X0_1", "X0_2", "Z0_over_z0", "det_h0_minus_1"]
+    rows = list(rows)
+    assert len(rows) == len(traj) * 16 * 16
+    assert max(abs(r[-1]) for r in rows) == ids["volume"]

@@ -11,13 +11,16 @@ derivatives act on coefficients and vertical derivatives shift them. The
 depth polynomials of u_H and u_V are written once, in `_velocity_polys`,
 for the coefficients of an AnsatzFields or of its time derivative
 AnsatzRate; every other reader (the residuals, eval_ansatz) evaluates
-those polynomials. The incompressibility of the triple (u0, u1, u2)
-against (w1, w2, w3) is an algebraic identity of the construction, not an
+those polynomials. The rate depends only on the state and the
+parameters, so each AnsatzFields computes its own `rate` once, on first
+use. The incompressibility of the triple (u0, u1, u2) against
+(w1, w2, w3) is an algebraic identity of the construction, not an
 approximation.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -170,13 +173,16 @@ class AnsatzFields:
         hydro = self.eps * self.base.h0 + self.p_nonhydro
         return ZPoly([hydro, HField.constant(self.grid, -1.0)])
 
+    @cached_property
+    def rate(self) -> "AnsatzRate":
+        """ansatz_rate(base, params), computed on first use and then kept."""
+        return ansatz_rate(self.base, self.params)
+
 
 @dataclass(frozen=True)
 class AnsatzRate:
     """Time derivative of every AnsatzFields coefficient (same names)."""
 
-    base: SWState
-    params: Params
     h0: HField
     u0: HField
     u1: HField
@@ -255,7 +261,7 @@ def ansatz_rate(s: SWState, p: Params) -> AnsatzRate:
     du2 = -grad(dw1) + quot
     dw3 = -div(du2)
     dp_nh = _pressure_factor(p) * div(dtu0)
-    return AnsatzRate(s, p, dth0, dtu0, du1, du2, dw1, dw2, dw3, dp_nh)
+    return AnsatzRate(dth0, dtu0, du1, du2, dw1, dw2, dw3, dp_nh)
 
 
 def eval_ansatz(a: AnsatzFields, x_index, z: float):

@@ -7,7 +7,8 @@ vertical coordinate zeta = z/eps (the system is assembled in zeta form,
 -p_zz + (|k| eps)^2 p = eps^2 f, which keeps the matrix entries modest and
 the post-solve residual check meaningful). Every solve re-checks its own
 collocation residual; a solve that cannot certify 1e-10 raises rather than
-returning a profile.
+returning a profile. A single-mode profile is solved on MODE_NZ = 20
+Gauss-Lobatto nodes; the divergence lift uses the nodes of its source.
 
 The measured H1 ratios are the sharp elliptic constants: for the
 Dirichlet-top problem the ratio (||p'||^2 + k^2 ||p||^2) / (|k| h_k^2)
@@ -36,6 +37,7 @@ __all__ = [
 ]
 
 RESIDUAL_TOL = 1e-10
+MODE_NZ = 20  # Gauss-Lobatto nodes of every single-mode profile solve
 
 
 class SolverError(RuntimeError):
@@ -79,10 +81,8 @@ def _h1_pair(values: np.ndarray, k: float, eps: float) -> float:
     return float(w @ (dp * dp + (k * k) * values * values))
 
 
-def _mode_profile(
-    k: float, eps: float, nz: int, slope: float, top: float, label: str
-) -> ModeProfile:
-    """Solve -p'' + k^2 p = 0, p'(0) = slope, p(eps) = top.
+def _mode_profile(k: float, eps: float, slope: float, top: float, label: str) -> ModeProfile:
+    """Solve -p'' + k^2 p = 0, p'(0) = slope, p(eps) = top, on MODE_NZ nodes.
 
     The ratio is the H1 pair ||p'||^2 + k^2 ||p||^2 over the data norm
     |k| top^2 + eps slope^2 (0 for zero data).
@@ -91,10 +91,8 @@ def _mode_profile(
         raise ValueError(f"mode number must be finite and nonzero, got {k}")
     if not 0.0 < eps < 1.0:
         raise ValueError(f"eps must lie in (0, 1), got {eps}")
-    if nz < 8:
-        raise ValueError("need nz >= 8 collocation nodes")
-    d, m = _mode_operator(nz, abs(k) * eps)
-    rhs = np.zeros(nz)
+    d, m = _mode_operator(MODE_NZ, abs(k) * eps)
+    rhs = np.zeros(MODE_NZ)
     m[0] = d[0]
     rhs[0] = eps * slope  # physical slope in zeta units
     m[-1] = 0.0
@@ -105,31 +103,27 @@ def _mode_profile(
     data = abs(k) * top * top + eps * slope * slope
     ratio = _h1_pair(values, k, eps) / data if data != 0.0 else 0.0
     return ModeProfile(
-        k=float(k), eps=float(eps), z=eps * gl_nodes(nz), values=values,
+        k=float(k), eps=float(eps), z=eps * gl_nodes(MODE_NZ), values=values,
         ratio=ratio, residual=res,
     )
 
 
-def mode_pressure_dirichlet_top(
-    k: float, eps: float, h_k: float, nz: int = 20
-) -> ModeProfile:
+def mode_pressure_dirichlet_top(k: float, eps: float, h_k: float) -> ModeProfile:
     """Solve -p'' + k^2 p = 0, p(eps) = h_k, p'(0) = 0.
 
     The returned ratio (||p'||^2 + k^2 ||p||^2) / (|k| h_k^2) measures the
     H1 cost of lifting unit surface data; its exact value is tanh(|k| eps).
     """
-    return _mode_profile(k, eps, nz, 0.0, h_k, "dirichlet-top mode solve")
+    return _mode_profile(k, eps, 0.0, h_k, "dirichlet-top mode solve")
 
 
-def mode_pressure_neumann_bottom(
-    k: float, eps: float, g_k: float, nz: int = 20
-) -> ModeProfile:
+def mode_pressure_neumann_bottom(k: float, eps: float, g_k: float) -> ModeProfile:
     """Solve -p'' + k^2 p = 0, p(eps) = 0, p'(0) = g_k.
 
     Closed form: p = -g_k sinh(|k|(eps - z)) / (|k| cosh(|k| eps)). The ratio
     is (||p'||^2 + k^2 ||p||^2) / (eps g_k^2), eps-uniform by construction.
     """
-    return _mode_profile(k, eps, nz, g_k, 0.0, "neumann-bottom mode solve")
+    return _mode_profile(k, eps, g_k, 0.0, "neumann-bottom mode solve")
 
 
 @dataclass(frozen=True)
@@ -142,18 +136,17 @@ class DivergenceLift:
     residual: float
 
 
-def divergence_lift(h: ThinField, eps: float | None = None) -> DivergenceLift:
+def divergence_lift(h: ThinField) -> DivergenceLift:
     """Solve Delta phi = h with homogeneous Neumann data top and bottom.
 
-    Per-mode collocation; the k = 0 column is solvable only for compatible
+    The strip is the one h lives on, of aspect ratio h.eps. Per-mode
+    collocation; the k = 0 column is solvable only for compatible
     sources, so the constant that its bordered solve cannot absorb is
     projected out and reported. For smooth sources it is the strip mean of
     h. phi is normalized to strip mean zero.
     """
     if h.is_vector:
         raise ValueError("divergence lift expects a scalar source")
-    if eps is not None and abs(eps - h.eps) > 1e-12:
-        raise ValueError(f"eps {eps} disagrees with the field's {h.eps}")
     if np.abs(h.h0.values - 1.0).max() > 1e-12:
         raise ValueError("divergence lift is posed on the flat-top strip (h0 == 1)")
     eps = h.eps

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .probes import KMAX, PDEG, ProbeReport, _probe_rows, _Sample, _Strip
+from .probes import KMAX, PDEG, ProbeReport, _exponent, _probe_rows, _Sample, _Strip
 
 __all__ = [
     "KornPencil",
@@ -57,6 +57,7 @@ __all__ = [
 CLUSTER_TOL = 1e-6
 CLUSTER_TOL_SMALL_M = 1e-4  # below M = 0.1 conditioning costs two digits
 RANK_TOL = 1e-10
+KORN_NX, KORN_NZ = 32, 24  # strip nodes of the inequality probe
 
 SIGMA_LINE = ((1.0, 0.0), (-1.0, 0.0))
 
@@ -77,8 +78,9 @@ def sigma_circle(count: int) -> tuple:
     return tuple((float(np.cos(a)), float(np.sin(a))) for a in th)
 
 
-def default_m_grid(m_count: int = 48, m_min: float = 1e-2, m_max: float = 50.0):
-    return np.geomspace(m_min, m_max, m_count)
+def default_m_grid(m_count: int = 48):
+    """m_count values of M spaced geometrically over [0.01, 50]."""
+    return np.geomspace(1e-2, 50.0, m_count)
 
 
 def _check_sigma(sigma) -> tuple[float, float]:
@@ -335,11 +337,10 @@ def _cluster(values: np.ndarray, tol: float) -> list[tuple[float, int]]:
     return out
 
 
-def korn_spectrum(p: KornPencil, cluster_tol: float | None = None):
-    """(eigenvalues ascending, clusters) with relative multiplicity grouping."""
-    tol = cluster_tol
-    if tol is None:
-        tol = CLUSTER_TOL if p.M >= 0.1 else CLUSTER_TOL_SMALL_M
+def korn_spectrum(p: KornPencil):
+    """(eigenvalues ascending, clusters) with relative multiplicity grouping
+    at CLUSTER_TOL, or CLUSTER_TOL_SMALL_M below M = 0.1."""
+    tol = CLUSTER_TOL if p.M >= 0.1 else CLUSTER_TOL_SMALL_M
     return p.spectrum, _cluster(p.spectrum, tol)
 
 
@@ -381,17 +382,15 @@ def _sweep_cell(M: float, sigma, quad_nodes: int) -> dict:
     return row
 
 
-def korn_sweep(M_grid=None, sigma_grid=None, quad_nodes: int = 96):
+def korn_sweep(M_grid, sigma_grid, quad_nodes: int = 96):
     """Lambda over the (M, sigma) grid; conditioning failures are recorded
     per cell rather than raised."""
-    M_grid = default_m_grid() if M_grid is None else np.asarray(M_grid, dtype=float)
+    M_grid = np.asarray(M_grid, dtype=float)
     if M_grid.ndim != 1 or M_grid.size < 2 or np.any(np.diff(M_grid) <= 0.0):
         raise ValueError("M_grid must be ascending with at least 2 points")
     if M_grid[0] <= 0.0:
         raise ValueError("M_grid must be positive")
-    sigma_grid = sigma_circle(8) if sigma_grid is None else tuple(
-        _check_sigma(s) for s in sigma_grid
-    )
+    sigma_grid = tuple(_check_sigma(s) for s in sigma_grid)
 
     rows = [_sweep_cell(M, sig, quad_nodes) for sig in sigma_grid for M in M_grid]
 
@@ -423,14 +422,18 @@ def _korn_ratio(fields, strip: _Strip, gamma_bar: float) -> float:
 
     fields holds the nodal arrays (nz, nx) of u_H, u_V and their x- and
     z-derivatives: (uh, uv, dux_h, duz_h, dux_v, duz_v). D is the
-    symmetrized half-gradient.
+    symmetrized half-gradient. The ratio is homogeneous of degree 2, so
+    the fields are scaled by an exact power of two first, and the
+    degeneracy floor with them.
     """
-    uh, uv, dux_h, duz_h, dux_v, duz_v = fields
+    fields = np.stack(fields)
+    e = _exponent(fields)
+    uh, uv, dux_h, duz_h, dux_v, duz_v = np.ldexp(fields, -e)
     integral = strip.integral
     l2 = integral(uh**2 + uv**2)
     grad2 = integral(dux_h**2 + duz_h**2 + dux_v**2 + duz_v**2)
     h1 = l2 + grad2
-    if h1 < 1e-12 * strip.grid.L * strip.eps:
+    if h1 < np.ldexp(1e-12 * strip.grid.L * strip.eps, -2 * e):
         return float("nan")  # degenerate (floor scales with the area L*eps); skipped
     two_d2 = integral(2.0 * dux_h**2 + 2.0 * duz_v**2 + (duz_h + dux_v) ** 2)
     trace = strip.wx * float((uh[0] ** 2).sum())
@@ -482,18 +485,12 @@ def _potential_fields(k: int, strip: _Strip) -> tuple:
     )
 
 
-def korn_probe(
-    eps_list,
-    gamma_bar: float,
-    samples: int = 64,
-    seed: int = 0,
-    nx: int = 32,
-    nz: int = 24,
-) -> ProbeReport:
+def korn_probe(eps_list, gamma_bar: float, samples: int = 64, seed: int = 0) -> ProbeReport:
     """Probe the deformation inequality on random admissible strip fields.
 
-    Every epsilon sees the same sample construction (per-sample counter
-    streams, so results do not depend on evaluation order), plus the rigid
+    Every epsilon gets a _Strip of KORN_NX x KORN_NZ nodes and sees the
+    same sample construction (per-sample counter streams, so results do
+    not depend on evaluation order), plus the rigid
     translation psi = z (ratio gamma_bar) and potential-flow extremals. At
     gamma_bar = 0 the translation's ratio is 0: without friction a rigid
     translation has no deformation, and the report reads that floor as an
@@ -510,5 +507,5 @@ def korn_probe(
         for k in (1, 2):
             yield _korn_ratio(_potential_fields(k, strip), strip, gamma_bar)
 
-    rows = _probe_rows(eps_list, samples, seed, nx, nz, draw, anchors)
+    rows = _probe_rows(eps_list, samples, seed, KORN_NX, KORN_NZ, draw, anchors)
     return ProbeReport(tag="korn", eps_list=[r["eps"] for r in rows], rows=rows)

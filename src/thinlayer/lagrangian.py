@@ -34,7 +34,7 @@ import numpy as np
 
 from .chebyshev import diff_matrix, gl_nodes
 from .grids import Grid, HField, _eval_coefficients, grad
-from .shallow_water import BlowupError, Params, SWTrajectory
+from .shallow_water import BlowupError, SWTrajectory
 
 __all__ = [
     "Chart",
@@ -381,15 +381,13 @@ def chain_rule_check(chart: Chart, t: float, f, grad_f) -> float:
     return float(np.abs(lhs - rhs).max())
 
 
-def bottom_slip_residual(chart: Chart, t: float, u_h, dz_u_h, p: Params) -> np.ndarray:
+def bottom_slip_residual(chart: Chart, t: float, u_h, dz_u_h, gamma_bar: float) -> np.ndarray:
     """det(dX0/dx0) d_z0(u_H)|_bottom - eps gamma_bar u_H|_bottom per node.
 
-    u_h and dz_u_h are bottom traces on the material grid, shape (n,) +
-    grid.shape. Under the identity map this is exactly the Navier slip
-    defect of the original coordinates.
+    eps is the chart's. u_h and dz_u_h are bottom traces on the material
+    grid, shape (n,) + grid.shape. Under the identity map this is exactly
+    the Navier slip defect of the original coordinates.
     """
-    if abs(p.eps - chart.eps) > 1e-12:
-        raise ValueError("params and chart disagree on eps")
     i = chart.index_of(t)
     u = np.asarray(u_h, dtype=float)
     du = np.asarray(dz_u_h, dtype=float)
@@ -397,7 +395,7 @@ def bottom_slip_residual(chart: Chart, t: float, u_h, dz_u_h, p: Params) -> np.n
     if u.shape != want or du.shape != want:
         raise ValueError(f"bottom traces must have shape {want}")
     _, det = _xjacobian(chart, i)
-    return det * du - p.eps * p.gamma_bar * u
+    return det * du - chart.eps * gamma_bar * u
 
 
 def chart_records(chart: Chart, defect: np.ndarray):

@@ -13,11 +13,12 @@ are chosen so a uniform-in-eps constant shows up as a ratio band that does
 not drift as the strip thins. Samples are trigonometric in x (modes <= 4)
 and polynomial in the scaled vertical coordinate, so all norms except Linf
 are computed by exact quadrature (trapezoid in x, Clenshaw-Curtis in z);
-Linf is the nodal sup. Every sample gets its own counter-keyed stream, so
-reports are independent of evaluation order. The trig and zeta-power tables
-are built once per strip and shared by its samples; the Korn probe draws
-its stream functions as the same samples. Each ProbeReport derives its own
-spread and verdict.
+Linf is the nodal sup. The Agmon and Korn ratios divide their fields by a
+power of two (exact) before squaring, so thin strips cannot overflow. Every
+sample gets its own counter-keyed stream, so reports are independent of
+evaluation order. The trig and zeta-power tables are built once per strip
+and shared by its samples; the Korn probe draws its stream functions as
+the same samples. Each ProbeReport derives its own spread and verdict.
 
 The zero-bottom trace ratio is the one tag whose sharp constant lives at
 horizontal wavenumbers comparable to 1/eps: any fixed band limit makes the
@@ -46,6 +47,7 @@ PROBE_TAGS = ("L6", "Agmon", "trace_zero", "trace_general")
 KMAX = 4  # horizontal band limit of the samples
 PDEG = 3  # vertical polynomial degree
 SPREAD_LIMIT = 3.0  # largest per-eps extreme over the smallest, for "bounded"
+PROBE_NX, PROBE_NZ = 64, 24  # strip nodes of anisotropy_probe
 
 
 @dataclass(frozen=True)
@@ -234,6 +236,13 @@ def _layer_modes(eps: float) -> list:
     return sorted({1, 2, 3, 4} | high)
 
 
+def _exponent(a: np.ndarray) -> int:
+    """Binary exponent e of the largest magnitude in a. Dividing by 2**e is
+    exact and brings that magnitude into [0.5, 1), so the squares of a
+    ratio homogeneous in a cannot overflow at tiny eps."""
+    return int(np.frexp(np.abs(a).max())[1])
+
+
 def _scaled_ratio(tag: str, sample) -> float:
     strip = sample.strip
     eps = strip.eps
@@ -245,13 +254,15 @@ def _scaled_ratio(tag: str, sample) -> float:
         l6 = strip.integral(sample.u**6) ** (1.0 / 6.0)
         return eps ** (1.0 / 3.0) * l6 / np.sqrt(h1_sq)
     if tag == "Agmon":
-        uxx = sample.derivative(dx=2)
-        uxz = sample.derivative(dx=1, dz=1)
-        uzz = sample.derivative(dz=2)
+        d = sample.derivative
+        fields = np.stack([sample.u, d(dx=2), d(dx=1, dz=1), d(dz=2)])
+        e = _exponent(fields)
+        u, uxx, uxz, uzz = np.ldexp(fields, -e)
         h2 = np.sqrt(
-            h1_sq + strip.integral(uxx * uxx + 2.0 * uxz * uxz + uzz * uzz)
+            np.ldexp(h1_sq, -2 * e)
+            + strip.integral(uxx * uxx + 2.0 * uxz * uxz + uzz * uzz)
         )
-        return np.sqrt(eps) * np.abs(sample.u).max() / h2
+        return np.sqrt(eps) * np.abs(u).max() / h2
     if tag in ("trace_zero", "trace_general"):
         half = np.sqrt(sample.top_trace_sq())
         scale = 1.0 if tag == "trace_zero" else np.sqrt(eps)
@@ -292,17 +303,11 @@ def _probe_rows(eps_list, samples: int, seed: int, nx: int, nz: int, draw, ancho
     return rows
 
 
-def anisotropy_probe(
-    tag: str,
-    eps_list,
-    samples: int = 64,
-    seed: int = 0,
-    nx: int = 64,
-    nz: int = 24,
-) -> ProbeReport:
+def anisotropy_probe(tag: str, eps_list, samples: int = 64, seed: int = 0) -> ProbeReport:
     """Extremal eps-scaled inequality ratios over random band-limited fields.
 
-    The same coefficient draws are replayed for every epsilon so the report
+    Each epsilon gets a _Strip of PROBE_NX x PROBE_NZ nodes. The same
+    coefficient draws are replayed for every epsilon so the report
     isolates the eps-dependence. For every tag except trace_zero the constant
     field rides along as a closed-form anchor sample.
     """
@@ -323,5 +328,5 @@ def anisotropy_probe(
         const[0, 0, 0] = 1.0
         return [_scaled_ratio(tag, _Sample(strip, const))]
 
-    rows = _probe_rows(eps_list, samples, seed, nx, nz, draw, anchors)
+    rows = _probe_rows(eps_list, samples, seed, PROBE_NX, PROBE_NZ, draw, anchors)
     return ProbeReport(tag=tag, eps_list=[r["eps"] for r in rows], rows=rows)

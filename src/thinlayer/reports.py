@@ -6,7 +6,8 @@ config and seed, on any thread count, so floats are rendered with repr
 are sorted. Every CSV goes through `write_csv`, which takes any iterable of
 rows, each a sequence of cells in header order, and streams them to the
 open file one line at a time, so a lazily generated table is never held in
-memory whole. The manifest is the one exception: it carries a wall-clock
+memory whole. A cell holding a comma, a quote or a line break is quoted as
+RFC 4180 says. The manifest is the one exception: it carries a wall-clock
 timestamp by design and is therefore excluded when reruns are compared;
 its checksums are how the comparison is made without it.
 """
@@ -29,7 +30,11 @@ def _cell(value) -> str:
     if isinstance(value, float):
         # float(): numpy scalars (float subclasses) repr as np.float64(...)
         return repr(float(value))
-    return str(value)
+    text = str(value)
+    if any(c in text for c in ',"\r\n'):
+        # RFC 4180: enclose in quotes, double the quotes inside
+        return '"' + text.replace('"', '""') + '"'
+    return text
 
 
 def write_csv(path, header, rows) -> Path:

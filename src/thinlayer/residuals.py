@@ -2,9 +2,11 @@
 
 Every residual is assembled exactly as a polynomial in z with spectral
 coefficient fields (the ZPoly calculus), then sampled on the collocation
-grid only for norm-taking. The interior momentum residual is sampled once
-per term (`_interior_samples`); `interior_residual` is the nodal sum of
-those samples, the same sum the convergence study reports. Two
+grid only for norm-taking. Each residual takes the ansatz alone: its
+parameters are `a.params`, and its time rate is `a.rate`, which the ansatz
+computes once. The interior momentum residual is sampled once per term
+(`_interior_samples`); `interior_residual` is the nodal sum of those
+samples, the same sum the convergence study reports. Two
 cancellations are applied analytically before any discretization:
 
   * the hydrostatic pair dz(p)/(eps F^2) + 1/(eps F^2) in the vertical
@@ -26,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .ansatz import AnsatzFields, AnsatzRate, ZPoly, _velocity_polys, ansatz_rate, build_ansatz
+from .ansatz import AnsatzFields, ZPoly, _velocity_polys, build_ansatz
 from .grids import HField
 from .norms import NormKind, norm
 from .shallow_water import Params, StabilityError, SWState, stable_dt, sw_solve
@@ -54,13 +56,6 @@ CLAIMED_ORDER = 3.0
 INTERIOR_TERMS = ("time", "advection", "pressure", "viscous")
 
 
-def _check_pair(a: AnsatzFields, r: AnsatzRate, p: Params):
-    if r.base is not a.base:
-        raise ValueError("ansatz and rate must come from the same state")
-    if p != a.params or p != r.params:
-        raise ValueError("parameter mismatch between ansatz, rate and call")
-
-
 def _component_names(n: int) -> list[str]:
     return [f"H{i + 1}" for i in range(n)] + ["V"]
 
@@ -77,18 +72,19 @@ def _stress_polys(vel: list[ZPoly], n: int) -> list[list[ZPoly]]:
     return S
 
 
-def interior_polys(a: AnsatzFields, r: AnsatzRate, p: Params) -> dict[str, list[ZPoly]]:
+def interior_polys(a: AnsatzFields) -> dict[str, list[ZPoly]]:
     """Interior momentum residual, split by term, one ZPoly per component.
 
     The pressure term divides out eps analytically: grad p / (eps F^2) has
     horizontal part (grad h0 + grad(p_nonhydro / eps)) / F^2 and, with the
     hydrostatic pair combined, no vertical part at all.
     """
+    p = a.params
     n = a.grid.n
     vel = _velocity_polys(a)
     zero_poly = ZPoly.zero(a.grid)
 
-    time = _velocity_polys(r)
+    time = _velocity_polys(a.rate)
 
     advection = []
     for comp in vel:
@@ -115,14 +111,14 @@ def interior_polys(a: AnsatzFields, r: AnsatzRate, p: Params) -> dict[str, list[
     return {"time": time, "advection": advection, "pressure": pressure, "viscous": viscous}
 
 
-def _interior_samples(a: AnsatzFields, r: AnsatzRate, p: Params, nz: int) -> dict:
+def _interior_samples(a: AnsatzFields, nz: int) -> dict:
     """Nodal samples of every interior_polys term, components stacked as
     (n+1, nz) + grid.shape, and their sum in INTERIOR_TERMS order under
     "total"."""
     h0 = a.base.h0
     out = {
-        name: np.stack([q.to_thinfield(p.eps, nz, h0).values for q in polys])
-        for name, polys in interior_polys(a, r, p).items()
+        name: np.stack([q.to_thinfield(a.eps, nz, h0).values for q in polys])
+        for name, polys in interior_polys(a).items()
     }
     total = out[INTERIOR_TERMS[0]]
     for name in INTERIOR_TERMS[1:]:
@@ -131,11 +127,10 @@ def _interior_samples(a: AnsatzFields, r: AnsatzRate, p: Params, nz: int) -> dic
     return out
 
 
-def interior_residual(a: AnsatzFields, r: AnsatzRate, p: Params, nz: int) -> ThinField:
+def interior_residual(a: AnsatzFields, nz: int) -> ThinField:
     """Momentum residual on the thin grid, components (H1..Hn, V)."""
-    _check_pair(a, r, p)
-    vals = _interior_samples(a, r, p, nz)["total"]
-    return ThinField(a.grid, p.eps, nz, vals, a.base.h0)
+    vals = _interior_samples(a, nz)["total"]
+    return ThinField(a.grid, a.eps, nz, vals, a.base.h0)
 
 
 def divergence_residual(a: AnsatzFields, nz: int) -> ThinField:
@@ -148,14 +143,14 @@ def divergence_residual(a: AnsatzFields, nz: int) -> ThinField:
     return divpoly.to_thinfield(a.eps, nz, a.base.h0)
 
 
-def kinematic_residual(a: AnsatzFields, r: AnsatzRate, p: Params) -> HField:
+def kinematic_residual(a: AnsatzFields) -> HField:
     """eps dth0 + u_H(x, eps h0) . eps grad h0 - u_V(x, eps h0)."""
-    _check_pair(a, r, p)
+    eps = a.eps
     h0 = a.base.h0
-    eta = p.eps * h0
-    res = p.eps * r.h0
+    eta = eps * h0
+    res = eps * a.rate.h0
     for i, poly in enumerate(a.horizontal_polys()):
-        res = res + poly.at_height(eta) * (p.eps * h0.dx(i))
+        res = res + poly.at_height(eta) * (eps * h0.dx(i))
     return res - a.vertical_poly().at_height(eta)
 
 
@@ -166,13 +161,14 @@ def _surface_stress(a: AnsatzFields) -> list[list[HField]]:
     return [[S[i][j].at_height(eta) for j in range(n + 1)] for i in range(n + 1)]
 
 
-def _surface_pressure(a: AnsatzFields, p: Params) -> HField:
+def _surface_pressure(a: AnsatzFields) -> HField:
     """p_nonhydro / (eps F^2), the surface pressure, with the eps cancelled
     analytically."""
+    p = a.params
     return (-2.0 / p.Re) * (1.0 + p.eps**2 * p.gamma_bar) * (-a.w1)
 
 
-def traction_residual(a: AnsatzFields, p: Params) -> HField:
+def traction_residual(a: AnsatzFields) -> HField:
     """(D(u_a)/Re - p_a/(eps F^2) Id)|_{z=eps h0} (-eps grad h0, 1).
 
     The normal is left unnormalized; the missing factor 1/sqrt(1+|...|^2)
@@ -180,12 +176,11 @@ def traction_residual(a: AnsatzFields, p: Params) -> HField:
     surface pressure is p_nonhydro exactly, and p_nonhydro/(eps F^2) is
     assembled without the eps division.
     """
-    if p != a.params:
-        raise ValueError("parameter mismatch between ansatz and call")
+    p = a.params
     n = a.grid.n
     h0 = a.base.h0
     Ssurf = _surface_stress(a)
-    p_over = _surface_pressure(a, p)
+    p_over = _surface_pressure(a)
     normal_H = [(-p.eps) * h0.dx(j) for j in range(n)]
     rows = []
     for i in range(n + 1):
@@ -201,20 +196,18 @@ def traction_residual(a: AnsatzFields, p: Params) -> HField:
     return HField.stack(rows)
 
 
-def bottom_residual(a: AnsatzFields, p: Params) -> tuple[HField, HField]:
+def bottom_residual(a: AnsatzFields) -> tuple[HField, HField]:
     """(u_V at z=0, dz u_H - eps gamma_bar u_H at z=0) = (0, u1 - eps gamma_bar u0).
 
     Both vanish by construction; this is the exactness claim for the bottom
     conditions, asserted symbolically rather than by quadrature.
     """
-    if p != a.params:
-        raise ValueError("parameter mismatch between ansatz and call")
     zero = HField(a.grid, np.zeros(a.grid.shape))
-    slip = a.u1 - (p.eps * p.gamma_bar) * a.u0
+    slip = a.u1 - (a.eps * a.params.gamma_bar) * a.u0
     return zero, slip
 
 
-def solved_form_residual(a: AnsatzFields, p: Params) -> tuple[HField, HField]:
+def solved_form_residual(a: AnsatzFields) -> tuple[HField, HField]:
     """Cross-check against the solved form of the surface conditions.
 
     Both displayed lines are multiplied through by (1 - |grad h|^2) so no
@@ -228,8 +221,7 @@ def solved_form_residual(a: AnsatzFields, p: Params) -> tuple[HField, HField]:
     acceptance: the denominator sign disagrees with the standard
     elimination in a way the primitive form does not resolve.
     """
-    if p != a.params:
-        raise ValueError("parameter mismatch between ansatz and call")
+    p = a.params
     n = a.grid.n
     # D(u_a) at the surface: D_x(u_H) is the horizontal block,
     # S[i][n] = dz u_H + grad u_V and S[n][n] = 2 dz u_V
@@ -248,7 +240,7 @@ def solved_form_residual(a: AnsatzFields, p: Params) -> tuple[HField, HField]:
     one_minus = 1.0 - g2
 
     bracket = S[n][n] - gDg
-    r_p = p.Re * (one_minus * _surface_pressure(a, p)) - bracket
+    r_p = p.Re * (one_minus * _surface_pressure(a)) - bracket
     rows = [one_minus * S[i][n] - one_minus * Dg[i] + bracket * g_vec[i] for i in range(n)]
     return r_p, HField.stack(rows)
 
@@ -256,13 +248,14 @@ def solved_form_residual(a: AnsatzFields, p: Params) -> tuple[HField, HField]:
 # -- convergence study --------------------------------------------------------
 
 
-def fit_power_law(eps_list, values, floor: float = RESIDUAL_FLOOR):
-    """Least-squares slope and R^2 of log(values) vs log(eps) above floor.
+def fit_power_law(eps_list, values):
+    """Least-squares slope and R^2 of log(values) vs log(eps) above
+    RESIDUAL_FLOOR.
 
     Returns (slope, r2, flag); flag is "degenerate fit" when fewer than
     three points survive the floor, in which case slope and r2 are None.
     """
-    pts = [(e, v) for e, v in zip(eps_list, values) if v > floor]
+    pts = [(e, v) for e, v in zip(eps_list, values) if v > RESIDUAL_FLOOR]
     if len(pts) < 3:
         return None, None, "degenerate fit"
     le = np.log([q[0] for q in pts])
@@ -314,7 +307,6 @@ def _residual_records(s: SWState, pvar: Params, nz: int):
     """All residual norms for one eps; returns (records, term_records)."""
     comp_names = _component_names(s.grid.n)
     a = build_ansatz(s, pvar)
-    r = ansatz_rate(s, pvar)
     records = []
     term_records = []
 
@@ -332,7 +324,7 @@ def _residual_records(s: SWState, pvar: Params, nz: int):
     def thin(vals):
         return ThinField(s.grid, pvar.eps, nz, vals, s.h0).components()
 
-    samples = _interior_samples(a, r, pvar, nz)
+    samples = _interior_samples(a, nz)
     for name in INTERIOR_TERMS:
         for comp, c in zip(comp_names, thin(samples[name])):
             term_records.append(
@@ -347,11 +339,11 @@ def _residual_records(s: SWState, pvar: Params, nz: int):
         add("interior_momentum", comp, *_sup_l2(c))
 
     add("divergence", "scalar", *_sup_l2(divergence_residual(a, nz)))
-    add("kinematic", "scalar", *_sup_l2(kinematic_residual(a, r, pvar)))
-    for comp, c in zip(comp_names, traction_residual(a, pvar).components()):
+    add("kinematic", "scalar", *_sup_l2(kinematic_residual(a)))
+    for comp, c in zip(comp_names, traction_residual(a).components()):
         add("traction", comp, *_sup_l2(c))
 
-    bot_v, bot_slip = bottom_residual(a, pvar)
+    bot_v, bot_slip = bottom_residual(a)
     add("bottom", "V", *_sup_l2(bot_v))
     for comp, c in zip(comp_names, bot_slip.components()):
         add("bottom", comp, *_sup_l2(c))

@@ -6,10 +6,12 @@ import re
 import threading
 import warnings
 
+import numpy as np
 import pytest
 
 from thinlayer import cli, grids, lagrangian
 from thinlayer.cli import main, run
+from thinlayer.korn import SIGMA_LINE, korn_sweep
 from thinlayer.residuals import convergence_study
 from thinlayer.reports import MANIFEST_NAME, file_sha256
 
@@ -129,6 +131,20 @@ def test_korn_pipeline_cluster_structure(tmp_path):
         assert abs(eigs[5] - 2.0) <= 1e-6
     summary = json.loads((out / "korn_summary.json").read_text())
     assert summary["inf_lambda"] > 0.0
+
+
+def test_failed_korn_cells_keep_the_header_width(tmp_path):
+    # beyond M ~ 350 the cells fail, and their cond_flag holds commas
+    tree = {"korn": {"M_grid": {"min": 100.0, "max": 1000.0, "count": 4}}}
+    out = tmp_path / "out"
+    assert run("korn", _config(tmp_path, tree), out=out) == 0
+    with open(out / "korn_sweep.csv", newline="", encoding="utf-8") as fh:
+        header, *rows = csv.reader(fh)
+    assert len(header) == 11 and [len(r) for r in rows] == [11] * 8
+    sweep = korn_sweep(np.geomspace(100.0, 1000.0, 4), SIGMA_LINE)
+    flags = [row["cond_flag"] for row in sweep.rows]
+    assert sum("," in f for f in flags) == 4
+    assert [r[-1] for r in rows] == flags
 
 
 def test_laplace_pipeline_ratios(tmp_path):
@@ -285,6 +301,18 @@ def test_probe_anchors_survive_thin_strips(tmp_path):
     floors = [float(r["min_ratio"]) for r in rows if r["tag"] == "korn"]
     assert len(floors) == 3
     assert all(abs(f - 0.7) <= 1e-12 for f in floors)
+
+
+def test_probe_keeps_every_sample_at_eps_1e_100(tmp_path, capsys):
+    # the Agmon and Korn ratios scale their fields by a power of two before
+    # squaring, so no square overflows and no sample is lost
+    tree = {"probes": {"eps_list": [0.1, 1e-14, 1e-100]}, "params": {"gamma_bar": 0.7}}
+    out = tmp_path / "out"
+    assert main(["probe", "--config", str(_config(tmp_path, tree)), "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    rows = _read_csv(out / "probe_ratios.csv")
+    assert [int(r["n_samples"]) for r in rows if r["tag"] == "korn"] == [67, 67, 67]
+    assert all(float(r["min_ratio"]) > 0.0 for r in rows if r["tag"] == "Agmon")
 
 
 def test_underflowing_froude_number_is_invalid(tmp_path, capsys):

@@ -55,8 +55,6 @@ def test_mode_arguments_validated():
         mode_pressure_dirichlet_top(0, 0.1, 1.0)
     with pytest.raises(ValueError):
         mode_pressure_dirichlet_top(1, 1.5, 1.0)
-    with pytest.raises(ValueError):
-        mode_pressure_dirichlet_top(1, 0.1, 1.0, nz=4)
 
 
 # -- Neumann-bottom pressure modes ----------------------------------------------
@@ -236,9 +234,6 @@ def test_lift_validation():
     vec = ThinField(g, 0.1, 8, np.zeros((2, 8, 16)))
     with pytest.raises(ValueError):
         divergence_lift(vec)
-    h = _flat_field(g, 0.1, 8, lambda z, x: np.cos(x))
-    with pytest.raises(ValueError):
-        divergence_lift(h, eps=0.2)
     from thinlayer.grids import HField
 
     curved = ThinField(

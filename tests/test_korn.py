@@ -283,6 +283,15 @@ def test_probe_translation_floor_and_uniformity():
         assert r["n_samples"] >= 50
 
 
+def test_probe_keeps_every_sample_on_tiny_strips():
+    # the fields are scaled by a power of two before squaring: no square
+    # overflows (the RuntimeWarning filter would fail this test) and every
+    # sample and anchor survives at eps = 1e-100
+    rep = korn_probe([0.1, 1e-14, 1e-100], 0.7, samples=64)
+    assert [r["n_samples"] for r in rep.rows] == [67, 67, 67]
+    assert all(abs(r["min_ratio"] - 0.7) <= 1e-12 for r in rep.rows)
+
+
 def test_probe_sample_floor_enforced():
     with pytest.raises(ValueError):
         korn_probe([0.1], gamma_bar=1.0, samples=10)

@@ -1,4 +1,6 @@
 """Deterministic emitters: CSV cell rendering and streaming."""
+import csv
+
 import numpy as np
 
 from thinlayer.reports import write_csv
@@ -15,6 +17,14 @@ def test_write_csv_streams_rows_in_header_order(tmp_path):
     path = write_csv(tmp_path / "t.csv", ["a", "b", "c", "d", "e"], rows)
     assert path == tmp_path / "t.csv"
     assert path.read_bytes() == b"a,b,c,d,e\n1,0.1,,true,x\n-3,1e-20,,false,2.0\n"
+
+
+def test_write_csv_quotes_cells_with_separators(tmp_path):
+    cells = ("a, b", 'say "hi"', "two\nlines", "plain")
+    path = write_csv(tmp_path / "t.csv", ["w", "x", "y", "z"], [cells])
+    assert path.read_bytes() == b'w,x,y,z\n"a, b","say ""hi""","two\nlines",plain\n'
+    with open(path, newline="", encoding="utf-8") as fh:
+        assert list(csv.reader(fh))[1] == list(cells)
 
 
 def test_write_csv_without_rows_is_header_only(tmp_path):

@@ -1,7 +1,10 @@
 """Residual assembly oracles and the aspect-ratio convergence study."""
+import dataclasses
+
 import numpy as np
 import pytest
 
+from thinlayer import ansatz
 from thinlayer.ansatz import AnsatzFields, ansatz_rate, build_ansatz
 from thinlayer.grids import Grid, HField
 from thinlayer.norms import NormKind, norm
@@ -46,16 +49,12 @@ def _wavy(N=32):
     )
 
 
-def _pair(s, p=P):
-    return build_ansatz(s, p), ansatz_rate(s, p)
-
-
 # -- interior momentum ----------------------------------------------------------
 
 
 def test_interior_equilibrium_zero():
-    a, r = _pair(_equilibrium())
-    res = interior_residual(a, r, P, nz=12)
+    a = build_ansatz(_equilibrium(), P)
+    res = interior_residual(a, nz=12)
     assert np.abs(res.values).max() < 1e-12
 
 
@@ -63,30 +62,42 @@ def test_interior_uniform_flow_oracle():
     """Hand-computed residual (gamma_bar^2 c / Re)(z^2/2 - eps z), V = 0."""
     c = 0.7
     p = Params(F=1.3, Re=2.0, gamma_bar=0.5, eps=0.1)
-    a, r = _pair(_uniform(c), p)
-    res = interior_residual(a, r, p, nz=12)
+    a = build_ansatz(_uniform(c), p)
+    res = interior_residual(a, nz=12)
     z = res.zeta.reshape(-1, 1) * p.eps
     want = (p.gamma_bar**2 * c / p.Re) * (z**2 / 2 - p.eps * z)
     assert np.abs(res.values[0] - want).max() < 1e-13
     assert np.abs(res.values[1]).max() < 1e-14
 
 
-def test_interior_rejects_mismatched_pair():
-    s1, s2 = _wavy(), _wavy()
-    a1, _ = _pair(s1)
-    _, r2 = _pair(s2)
-    with pytest.raises(ValueError):
-        interior_residual(a1, r2, P, nz=8)
-    a, r = _pair(s1)
-    with pytest.raises(ValueError):
-        interior_residual(a, r, Params(F=1.0, Re=2.0, gamma_bar=0.5, eps=0.2), nz=8)
+def test_rate_is_computed_once_per_ansatz(monkeypatch):
+    calls = []
+
+    def counted(s, p):
+        calls.append(p.eps)
+        return ansatz_rate(s, p)
+
+    monkeypatch.setattr(ansatz, "ansatz_rate", counted)
+    eps_list = [0.1, 0.05, 0.025, 0.0125]
+    convergence_study(_wavy(), P, eps_list, t_eval=0.0, nz=8)
+    assert calls == eps_list
 
 
-def _unguarded_interior(a, r, p, nz):
+def test_perturbed_ansatz_computes_its_own_rate():
+    a = build_ansatz(_wavy(), P)
+    bad = dataclasses.replace(a, w3=a.w3 + 1.0)
+    assert bad.rate is not a.rate
+    for f in dataclasses.fields(a.rate):
+        name = f.name
+        assert np.array_equal(getattr(bad.rate, name).values, getattr(a.rate, name).values)
+
+
+def _unguarded_interior(a, nz):
     """interior_residual with the hydrostatic pair re-inserted through sampled
     Chebyshev differentiation of the pressure: the roundoff the analytic
     cancellation avoids."""
-    res = interior_residual(a, r, p, nz)
+    p = a.params
+    res = interior_residual(a, nz)
     psamp = a.pressure_poly().to_thinfield(p.eps, nz, a.base.h0)
     vals = res.values.copy()
     vals[a.grid.n] += (psamp.dz().values + 1.0) / (p.eps * p.F**2)
@@ -98,9 +109,9 @@ def test_hydrostatic_guard():
     g = Grid(1, 32)
     p = Params(F=1.0, Re=1.0, gamma_bar=1.0, eps=1e-3)
     s = _state(g, lambda x: 1.0 + 0.0 * x, [lambda x: 0.0 * x])
-    a, r = _pair(s, p)
-    guarded = interior_residual(a, r, p, nz=24)
-    unguarded = _unguarded_interior(a, r, p, nz=24)
+    a = build_ansatz(s, p)
+    guarded = interior_residual(a, nz=24)
+    unguarded = _unguarded_interior(a, nz=24)
     g_sup = np.abs(guarded.values[1]).max()
     u_sup = np.abs(unguarded[1]).max()
     assert g_sup <= 1e-11
@@ -108,21 +119,21 @@ def test_hydrostatic_guard():
     assert u_sup >= 1e3 * max(g_sup, 1e-16)
     # stays guarded slightly off equilibrium too
     s2 = _state(g, lambda x: 1.0 + 1e-9 * np.cos(x), [lambda x: 0.0 * x])
-    a2, r2 = _pair(s2, p)
-    assert np.abs(interior_residual(a2, r2, p, nz=24).values[1]).max() <= 1e-11
+    a2 = build_ansatz(s2, p)
+    assert np.abs(interior_residual(a2, nz=24).values[1]).max() <= 1e-11
 
 
 # -- divergence -----------------------------------------------------------------
 
 
 def test_divergence_identically_zero():
-    a, _ = _pair(_wavy())
+    a = build_ansatz(_wavy(), P)
     assert norm(divergence_residual(a, 12), NormKind.Linf()) < 1e-11
 
 
 def test_divergence_detects_tampering():
     s = _wavy()
-    a, _ = _pair(s)
+    a = build_ansatz(s, P)
     bad = AnsatzFields(
         a.base, a.params, a.u0, a.u1, a.u2, a.w1, a.w2, a.w3 + 1.0, a.p_nonhydro
     )
@@ -136,15 +147,15 @@ def test_divergence_detects_tampering():
 
 def test_kinematic_zero_cases():
     for s in (_equilibrium(), _uniform()):
-        a, r = _pair(s)
-        assert norm(kinematic_residual(a, r, P), NormKind.Linf()) < 1e-14
+        a = build_ansatz(s, P)
+        assert norm(kinematic_residual(a), NormKind.Linf()) < 1e-14
 
 
 def test_kinematic_small_at_bumpy_state():
     g = Grid(1, 32)
     s = _state(g, lambda x: 1.0 + 0.05 * np.cos(x), [lambda x: 0.01 * np.sin(x)])
-    a, r = _pair(s)
-    assert norm(kinematic_residual(a, r, P), NormKind.Linf()) < 10 * P.eps**2
+    a = build_ansatz(s, P)
+    assert norm(kinematic_residual(a), NormKind.Linf()) < 10 * P.eps**2
 
 
 # -- traction -------------------------------------------------------------------
@@ -152,23 +163,23 @@ def test_kinematic_small_at_bumpy_state():
 
 def test_traction_zero_cases():
     for s in (_equilibrium(), _uniform()):
-        a, _ = _pair(s)
-        assert np.abs(traction_residual(a, P).values).max() < 1e-14
+        a = build_ansatz(s, P)
+        assert np.abs(traction_residual(a).values).max() < 1e-14
 
 
 # -- bottom ---------------------------------------------------------------------
 
 
 def test_bottom_residual_structure():
-    a, _ = _pair(_wavy())
-    rv, rslip = bottom_residual(a, P)
+    a = build_ansatz(_wavy(), P)
+    rv, rslip = bottom_residual(a)
     assert np.abs(rv.values).max() == 0.0
     assert np.abs(rslip.values).max() == 0.0
     delta = 0.37
     bad = AnsatzFields(
         a.base, a.params, a.u0, a.u1 + delta, a.u2, a.w1, a.w2, a.w3, a.p_nonhydro
     )
-    _, rslip2 = bottom_residual(bad, P)
+    _, rslip2 = bottom_residual(bad)
     assert np.abs(rslip2.values - delta).max() < 1e-14
 
 
@@ -177,15 +188,15 @@ def test_bottom_residual_structure():
 
 def test_solved_form_zero_cases():
     for s in (_equilibrium(), _uniform()):
-        a, _ = _pair(s)
-        rp, rt = solved_form_residual(a, P)
+        a = build_ansatz(s, P)
+        rp, rt = solved_form_residual(a)
         assert np.abs(rp.values).max() < 1e-13
         assert np.abs(rt.values).max() < 1e-13
 
 
 def test_solved_form_finite_on_wavy_state():
-    a, _ = _pair(_wavy())
-    rp, rt = solved_form_residual(a, P)
+    a = build_ansatz(_wavy(), P)
+    rp, rt = solved_form_residual(a)
     assert np.isfinite(rp.values).all() and np.isfinite(rt.values).all()
     assert np.abs(rp.values).max() < 1.0
 
@@ -201,10 +212,10 @@ def test_translation_equivariance():
     u_sh = HField(g, np.roll(s.u0.values, shift, axis=-1))
     s_sh = SWState(0.0, h_sh, u_sh)
     for state, out in ((s, {}), (s_sh, {})):
-        a, r = _pair(state)
-        out["interior"] = np.abs(interior_residual(a, r, P, 12).values).max()
-        out["kinematic"] = norm(kinematic_residual(a, r, P), NormKind.Linf())
-        out["traction"] = np.abs(traction_residual(a, P).values).max()
+        a = build_ansatz(state, P)
+        out["interior"] = np.abs(interior_residual(a, 12).values).max()
+        out["kinematic"] = norm(kinematic_residual(a), NormKind.Linf())
+        out["traction"] = np.abs(traction_residual(a).values).max()
         if state is s:
             base = dict(out)
     for key, val in base.items():
@@ -214,11 +225,11 @@ def test_translation_equivariance():
 def test_resolution_independence():
     sups = {}
     for N, nz in ((32, 12), (64, 24)):
-        a, r = _pair(_wavy(N))
+        a = build_ansatz(_wavy(N), P)
         sups[N] = {
-            "interior": np.abs(interior_residual(a, r, P, nz).values).max(),
-            "kinematic": norm(kinematic_residual(a, r, P), NormKind.Linf()),
-            "traction": np.abs(traction_residual(a, P).values).max(),
+            "interior": np.abs(interior_residual(a, nz).values).max(),
+            "kinematic": norm(kinematic_residual(a), NormKind.Linf()),
+            "traction": np.abs(traction_residual(a).values).max(),
         }
     for key in sups[32]:
         rel = abs(sups[32][key] - sups[64][key]) / sups[64][key]
@@ -328,7 +339,7 @@ def test_study_interior_rows_are_interior_residual_norms(n, N):
     s = sw_solve(init, base, T=0.25, dt=0.25 / nsteps)[-1]
     for eps in (0.1, 0.0125):
         p = Params(F=1.0, Re=1.0, gamma_bar=1.0, eps=eps)
-        res = interior_residual(build_ansatz(s, p), ansatz_rate(s, p), p, nz=24)
+        res = interior_residual(build_ansatz(s, p), nz=24)
         records, _ = _residual_records(s, p, nz=24)
         rows = [r for r in records if r["kind"] == "interior_momentum"]
         assert len(rows) == n + 1
@@ -344,13 +355,13 @@ def test_residuals_two_dimensional():
         lambda x, y: 1.0 + 0.05 * np.cos(x) + 0.03 * np.sin(y),
         [lambda x, y: 0.02 * np.sin(x + y), lambda x, y: 0.01 * np.cos(x) + 0.0 * y],
     )
-    a, r = _pair(s)
-    res = interior_residual(a, r, P, nz=8)
+    a = build_ansatz(s, P)
+    res = interior_residual(a, nz=8)
     assert res.values.shape == (3, 8, 16, 16)
     assert np.isfinite(res.values).all()
     assert norm(divergence_residual(a, 8), NormKind.Linf()) < 1e-11
-    rv, rslip = bottom_residual(a, P)
+    rv, rslip = bottom_residual(a)
     assert np.abs(rv.values).max() == 0.0 and np.abs(rslip.values).max() < 1e-14
-    trac = traction_residual(a, P)
+    trac = traction_residual(a)
     assert trac.values.shape == (3, 16, 16)
     assert np.isfinite(trac.values).all()

@@ -19,6 +19,13 @@ from pathlib import Path
 __all__ = ["Config", "ConfigError", "load_config", "validate_config", "DEFAULT_CONFIG"]
 
 
+# Smallest probes.eps_list entry: below about 1e-154 the squares of the
+# strip's eps-scaled fields overflow and samples are lost, below about
+# 1e-155 every sample of a probe is, and below about 1.5e-162 eps**2
+# underflows to 0. At 1e-150 every probe keeps all of its samples.
+PROBE_EPS_MIN = 1e-150
+
+
 class ConfigError(ValueError):
     """Raised by load_config when the file does not validate."""
 
@@ -222,7 +229,12 @@ def validate_tree(tree: dict) -> list:
 
     pr = t["probes"]
     if _check_keys(out, pr, "probes", {"eps_list", "samples", "seed"}):
-        _check_eps_list(out, pr["eps_list"], "probes.eps_list")
+        eps = pr["eps_list"]
+        _check_eps_list(out, eps, "probes.eps_list")
+        if isinstance(eps, list) and any(
+            _is_num(e) and 0.0 < e < PROBE_EPS_MIN for e in eps
+        ):
+            out.append(f"probes.eps_list: entries must be >= {PROBE_EPS_MIN:g}")
         if not _is_int(pr["samples"]) or pr["samples"] < 50:
             out.append("probes.samples: must be an integer >= 50")
         if not _is_int(pr["seed"]) or pr["seed"] < 0:

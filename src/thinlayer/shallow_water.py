@@ -130,16 +130,22 @@ def sym_grad(u: HField) -> list[list[HField]]:
     return [[du[i][a] + du[a][i] for a in range(n)] for i in range(n)]
 
 
+# Upper triangle (i, a), a >= i, of a symmetric n x n tensor, row by row:
+# the slots of h0 D(u0) in sw_rhs.
+_PAIRS = {n: [(i, a) for i in range(n) for a in range(i, n)] for n in (1, 2)}
+
+
 def _nprod(n: int) -> int:
-    """Products sw_rhs forms on the padded grid: h0 u0, the advection,
-    h0^2, h0 div u0 and h0 D(u0)."""
-    return n * n + 2 * n + 2
+    """Products sw_rhs forms on the padded grid: h0 u0 (n), the advection
+    (n), h0^2 (1) and the upper triangle of h0 D(u0) (n(n+1)/2)."""
+    return 2 * n + 1 + n * (n + 1) // 2
 
 
 def _rhs_work(grid: Grid) -> FineWork:
     """Work area of sw_rhs: padded spectra of its 1 + n + n^2 inputs (h0,
     u0, grad u0); fine slots for its products followed by the inputs; fine
-    spectra of its products."""
+    spectra of its products. The quotient by h0 reuses the first n slots of
+    each."""
     n = grid.n
     nin = 1 + n + n * n
     return FineWork(grid, nin, _nprod(n) + nin, _nprod(n))
@@ -152,24 +158,31 @@ def sw_rhs(s: SWState, p: Params, work: FineWork | None = None) -> tuple[HField,
     dtu0 = -(u0 . grad) u0 - grad(h0^2 / 2F^2) / h0
            + (div(h0 D(u0)) + 2 grad(h0 div u0) - gamma_bar u0) / (Re h0)
 
-    Divisions by h0 happen pointwise on the padded grid; both tendencies are
+    The pressure and viscous numerators share the divisor h0, so they are
+    added in spectral space and divided once, pointwise on the padded grid.
+    D is symmetric and 2 h0 div u0 = trace(h0 D), so the viscous numerator
+    is div(h0 D) + grad trace(h0 D) - gamma_bar u0, and only the n(n+1)/2
+    products of the upper triangle of h0 D are formed. Both tendencies are
     projected onto the 2/3 band (the band edge is where the weighted viscous
     operator, effective viscosity about 4 max(h0) / Re, would outrun the
     advertised step bound).
 
-    The transforms are batched, one per stage (five). The inputs enter
-    through their cached spectra (h0.spec, u0.spec), which later readers of
-    the state such as sw_energy reuse. The padded stages live in work, the
-    area sw_solve builds once per solve (a fresh one when work is None): the
-    fine fields h0, u0 and grad u0 sit behind the product slots, the
-    products are formed in place and transformed from there, and the two
-    quotients by h0 reuse the first 2n padded and product slots, which are
-    spent by then. Only the truncated spectra and the returned tendencies
-    are fresh arrays; nothing of work is returned. The projections are those
-    of the HField product/derivative path: each quadratic product and each
-    quotient by h0 is formed on the padded grid and truncated to the N-mode
-    band before it is differentiated or combined, so the two agree to
-    rounding.
+    The transforms are batched, one per stage (five): 1 + n + n^2 inputs
+    (h0, u0, grad u0) to the padded grid, 2n + 1 + n(n+1)/2 products back,
+    and n numerators through the quotient, 19 fine-grid fields in 2D and 9
+    in 1D. The inputs enter through their cached spectra (h0.spec, u0.spec),
+    which later readers of the state such as sw_energy reuse. The padded
+    stages live in work, the area sw_solve builds once per solve (a fresh
+    one when work is None): the fine fields h0, u0 and grad u0 sit behind
+    the product slots (h0 u0 | (u0 . grad) u0 | h0^2 | h0 D(u0), upper
+    triangle row by row), the products are formed in place and transformed
+    from there, and the quotient reuses the first n padded and product
+    slots, which are spent by then. Only the truncated spectra and the
+    returned tendencies are fresh arrays; nothing of work is returned. The
+    projections are those of the HField product/derivative path: each
+    quadratic product and the quotient by h0 are formed on the padded grid
+    and truncated to the N-mode band before they are differentiated or
+    combined, so the two agree to rounding.
     """
     h0, u0 = s.h0, s.u0
     g = s.grid
@@ -179,6 +192,7 @@ def sw_rhs(s: SWState, p: Params, work: FineWork | None = None) -> tuple[HField,
     if work is None:
         work = _rhs_work(g)
     ik = g.ik  # ik[a] = d/dx_a
+    pairs = _PAIRS[n]
 
     state = np.concatenate([h0.spec[None], u0.spec])
     U = state[1:]
@@ -189,32 +203,36 @@ def sw_rhs(s: SWState, p: Params, work: FineWork | None = None) -> tuple[HField,
     fine = _spec_to_fine(g, stage, work.padded[: len(stage)], work.fine[nprod:])
     hf, uf = fine[0], fine[1 : 1 + n]
     duf = fine[1 + n :].reshape((n, n) + hf.shape)
-    prods = work.fine[:nprod]  # h0 u0 | (u0 . grad) u0 | h0^2 | h0 div u0 | h0 D(u0)
+    prods = work.fine[:nprod]  # h0 u0 | (u0 . grad) u0 | h0^2 | h0 D(u0), upper triangle
     np.multiply(hf, uf, out=prods[:n])
     adv = prods[n : 2 * n]
-    hD = prods[2 * n + 2 :].reshape(duf.shape)
+    hD = prods[2 * n + 1 :]
     np.multiply(uf[0], duf[:, 0], out=adv)
-    for a in range(1, n):  # hD[0] is scratch until h0 D(u0) is formed
-        np.multiply(uf[a], duf[:, a], out=hD[0])
-        adv += hD[0]
+    for a in range(1, n):  # hD[:n] is scratch until h0 D(u0) is formed
+        np.multiply(uf[a], duf[:, a], out=hD[:n])
+        adv += hD[:n]
     np.multiply(hf, hf, out=prods[2 * n])
-    np.trace(duf, out=prods[2 * n + 1])
-    prods[2 * n + 1] *= hf
-    np.add(duf, duf.swapaxes(0, 1), out=hD)
+    for k, (i, a) in enumerate(pairs):
+        np.add(duf[i, a], duf[a, i], out=hD[k])
     hD *= hf
     spec = _fine_to_spec(g, prods, work.spec)
-    hu, adv = spec[:n], spec[n : 2 * n]
-    hh, hdiv = spec[2 * n], spec[2 * n + 1]
-    hD = spec[2 * n + 2 :].reshape((n, n) + g.spec_shape)
+    hu, adv, hh = spec[:n], spec[n : 2 * n], spec[2 * n]
+    hD = spec[2 * n + 1 :]
+    hD *= 1.0 / p.Re
 
     dth0 = -(ik * hu).sum(axis=0)
-    gradp = ik * hh * (0.5 / p.F**2)
-    visc = (hD * ik).sum(axis=1) + 2.0 * ik * hdiv - p.gamma_bar * U
-    q = work.fine[: 2 * n]
-    _spec_to_fine(g, np.concatenate([gradp, visc]), work.padded[: 2 * n], q)
+    # one numerator per component, divided by h0 once:
+    # (div(h0 D) + grad trace(h0 D) - gamma_bar u0) / Re - grad(h0^2 / 2F^2)
+    trace = sum(hD[k] for k, (i, a) in enumerate(pairs) if i == a)
+    num = ik * (trace - hh * (0.5 / p.F**2)) - (p.gamma_bar / p.Re) * U
+    for k, (i, a) in enumerate(pairs):  # div(h0 D) / Re
+        num[i] += ik[a] * hD[k]
+        if a != i:
+            num[a] += ik[i] * hD[k]
+    q = work.fine[:n]
+    _spec_to_fine(g, num, work.padded[:n], q)
     q /= hf
-    quot = _fine_to_spec(g, q, work.spec[: 2 * n])
-    dtu0 = -adv - quot[:n] + quot[n:] * (1.0 / p.Re)
+    dtu0 = _fine_to_spec(g, q, work.spec[:n]) - adv
 
     out = HField.from_spec(g, np.concatenate([dth0[None], dtu0]) * g.dealias_keep).values
     return HField(g, out[0]), HField(g, out[1:])

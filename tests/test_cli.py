@@ -315,6 +315,32 @@ def test_probe_keeps_every_sample_at_eps_1e_100(tmp_path, capsys):
     assert all(float(r["min_ratio"]) > 0.0 for r in rows if r["tag"] == "Agmon")
 
 
+def test_probe_keeps_every_sample_at_the_eps_floor(tmp_path, capsys):
+    tree = {"probes": {"eps_list": [0.1, 1e-150]}, "params": {"gamma_bar": 0.7}}
+    out = tmp_path / "out"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run("probe", _config(tmp_path, tree), out=out) == 0
+    assert not caught and capsys.readouterr().err == ""
+    rows = _read_csv(out / "probe_ratios.csv")
+    assert len(rows) == 10 and all(int(r["n_samples"]) >= 64 for r in rows)
+
+
+@pytest.mark.parametrize("eps", [1e-152, 1e-155, 1e-170])
+def test_probe_eps_below_the_floor_is_invalid(tmp_path, capsys, eps):
+    # unchecked, 1e-155 ends probe in a ValueError traceback and 1e-170 in a
+    # ZeroDivisionError; 1e-152 is refused to keep a margin to the overflow
+    # that starts near 1e-154
+    cfg = _config(tmp_path, {"probes": {"eps_list": [0.1, 1e-14, eps]}})
+    assert run("validate", cfg) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "probes.eps_list: entries must be >= 1e-150"
+    ]
+    assert run("probe", cfg, out=tmp_path / "out") == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
+
+
 def test_underflowing_froude_number_is_invalid(tmp_path, capsys):
     cfg = _config(tmp_path, {"params": {"F": 1e-162}})
     assert run("validate", cfg) == 2

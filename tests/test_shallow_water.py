@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import thinlayer
 from conftest import loglog_slope
-from thinlayer import shallow_water
+from thinlayer import grids, shallow_water
 from thinlayer.grids import FineWork, Grid, HField, div, grad, nonlinear
 from thinlayer.shallow_water import (
     DegenerateStateError,
@@ -186,19 +186,57 @@ def _rhs_reference(s, p):
     return dth0.mask_two_thirds(), dtu0.mask_two_thirds()
 
 
-@pytest.mark.parametrize("n,N", [(1, 32), (1, 64), (2, 32)])
+@pytest.mark.parametrize("n,N", [(1, 32), (1, 64), (2, 32), (2, 64)])
 def test_rhs_matches_hfield_composition(n, N):
     """Batched transforms give the HField path's projections, on states with
-    energy in every mode (Nyquist included), so no term is exact by luck."""
+    energy in every mode (Nyquist included), so no term is exact by luck.
+
+    sw_rhs divides the sum of the pressure and viscous numerators by h0
+    once, where the reference divides each; the parameter sets include the
+    extremes where one numerator outweighs the other by orders of magnitude
+    (F = 0.05, Re = 1e3: pressure; F = 1, Re = 1e6: pressure again, with a
+    viscous part near rounding)."""
     g = Grid(n, N)
     rng = np.random.default_rng(100 * n + N)
-    p = Params(F=0.7, Re=3.0, gamma_bar=0.8, eps=0.1)
     h0 = HField(g, 1.0 + 0.3 * rng.random(g.shape))
     u0 = HField(g, rng.standard_normal((n,) + g.shape))
     s = SWState(0.0, h0, u0)
-    for got, want in zip(sw_rhs(s, p), _rhs_reference(s, p)):
-        scale = np.abs(want.values).max()
-        assert np.abs(got.values - want.values).max() <= 1e-13 * scale
+    for F, Re, gamma_bar in [(0.7, 3.0, 0.8), (0.05, 1e3, 0.0), (1.0, 1e6, 1.0)]:
+        p = Params(F=F, Re=Re, gamma_bar=gamma_bar, eps=0.1)
+        for got, want in zip(sw_rhs(s, p), _rhs_reference(s, p)):
+            scale = np.abs(want.values).max()
+            assert np.abs(got.values - want.values).max() <= 1e-13 * scale
+
+
+@pytest.mark.parametrize("n,fields", [(1, 9), (2, 19)])
+def test_rhs_fine_grid_field_count(monkeypatch, n, fields):
+    """One sw_rhs moves 1 + n + n^2 inputs (h0, u0, grad u0), 2n + 1 +
+    n(n+1)/2 products (h0 u0, the advection, h0^2, the upper triangle of
+    h0 D(u0)) and n numerators of the one quotient by h0 through the padded
+    transforms."""
+    g = Grid(n, 32)
+    fine = grids.PAD * g.N
+    moved = []
+    irfft, rfft = grids._irfft, grids._rfft
+
+    def leading(a):
+        return int(np.prod(a.shape[: a.ndim - n]))
+
+    def counted_irfft(a, axes, size, out=None):
+        if size == fine:
+            moved.append(leading(a))
+        return irfft(a, axes, size, out)
+
+    def counted_rfft(a, axes, out=None):
+        if a.shape[-1] == fine:
+            moved.append(leading(a))
+        return rfft(a, axes, out)
+
+    s = initial_wave(g, amplitude=0.1, velocity_amplitude=0.05)
+    monkeypatch.setattr(grids, "_irfft", counted_irfft)
+    monkeypatch.setattr(grids, "_rfft", counted_rfft)
+    sw_rhs(s, P1)
+    assert sum(moved) == fields
 
 
 def test_rhs_cross_resolution_agreement():
@@ -385,12 +423,12 @@ def test_solve_allocates_no_padded_stage_per_rhs():
     """tracemalloc peak of a 10-step 2D N = 32 solve, less its one sw_rhs
     work area, stays within 1.5 MB.
 
-    What remains (about 1.29 MB) is the trajectory the solve returns, with
-    its initial state (about 0.84 MB), and the transients of one sw_rhs call
+    What remains (about 1.19 MB) is the trajectory the solve returns, with
+    its initial state (about 0.82 MB), and the transients of one sw_rhs call
     (numpy's own transform buffers, the truncated spectra, the returned
-    tendencies: about 0.44 MB). An sw_rhs that allocated its padded stages
-    per call again read about 2.3 MB, and a solve that stopped handing its
-    work area down adds about 1.1 MB per extra work area.
+    tendencies: about 0.34 MB). An sw_rhs that allocated its padded stages
+    per call again read about 2.14 MB, and a solve that stopped handing its
+    work area down adds about 0.95 MB per extra work area.
     """
     work = shallow_water._rhs_work(Grid(2, 32))
     area = work.padded.nbytes + work.fine.nbytes + work.spec.nbytes

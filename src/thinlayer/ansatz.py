@@ -10,10 +10,9 @@ ZPoly carries that structure: z is an independent coordinate, so horizontal
 derivatives act on coefficients and vertical derivatives shift them. The
 depth polynomials of u_H and u_V are written once, in `_velocity_polys`,
 for the coefficients of an AnsatzFields or of its time derivative
-AnsatzRate; every other reader (the residuals, eval_ansatz) evaluates
-those polynomials. The rate depends only on the state and the
-parameters, so each AnsatzFields computes its own `rate` once, on first
-use. The incompressibility of the triple (u0, u1, u2) against
+AnsatzRate, and the residuals read them there. The rate depends only on
+the state and the parameters, so each AnsatzFields computes its own `rate`
+once, on first use. The incompressibility of the triple (u0, u1, u2) against
 (w1, w2, w3) is an algebraic identity of the construction, not an
 approximation.
 """
@@ -29,7 +28,7 @@ from .grids import Grid, HField, _spec_to_fine, div, from_fine, grad, nonlinear
 from .shallow_water import DegenerateStateError, Params, SWState, sw_rhs, sym_grad
 from .thinfields import ThinField
 
-__all__ = ["ZPoly", "AnsatzFields", "AnsatzRate", "build_ansatz", "ansatz_rate", "eval_ansatz"]
+__all__ = ["ZPoly", "AnsatzFields", "AnsatzRate", "build_ansatz", "ansatz_rate"]
 
 
 class ZPoly:
@@ -75,12 +74,6 @@ class ZPoly:
             b = other.coeffs[k] if k < len(other.coeffs) else self._zero_field()
             out.append(a + b)
         return ZPoly(out)
-
-    def __sub__(self, other: "ZPoly") -> "ZPoly":
-        return self + (-other)
-
-    def __neg__(self) -> "ZPoly":
-        return ZPoly([-c for c in self.coeffs])
 
     def __mul__(self, other):
         if isinstance(other, ZPoly):
@@ -262,21 +255,3 @@ def ansatz_rate(s: SWState, p: Params) -> AnsatzRate:
     dw3 = -div(du2)
     dp_nh = _pressure_factor(p) * div(dtu0)
     return AnsatzRate(dth0, dtu0, du1, du2, dw1, dw2, dw3, dp_nh)
-
-
-def eval_ansatz(a: AnsatzFields, x_index, z: float):
-    """Point values (uH, uV, pressure) at grid node x_index and height z.
-
-    z may exceed the local column by one percent so surface evaluations
-    survive roundoff in eps*h0.
-    """
-    idx = (x_index,) if np.isscalar(x_index) else tuple(x_index)
-    if len(idx) != a.grid.n:
-        raise ValueError(f"x_index must have {a.grid.n} entries")
-    h_here = float(a.base.h0.values[idx])
-    z = float(z)
-    if z < 0.0 or z > 1.01 * a.eps * h_here:
-        raise ValueError(f"z = {z} outside [0, 1.01*eps*h0] = [0, {1.01 * a.eps * h_here}]")
-
-    *uH, uV, pres = (q.at_z(z).values[idx] for q in _velocity_polys(a) + [a.pressure_poly()])
-    return np.array(uH), float(uV), float(pres)

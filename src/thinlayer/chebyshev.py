@@ -13,7 +13,6 @@ __all__ = [
     "barycentric_weights",
     "diff_matrix",
     "clenshaw_curtis_weights",
-    "barycentric_interpolate",
 ]
 
 
@@ -74,22 +73,3 @@ def clenshaw_curtis_weights(nz: int) -> np.ndarray:
     w[0] = w[-1] = end
     w[1:-1] = 2.0 * v / n
     return 0.5 * w  # [-1, 1] -> [0, 1]
-
-
-def barycentric_interpolate(nodes, values, weights, targets):
-    """Evaluate the interpolant of (nodes, values) at targets.
-
-    values may carry leading axes; interpolation acts on the last axis.
-    Targets that coincide with a node reproduce the nodal value exactly.
-    """
-    targets = np.atleast_1d(np.asarray(targets, dtype=float))
-    vals = np.asarray(values, dtype=float)
-    diff = targets[:, None] - nodes[None, :]          # (nt, nz)
-    exact_t, exact_j = np.nonzero(diff == 0.0)
-    diff[exact_t, exact_j] = 1.0                      # dodge division by zero
-    c = weights[None, :] / diff                       # (nt, nz)
-    num = np.tensordot(vals, c, axes=([-1], [1]))     # (..., nt)
-    out = num / c.sum(axis=1)
-    if exact_t.size:
-        out[..., exact_t] = vals[..., exact_j]
-    return out

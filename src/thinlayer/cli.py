@@ -6,7 +6,8 @@ Each pipeline reads only the config (plus --out), writes CSV/JSON through
 the deterministic emitters, and finishes by writing a manifest that
 checksums every emitted file. Exit codes: 0 success, 2 config validation
 failure, 3 numerical failure (vacuum, blowup, step above the stability
-bound, conditioning, uncertified solve), 64 usage error, 1 I/O failure.
+bound, conditioning, uncertified solve), 64 usage error, 1 I/O failure or
+an allocation that failed.
 --threads is accepted for compatibility and has no effect: every pipeline
 runs serially.
 """
@@ -346,6 +347,9 @@ def run(subcommand: str, config_path, out=None, threads=None) -> int:
         return 3
     except OSError as exc:
         print(f"I/O failure: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        print(f"out of memory in {subcommand}: {exc}", file=sys.stderr)
         return 1
     write_manifest(out_dir, cfg.sha256, __version__, emitted)
     return 0

@@ -187,7 +187,7 @@ class HField:
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "_spec", None)
 
-    def __setattr__(self, name, value):  # pragma: no cover - guard rail
+    def __setattr__(self, name, value):
         raise AttributeError("HField is immutable")
 
     # -- structure ---------------------------------------------------------
@@ -314,11 +314,6 @@ class HField:
         if isinstance(other, HField):
             return dealiased_product(other, self)
         return HField(self.grid, self.values * other)
-
-    def __truediv__(self, other):
-        if isinstance(other, HField):
-            return nonlinear(self.grid, lambda a, b: a / b, self, other)
-        return HField(self.grid, self.values / other)
 
     def __neg__(self):
         return HField(self.grid, -self.values)

@@ -18,6 +18,9 @@ of the basis whose members stay O(1) apart; the pencil spectrum is invariant
 under any such change of basis. The Gauss-Legendre rules behind the design
 matrices are built once per node count and shared, read-only, by every
 cell; each cell builds its design matrices once per resolution.
+korn_pencil is the one entry point of a cell: it returns both Gram
+matrices, both design matrices and the ascending spectrum, and the sweep
+reads Lambda and the six eigenvalues off it.
 
 The module also hosts the quadratic-form probe of the inequality itself on
 random divergence-free strip fields, reported per epsilon for uniformity
@@ -44,9 +47,7 @@ __all__ = [
     "QuadratureError",
     "ConditioningError",
     "korn_basis_eval",
-    "korn_gram",
     "korn_pencil",
-    "korn_spectrum",
     "korn_sweep",
     "korn_probe",
     "sigma_circle",
@@ -54,8 +55,6 @@ __all__ = [
     "default_m_grid",
 ]
 
-CLUSTER_TOL = 1e-6
-CLUSTER_TOL_SMALL_M = 1e-4  # below M = 0.1 conditioning costs two digits
 RANK_TOL = 1e-10
 KORN_NX, KORN_NZ = 32, 24  # strip nodes of the inequality probe
 
@@ -243,18 +242,6 @@ def _assemble(M: float, sigma, quad_nodes: int):
     return b1, b2, q1, q2
 
 
-def korn_gram(M: float, sigma, quad_nodes: int = 96):
-    """Gram matrices (q1, q2) of the two forms on the 6-member basis.
-
-    Assembled at quad_nodes and 2*quad_nodes Gauss-Legendre nodes; the two
-    resolutions must agree to 1e-10 relative or a QuadratureError is raised.
-    Uses the recombined exponential basis beyond M = 2 (same spans).
-    """
-    sigma = _check_cell(M, sigma, quad_nodes)
-    _, _, q1, q2 = _assemble(M, sigma, quad_nodes)
-    return q1, q2
-
-
 # -- the pencil -----------------------------------------------------------------------
 
 
@@ -320,28 +307,6 @@ def korn_pencil(M: float, sigma, quad_nodes: int = 96) -> KornPencil:
         spectrum=spectrum,
         Lambda=float(spectrum[0]),
     )
-
-
-def _cluster(values: np.ndarray, tol: float) -> list[tuple[float, int]]:
-    """Group ascending values whose relative gaps stay below tol."""
-    out = []
-    start = 0
-    vals = np.asarray(values, dtype=float)
-    for i in range(1, vals.size + 1):
-        if i == vals.size or abs(vals[i] - vals[i - 1]) > tol * max(
-            abs(vals[i]), abs(vals[i - 1]), 1e-300
-        ):
-            grp = vals[start:i]
-            out.append((float(grp.mean()), int(grp.size)))
-            start = i
-    return out
-
-
-def korn_spectrum(p: KornPencil):
-    """(eigenvalues ascending, clusters) with relative multiplicity grouping
-    at CLUSTER_TOL, or CLUSTER_TOL_SMALL_M below M = 0.1."""
-    tol = CLUSTER_TOL if p.M >= 0.1 else CLUSTER_TOL_SMALL_M
-    return p.spectrum, _cluster(p.spectrum, tol)
 
 
 # -- sweep ---------------------------------------------------------------------------

@@ -104,12 +104,6 @@ class Chart:
     def nlev(self) -> int:
         return self.z_levels.size
 
-    @property
-    def dt(self) -> float:
-        if self.times.size < 2:
-            raise ValueError("single-frame chart has no dt")
-        return float(self.times[1] - self.times[0])
-
     def index_of(self, t: float) -> int:
         hits = np.nonzero(np.isclose(self.times, t, rtol=0.0, atol=1e-10))[0]
         if hits.size != 1:
@@ -176,43 +170,23 @@ def _flow_sampler(state, shape):
     return at
 
 
-def integrate_chart(
-    traj: SWTrajectory,
-    eps: float,
-    nlev: int = 8,
-    x_start: np.ndarray | None = None,
-    zfactor_start: np.ndarray | None = None,
-) -> Chart:
-    """Integrate the flow map over a trajectory with the trajectory's dt.
-
-    By default the map starts from the identity at traj.times[0]; x_start
-    and zfactor_start restart it from a previous leg instead (positions may
-    lie outside the periodic box, values are taken as given).
-    """
+def integrate_chart(traj: SWTrajectory, eps: float, nlev: int = 8) -> Chart:
+    """Integrate the flow map over a trajectory with the trajectory's dt,
+    starting from the identity at traj.times[0]; the chart keeps nlev
+    material z levels."""
     if nlev < 2:
         raise ValueError(f"need at least 2 vertical levels, got {nlev}")
     grid = traj.states[0].grid
     n, shape = grid.n, grid.shape
     x0 = _material_nodes(grid)
-
-    if x_start is None:
-        X = x0.copy()
-    else:
-        X = np.array(x_start, dtype=float)
-        if X.shape != (n,) + shape:
-            raise ValueError(f"x_start must have shape ({n},) + grid.shape")
-    if zfactor_start is None:
-        G = np.ones(shape)
-    else:
-        G = np.array(zfactor_start, dtype=float)
-        if G.shape != shape:
-            raise ValueError("zfactor_start must have grid.shape")
+    X = x0.copy()
+    G = np.ones(shape)
 
     nt = len(traj)
     dt = traj.dt
     xdisp = np.empty((nt, n) + shape)
     zfactor = np.empty((nt,) + shape)
-    xdisp[0] = X - x0
+    xdisp[0] = 0.0
     zfactor[0] = G
 
     for k in range(nt - 1):

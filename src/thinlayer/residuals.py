@@ -30,7 +30,7 @@ import numpy as np
 
 from .ansatz import AnsatzFields, ZPoly, _velocity_polys, build_ansatz
 from .grids import HField
-from .norms import NormKind, norm
+from .norms import norm
 from .shallow_water import Params, StabilityError, SWState, stable_dt, sw_solve
 from .thinfields import ThinField
 
@@ -300,7 +300,7 @@ class StudyReport:
 
 
 def _sup_l2(f: ThinField | HField) -> tuple[float, float]:
-    return norm(f, NormKind.Linf()), norm(f, NormKind.L2())
+    return norm(f, "Linf"), norm(f, "L2")
 
 
 def _residual_records(s: SWState, pvar: Params, nz: int):
@@ -332,7 +332,7 @@ def _residual_records(s: SWState, pvar: Params, nz: int):
                     "eps": pvar.eps,
                     "term": name,
                     "component": comp,
-                    "norm_sup": norm(c, NormKind.Linf()),
+                    "norm_sup": norm(c, "Linf"),
                 }
             )
     for comp, c in zip(comp_names, thin(samples["total"])):

@@ -259,6 +259,15 @@ def _advanced(s: SWState, w: float, kh: HField, ku: HField) -> SWState:
     return SWState(s.t + w, s.h0 + w * kh, s.u0 + w * ku)
 
 
+def _check_vacuum(h0: HField, t: float) -> None:
+    """Raise DegenerateStateError when min h0 is at or below VACUUM_FLOOR."""
+    hmin = float(h0.values.min())
+    if hmin <= VACUUM_FLOOR:
+        raise DegenerateStateError(
+            f"min h0 = {hmin:.3g} at t = {t:.6g} breached the vacuum floor"
+        )
+
+
 def sw_step(
     s: SWState,
     p: Params,
@@ -292,11 +301,7 @@ def sw_step(
             f"non-finite fields at t = {t_new:.6g} "
             f"(max|u| before the step was {s.max_speed():.3g})"
         )
-    hmin = float(h_new.values.min())
-    if hmin <= VACUUM_FLOOR:
-        raise DegenerateStateError(
-            f"min h0 = {hmin:.3g} at t = {t_new:.6g} breached the vacuum floor"
-        )
+    _check_vacuum(h_new, t_new)
     return SWState(t_new, h_new, u_new)
 
 
@@ -383,10 +388,12 @@ def sw_solve(init: SWState, p: Params, T: float, dt: float) -> SWTrajectory:
     """Advance init over [t0, t0 + T] in steps of dt.
 
     T must be an integer multiple of dt so the trajectory stays uniform.
-    The step bound is checked before the first tendency is evaluated, so an
-    unstable dt fails before any arithmetic on the state. Vacuum and blowup
-    errors propagate with the failing time attached. One sw_rhs work area
-    serves every tendency of the solve and is dropped when it returns.
+    The step bound and the vacuum floor are checked on init before the
+    first tendency is evaluated, so an unstable dt or an initial state at
+    the floor fails at t0 before any arithmetic on the state. Vacuum and
+    blowup errors propagate with the failing time attached. One sw_rhs
+    work area serves every tendency of the solve and is dropped when it
+    returns.
     """
     if not (T > 0.0 and dt > 0.0):
         raise ValueError("T and dt must be positive")
@@ -394,6 +401,7 @@ def sw_solve(init: SWState, p: Params, T: float, dt: float) -> SWTrajectory:
     if nsteps < 1 or abs(nsteps * dt - T) > 1e-9 * max(1.0, T):
         raise ValueError(f"T = {T} is not an integer multiple of dt = {dt}")
     _check_step(init, p, dt)
+    _check_vacuum(init.h0, init.t)
     work = _rhs_work(init.grid)
     states = [init]
     tendencies = [sw_rhs(init, p, work)]

@@ -3,8 +3,11 @@
 The vertical coordinate is collocated on the scaled variable
 zeta = z / (eps h0(x)) in [0, 1] at Chebyshev-Gauss-Lobatto points, so the
 column geometry follows the free surface. zeta index 0 is the bottom z = 0.
-A flat strip of height eps is the special case h0 == 1 and is what the
-functional-inequality probes and mode solvers use.
+A flat strip of height eps is the special case h0 == 1. A ThinField holds
+nodal samples only: the residual study fills it from ZPoly.to_thinfield
+and reads its sup and L2 norms (`norms`). Its one derivative is the
+vertical one, d/dz = (1 / (eps h0)) d/dzeta; horizontal derivatives act on
+the ZPoly coefficients before sampling.
 """
 from __future__ import annotations
 
@@ -13,7 +16,7 @@ import numpy as np
 from . import chebyshev as cheb
 from .grids import Grid, HField
 
-__all__ = ["ThinField", "vertical_eval"]
+__all__ = ["ThinField"]
 
 
 class ThinField:
@@ -71,14 +74,6 @@ class ThinField:
         zeta = self.zeta.reshape((self.nz,) + (1,) * self.grid.n)
         return zeta * (self.eps * self.h0.values)
 
-    def bottom(self) -> HField:
-        idx = 0 if not self.is_vector else (slice(None), 0)
-        return HField(self.grid, self.values[idx])
-
-    def top(self) -> HField:
-        idx = -1 if not self.is_vector else (slice(None), -1)
-        return HField(self.grid, self.values[idx])
-
     @classmethod
     def from_function(cls, grid: Grid, eps: float, nz: int, fn, h0: HField | None = None):
         """Sample fn(x..., z) on the collocation grid (fn vectorized)."""
@@ -103,53 +98,3 @@ class ThinField:
         g = self.dzeta()
         vals = g.values / (self.eps * self.h0.values)
         return ThinField(self.grid, self.eps, self.nz, vals, self.h0)
-
-    def dx_at_zeta(self, axis: int) -> "ThinField":
-        """Horizontal spectral derivative at fixed zeta (per level)."""
-        levels = HField(self.grid, self.values.reshape((-1,) + self.grid.shape))
-        vals = levels.dx(axis).values.reshape(self.values.shape)
-        return ThinField(self.grid, self.eps, self.nz, vals, self.h0)
-
-    def dx(self, axis: int) -> "ThinField":
-        """Horizontal derivative at fixed z (chain rule through zeta).
-
-        d/dx|_z = d/dx|_zeta - zeta (d_x h0 / h0) d/dzeta.
-        """
-        a = self.dx_at_zeta(axis)
-        g = self.dzeta()
-        zeta = self.zeta.reshape((self.nz,) + (1,) * self.grid.n)
-        slope = self.h0.dx(axis).values / self.h0.values
-        vals = a.values - zeta * slope * g.values
-        return ThinField(self.grid, self.eps, self.nz, vals, self.h0)
-
-    def derivative(self, direction: int) -> "ThinField":
-        """direction 0..n-1: horizontal at fixed z; direction n: vertical."""
-        if direction == self.grid.n:
-            return self.dz()
-        return self.dx(direction)
-
-
-def vertical_eval(tf: ThinField, x_index, z) -> np.ndarray:
-    """Barycentric interpolation in the column above one horizontal node.
-
-    x_index: int (n=1) or tuple (n=2). z may be scalar or array; it is
-    converted to zeta via the local column height and must satisfy
-    0 <= z <= 1.01 * eps * h0(x) (slightly above the surface is allowed,
-    outside that is rejected). Exact for polynomial data of degree < nz.
-    """
-    if tf.grid.n == 1 and not isinstance(x_index, tuple):
-        x_index = (int(x_index),)
-    x_index = tuple(int(i) for i in x_index)
-    if len(x_index) != tf.grid.n:
-        raise ValueError(f"x_index must have {tf.grid.n} entries")
-    height = tf.eps * float(tf.h0.values[x_index])
-    z = np.asarray(z, dtype=float)
-    zeta = z / height
-    if np.any(zeta < 0.0) or np.any(zeta > 1.01):
-        raise ValueError(f"z outside [0, 1.01 * eps * h0] for column {x_index}")
-    col = tf.values[(..., slice(None)) + x_index]  # (nz,) or (m, nz)
-    w = cheb.barycentric_weights(tf.nz)
-    out = cheb.barycentric_interpolate(tf.zeta, col, w, zeta)
-    if z.ndim == 0:
-        out = out[..., 0]
-    return out

@@ -4,14 +4,13 @@ import pytest
 
 from conftest import loglog_slope
 from thinlayer.grids import Grid, HField, from_fine, to_fine
-from thinlayer.norms import NormKind, norm
+from thinlayer.norms import norm
 from thinlayer.shallow_water import Params, SWState, sw_step
 from thinlayer.ansatz import (
     AnsatzFields,
     ZPoly,
     ansatz_rate,
     build_ansatz,
-    eval_ansatz,
 )
 
 P = Params(F=1.0, Re=2.0, gamma_bar=0.5, eps=0.1)
@@ -21,6 +20,12 @@ def _state(grid, h_fn, u_fns, t=0.0):
     h0 = HField.from_function(grid, h_fn)
     u0 = HField.stack([HField.from_function(grid, f) for f in u_fns])
     return SWState(t, h0, u0)
+
+
+def _point_values(a, j, z):
+    """(u_H components, u_V, p) at node j and height z."""
+    polys = a.horizontal_polys() + [a.vertical_poly(), a.pressure_poly()]
+    return [q.at_z(z).values[j] for q in polys]
 
 
 def _wavy_state(N=64):
@@ -137,7 +142,7 @@ def test_build_equilibrium():
     a = build_ansatz(_state(g, lambda x: 1.0 + 0.0 * x, [lambda x: 0.0 * x]), P)
     for f in (a.u1, a.u2, a.w1, a.w2, a.w3, a.p_nonhydro):
         assert np.abs(f.values).max() < 1e-14
-    uH, uV, pres = eval_ansatz(a, 3, 0.03)
+    *uH, uV, pres = _point_values(a, 3, 0.03)
     assert np.abs(uH).max() == 0.0 and uV == 0.0
     assert abs(pres - (P.eps - 0.03)) < 1e-15
 
@@ -158,7 +163,7 @@ def test_build_resting_bump():
     a = build_ansatz(_state(g, lambda x: 1.0 + aamp * np.cos(x), [lambda x: 0.0 * x]), P)
     for f in (a.u1, a.u2, a.w1, a.w2, a.w3, a.p_nonhydro):
         assert np.abs(f.values).max() < 1e-14
-    _, _, pres = eval_ansatz(a, 0, 0.01)
+    pres = a.pressure_poly().at_z(0.01).values[0]
     assert abs(pres - (P.eps * (1 + aamp) - 0.01)) < 1e-15
 
 
@@ -171,7 +176,7 @@ def test_divergence_identity_on_thin_grid():
     polys = a.horizontal_polys()
     divpoly = polys[0].dx(0) + a.vertical_poly().dz()
     tf = divpoly.to_thinfield(P.eps, 10, s.h0)
-    assert norm(tf, NormKind.Linf()) < 1e-11
+    assert norm(tf, "Linf") < 1e-11
 
 
 def test_divergence_identity_2d():
@@ -185,7 +190,7 @@ def test_divergence_identity_2d():
     polys = a.horizontal_polys()
     divpoly = polys[0].dx(0) + polys[1].dx(1) + a.vertical_poly().dz()
     tf = divpoly.to_thinfield(P.eps, 8, s.h0)
-    assert norm(tf, NormKind.Linf()) < 1e-11
+    assert norm(tf, "Linf") < 1e-11
 
 
 def test_bottom_slip_identity():
@@ -261,20 +266,10 @@ def test_eval_horner_matches_naive():
     )
     z = 0.09
     for j in range(0, 16, 3):
-        uH, uV, pres = eval_ansatz(a, j, z)
+        *uH, uV, pres = _point_values(a, j, z)
         naive_H = a.u0.values[0, j] + a.u1.values[0, j] * z + a.u2.values[0, j] * z**2 / 2
         naive_V = a.w1.values[j] * z + a.w2.values[j] * z**2 / 2 + a.w3.values[j] * z**3 / 6
         naive_p = P.eps + a.p_nonhydro.values[j] - z
         assert abs(uH[0] - naive_H) < 1e-14
         assert abs(uV - naive_V) < 1e-14
         assert abs(pres - naive_p) < 1e-14
-
-
-def test_eval_rejects_out_of_column():
-    g = Grid(1, 16)
-    a = build_ansatz(_state(g, lambda x: 1.0 + 0.0 * x, [lambda x: 0.0 * x]), P)
-    with pytest.raises(ValueError):
-        eval_ansatz(a, 0, -0.01)
-    with pytest.raises(ValueError):
-        eval_ansatz(a, 0, 0.12)
-    eval_ansatz(a, 0, 0.1009)  # one percent overshoot tolerated

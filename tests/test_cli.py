@@ -99,6 +99,31 @@ def test_stability_breach_maps_to_exit_3(tmp_path, capsys, tree):
     assert "exceeds the stability bound" in err[0]
 
 
+@pytest.mark.parametrize("subcommand", ["sw", "study"])
+def test_initial_vacuum_maps_to_exit_3_at_t0(tmp_path, capsys, subcommand):
+    # validate accepts the amplitude, but the initial trough 1 - 0.95 is
+    # already below the vacuum floor: the run fails at t = 0, not a step on
+    cfg = _config(tmp_path, {**FAST, "sw": {**FAST["sw"], "init": {"amplitude": 0.95}}})
+    assert run("validate", cfg) == 0
+    assert run(subcommand, cfg, out=tmp_path / "out") == 3
+    assert capsys.readouterr().err.splitlines() == [
+        f"numerical failure in {subcommand}: "
+        "min h0 = 0.05 at t = 0 breached the vacuum floor"
+    ]
+
+
+def test_allocation_failure_exits_1_with_one_line(tmp_path, capsys, monkeypatch):
+    def exhausted(cfg, out):
+        raise MemoryError("Unable to allocate 32.0 GiB for an array")
+
+    monkeypatch.setitem(cli.PIPELINES, "sw", exhausted)
+    assert run("sw", _config(tmp_path), out=tmp_path / "out") == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "out of memory in sw: Unable to allocate 32.0 GiB for an array"
+    ]
+    assert not (tmp_path / "out" / MANIFEST_NAME).exists()
+
+
 def test_probe_pipeline_tiny_eps(tmp_path):
     cfg = _config(tmp_path, {"probes": {"eps_list": [0.1, 1e-5]}})
     assert main(["probe", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0

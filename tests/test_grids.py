@@ -53,6 +53,13 @@ def test_hfield_shape_guard():
         HField(g, np.zeros((2, 2, 16)))
 
 
+def test_hfield_is_immutable():
+    # the lazily cached spectrum stays valid only while the values do
+    f = HField(Grid(1, 16), np.zeros(16))
+    with pytest.raises(AttributeError):
+        f.values = np.ones(16)
+
+
 # -- derivative oracle --------------------------------------------------------
 
 

@@ -12,10 +12,8 @@ from thinlayer.korn import (
     QuadratureError,
     default_m_grid,
     korn_basis_eval,
-    korn_gram,
     korn_pencil,
     korn_probe,
-    korn_spectrum,
     korn_sweep,
     sigma_circle,
 )
@@ -78,7 +76,8 @@ def test_basis_eval_validation():
 
 def test_gram_symmetry_and_rank_two_difference():
     for M, sig in ((0.5, (1.0, 0.0)), (2.0, (0.6, 0.8)), (8.0, (0.0, 1.0))):
-        q1, q2 = korn_gram(M, sig)
+        p = korn_pencil(M, sig)
+        q1, q2 = p.q1, p.q2
         assert np.abs(q1 - q1.T).max() == 0.0
         assert np.abs(q2 - q2.T).max() == 0.0
         sv = np.linalg.svd(q2 - q1, compute_uv=False)
@@ -90,7 +89,8 @@ def test_gram_boundary_form_oracle():
     # from the trace values at z = M, an independent assembly route.
     M, sig = 1.7, (math.cos(1.1), math.sin(1.1))
     c, s = sig
-    q1, q2 = korn_gram(M, sig)
+    p = korn_pencil(M, sig)
+    q1, q2 = p.q1, p.q2
     coeffs = np.eye(6)
     v1 = np.empty(6)
     v2 = np.empty(6)
@@ -105,17 +105,17 @@ def test_gram_boundary_form_oracle():
 
 def test_gram_positive_definite_q1():
     for M in (0.1, 1.0, 10.0):
-        q1, _ = korn_gram(M, (1.0, 0.0))
+        q1 = korn_pencil(M, (1.0, 0.0)).q1
         assert np.linalg.eigvalsh(q1).min() > 0.0
 
 
 def test_gram_validation():
     with pytest.raises(ValueError):
-        korn_gram(0.0, (1.0, 0.0))
+        korn_pencil(0.0, (1.0, 0.0))
     with pytest.raises(ValueError):
-        korn_gram(1.0, (0.3, 0.4))
+        korn_pencil(1.0, (0.3, 0.4))
     with pytest.raises(ValueError):
-        korn_gram(1.0, (1.0, 0.0), quad_nodes=32)
+        korn_pencil(1.0, (1.0, 0.0), quad_nodes=32)
 
 
 # -- pencil spectrum ----------------------------------------------------------
@@ -128,17 +128,16 @@ def test_lambda_reference_values():
 
 
 def test_spectrum_cluster_structure():
-    # {1 x4, 2 x1, Lambda x1} for every cell away from the small-M merge
+    # {Lambda, 1 x4, 2} in ascending order for every cell away from the
+    # small-M merge, where Lambda sits further than 1e-6 below 1
     for M in (0.1, 0.5, 2.0, 10.0):
         for sig in sigma_circle(4):
             p = korn_pencil(M, sig)
-            spec, clusters = korn_spectrum(p)
+            spec = p.spectrum
             assert spec.shape == (6,)
-            ones = [cl for cl in clusters if abs(cl[0] - 1.0) <= 1e-6]
-            twos = [cl for cl in clusters if abs(cl[0] - 2.0) <= 2e-6]
-            assert len(ones) == 1 and ones[0][1] == 4
-            assert len(twos) == 1 and twos[0][1] == 1
-            assert 0.0 < p.Lambda <= 1.0
+            assert spec[0] == p.Lambda and 0.0 < p.Lambda < 1.0 - 1e-6
+            assert np.abs(spec[1:5] - 1.0).max() <= 1e-6
+            assert abs(spec[5] - 2.0) <= 2e-6
 
 
 def test_lambda_small_m_expansion():
@@ -149,12 +148,11 @@ def test_lambda_small_m_expansion():
 
 
 def test_small_m_cluster_merges_at_loose_tolerance():
-    # at M = 0.01 Lambda is within 1e-4 of 1, so the default (loosened)
-    # clustering reports a 5-fold cluster plus the eigenvalue 2
-    p = korn_pencil(0.01, (1.0, 0.0))
-    _, clusters = korn_spectrum(p)
-    assert [m for _, m in clusters] == [5, 1]
-    assert abs(clusters[1][0] - 2.0) <= 1e-6
+    # at M = 0.01 Lambda is within 1e-4 of 1, so at that tolerance the
+    # spectrum is a 5-fold cluster at 1 plus the eigenvalue 2
+    spec = korn_pencil(0.01, (1.0, 0.0)).spectrum
+    assert np.abs(spec[:5] - 1.0).max() <= 1e-4
+    assert abs(spec[5] - 2.0) <= 1e-6
 
 
 def test_spectrum_sigma_symmetry():
@@ -182,7 +180,7 @@ def test_pencil_matches_uncached_assembly(monkeypatch):
     pencils = [korn_pencil(M, sig) for M, sig in cells]
     monkeypatch.setattr(korn, "_gauss_legendre", np.polynomial.legendre.leggauss)
     for (M, sig), p in zip(cells, pencils):
-        q1, q2 = korn_gram(M, sig)
+        _, _, q1, q2 = korn._assemble(M, sig, 96)
         b1, b2 = korn._design_matrices(M, sig, 192, M > 2.0)
         spectrum = korn._pencil_eigs(b1, b2, M, sig)
         assert np.array_equal(p.spectrum, spectrum)

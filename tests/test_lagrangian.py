@@ -132,32 +132,11 @@ def test_identity_residuals_small_at_fine_dt():
     assert ids["height"] <= 1e-7 and ids["volume"] <= 1e-7
 
 
-def test_group_property():
-    g = Grid(1, 32)
-    p = Params(F=1.0, Re=10.0, gamma_bar=1.0, eps=EPS)
-    init = initial_wave(g, amplitude=0.0, wavenumber=1, velocity_amplitude=0.2)
-    traj = sw_solve(init, p, T=0.4, dt=0.01)
-    full = integrate_chart(traj, eps=EPS, nlev=4)
-    k = 20
-    first = SWTrajectory(traj.states[: k + 1], traj.tendencies[: k + 1], 0.01)
-    second = SWTrajectory(traj.states[k:], traj.tendencies[k:], 0.01)
-    ca = integrate_chart(first, eps=EPS, nlev=4)
-    cb = integrate_chart(
-        second, eps=EPS, nlev=4, x_start=ca.positions(k), zfactor_start=ca.zfactor[k]
-    )
-    assert np.abs(cb.positions(-1) - full.positions(-1)).max() <= 1e-9
-    assert np.abs(cb.zfactor[-1] - full.zfactor[-1]).max() <= 1e-9
-
-
 def test_integrate_validation():
     g = Grid(1, 16)
     traj, _ = _flat_traj(g)
     with pytest.raises(ValueError):
         integrate_chart(traj, eps=EPS, nlev=1)
-    with pytest.raises(ValueError):
-        integrate_chart(traj, eps=EPS, x_start=np.zeros((2, 16)))
-    with pytest.raises(ValueError):
-        integrate_chart(traj, eps=EPS, zfactor_start=np.zeros((2, 16)))
 
 
 def test_chart_validation():
@@ -174,8 +153,6 @@ def test_chart_validation():
     c = _hand_chart(g, np.zeros((1, 16)), np.ones(16))
     with pytest.raises(ValueError):
         c.index_of(0.37)
-    with pytest.raises(ValueError):
-        c.dt
 
 
 def test_identities_require_shared_times():

@@ -37,7 +37,7 @@ from .korn import (
     korn_sweep,
     sigma_circle,
 )
-from .lagrangian import DegenerateChartError, chart_check, chart_records, integrate_chart
+from .lagrangian import DegenerateChartError, chart_records, integrate_chart
 from .probes import PROBE_TAGS, anisotropy_probe
 from .reports import write_csv, write_json, write_manifest
 from .residuals import convergence_study
@@ -47,7 +47,8 @@ from .shallow_water import (
     Params,
     StabilityError,
     initial_wave,
-    sw_solve,
+    sw_diagnostics,
+    sw_steps,
 )
 
 SUBCOMMANDS = (
@@ -118,8 +119,10 @@ def _evolved_state(cfg, t_eval: float):
     dt = min(sw["dt"], t_eval)
     steps = max(1, int(round(t_eval / dt)))
     dt = t_eval / steps
-    traj = sw_solve(_initial_state(cfg), _params(cfg, cfg.study["eps_list"][0]), t_eval, dt)
-    return traj.states[-1]
+    p = _params(cfg, cfg.study["eps_list"][0])
+    for state, _ in sw_steps(_initial_state(cfg), p, t_eval, dt):
+        pass
+    return state
 
 
 def _component_columns(n: int, base: str):
@@ -134,9 +137,9 @@ def _component_columns(n: int, base: str):
 def _run_sw(cfg, out: Path) -> list:
     sw = cfg.sw
     p = _params(cfg, cfg.study["eps_list"][0])
-    traj = sw_solve(_initial_state(cfg), p, sw["T"], sw["dt"])
+    steps = sw_steps(_initial_state(cfg), p, sw["T"], sw["dt"])
+    rows = (sw_diagnostics(s, p) for s, _ in steps)
     header = ["t", "mass", "energy", "min_h", "max_u"]
-    rows = map(itemgetter(*header), traj.diagnostics(p))
     return [write_csv(out / "sw_diagnostics.csv", header, rows)]
 
 
@@ -273,9 +276,8 @@ def _run_lagrangian(cfg, out: Path) -> list:
     sw = cfg.sw
     eps = cfg.study["eps_list"][0]
     p = _params(cfg, eps)
-    traj = sw_solve(_initial_state(cfg, flat=True), p, sw["T"], sw["dt"])
-    chart = integrate_chart(traj, eps)
-    ids, defect = chart_check(chart, traj)
+    steps = sw_steps(_initial_state(cfg, flat=True), p, sw["T"], sw["dt"])
+    chart, ids, defect = integrate_chart(steps, sw["dt"], eps)
     return [
         write_csv(out / "lagrangian_chart.csv", *chart_records(chart, defect)),
         write_json(

@@ -25,9 +25,9 @@ symbols, Parseval sums and off-grid values from here.
 Padded transforms run either on fresh buffers or in a FineWork: padded
 half spectra zeroed once, fine nodal fields and fine half spectra, which
 the transforms fill through numpy's out= arguments. A FineWork belongs to
-one loop of its caller (shallow_water.sw_solve builds one per solve for
-every sw_rhs call and drops it on return), and no array of it is ever
-returned: _fine_to_spec truncates into fresh N-band spectra.
+one loop of its caller (shallow_water.sw_steps builds one per run for
+every sw_rhs call and drops it with the generator), and no array of it is
+ever returned: _fine_to_spec truncates into fresh N-band spectra.
 """
 from __future__ import annotations
 

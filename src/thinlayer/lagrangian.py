@@ -4,19 +4,20 @@ The map follows the column ODEs
 
     dX0/dt = u0(X0),        dZ0/dt = -Z0 div(u0)(X0),
 
-integrated with RK4 over a stored shallow-water trajectory; velocities at
-stage times come from the trajectory's cubic Hermite interpolant and spatial
-values from trigonometric evaluation, so positions never need wrapping into
-the periodic box. The sampler stacks the coefficients of u0 and div u0 once
-per state, so each RK4 stage is one call of the grids evaluation kernel
-with one phase table for both fields. Two structural facts shape the data
-layout: X0 does not depend on the vertical label z0 (positions are stored
-once per column), and the vertical ODE is linear and homogeneous in Z0, so
-every level of a column shares one integrating factor Z0/z0, stored once.
+integrated with RK4 along the solver's stream of states, one consecutive
+pair at a time; velocities at stage times come from the pair's cubic
+Hermite interpolant and spatial values from trigonometric evaluation, so
+positions never need wrapping into the periodic box. The sampler stacks
+the coefficients of u0 and div u0 once per state, so each RK4 stage is one
+call of the grids evaluation kernel with one phase table for both fields.
+Two structural facts shape the data layout: X0 does not depend on the
+vertical label z0 (positions are stored once per column), and the vertical
+ODE is linear and homogeneous in Z0, so every level of a column shares one
+integrating factor Z0/z0, stored once.
 
 The closed-form identities Z0 = z0*h0(t, X0) and det(dX0/dx0)*h0(t, X0) = 1
-tie the map back to the evolved height field. `chart_check` measures both
-in one pass over the trajectory, one evaluation of h0 at X0 and one
+tie the map back to the evolved height field. `integrate_chart` measures
+both as each state arrives, with one evaluation of h0 at X0 and one
 dX0/dx0 per state, and keeps the per-column volume defect; `chart_records`
 streams the chart's CSV rows from that defect without touching h0 again.
 Both identities converge at the integrator's order. `jacobian`,
@@ -41,8 +42,6 @@ __all__ = [
     "JacobianField",
     "DegenerateChartError",
     "integrate_chart",
-    "chart_check",
-    "chart_identities",
     "jacobian",
     "transformed_deformation",
     "chain_rule_check",
@@ -170,67 +169,88 @@ def _flow_sampler(state, shape):
     return at
 
 
-def integrate_chart(traj: SWTrajectory, eps: float, nlev: int = 8) -> Chart:
-    """Integrate the flow map over a trajectory with the trajectory's dt,
-    starting from the identity at traj.times[0]; the chart keeps nlev
-    material z levels."""
+def integrate_chart(steps, dt: float, eps: float, nlev: int = 8):
+    """Integrate the flow map along a stream of states and check its identities.
+
+    steps yields (state, tendency) pairs uniformly spaced by dt, as
+    sw_steps does. The map starts from the identity at the first state and
+    advances by RK4 over each consecutive pair, sampling the pair's Hermite
+    midpoint; the chart keeps nlev material z levels. As each state arrives,
+    h0 is evaluated at X0 once and dX0/dx0 formed once. Returns (chart,
+    {"height", "volume"}, defect): height is sup |Z0 - z0 h0(t, X0)|,
+    defect[i] is det(dX0/dx0) h0(t, X0) - 1 per column at time index i
+    (shaped like chart.zfactor), and volume is sup |defect|. Both identities
+    vanish for the continuous map; discretely they decay at the
+    integrator's order.
+    """
     if nlev < 2:
         raise ValueError(f"need at least 2 vertical levels, got {nlev}")
-    grid = traj.states[0].grid
-    n, shape = grid.n, grid.shape
-    x0 = _material_nodes(grid)
-    X = x0.copy()
-    G = np.ones(shape)
+    eps = float(eps)
+    z_levels = eps * gl_nodes(nlev)
+    times, xdisp, zfactor, defect = [], [], [], []
+    height = 0.0
+    for sb, fb in steps:
+        if not times:
+            grid = sb.grid
+            n, shape = grid.n, grid.shape
+            x0 = _material_nodes(grid)
+            zcol = z_levels.reshape((-1,) + (1,) * n)
+            X = x0.copy()
+            G = np.ones(shape)
+            f_b = _flow_sampler(sb, shape)
+        else:
+            mid = SWTrajectory((sa, sb), (fa, fb), dt).interpolate(sa.t + 0.5 * dt)
+            f_a, f_m, f_b = f_b, _flow_sampler(mid, shape), _flow_sampler(sb, shape)
+            u1, d1 = f_a(X)
+            g1 = -G * d1
+            u2, d2 = f_m(X + 0.5 * dt * u1)
+            g2 = -(G + 0.5 * dt * g1) * d2
+            u3, d3 = f_m(X + 0.5 * dt * u2)
+            g3 = -(G + 0.5 * dt * g2) * d3
+            u4, d4 = f_b(X + dt * u3)
+            g4 = -(G + dt * g3) * d4
 
-    nt = len(traj)
-    dt = traj.dt
-    xdisp = np.empty((nt, n) + shape)
-    zfactor = np.empty((nt,) + shape)
-    xdisp[0] = 0.0
-    zfactor[0] = G
+            X = X + (dt / 6.0) * (u1 + 2.0 * (u2 + u3) + u4)
+            G = G + (dt / 6.0) * (g1 + 2.0 * (g2 + g3) + g4)
+            if not (np.isfinite(X).all() and np.isfinite(G).all()):
+                raise BlowupError(f"flow map lost finiteness at t = {sb.t:.6g}")
+        d = X - x0
+        hX = sb.h0.eval_at((x0 + d).reshape(n, -1).T).reshape(shape)
+        height = max(height, float(np.abs(zcol * G - zcol * hX).max()))
+        _, det = _xjacobian(grid, d)
+        times.append(sb.t)
+        xdisp.append(d)
+        zfactor.append(G)
+        defect.append(det * hX - 1.0)
+        sa, fa = sb, fb
+    if not times:
+        raise ValueError("no states to chart")
 
-    for k in range(nt - 1):
-        sa, sb = traj.states[k], traj.states[k + 1]
-        f_a = _flow_sampler(sa, shape)
-        f_m = _flow_sampler(traj.interpolate(sa.t + 0.5 * dt), shape)
-        f_b = _flow_sampler(sb, shape)
-
-        u1, d1 = f_a(X)
-        g1 = -G * d1
-        u2, d2 = f_m(X + 0.5 * dt * u1)
-        g2 = -(G + 0.5 * dt * g1) * d2
-        u3, d3 = f_m(X + 0.5 * dt * u2)
-        g3 = -(G + 0.5 * dt * g2) * d3
-        u4, d4 = f_b(X + dt * u3)
-        g4 = -(G + dt * g3) * d4
-
-        X = X + (dt / 6.0) * (u1 + 2.0 * (u2 + u3) + u4)
-        G = G + (dt / 6.0) * (g1 + 2.0 * (g2 + g3) + g4)
-        if not (np.isfinite(X).all() and np.isfinite(G).all()):
-            raise BlowupError(f"flow map lost finiteness at t = {sb.t:.6g}")
-        xdisp[k + 1] = X - x0
-        zfactor[k + 1] = G
-
-    return Chart(
+    # one list at a time becomes an array, so at most one is held twice
+    xdisp = np.array(xdisp)
+    zfactor = np.array(zfactor)
+    defect = np.array(defect)
+    chart = Chart(
         grid=grid,
-        eps=float(eps),
-        z_levels=float(eps) * gl_nodes(nlev),
-        times=traj.times,
+        eps=eps,
+        z_levels=z_levels,
+        times=np.array(times),
         xdisp=xdisp,
         zfactor=zfactor,
     )
+    return chart, {"height": height, "volume": float(np.abs(defect).max())}, defect
 
 
-def _xjacobian(chart: Chart, i: int):
-    """dX0/dx0 and its determinant at time index i.
+def _xjacobian(grid: Grid, disp: np.ndarray):
+    """dX0/dx0 and its determinant for the displacement disp = X0 - x0.
 
     The displacement is periodic whatever the drift, so the derivative is
     spectral; the identity block is added exactly.
     """
-    n, shape = chart.grid.n, chart.grid.shape
+    n, shape = grid.n, grid.shape
     F = np.empty(shape + (n, n))
     for a in range(n):
-        ga = grad(HField(chart.grid, chart.xdisp[i, a])).values
+        ga = grad(HField(grid, disp[a])).values
         for b in range(n):
             F[..., a, b] = ga[b]
         F[..., a, a] += 1.0
@@ -239,36 +259,6 @@ def _xjacobian(chart: Chart, i: int):
     else:
         det = F[..., 0, 0] * F[..., 1, 1] - F[..., 0, 1] * F[..., 1, 0]
     return F, det
-
-
-def chart_check(chart: Chart, traj: SWTrajectory) -> tuple[dict, np.ndarray]:
-    """Identity sups and the volume defect, from one pass over the states.
-
-    Each state costs one evaluation of h0 at X0 and one dX0/dx0. Returns
-    ({"height", "volume"}, defect): height is sup |Z0 - z0 h0(t, X0)|,
-    defect[i] is det(dX0/dx0) h0(t, X0) - 1 per column at time index i
-    (shaped like chart.zfactor), and volume is sup |defect|. Both identities
-    vanish for the continuous map; discretely they decay at the integrator's
-    order.
-    """
-    if len(traj) != chart.times.size or np.abs(traj.times - chart.times).max() > 1e-9:
-        raise ValueError("chart and trajectory must share times")
-    n, shape = chart.grid.n, chart.grid.shape
-    zcol = chart.z_levels.reshape((-1,) + (1,) * n)
-    defect = np.empty_like(chart.zfactor)
-    height = 0.0
-    for i, s in enumerate(traj.states):
-        pts = chart.positions(i).reshape(n, -1).T
-        hX = s.h0.eval_at(pts).reshape(shape)
-        height = max(height, float(np.abs(chart.heights(i) - zcol * hX).max()))
-        _, det = _xjacobian(chart, i)
-        defect[i] = det * hX - 1.0
-    return {"height": height, "volume": float(np.abs(defect).max())}, defect
-
-
-def chart_identities(chart: Chart, traj: SWTrajectory) -> dict:
-    """Sup residuals of the height and volume identities over all times."""
-    return chart_check(chart, traj)[0]
 
 
 def jacobian(chart: Chart, t: float) -> JacobianField:
@@ -280,7 +270,7 @@ def jacobian(chart: Chart, t: float) -> JacobianField:
     i = chart.index_of(t)
     n, shape = chart.grid.n, chart.grid.shape
     nlev = chart.nlev
-    F, detF = _xjacobian(chart, i)
+    F, detF = _xjacobian(chart.grid, chart.xdisp[i])
     zf = chart.zfactor[i]
     gz = grad(HField(chart.grid, zf)).values  # (n,) + shape
 
@@ -368,7 +358,7 @@ def bottom_slip_residual(chart: Chart, t: float, u_h, dz_u_h, gamma_bar: float) 
     want = (chart.grid.n,) + chart.grid.shape
     if u.shape != want or du.shape != want:
         raise ValueError(f"bottom traces must have shape {want}")
-    _, det = _xjacobian(chart, i)
+    _, det = _xjacobian(chart.grid, chart.xdisp[i])
     return det * du - chart.eps * gamma_bar * u
 
 
@@ -376,7 +366,7 @@ def chart_records(chart: Chart, defect: np.ndarray):
     """Header and lazy per-(time, column) rows of the chart for CSV export.
 
     Columns: t, x0_*, X0_*, Z0_over_z0, det_h0_minus_1; defect is the array
-    `chart_check` returns. Rows are tuples in header order, built one time
+    `integrate_chart` returns. Rows are tuples in header order, built one time
     index at a time.
     """
     n = chart.grid.n

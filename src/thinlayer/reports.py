@@ -6,10 +6,12 @@ config and seed, on any thread count, so floats are rendered with repr
 are sorted. Every CSV goes through `write_csv`, which takes any iterable of
 rows, each a sequence of cells in header order, and streams them to the
 open file one line at a time, so a lazily generated table is never held in
-memory whole. A cell holding a comma, a quote or a line break is quoted as
-RFC 4180 says. The manifest is the one exception: it carries a wall-clock
-timestamp by design and is therefore excluded when reruns are compared;
-its checksums are how the comparison is made without it.
+memory whole, and renames the file into place only once every row is
+written, so a run that fails midway leaves no partial CSV. A cell holding
+a comma, a quote or a line break is quoted as RFC 4180 says. The manifest
+is the one exception: it carries a wall-clock timestamp by design and is
+therefore excluded when reruns are compared; its checksums are how the
+comparison is made without it.
 """
 from __future__ import annotations
 
@@ -20,6 +22,7 @@ from pathlib import Path
 __all__ = ["write_csv", "write_json", "write_manifest", "file_sha256"]
 
 MANIFEST_NAME = "manifest.json"
+HASH_BLOCK = 1 << 16  # bytes read per update of a file's digest
 
 
 def _cell(value) -> str:
@@ -40,12 +43,20 @@ def _cell(value) -> str:
 def write_csv(path, header, rows) -> Path:
     """Write rows, each a sequence of cells in header order; None is blank.
 
-    Returns the path of the closed file.
+    The rows go to path + ".part", which replaces path once the last row is
+    written; on any exception the part file is removed and path is left as
+    it was. Returns the path of the closed file.
     """
     path = Path(path)
-    with path.open("w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        fh.writelines(",".join(map(_cell, row)) + "\n" for row in rows)
+    part = path.with_name(path.name + ".part")
+    try:
+        with part.open("w", encoding="utf-8", newline="\n") as fh:
+            fh.write(",".join(header) + "\n")
+            fh.writelines(",".join(map(_cell, row)) + "\n" for row in rows)
+    except BaseException:
+        part.unlink(missing_ok=True)
+        raise
+    part.replace(path)
     return path
 
 
@@ -70,7 +81,12 @@ def write_json(path, obj) -> Path:
 
 
 def file_sha256(path) -> str:
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+    """SHA-256 of the file at path, read HASH_BLOCK bytes at a time."""
+    digest = hashlib.sha256()
+    with open(path, "rb") as fh:
+        while block := fh.read(HASH_BLOCK):
+            digest.update(block)
+    return digest.hexdigest()
 
 
 def write_manifest(out_dir, config_sha256: str, version: str, paths) -> Path:

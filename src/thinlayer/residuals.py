@@ -31,7 +31,7 @@ import numpy as np
 from .ansatz import AnsatzFields, ZPoly, _velocity_polys, build_ansatz
 from .grids import HField
 from .norms import norm
-from .shallow_water import Params, StabilityError, SWState, stable_dt, sw_solve
+from .shallow_water import Params, StabilityError, SWState, stable_dt, sw_steps
 from .thinfields import ThinField
 
 __all__ = [
@@ -379,7 +379,8 @@ def convergence_study(
         if not math.isfinite(steps):
             raise StabilityError(f"study step bound {bound:.3g} allows no finite step count")
         nsteps = max(1, math.ceil(steps))
-        s = sw_solve(init, base, T=t_eval, dt=t_eval / nsteps)[-1]
+        for s, _ in sw_steps(init, base, T=t_eval, dt=t_eval / nsteps):
+            pass
     else:
         s = init
 

@@ -27,8 +27,10 @@ __all__ = [
     "sw_rhs",
     "stable_dt",
     "sw_step",
+    "sw_steps",
     "sw_solve",
     "sw_energy",
+    "sw_diagnostics",
 ]
 
 # Explicit-step safety factors and the depth floor that aborts a run well
@@ -172,7 +174,7 @@ def sw_rhs(s: SWState, p: Params, work: FineWork | None = None) -> tuple[HField,
     and n numerators through the quotient, 19 fine-grid fields in 2D and 9
     in 1D. The inputs enter through their cached spectra (h0.spec, u0.spec),
     which later readers of the state such as sw_energy reuse. The padded
-    stages live in work, the area sw_solve builds once per solve (a fresh
+    stages live in work, the area sw_steps builds once per run (a fresh
     one when work is None): the fine fields h0, u0 and grad u0 sit behind
     the product slots (h0 u0 | (u0 . grad) u0 | h0^2 | h0 D(u0), upper
     triangle row by row), the products are formed in place and transformed
@@ -309,8 +311,9 @@ class SWTrajectory:
     """Uniformly spaced states with their stored tendencies.
 
     Keeping (dth0, dtu0) alongside each state makes the trajectory a cubic
-    Hermite interpolant in time, fourth order between knots, which is what
-    downstream consumers sample.
+    Hermite interpolant in time, fourth order between knots. sw_solve
+    collects a whole run into one; the chart integrator builds one over each
+    pair of consecutive states to sample the midpoint between them.
     """
 
     def __init__(self, states, tendencies, dt: float):
@@ -328,16 +331,6 @@ class SWTrajectory:
         self.states = states
         self.tendencies = tendencies
         self.dt = float(dt)
-
-    def __len__(self) -> int:
-        return len(self.states)
-
-    def __getitem__(self, i: int) -> SWState:
-        return self.states[i]
-
-    @property
-    def times(self) -> np.ndarray:
-        return np.array([s.t for s in self.states])
 
     def interpolate(self, t: float) -> SWState:
         """State at an arbitrary time t by cubic Hermite interpolation."""
@@ -368,32 +361,18 @@ class SWTrajectory:
         )
         return SWState(t, h, u)
 
-    def diagnostics(self, p: Params) -> list[dict]:
-        """Per-state rows (t, mass, energy, min_h, max_u)."""
-        rows = []
-        for s in self.states:
-            rows.append(
-                {
-                    "t": s.t,
-                    "mass": s.mass,
-                    "energy": sw_energy(s, p),
-                    "min_h": float(s.h0.values.min()),
-                    "max_u": s.max_speed(),
-                }
-            )
-        return rows
 
+def sw_steps(init: SWState, p: Params, T: float, dt: float):
+    """Advance init over [t0, t0 + T] in steps of dt, one state at a time.
 
-def sw_solve(init: SWState, p: Params, T: float, dt: float) -> SWTrajectory:
-    """Advance init over [t0, t0 + T] in steps of dt.
-
-    T must be an integer multiple of dt so the trajectory stays uniform.
-    The step bound and the vacuum floor are checked on init before the
-    first tendency is evaluated, so an unstable dt or an initial state at
-    the floor fails at t0 before any arithmetic on the state. Vacuum and
-    blowup errors propagate with the failing time attached. One sw_rhs
-    work area serves every tendency of the solve and is dropped when it
-    returns.
+    Yields (state, (dth0, dtu0)) for init and after each step; each
+    tendency is the next step's k1. T must be an integer multiple of dt so
+    the states stay uniformly spaced. The step bound and the vacuum floor
+    are checked on init before the first tendency is evaluated, at the
+    first next(), so an unstable dt or an initial state at the floor fails
+    at t0 before any arithmetic on the state. Vacuum and blowup errors
+    propagate with the failing time attached. One sw_rhs work area serves
+    every tendency of the run and is dropped when the generator is.
     """
     if not (T > 0.0 and dt > 0.0):
         raise ValueError("T and dt must be positive")
@@ -403,13 +382,17 @@ def sw_solve(init: SWState, p: Params, T: float, dt: float) -> SWTrajectory:
     _check_step(init, p, dt)
     _check_vacuum(init.h0, init.t)
     work = _rhs_work(init.grid)
-    states = [init]
-    tendencies = [sw_rhs(init, p, work)]
-    s = init
+    s, f = init, sw_rhs(init, p, work)
+    yield s, f
     for _ in range(nsteps):
-        s = sw_step(s, p, dt, k1=tendencies[-1], work=work)
-        states.append(s)
-        tendencies.append(sw_rhs(s, p, work))
+        s = sw_step(s, p, dt, k1=f, work=work)
+        f = sw_rhs(s, p, work)
+        yield s, f
+
+
+def sw_solve(init: SWState, p: Params, T: float, dt: float) -> SWTrajectory:
+    """Every state and tendency of sw_steps(init, p, T, dt), kept."""
+    states, tendencies = zip(*sw_steps(init, p, T, dt))
     return SWTrajectory(states, tendencies, dt)
 
 
@@ -426,3 +409,8 @@ def sw_energy(s: SWState, p: Params) -> float:
     h, u = fine[0], fine[1:]
     dens = h * h * (0.5 / p.F**2) + 0.5 * h * (u * u).sum(0)
     return float(dens.mean() * g.volume)
+
+
+def sw_diagnostics(s: SWState, p: Params) -> tuple:
+    """(t, mass, energy, min_h, max_u) of one state."""
+    return s.t, s.mass, sw_energy(s, p), float(s.h0.values.min()), s.max_speed()

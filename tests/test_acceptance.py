@@ -23,7 +23,7 @@ from thinlayer.korn import (
     korn_sweep,
     sigma_circle,
 )
-from thinlayer.lagrangian import chart_identities, integrate_chart
+from thinlayer.lagrangian import integrate_chart
 from thinlayer.probes import PROBE_TAGS, anisotropy_probe
 from thinlayer.reports import MANIFEST_NAME
 from thinlayer.residuals import (
@@ -34,7 +34,7 @@ from thinlayer.residuals import (
     kinematic_residual,
     traction_residual,
 )
-from thinlayer.shallow_water import Params, SWState, initial_wave, sw_energy, sw_solve
+from thinlayer.shallow_water import Params, SWState, initial_wave, sw_energy, sw_steps
 from tests.conftest import loglog_slope
 
 EPS3 = (0.1, 0.01, 0.001)
@@ -222,16 +222,14 @@ def test_criterion_07_lagrangian_identities():
     dts = [0.04, 0.02, 0.01, 0.005]
     heights, volumes = [], []
     for dt in dts:
-        traj = sw_solve(init, ladder_p, T=0.4, dt=dt)
-        ids = chart_identities(integrate_chart(traj, eps=0.1, nlev=4), traj)
+        ids = integrate_chart(sw_steps(init, ladder_p, T=0.4, dt=dt), dt, 0.1, nlev=4)[1]
         heights.append(ids["height"])
         volumes.append(ids["volume"])
     oh, ov = loglog_slope(dts, heights), loglog_slope(dts, volumes)
 
     p = Params(F=1.0, Re=1.0, gamma_bar=1.0, eps=0.1)
     single = initial_wave(g, amplitude=0.0, wavenumber=1, velocity_amplitude=0.05)
-    traj = sw_solve(single, p, T=1.0, dt=1e-3)
-    ids = chart_identities(integrate_chart(traj, eps=0.1, nlev=4), traj)
+    ids = integrate_chart(sw_steps(single, p, T=1.0, dt=1e-3), 1e-3, 0.1, nlev=4)[1]
     elapsed = time.perf_counter() - t0
     ok = (
         oh >= 3.8
@@ -249,18 +247,19 @@ def test_criterion_08_shallow_water_integrity():
     t0 = time.perf_counter()
     g = Grid(1, 64)
     p = Params(F=1.0, Re=1.0, gamma_bar=1.0, eps=0.1)
-    traj = sw_solve(initial_wave(g), p, T=10.0, dt=1e-3)  # 10^4 steps
-    mass = np.array([s.h0.integral() for s in traj.states])
+    mass, energy = [], []
+    for s, _ in sw_steps(initial_wave(g), p, T=10.0, dt=1e-3):  # 10^4 steps
+        mass.append(s.h0.integral())
+        energy.append(sw_energy(s, p))
+    mass = np.array(mass)
     drift = np.abs(mass - mass[0]).max() / abs(mass[0])
-    energy = [sw_energy(s, p) for s in traj.states]
     steps_up = sum(b > a + 1e-8 for a, b in zip(energy, energy[1:]))
 
     uniform = initial_wave(g, amplitude=0.0)
     uniform = SWState(0.0, uniform.h0, uniform.u0 + 0.7)
-    decay = sw_solve(uniform, p, T=1.0, dt=1e-3)
     dev = max(
         np.abs(s.u0.values - 0.7 * math.exp(-p.gamma_bar * s.t / p.Re)).max()
-        for s in decay.states
+        for s, _ in sw_steps(uniform, p, T=1.0, dt=1e-3)
     )
     elapsed = time.perf_counter() - t0
     ok = drift <= 1e-11 and steps_up == 0 and dev <= 1e-8 and elapsed <= 60.0

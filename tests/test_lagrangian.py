@@ -11,32 +11,26 @@ from thinlayer.lagrangian import (
     JacobianField,
     bottom_slip_residual,
     chain_rule_check,
-    chart_check,
-    chart_identities,
     chart_records,
     integrate_chart,
     jacobian,
     transformed_deformation,
     _flow_sampler,
 )
-from thinlayer.shallow_water import (
-    Params,
-    SWState,
-    SWTrajectory,
-    initial_wave,
-    sw_solve,
-)
+from thinlayer.shallow_water import Params, SWState, initial_wave, sw_steps
 from tests.conftest import loglog_slope
 
 EPS = 0.1
 
 
-def _flat_traj(g, velocity=0.0, p=None, T=0.2, dt=0.05):
+def _flat_chart(g, velocity=0.0, p=None, T=0.2, dt=0.05):
+    """Chart, identity sups and params of a flat layer at uniform velocity."""
     p = p or Params(F=1.0, Re=10.0, gamma_bar=1.0, eps=EPS)
     init = initial_wave(g, amplitude=0.0, wavenumber=1, velocity_amplitude=0.0)
     if velocity:
         init = SWState(0.0, init.h0, init.u0 + velocity)
-    return sw_solve(init, p, T=T, dt=dt), p
+    chart, ids, _ = integrate_chart(sw_steps(init, p, T=T, dt=dt), dt, EPS, nlev=4)
+    return chart, ids, p
 
 
 def _hand_chart(g, disp, zfactor, nlev=5):
@@ -79,11 +73,9 @@ def test_stacked_sampler_matches_field_evaluation(n, N):
 
 def test_rest_chart_is_identity():
     g = Grid(1, 16)
-    traj, _ = _flat_traj(g)
-    c = integrate_chart(traj, eps=EPS, nlev=4)
+    c, ids, _ = _flat_chart(g)
     assert np.abs(c.xdisp).max() == 0.0
     assert np.abs(c.zfactor - 1.0).max() == 0.0
-    ids = chart_identities(c, traj)
     assert ids["height"] <= 1e-15 and ids["volume"] <= 1e-14
     for t in c.times:
         J = jacobian(c, t)
@@ -96,14 +88,12 @@ def test_uniform_flow_drift_closed_form():
     g = Grid(1, 32)
     c0, Re, gam = 0.3, 2.0, 0.7
     p = Params(F=1.0, Re=Re, gamma_bar=gam, eps=EPS)
-    traj, _ = _flat_traj(g, velocity=c0, p=p, T=1.0, dt=1e-3)
-    ch = integrate_chart(traj, eps=EPS, nlev=4)
+    ch, ids, _ = _flat_chart(g, velocity=c0, p=p, T=1.0, dt=1e-3)
     want = c0 * (Re / gam) * (1.0 - np.exp(-gam * 1.0 / Re))
     assert np.abs(ch.xdisp[-1] - want).max() / want < 1e-8
     assert np.abs(ch.zfactor[-1] - 1.0).max() == 0.0
     # uniform translation: jacobian stays the identity
     assert np.abs(jacobian(ch, 1.0).matrices - np.eye(2)).max() < 1e-12
-    ids = chart_identities(ch, traj)
     assert max(ids.values()) < 1e-12
 
 
@@ -114,8 +104,7 @@ def test_identity_residuals_fourth_order():
     dts = [0.04, 0.02, 0.01, 0.005]
     heights, volumes = [], []
     for dt in dts:
-        traj = sw_solve(init, p, T=0.4, dt=dt)
-        ids = chart_identities(integrate_chart(traj, eps=EPS, nlev=4), traj)
+        _, ids, _ = integrate_chart(sw_steps(init, p, T=0.4, dt=dt), dt, EPS, nlev=4)
         heights.append(ids["height"])
         volumes.append(ids["volume"])
     assert loglog_slope(dts, heights) > 3.8
@@ -127,16 +116,20 @@ def test_identity_residuals_small_at_fine_dt():
     g = Grid(1, 32)
     p = Params(F=1.0, Re=1.0, gamma_bar=1.0, eps=EPS)
     init = initial_wave(g, amplitude=0.0, wavenumber=1, velocity_amplitude=0.05)
-    traj = sw_solve(init, p, T=0.25, dt=1e-3)
-    ids = chart_identities(integrate_chart(traj, eps=EPS, nlev=4), traj)
+    _, ids, _ = integrate_chart(sw_steps(init, p, T=0.25, dt=1e-3), 1e-3, EPS, nlev=4)
     assert ids["height"] <= 1e-7 and ids["volume"] <= 1e-7
 
 
 def test_integrate_validation():
     g = Grid(1, 16)
-    traj, _ = _flat_traj(g)
+    p = Params(F=1.0, Re=10.0, gamma_bar=1.0, eps=EPS)
+    init = initial_wave(g, amplitude=0.0)
     with pytest.raises(ValueError):
-        integrate_chart(traj, eps=EPS, nlev=1)
+        integrate_chart(sw_steps(init, p, T=0.2, dt=0.05), 0.05, EPS, nlev=1)
+    with pytest.raises(ValueError):  # the Hermite midpoint needs the states' own spacing
+        integrate_chart(sw_steps(init, p, T=0.2, dt=0.05), 0.025, EPS, nlev=4)
+    with pytest.raises(ValueError):
+        integrate_chart(iter(()), 0.05, EPS, nlev=4)
 
 
 def test_chart_validation():
@@ -153,15 +146,6 @@ def test_chart_validation():
     c = _hand_chart(g, np.zeros((1, 16)), np.ones(16))
     with pytest.raises(ValueError):
         c.index_of(0.37)
-
-
-def test_identities_require_shared_times():
-    g = Grid(1, 16)
-    traj, p = _flat_traj(g)
-    other = sw_solve(traj.states[0], p, T=0.2, dt=0.025)
-    c = integrate_chart(traj, eps=EPS, nlev=4)
-    with pytest.raises(ValueError):
-        chart_identities(c, other)
 
 
 # -- jacobian ---------------------------------------------------------------------
@@ -214,8 +198,7 @@ def test_deformation_hand_oracle():
 
 def test_deformation_linearity_and_field_input():
     g = Grid(1, 16)
-    traj, _ = _flat_traj(g)
-    J = jacobian(integrate_chart(traj, eps=EPS, nlev=4), 0.0)
+    J = jacobian(_flat_chart(g)[0], 0.0)
     rng = np.random.default_rng(11)
     gu = rng.standard_normal((4, 16, 2, 2))
     P1 = transformed_deformation(gu, J)
@@ -274,8 +257,7 @@ def test_chain_rule_on_integrated_chart():
     g = Grid(1, 32)
     p = Params(F=1.0, Re=10.0, gamma_bar=1.0, eps=EPS)
     init = initial_wave(g, amplitude=0.0, wavenumber=1, velocity_amplitude=0.2)
-    traj = sw_solve(init, p, T=0.2, dt=0.005)
-    c = integrate_chart(traj, eps=EPS, nlev=5)
+    c, _, _ = integrate_chart(sw_steps(init, p, T=0.2, dt=0.005), 0.005, EPS, nlev=5)
     assert chain_rule_check(c, 0.2, F_TEST, GF_TEST) < 1e-9
 
 
@@ -285,8 +267,7 @@ def test_chain_rule_on_integrated_chart():
 def test_bottom_slip_reduces_to_eulerian():
     """Identity map: the transformed slip defect is u1 - eps gamma u0 exactly."""
     g = Grid(1, 16)
-    traj, p = _flat_traj(g)
-    c = integrate_chart(traj, eps=EPS, nlev=4)
+    c, _, p = _flat_chart(g)
     s = SWState(
         0.0,
         HField.from_function(g, lambda x: 1.0 + 0.05 * np.cos(x)),
@@ -304,8 +285,7 @@ def test_bottom_slip_reduces_to_eulerian():
 
 def test_bottom_slip_validation():
     g = Grid(1, 16)
-    traj, p = _flat_traj(g)
-    c = integrate_chart(traj, eps=EPS, nlev=4)
+    c, _, p = _flat_chart(g)
     with pytest.raises(ValueError):
         bottom_slip_residual(c, 0.0, np.zeros((2, 16)), np.zeros((2, 16)), p.gamma_bar)
 
@@ -317,14 +297,11 @@ def test_chart_records_shape():
     g = Grid(1, 16)
     p = Params(F=1.0, Re=10.0, gamma_bar=1.0, eps=EPS)
     init = initial_wave(g, amplitude=0.0, wavenumber=1, velocity_amplitude=0.1)
-    traj = sw_solve(init, p, T=0.1, dt=0.05)
-    c = integrate_chart(traj, eps=EPS, nlev=4)
-    ids, defect = chart_check(c, traj)
-    assert ids == chart_identities(c, traj)
+    c, ids, defect = integrate_chart(sw_steps(init, p, T=0.1, dt=0.05), 0.05, EPS, nlev=4)
     header, rows = chart_records(c, defect)
     rows = list(rows)
     assert header == ["t", "x0_1", "X0_1", "Z0_over_z0", "det_h0_minus_1"]
-    assert len(rows) == len(traj) * 16
+    assert len(rows) == 3 * 16
     assert all(isinstance(r, tuple) and len(r) == len(header) for r in rows)
     assert rows[0][0] == 0.0 and rows[0][3] == 1.0
     assert max(abs(r[4]) for r in rows) == ids["volume"] < 1e-8
@@ -336,9 +313,7 @@ def test_two_dimensional_chart():
     g = Grid(2, 16)
     p = Params(F=1.0, Re=10.0, gamma_bar=1.0, eps=EPS)
     init = initial_wave(g, amplitude=0.0, wavenumber=1, velocity_amplitude=0.05)
-    traj = sw_solve(init, p, T=0.1, dt=0.01)
-    c = integrate_chart(traj, eps=EPS, nlev=4)
-    ids = chart_identities(c, traj)
+    c, ids, defect = integrate_chart(sw_steps(init, p, T=0.1, dt=0.01), 0.01, EPS, nlev=4)
     assert ids["height"] < 1e-8 and ids["volume"] < 1e-8
     J = jacobian(c, 0.1)
     assert J.matrices.shape == (4, 16, 16, 3, 3)
@@ -352,10 +327,8 @@ def test_two_dimensional_chart():
         ]
     )
     assert chain_rule_check(c, 0.1, f, gf) < 1e-9
-    ids_once, defect = chart_check(c, traj)
-    assert ids_once == ids
     header, rows = chart_records(c, defect)
     assert header == ["t", "x0_1", "x0_2", "X0_1", "X0_2", "Z0_over_z0", "det_h0_minus_1"]
     rows = list(rows)
-    assert len(rows) == len(traj) * 16 * 16
+    assert len(rows) == 11 * 16 * 16
     assert max(abs(r[-1]) for r in rows) == ids["volume"]

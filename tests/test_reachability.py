@@ -24,7 +24,9 @@ PAPER = "paper-bearing, no artifact reports it yet; kept until it is reported or
 ALLOWLIST = {
     # the acceptance gate
     "korn.default_m_grid": GATE + " (criterion 5)",
-    "lagrangian.chart_identities": GATE + " (criterion 7)",
+    "shallow_water.sw_solve": "tests: the trajectory tests of test_shallow_water "
+    "(stored tendencies, Hermite interpolation, the kept work area) and "
+    "test_residuals::test_study_interior_rows_are_interior_residual_norms",
     "residuals.interior_residual": GATE + " (criterion 4)",
     # test oracles
     "korn.korn_basis_eval": "oracle: the Gram matrices against the literal basis",
@@ -61,6 +63,7 @@ ALLOWLIST = {
     "lagrangian.bottom_slip_residual": PAPER,
     "lagrangian.Chart.index_of": PAPER,
     "lagrangian.Chart.nlev": PAPER + " (jacobian, chain_rule_check)",
+    "lagrangian.Chart.heights": PAPER + " (chain_rule_check)",
     "residuals.solved_form_residual": PAPER,
 }
 

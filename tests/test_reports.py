@@ -1,9 +1,11 @@
 """Deterministic emitters: CSV cell rendering and streaming."""
 import csv
+import hashlib
 
 import numpy as np
+import pytest
 
-from thinlayer.reports import write_csv
+from thinlayer.reports import HASH_BLOCK, file_sha256, write_csv
 
 
 def test_write_csv_streams_rows_in_header_order(tmp_path):
@@ -30,3 +32,24 @@ def test_write_csv_quotes_cells_with_separators(tmp_path):
 def test_write_csv_without_rows_is_header_only(tmp_path):
     path = write_csv(tmp_path / "t.csv", ["t", "mass"], iter(()))
     assert path.read_bytes() == b"t,mass\n"
+
+
+def test_failed_rows_leave_an_existing_file_as_it_was(tmp_path):
+    path = write_csv(tmp_path / "t.csv", ["a"], [(1,), (2,)])
+    before = path.read_bytes()
+
+    def rows():
+        yield (3,)
+        raise ValueError("the producer failed partway")
+
+    with pytest.raises(ValueError, match="partway"):
+        write_csv(path, ["a"], rows())
+    assert path.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["t.csv"]
+
+
+@pytest.mark.parametrize("size", [0, HASH_BLOCK, 3 * HASH_BLOCK + 1])
+def test_file_sha256_matches_the_whole_file_digest(tmp_path, size):
+    path = tmp_path / "blob"
+    path.write_bytes(np.random.default_rng(size).bytes(size))
+    assert file_sha256(path) == hashlib.sha256(path.read_bytes()).hexdigest()

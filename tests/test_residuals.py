@@ -336,7 +336,7 @@ def test_study_interior_rows_are_interior_residual_norms(n, N):
         )
     base = Params(F=1.0, Re=1.0, gamma_bar=1.0, eps=0.1)
     nsteps = int(np.ceil(0.25 / (0.4 * stable_dt(init, base))))
-    s = sw_solve(init, base, T=0.25, dt=0.25 / nsteps)[-1]
+    s = sw_solve(init, base, T=0.25, dt=0.25 / nsteps).states[-1]
     for eps in (0.1, 0.0125):
         p = Params(F=1.0, Re=1.0, gamma_bar=1.0, eps=eps)
         res = interior_residual(build_ansatz(s, p), nz=24)

@@ -14,6 +14,7 @@ runs serially.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from operator import itemgetter
 from pathlib import Path
@@ -37,7 +38,7 @@ from .korn import (
     korn_sweep,
     sigma_circle,
 )
-from .lagrangian import DegenerateChartError, chart_records, integrate_chart
+from .lagrangian import DegenerateChartError, chart_header, chart_records, integrate_chart
 from .probes import PROBE_TAGS, anisotropy_probe
 from .reports import write_csv, write_json, write_manifest
 from .residuals import convergence_study
@@ -115,10 +116,13 @@ def _initial_state(cfg, flat: bool = False):
 
 
 def _evolved_state(cfg, t_eval: float):
-    sw = cfg.sw
-    dt = min(sw["dt"], t_eval)
-    steps = max(1, int(round(t_eval / dt)))
-    dt = t_eval / steps
+    # the fewest steps of at most sw.dt; a t_eval that is a multiple of sw.dt
+    # to validate's tolerance keeps that multiple
+    sw_dt = cfg.sw["dt"]
+    steps = round(t_eval / sw_dt)
+    if abs(steps * sw_dt - t_eval) > 1e-9 * max(1.0, t_eval):
+        steps = math.ceil(t_eval / sw_dt)
+    dt = t_eval / max(1, steps)
     p = _params(cfg, cfg.study["eps_list"][0])
     for state, _ in sw_steps(_initial_state(cfg), p, t_eval, dt):
         pass
@@ -277,12 +281,19 @@ def _run_lagrangian(cfg, out: Path) -> list:
     eps = cfg.study["eps_list"][0]
     p = _params(cfg, eps)
     steps = sw_steps(_initial_state(cfg, flat=True), p, sw["T"], sw["dt"])
-    chart, ids, defect = integrate_chart(steps, sw["dt"], eps)
+    last = {}
+
+    def rows():
+        for chart, defect, ids in integrate_chart(steps, sw["dt"], eps):
+            last.update(ids)
+            yield from chart_records(chart, defect)
+
+    header = chart_header(cfg.domain["n"])
     return [
-        write_csv(out / "lagrangian_chart.csv", *chart_records(chart, defect)),
+        write_csv(out / "lagrangian_chart.csv", header, rows()),
         write_json(
             out / "lagrangian_summary.json",
-            {"height_identity_sup": ids["height"], "volume_identity_sup": ids["volume"]},
+            {"height_identity_sup": last["height"], "volume_identity_sup": last["volume"]},
         ),
     ]
 

@@ -16,14 +16,15 @@ ODE is linear and homogeneous in Z0, so every level of a column shares one
 integrating factor Z0/z0, stored once.
 
 The closed-form identities Z0 = z0*h0(t, X0) and det(dX0/dx0)*h0(t, X0) = 1
-tie the map back to the evolved height field. `integrate_chart` measures
-both as each state arrives, with one evaluation of h0 at X0 and one
-dX0/dx0 per state, and keeps the per-column volume defect; `chart_records`
-streams the chart's CSV rows from that defect without touching h0 again.
-Both identities converge at the integrator's order. `jacobian`,
+tie the map back to the evolved height field. `integrate_chart` yields the
+chart of each state as it arrives, with the per-column volume defect and
+the running sups of both identities; it evaluates h0 at X0 once and forms
+dX0/dx0 once per state, and holds only that state's chart. `chart_records`
+turns one chart into its CSV rows without touching h0 again. Both
+identities converge at the integrator's order. `jacobian`,
 `transformed_deformation` and `chain_rule_check` provide the change-of-
-variable algebra used by the fixed-domain form of the equations; the
-per-node inverses come from `np.linalg.inv`.
+variable algebra used by the fixed-domain form of the equations, each on
+the one chart it is given; the per-node inverses come from `np.linalg.inv`.
 """
 from __future__ import annotations
 
@@ -46,6 +47,7 @@ __all__ = [
     "transformed_deformation",
     "chain_rule_check",
     "bottom_slip_residual",
+    "chart_header",
     "chart_records",
 ]
 
@@ -58,7 +60,7 @@ class DegenerateChartError(RuntimeError):
 
 @dataclass(frozen=True)
 class Chart:
-    """Flow-map samples over time on the material grid.
+    """Flow-map sample at one time t on the material grid.
 
     xdisp holds X0 - x0 (periodic in x0, unbounded in value; evaluation of
     grid fields at X0 is trigonometric and hence wraps implicitly). zfactor
@@ -68,9 +70,9 @@ class Chart:
     grid: Grid
     eps: float
     z_levels: np.ndarray  # (nlev,) ascending in [0, eps]
-    times: np.ndarray  # (nt,)
-    xdisp: np.ndarray  # (nt, n) + grid.shape
-    zfactor: np.ndarray  # (nt,) + grid.shape
+    t: float
+    xdisp: np.ndarray  # (n,) + grid.shape
+    zfactor: np.ndarray  # grid.shape
 
     def __post_init__(self):
         if not (np.isfinite(self.eps) and 0.0 < self.eps < 1.0):
@@ -82,20 +84,11 @@ class Chart:
         # pinned to the Gauss-Lobatto family on [0, eps]
         if np.abs(z - self.eps * gl_nodes(z.size)).max() > 1e-12 * self.eps:
             raise ValueError("z_levels must be eps * gl_nodes(nlev)")
-        t = np.asarray(self.times, dtype=float)
-        if t.ndim != 1 or t.size < 1:
-            raise ValueError("times must be a nonempty 1d array")
-        if t.size > 1:
-            steps = np.diff(t)
-            if np.any(steps <= 0.0) or np.abs(steps - steps[0]).max() > 1e-9 * max(
-                1.0, steps[0]
-            ):
-                raise ValueError("times must increase uniformly")
-        nt, n = t.size, self.grid.n
-        if self.xdisp.shape != (nt, n) + self.grid.shape:
-            raise ValueError(f"xdisp must have shape (nt, {n}) + grid.shape")
-        if self.zfactor.shape != (nt,) + self.grid.shape:
-            raise ValueError("zfactor must have shape (nt,) + grid.shape")
+        n = self.grid.n
+        if self.xdisp.shape != (n,) + self.grid.shape:
+            raise ValueError(f"xdisp must have shape ({n},) + grid.shape")
+        if self.zfactor.shape != self.grid.shape:
+            raise ValueError("zfactor must have shape grid.shape")
         if not (np.isfinite(self.xdisp).all() and np.isfinite(self.zfactor).all()):
             raise ValueError("chart arrays must be finite")
 
@@ -103,20 +96,14 @@ class Chart:
     def nlev(self) -> int:
         return self.z_levels.size
 
-    def index_of(self, t: float) -> int:
-        hits = np.nonzero(np.isclose(self.times, t, rtol=0.0, atol=1e-10))[0]
-        if hits.size != 1:
-            raise ValueError(f"t = {t} is not among the chart times")
-        return int(hits[0])
+    def positions(self) -> np.ndarray:
+        """X0, shape (n,) + grid.shape."""
+        return _material_nodes(self.grid) + self.xdisp
 
-    def positions(self, i: int) -> np.ndarray:
-        """X0 at time index i, shape (n,) + grid.shape."""
-        return _material_nodes(self.grid) + self.xdisp[i]
-
-    def heights(self, i: int) -> np.ndarray:
-        """Z0 at time index i, shape (nlev,) + grid.shape."""
+    def heights(self) -> np.ndarray:
+        """Z0, shape (nlev,) + grid.shape."""
         z = self.z_levels.reshape((-1,) + (1,) * self.grid.n)
-        return z * self.zfactor[i]
+        return z * self.zfactor
 
 
 @dataclass(frozen=True)
@@ -176,21 +163,21 @@ def integrate_chart(steps, dt: float, eps: float, nlev: int = 8):
     sw_steps does. The map starts from the identity at the first state and
     advances by RK4 over each consecutive pair, sampling the pair's Hermite
     midpoint; the chart keeps nlev material z levels. As each state arrives,
-    h0 is evaluated at X0 once and dX0/dx0 formed once. Returns (chart,
-    {"height", "volume"}, defect): height is sup |Z0 - z0 h0(t, X0)|,
-    defect[i] is det(dX0/dx0) h0(t, X0) - 1 per column at time index i
-    (shaped like chart.zfactor), and volume is sup |defect|. Both identities
-    vanish for the continuous map; discretely they decay at the
+    h0 is evaluated at X0 once and dX0/dx0 formed once, and (chart, defect,
+    {"height", "volume"}) is yielded: defect is det(dX0/dx0) h0(t, X0) - 1
+    per column (shaped like chart.zfactor), height is sup |Z0 - z0 h0(t, X0)|
+    and volume sup |defect|, both over the states up to this one. Both
+    identities vanish for the continuous map; discretely they decay at the
     integrator's order.
     """
     if nlev < 2:
         raise ValueError(f"need at least 2 vertical levels, got {nlev}")
     eps = float(eps)
     z_levels = eps * gl_nodes(nlev)
-    times, xdisp, zfactor, defect = [], [], [], []
-    height = 0.0
+    grid = None
+    height = volume = 0.0
     for sb, fb in steps:
-        if not times:
+        if grid is None:
             grid = sb.grid
             n, shape = grid.n, grid.shape
             x0 = _material_nodes(grid)
@@ -216,29 +203,15 @@ def integrate_chart(steps, dt: float, eps: float, nlev: int = 8):
                 raise BlowupError(f"flow map lost finiteness at t = {sb.t:.6g}")
         d = X - x0
         hX = sb.h0.eval_at((x0 + d).reshape(n, -1).T).reshape(shape)
-        height = max(height, float(np.abs(zcol * G - zcol * hX).max()))
         _, det = _xjacobian(grid, d)
-        times.append(sb.t)
-        xdisp.append(d)
-        zfactor.append(G)
-        defect.append(det * hX - 1.0)
+        defect = det * hX - 1.0
+        height = max(height, float(np.abs(zcol * G - zcol * hX).max()))
+        volume = max(volume, float(np.abs(defect).max()))
+        chart = Chart(grid=grid, eps=eps, z_levels=z_levels, t=sb.t, xdisp=d, zfactor=G)
+        yield chart, defect, {"height": height, "volume": volume}
         sa, fa = sb, fb
-    if not times:
+    if grid is None:
         raise ValueError("no states to chart")
-
-    # one list at a time becomes an array, so at most one is held twice
-    xdisp = np.array(xdisp)
-    zfactor = np.array(zfactor)
-    defect = np.array(defect)
-    chart = Chart(
-        grid=grid,
-        eps=eps,
-        z_levels=z_levels,
-        times=np.array(times),
-        xdisp=xdisp,
-        zfactor=zfactor,
-    )
-    return chart, {"height": height, "volume": float(np.abs(defect).max())}, defect
 
 
 def _xjacobian(grid: Grid, disp: np.ndarray):
@@ -261,17 +234,16 @@ def _xjacobian(grid: Grid, disp: np.ndarray):
     return F, det
 
 
-def jacobian(chart: Chart, t: float) -> JacobianField:
-    """Assemble A per node at a chart time.
+def jacobian(chart: Chart) -> JacobianField:
+    """Assemble A per node at the chart's time.
 
     dX0/dz0 = 0 is structural; dZ0/dz0 equals the shared column factor
     exactly, and grad_x0 Z0 = z0 grad(zfactor) is spectral.
     """
-    i = chart.index_of(t)
     n, shape = chart.grid.n, chart.grid.shape
     nlev = chart.nlev
-    F, detF = _xjacobian(chart.grid, chart.xdisp[i])
-    zf = chart.zfactor[i]
+    F, detF = _xjacobian(chart.grid, chart.xdisp)
+    zf = chart.zfactor
     gz = grad(HField(chart.grid, zf)).values  # (n,) + shape
 
     m = n + 1
@@ -282,7 +254,7 @@ def jacobian(chart: Chart, t: float) -> JacobianField:
     for b in range(n):
         A[..., n, b] = zcol * gz[b]
     dets = np.broadcast_to(detF * zf, (nlev,) + shape).copy()
-    return JacobianField(t=float(t), z_levels=chart.z_levels, matrices=A, dets=dets)
+    return JacobianField(t=chart.t, z_levels=chart.z_levels, matrices=A, dets=dets)
 
 
 def transformed_deformation(grad_u: np.ndarray, A) -> np.ndarray:
@@ -312,18 +284,17 @@ def transformed_deformation(grad_u: np.ndarray, A) -> np.ndarray:
     return gu @ inv @ inv_t + inv_t @ gu_t @ inv_t
 
 
-def chain_rule_check(chart: Chart, t: float, f, grad_f) -> float:
+def chain_rule_check(chart: Chart, f, grad_f) -> float:
     """Sup residual of (grad_x0, d_z0)(f o Phi) = A^T ((grad_x, d_z) f) o Phi.
 
     f(x, z) and grad_f(x, z) are closed-form callables (x stacked per
     component, z broadcastable); the left side differentiates the pullback
     spectrally in x0 and by Chebyshev collocation in z0.
     """
-    i = chart.index_of(t)
     n, shape = chart.grid.n, chart.grid.shape
     nlev = chart.nlev
-    X = chart.positions(i)
-    Z = chart.heights(i)
+    X = chart.positions()
+    Z = chart.heights()
     Xb = np.broadcast_to(X[:, None], (n, nlev) + shape)
     F = np.asarray(f(Xb, Z), dtype=float)
     if F.shape != (nlev,) + shape:
@@ -339,52 +310,44 @@ def chain_rule_check(chart: Chart, t: float, f, grad_f) -> float:
     gf = np.asarray(grad_f(Xb, Z), dtype=float)
     if gf.shape != (m, nlev) + shape:
         raise ValueError("grad_f must return n+1 components per material node")
-    Amat = jacobian(chart, t).matrices
+    Amat = jacobian(chart).matrices
     gcol = np.moveaxis(gf, 0, -1)[..., None]  # (nlev,)+shape+(m,1)
     rhs = np.moveaxis((np.swapaxes(Amat, -1, -2) @ gcol)[..., 0], -1, 0)
     return float(np.abs(lhs - rhs).max())
 
 
-def bottom_slip_residual(chart: Chart, t: float, u_h, dz_u_h, gamma_bar: float) -> np.ndarray:
+def bottom_slip_residual(chart: Chart, u_h, dz_u_h, gamma_bar: float) -> np.ndarray:
     """det(dX0/dx0) d_z0(u_H)|_bottom - eps gamma_bar u_H|_bottom per node.
 
     eps is the chart's. u_h and dz_u_h are bottom traces on the material
     grid, shape (n,) + grid.shape. Under the identity map this is exactly
     the Navier slip defect of the original coordinates.
     """
-    i = chart.index_of(t)
     u = np.asarray(u_h, dtype=float)
     du = np.asarray(dz_u_h, dtype=float)
     want = (chart.grid.n,) + chart.grid.shape
     if u.shape != want or du.shape != want:
         raise ValueError(f"bottom traces must have shape {want}")
-    _, det = _xjacobian(chart.grid, chart.xdisp[i])
+    _, det = _xjacobian(chart.grid, chart.xdisp)
     return det * du - chart.eps * gamma_bar * u
 
 
-def chart_records(chart: Chart, defect: np.ndarray):
-    """Header and lazy per-(time, column) rows of the chart for CSV export.
-
-    Columns: t, x0_*, X0_*, Z0_over_z0, det_h0_minus_1; defect is the array
-    `integrate_chart` returns. Rows are tuples in header order, built one time
-    index at a time.
-    """
-    n = chart.grid.n
+def chart_header(n: int) -> list:
+    """Columns of the chart CSV for an n-dimensional grid."""
     header = ["t"] + [f"x0_{a + 1}" for a in range(n)] + [f"X0_{a + 1}" for a in range(n)]
-    header += ["Z0_over_z0", "det_h0_minus_1"]
+    return header + ["Z0_over_z0", "det_h0_minus_1"]
+
+
+def chart_records(chart: Chart, defect: np.ndarray):
+    """Rows of one chart for CSV export, one tuple per column in the order of
+    `chart_header`; defect is the array `integrate_chart` yields with it."""
     if defect.shape != chart.zfactor.shape:
         raise ValueError("defect must have the shape of chart.zfactor")
-
-    def rows():
-        x0 = _material_nodes(chart.grid).reshape(n, -1).tolist()
-        for i, t in enumerate(chart.times.tolist()):
-            X = chart.positions(i).reshape(n, -1).tolist()
-            yield from zip(
-                repeat(t),
-                *x0,
-                *X,
-                chart.zfactor[i].reshape(-1).tolist(),
-                defect[i].reshape(-1).tolist(),
-            )
-
-    return header, rows()
+    n = chart.grid.n
+    return zip(
+        repeat(chart.t),
+        *_material_nodes(chart.grid).reshape(n, -1).tolist(),
+        *chart.positions().reshape(n, -1).tolist(),
+        chart.zfactor.reshape(-1).tolist(),
+        defect.reshape(-1).tolist(),
+    )

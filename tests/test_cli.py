@@ -422,6 +422,25 @@ def test_unstable_step_fails_before_any_tendency(tmp_path, capsys):
         assert "exceeds the stability bound" in err
 
 
+# sw.dt = 0.0019 sits just below the default grid's stability bound, 0.001928
+@pytest.mark.parametrize(
+    "t_eval,steps", [(0.0027, 2), (0.0038, 2), (0.001, 1)]
+)
+def test_ansatz_steps_at_most_sw_dt(tmp_path, monkeypatch, t_eval, steps):
+    # the fewest steps of at most sw.dt; rounding 0.0027 / 0.0019 to one
+    # step of 0.0027 broke the bound and exited 3
+    cfg = _config(tmp_path, {"sw": {"T": 0.019, "dt": 0.0019}, "study": {"t_eval": t_eval}})
+    assert run("validate", cfg) == 0
+    assert run("sw", cfg, out=tmp_path / "sw") == 0
+    seen = []
+    sw_steps = cli.sw_steps
+    monkeypatch.setattr(
+        cli, "sw_steps", lambda init, p, T, dt: seen.append(dt) or sw_steps(init, p, T, dt)
+    )
+    assert run("ansatz", cfg, out=tmp_path / "ansatz") == 0
+    assert seen == [t_eval / steps]
+
+
 # json parses NaN, Infinity and overflowing literals; none of them is a number
 # the pipelines can use, and T / dt must not overflow either
 NON_FINITE_CONFIGS = [
@@ -469,19 +488,22 @@ def test_lagrangian_pipeline_evaluates_h0_once_per_state(tmp_path, monkeypatch):
     assert worst == summary["volume_identity_sup"]
 
 
-def test_sw_pipeline_memory_does_not_grow_with_steps(tmp_path):
-    # sw streams its states: one row per state is written as the solver
-    # yields it, so the traced peak is that of a few states, whatever T is.
-    # Holding the trajectory read 1.15 MB at T = 0.04 and 3.50 MB at 0.16.
-    def sw_peak(T):
+@pytest.mark.parametrize("subcommand", ["sw", "lagrangian"])
+def test_sw_pipeline_memory_does_not_grow_with_steps(tmp_path, subcommand):
+    # sw and lagrangian stream their states: the rows of each state are
+    # written as the solver yields it, so the traced peak is that of a few
+    # states, whatever T is. Holding the trajectory read 1.15 MB at T = 0.04
+    # and 3.50 MB at 0.16 in sw; holding the whole chart read 1.13 and
+    # 2.15 MB in lagrangian.
+    def peak(T):
         tree = {"domain": {"n": 2, "N": 16}, "sw": {"T": T, "dt": 0.001}}
         cfg = _config(tmp_path, tree, f"{T}.json")
         tracemalloc.start()
         try:
-            assert run("sw", cfg, out=tmp_path / f"out_{T}") == 0
+            assert run(subcommand, cfg, out=tmp_path / f"out_{T}") == 0
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
 
-    sw_peak(0.04)  # cached grid symbols, first-call imports
-    assert sw_peak(0.16) <= sw_peak(0.04) + 0.1 * 2**20
+    peak(0.04)  # cached grid symbols, first-call imports
+    assert peak(0.16) <= peak(0.04) + 0.1 * 2**20

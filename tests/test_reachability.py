@@ -56,12 +56,11 @@ ALLOWLIST = {
     "grids.HField.from_coefficients": PAPER + " (divergence_lift)",
     "grids.HField.deriv": PAPER + " (divergence_lift)",
     "grids.HField.__rsub__": PAPER + " (solved_form_residual)",
-    "lagrangian.jacobian": PAPER,
-    "lagrangian.JacobianField.__post_init__": PAPER,
-    "lagrangian.transformed_deformation": PAPER,
-    "lagrangian.chain_rule_check": PAPER,
-    "lagrangian.bottom_slip_residual": PAPER,
-    "lagrangian.Chart.index_of": PAPER,
+    "lagrangian.jacobian": PAPER + ": the change-of-variable matrix A of one chart",
+    "lagrangian.JacobianField.__post_init__": PAPER + " (jacobian)",
+    "lagrangian.transformed_deformation": PAPER + ": the deformation tensor under A",
+    "lagrangian.chain_rule_check": PAPER + ": the chain rule through one chart",
+    "lagrangian.bottom_slip_residual": PAPER + ": the Navier slip condition through one chart",
     "lagrangian.Chart.nlev": PAPER + " (jacobian, chain_rule_check)",
     "lagrangian.Chart.heights": PAPER + " (chain_rule_check)",
     "residuals.solved_form_residual": PAPER,

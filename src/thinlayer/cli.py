@@ -14,7 +14,6 @@ runs serially.
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 from operator import itemgetter
 from pathlib import Path
@@ -23,7 +22,7 @@ import numpy as np
 
 from . import __version__
 from .ansatz import build_ansatz
-from .config import ConfigError, load_config, validate_config
+from .config import ConfigError, korn_m_grid, load_config, validate_config
 from .elliptic import (
     SolverError,
     mode_pressure_dirichlet_top,
@@ -115,20 +114,6 @@ def _initial_state(cfg, flat: bool = False):
     )
 
 
-def _evolved_state(cfg, t_eval: float):
-    # the fewest steps of at most sw.dt; a t_eval that is a multiple of sw.dt
-    # to validate's tolerance keeps that multiple
-    sw_dt = cfg.sw["dt"]
-    steps = round(t_eval / sw_dt)
-    if abs(steps * sw_dt - t_eval) > 1e-9 * max(1.0, t_eval):
-        steps = math.ceil(t_eval / sw_dt)
-    dt = t_eval / max(1, steps)
-    p = _params(cfg, cfg.study["eps_list"][0])
-    for state, _ in sw_steps(_initial_state(cfg), p, t_eval, dt):
-        pass
-    return state
-
-
 def _component_columns(n: int, base: str):
     if n == 1:
         return [base]
@@ -148,9 +133,10 @@ def _run_sw(cfg, out: Path) -> list:
 
 
 def _run_ansatz(cfg, out: Path) -> list:
-    state = _evolved_state(cfg, cfg.study["t_eval"])
-    eps = cfg.study["eps_list"][0]
-    a = build_ansatz(state, _params(cfg, eps))
+    p = _params(cfg, cfg.study["eps_list"][0])
+    for state, _ in sw_steps(_initial_state(cfg), p, cfg.study["t_eval"], cfg.sw["dt"]):
+        pass
+    a = build_ansatz(state, p)
     grid = state.grid
     n = grid.n
     header = _component_columns(n, "x")
@@ -216,10 +202,8 @@ def _run_study(report, out: Path) -> list:
 
 def _run_korn(cfg, out: Path) -> list:
     kc = cfg.korn
-    mg = kc["M_grid"]
-    m_grid = np.geomspace(mg["min"], mg["max"], mg["count"])
     sigma = SIGMA_LINE if cfg.domain["n"] == 1 else sigma_circle(kc["sigma_count"])
-    sweep = korn_sweep(m_grid, sigma, quad_nodes=kc["quad_nodes"])
+    sweep = korn_sweep(korn_m_grid(kc["M_grid"]), sigma, quad_nodes=kc["quad_nodes"])
     header = ["M", "c", "s", "lam"] + [f"eig{j}" for j in range(1, 7)] + ["cond_flag"]
     return [
         write_csv(out / "korn_sweep.csv", header, map(itemgetter(*header), sweep.rows)),

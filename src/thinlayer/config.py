@@ -2,7 +2,9 @@
 
 The config file is JSON with a fixed key schema (see docs/schema.md). All
 range checks happen at load time and are pure arithmetic, never numerics:
-`validate` can run on a machine that will never execute a study. Loading
+`validate` can run on a machine that will never execute a study. The one
+array it builds is the Korn M grid, through the korn_m_grid that the
+pipeline uses, so the two cannot disagree on it. Loading
 re-serializes the parsed tree in canonical form and hashes it, so two
 configs that differ only in whitespace or key order share a hash and
 therefore a manifest identity.
@@ -16,6 +18,8 @@ import sys
 from dataclasses import dataclass
 from pathlib import Path
 
+import numpy as np
+
 __all__ = ["Config", "ConfigError", "load_config", "validate_config", "DEFAULT_CONFIG"]
 
 
@@ -24,6 +28,10 @@ __all__ = ["Config", "ConfigError", "load_config", "validate_config", "DEFAULT_C
 # 1e-155 every sample of a probe is, and below about 1.5e-162 eps**2
 # underflows to 0. At 1e-150 every probe keeps all of its samples.
 PROBE_EPS_MIN = 1e-150
+# Smallest study.eps_list entry: below about 5.6e-309 the residuals' 1/eps
+# overflows and the study writes nan, and below about 2.2e-308 eps is a
+# subnormal number. At 1e-300 the study is finite in 1D and 2D.
+STUDY_EPS_MIN = 1e-300
 
 
 class ConfigError(ValueError):
@@ -151,6 +159,12 @@ def _check_eps_list(out, lst, where):
         out.append(f"{where}: must be strictly decreasing")
 
 
+def korn_m_grid(mg: dict) -> np.ndarray:
+    """The Korn sweep's M values: count points spaced geometrically over
+    [min, max]."""
+    return np.geomspace(mg["min"], mg["max"], mg["count"])
+
+
 def validate_tree(tree: dict) -> list:
     """All schema violations in the parsed config; empty means valid."""
     out: list[str] = []
@@ -206,8 +220,11 @@ def validate_tree(tree: dict) -> list:
     st = t["study"]
     if _check_keys(out, st, "study", {"eps_list", "t_eval", "nz"}):
         _check_eps_list(out, st["eps_list"], "study.eps_list")
-        if isinstance(st["eps_list"], list) and 0 < len(st["eps_list"]) < 4:
+        eps = st["eps_list"]
+        if isinstance(eps, list) and 0 < len(eps) < 4:
             out.append("study.eps_list: need at least 4 aspect ratios")
+        if isinstance(eps, list) and any(_is_num(e) and 0.0 < e < STUDY_EPS_MIN for e in eps):
+            out.append(f"study.eps_list: entries must be >= {STUDY_EPS_MIN:g}")
         if not _is_num(st["t_eval"]) or st["t_eval"] <= 0.0:
             out.append("study.t_eval: must be positive")
         if not _is_int(st["nz"]) or st["nz"] < 4:
@@ -220,6 +237,8 @@ def validate_tree(tree: dict) -> list:
             ok = all(_is_num(mg[q]) for q in ("min", "max")) and _is_int(mg["count"])
             if not ok or mg["min"] <= 0.0 or mg["max"] <= mg["min"]:
                 out.append("korn.M_grid: need 0 < min < max")
+            elif mg["count"] >= 2 and np.any(np.diff(korn_m_grid(mg)) <= 0.0):
+                out.append("korn.M_grid: min and max are too close for count distinct points")
             if not _is_int(mg["count"]) or mg["count"] < 2:
                 out.append("korn.M_grid.count: must be an integer >= 2")
         if not _is_int(k["sigma_count"]) or k["sigma_count"] < 1:

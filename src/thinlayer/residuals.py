@@ -23,7 +23,6 @@ claimed one can be traced to the term responsible.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -31,7 +30,7 @@ import numpy as np
 from .ansatz import AnsatzFields, ZPoly, _velocity_polys, build_ansatz
 from .grids import HField
 from .norms import norm
-from .shallow_water import Params, StabilityError, SWState, stable_dt, sw_steps
+from .shallow_water import Params, SWState, stable_dt, sw_steps
 from .thinfields import ThinField
 
 __all__ = [
@@ -363,9 +362,9 @@ def convergence_study(
     once to t_eval and the resulting state seeds the ansatz at every eps.
     t_eval should avoid states where residuals vanish identically (at a
     resting initial wave, every coefficient except the hydrostatic
-    pressure is zero at t=0). The evolution takes its own steps,
-    t_eval / ceil(t_eval / (0.4 stable_dt)); a bound that allows no finite
-    step count raises StabilityError.
+    pressure is zero at t=0). The evolution takes the fewest steps of at
+    most 0.4 stable_dt(init, base), by the rule of sw_steps, which raises
+    StabilityError when that bound allows no finite step count.
     """
     eps_list = [float(e) for e in eps_list]
     if len(eps_list) < 4:
@@ -374,12 +373,7 @@ def convergence_study(
         raise ValueError("eps_list must be strictly decreasing")
 
     if t_eval > 0.0:
-        bound = 0.4 * stable_dt(init, base)
-        steps = t_eval / bound if bound > 0.0 else math.inf
-        if not math.isfinite(steps):
-            raise StabilityError(f"study step bound {bound:.3g} allows no finite step count")
-        nsteps = max(1, math.ceil(steps))
-        for s, _ in sw_steps(init, base, T=t_eval, dt=t_eval / nsteps):
+        for s, _ in sw_steps(init, base, t_eval, 0.4 * stable_dt(init, base)):
             pass
     else:
         s = init

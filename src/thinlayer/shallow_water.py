@@ -9,6 +9,7 @@ modes follow the exact Galerkin dynamics of the band.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,7 +29,6 @@ __all__ = [
     "stable_dt",
     "sw_step",
     "sw_steps",
-    "sw_solve",
     "sw_energy",
     "sw_diagnostics",
 ]
@@ -308,44 +308,32 @@ def sw_step(
 
 
 class SWTrajectory:
-    """Uniformly spaced states with their stored tendencies.
+    """Two consecutive states with their stored tendencies, dt apart.
 
-    Keeping (dth0, dtu0) alongside each state makes the trajectory a cubic
-    Hermite interpolant in time, fourth order between knots. sw_solve
-    collects a whole run into one; the chart integrator builds one over each
-    pair of consecutive states to sample the midpoint between them.
+    Keeping (dth0, dtu0) alongside each state makes the pair a cubic
+    Hermite interpolant in time, fourth order between the knots. The chart
+    integrator builds one over each pair of consecutive states of sw_steps
+    to sample the midpoint between them.
     """
 
     def __init__(self, states, tendencies, dt: float):
-        states = list(states)
-        tendencies = list(tendencies)
-        if len(states) < 2:
-            raise ValueError("a trajectory needs at least two states")
-        if len(tendencies) != len(states):
-            raise ValueError("one stored tendency per state")
-        ts = np.array([s.t for s in states])
-        if not np.all(np.diff(ts) > 0.0):
-            raise ValueError("times must be strictly increasing")
-        if np.abs(np.diff(ts) - dt).max() > 1e-9 * max(1.0, abs(dt)):
-            raise ValueError("states must be uniformly spaced by dt")
-        self.states = states
-        self.tendencies = tendencies
+        (sa, sb), (fa, fb) = states, tendencies
+        if abs((sb.t - sa.t) - dt) > 1e-9 * max(1.0, abs(dt)):
+            raise ValueError(f"dt = {dt} does not match the states' spacing {sb.t - sa.t}")
+        self.sa, self.sb, self.fa, self.fb = sa, sb, fa, fb
         self.dt = float(dt)
 
     def interpolate(self, t: float) -> SWState:
-        """State at an arbitrary time t by cubic Hermite interpolation."""
-        t0 = self.states[0].t
-        t1 = self.states[-1].t
-        if not t0 - 1e-12 <= t <= t1 + 1e-12:
-            raise ValueError(f"t = {t} outside [{t0}, {t1}]")
-        i = min(int((t - t0) / self.dt), len(self.states) - 2)
-        th = (t - self.states[i].t) / self.dt
+        """State at a time t between the knots by cubic Hermite interpolation."""
+        sa, sb = self.sa, self.sb
+        if not sa.t - 1e-12 <= t <= sb.t + 1e-12:
+            raise ValueError(f"t = {t} outside [{sa.t}, {sb.t}]")
+        th = (t - sa.t) / self.dt
         w00 = (1.0 + 2.0 * th) * (1.0 - th) ** 2
         w10 = th * (1.0 - th) ** 2
         w01 = th * th * (3.0 - 2.0 * th)
         w11 = th * th * (th - 1.0)
-        sa, sb = self.states[i], self.states[i + 1]
-        (fa_h, fa_u), (fb_h, fb_u) = self.tendencies[i], self.tendencies[i + 1]
+        (fa_h, fa_u), (fb_h, fb_u) = self.fa, self.fb
         g = sa.grid
         h = HField(
             g,
@@ -363,22 +351,28 @@ class SWTrajectory:
 
 
 def sw_steps(init: SWState, p: Params, T: float, dt: float):
-    """Advance init over [t0, t0 + T] in steps of dt, one state at a time.
+    """Advance init over [t0, t0 + T] in the fewest steps of at most dt.
 
-    Yields (state, (dth0, dtu0)) for init and after each step; each
-    tendency is the next step's k1. T must be an integer multiple of dt so
-    the states stay uniformly spaced. The step bound and the vacuum floor
-    are checked on init before the first tendency is evaluated, at the
-    first next(), so an unstable dt or an initial state at the floor fails
-    at t0 before any arithmetic on the state. Vacuum and blowup errors
-    propagate with the failing time attached. One sw_rhs work area serves
-    every tendency of the run and is dropped when the generator is.
+    A T within 1e-9 (relative to max(1, T)) of a multiple of dt steps with
+    dt itself; any other T steps with T / ceil(T / dt). Yields
+    (state, (dth0, dtu0)) for init and after each step; each tendency is
+    the next step's k1. A dt <= 0, or a T / dt that overflows, allows no
+    finite step count and raises StabilityError. That check, the step
+    bound and the vacuum floor run on init before the first tendency is
+    evaluated, at the first next(), so a run that cannot step fails at t0
+    before any arithmetic on the state. Vacuum and blowup errors propagate
+    with the failing time attached. One sw_rhs work area serves every
+    tendency of the run and is dropped when the generator is.
     """
-    if not (T > 0.0 and dt > 0.0):
-        raise ValueError("T and dt must be positive")
-    nsteps = int(round(T / dt))
+    if not T > 0.0:
+        raise ValueError(f"T must be positive, got {T}")
+    steps = T / dt if dt > 0.0 else math.inf
+    if not math.isfinite(steps):
+        raise StabilityError(f"step {dt:.3g} allows no finite step count over T = {T:.3g}")
+    nsteps = round(steps)
     if nsteps < 1 or abs(nsteps * dt - T) > 1e-9 * max(1.0, T):
-        raise ValueError(f"T = {T} is not an integer multiple of dt = {dt}")
+        nsteps = math.ceil(steps)
+        dt = T / nsteps
     _check_step(init, p, dt)
     _check_vacuum(init.h0, init.t)
     work = _rhs_work(init.grid)
@@ -388,12 +382,6 @@ def sw_steps(init: SWState, p: Params, T: float, dt: float):
         s = sw_step(s, p, dt, k1=f, work=work)
         f = sw_rhs(s, p, work)
         yield s, f
-
-
-def sw_solve(init: SWState, p: Params, T: float, dt: float) -> SWTrajectory:
-    """Every state and tendency of sw_steps(init, p, T, dt), kept."""
-    states, tendencies = zip(*sw_steps(init, p, T, dt))
-    return SWTrajectory(states, tendencies, dt)
 
 
 def sw_energy(s: SWState, p: Params) -> float:

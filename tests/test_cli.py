@@ -10,7 +10,7 @@ import warnings
 import numpy as np
 import pytest
 
-from thinlayer import cli, grids, lagrangian
+from thinlayer import cli, grids, lagrangian, shallow_water
 from thinlayer.cli import main, run
 from thinlayer.korn import SIGMA_LINE, korn_sweep
 from thinlayer.residuals import convergence_study
@@ -433,12 +433,50 @@ def test_ansatz_steps_at_most_sw_dt(tmp_path, monkeypatch, t_eval, steps):
     assert run("validate", cfg) == 0
     assert run("sw", cfg, out=tmp_path / "sw") == 0
     seen = []
-    sw_steps = cli.sw_steps
+    sw_step = shallow_water.sw_step
     monkeypatch.setattr(
-        cli, "sw_steps", lambda init, p, T, dt: seen.append(dt) or sw_steps(init, p, T, dt)
+        shallow_water, "sw_step", lambda s, p, dt, **kw: seen.append(dt) or sw_step(s, p, dt, **kw)
     )
     assert run("ansatz", cfg, out=tmp_path / "ansatz") == 0
-    assert seen == [t_eval / steps]
+    assert seen == [t_eval / steps] * steps
+
+
+def test_ansatz_without_a_finite_step_count_maps_to_exit_3(tmp_path, capsys):
+    # t_eval / sw.dt overflows; unchecked, ansatz ended in an OverflowError
+    # traceback
+    cfg = _config(tmp_path, {"sw": {"T": 1.0, "dt": 1e-300}, "study": {"t_eval": 1e10}})
+    assert run("validate", cfg) == 0
+    assert main(["ansatz", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 3
+    assert capsys.readouterr().err.splitlines() == [
+        "numerical failure in ansatz: step 1e-300 allows no finite step count over T = 1e+10"
+    ]
+
+
+def test_study_eps_below_the_floor_is_invalid(tmp_path, capsys):
+    # unchecked, 1/eps overflows and the study wrote nan norms
+    cfg = _config(tmp_path, {"study": {"eps_list": [0.1, 0.05, 0.025, 1e-309]}})
+    assert run("validate", cfg) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "study.eps_list: entries must be >= 1e-300"
+    ]
+    for sub in ("study", "residuals"):
+        assert main([sub, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and "Traceback" not in err
+
+
+def test_repeating_korn_m_grid_is_invalid(tmp_path, capsys):
+    # geomspace repeats a value between two adjacent floats; unchecked,
+    # korn_sweep ended korn in a ValueError traceback
+    tree = {"korn": {"M_grid": {"min": 1.0, "max": 1.0000000000000004, "count": 10}}}
+    cfg = _config(tmp_path, tree)
+    assert run("validate", cfg) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "korn.M_grid: min and max are too close for count distinct points"
+    ]
+    assert main(["korn", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
 
 
 # json parses NaN, Infinity and overflowing literals; none of them is a number

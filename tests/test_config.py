@@ -1,16 +1,19 @@
 """Config schema: validation diagnostics, defaults, canonical hashing."""
 import json
 
+import numpy as np
 import pytest
 
 from thinlayer.config import (
     DEFAULT_CONFIG,
     ConfigError,
+    korn_m_grid,
     load_config,
     validate_config,
     validate_tree,
 )
 from thinlayer.grids import Grid
+from thinlayer.korn import SIGMA_LINE, korn_sweep
 from thinlayer.shallow_water import Params
 
 
@@ -138,3 +141,26 @@ def test_undecodable_file_is_a_diagnostic(tmp_path):
     path.write_bytes(b'\xff{"domain": {}}')
     msgs = validate_config(path)
     assert len(msgs) == 1 and "cannot read" in msgs[0]
+
+
+def test_study_eps_floor():
+    # below about 5.6e-309 the residuals' 1/eps overflows
+    assert not validate_tree({"study": {"eps_list": [0.1, 0.05, 0.025, 1e-300]}})
+    for eps in (1e-301, 1e-308, 1e-309):
+        assert validate_tree({"study": {"eps_list": [0.1, 0.05, 0.025, eps]}}) == [
+            "study.eps_list: entries must be >= 1e-300"
+        ]
+
+
+def test_korn_m_grid_check_matches_korn_sweep():
+    # validate rejects exactly the grids of the korn pipeline that
+    # korn_sweep would refuse
+    mg = {"min": 1.0, "max": 1.0000000000000004, "count": 10}
+    assert np.any(np.diff(korn_m_grid(mg)) <= 0.0)
+    with pytest.raises(ValueError, match="ascending"):
+        korn_sweep(korn_m_grid(mg), SIGMA_LINE)
+    assert validate_tree({"korn": {"M_grid": mg}}) == [
+        "korn.M_grid: min and max are too close for count distinct points"
+    ]
+    assert not validate_tree({"korn": {"M_grid": {**mg, "count": 2}}})
+    assert not validate_tree({"korn": {"M_grid": {**mg, "max": 1.001}}})

@@ -24,9 +24,6 @@ PAPER = "paper-bearing, no artifact reports it yet; kept until it is reported or
 ALLOWLIST = {
     # the acceptance gate
     "korn.default_m_grid": GATE + " (criterion 5)",
-    "shallow_water.sw_solve": "tests: the trajectory tests of test_shallow_water "
-    "(stored tendencies, Hermite interpolation, the kept work area) and "
-    "test_residuals::test_study_interior_rows_are_interior_residual_norms",
     "residuals.interior_residual": GATE + " (criterion 4)",
     # test oracles
     "korn.korn_basis_eval": "oracle: the Gram matrices against the literal basis",

@@ -16,12 +16,12 @@ from thinlayer.shallow_water import (
     Params,
     StabilityError,
     SWState,
+    SWTrajectory,
     initial_wave,
     stable_dt,
     sw_energy,
     sw_diagnostics,
     sw_rhs,
-    sw_solve,
     sw_step,
     sw_steps,
     sym_grad,
@@ -328,17 +328,36 @@ def test_step_vacuum_guard():
 # -- trajectories -------------------------------------------------------------
 
 
+def _states(init, p, T, dt):
+    return [s for s, _ in sw_steps(init, p, T, dt)]
+
+
 def test_solve_constant_trajectory():
     g = Grid(1, 32)
-    traj = sw_solve(initial_wave(g, amplitude=0.0), P1, T=0.05, dt=0.005)
-    assert len(traj.states) == 11
-    assert np.abs(traj.states[-1].h0.values - 1.0).max() < 1e-13
+    states = _states(initial_wave(g, amplitude=0.0), P1, T=0.05, dt=0.005)
+    assert len(states) == 11
+    assert np.abs(states[-1].h0.values - 1.0).max() < 1e-13
 
 
-def test_solve_requires_commensurate_T():
-    g = Grid(1, 32)
-    with pytest.raises(ValueError):
-        sw_solve(initial_wave(g), P1, T=0.0107, dt=0.005)
+def test_steps_take_the_fewest_steps_of_at_most_dt(monkeypatch):
+    taken = []
+    step = shallow_water.sw_step
+    monkeypatch.setattr(
+        shallow_water, "sw_step", lambda s, p, dt, **kw: taken.append(dt) or step(s, p, dt, **kw)
+    )
+    # 0.0107 is no multiple of 0.005: three steps of T / 3
+    _states(initial_wave(Grid(1, 32)), P1, T=0.0107, dt=0.005)
+    assert taken == [0.0107 / 3] * 3
+    # 0.3 / 0.1 rounds to 2.9999999999999996, so T / 3 is not 0.1; a
+    # multiple of dt to 1e-9 steps with dt itself
+    taken.clear()
+    p = Params(F=1.0, Re=100.0, gamma_bar=1.0, eps=0.1)
+    assert 0.3 / 3 != 0.1
+    _states(initial_wave(Grid(1, 32), amplitude=0.0), p, T=0.3, dt=0.1)
+    assert taken == [0.1] * 3
+    for dt in (0.0, -0.1, 1e-320):
+        with pytest.raises(StabilityError, match="no finite step count"):
+            next(sw_steps(initial_wave(Grid(1, 32)), P1, T=1e10, dt=dt))
 
 
 def test_solve_uniform_decay():
@@ -347,9 +366,9 @@ def test_solve_uniform_decay():
     c = 0.3
     p = Params(F=1.0, Re=1.0, gamma_bar=1.0, eps=0.1)
     s = _state(g, lambda x: 1.0 + 0.0 * x, [lambda x: c + 0.0 * x])
-    traj = sw_solve(s, p, T=1.0, dt=0.005)
+    final = _states(s, p, T=1.0, dt=0.005)[-1]
     want = c * np.exp(-p.gamma_bar * 1.0 / p.Re)
-    rel = np.abs(traj.states[-1].u0.values - want).max() / want
+    rel = np.abs(final.u0.values - want).max() / want
     assert rel < 1e-8
 
 
@@ -358,8 +377,8 @@ def test_solve_galilean_frictionless():
     c = 0.3
     p = Params(F=1.0, Re=1.0, gamma_bar=0.0, eps=0.1)
     s = _state(g, lambda x: 1.0 + 0.0 * x, [lambda x: c + 0.0 * x])
-    traj = sw_solve(s, p, T=0.25, dt=0.005)
-    assert np.abs(traj.states[-1].u0.values - c).max() < 1e-13
+    final = _states(s, p, T=0.25, dt=0.005)[-1]
+    assert np.abs(final.u0.values - c).max() < 1e-13
 
 
 def test_solve_global_order():
@@ -367,7 +386,7 @@ def test_solve_global_order():
     p = Params(F=1.0, Re=100.0, gamma_bar=1.0, eps=0.1)
     init = initial_wave(g, amplitude=0.05)
     dts = [0.1, 0.05, 0.025, 0.0125]
-    finals = [sw_solve(init, p, T=1.0, dt=dt).states[-1] for dt in dts]
+    finals = [_states(init, p, T=1.0, dt=dt)[-1] for dt in dts]
     errs = [
         max(
             np.abs(a.h0.values - b.h0.values).max(),
@@ -384,14 +403,13 @@ def test_solve_reuses_stored_tendency():
     p = Params(F=0.8, Re=5.0, gamma_bar=0.5, eps=0.1)
     dt = 0.01
     init = initial_wave(g, amplitude=0.1, velocity_amplitude=0.05)
-    traj = sw_solve(init, p, T=0.1, dt=dt)
     s = init
-    for i, state in enumerate(traj.states):
+    for i, (state, stored) in enumerate(sw_steps(init, p, T=0.1, dt=dt)):
         if i:
             s = sw_step(s, p, dt)
         assert np.abs(state.h0.values - s.h0.values).max() <= 1e-15
         assert np.abs(state.u0.values - s.u0.values).max() <= 1e-15
-        for got, want in zip(traj.tendencies[i], sw_rhs(state, p)):
+        for got, want in zip(stored, sw_rhs(state, p)):
             assert np.abs(got.values - want.values).max() <= 1e-15
 
 
@@ -408,8 +426,7 @@ def test_solve_2d_tendencies_equal_standalone_rhs(N):
         HField.from_function(g, lambda x, y: 0.05 * np.sin(x + y)),
         HField.from_function(g, lambda x, y: 0.03 * np.cos(2 * x - y)),
     ])
-    traj = sw_solve(SWState(0.0, h0, u0), p, T=0.05, dt=0.01)
-    for state, stored in zip(traj.states, traj.tendencies):
+    for state, stored in list(sw_steps(SWState(0.0, h0, u0), p, T=0.05, dt=0.01)):
         for got, want in zip(stored, sw_rhs(state, p)):
             assert np.array_equal(got.values, want.values)
 
@@ -418,15 +435,15 @@ def _solve_10_steps_2d():
     g = Grid(2, 32)
     p = Params(F=0.8, Re=5.0, gamma_bar=0.5, eps=0.1)
     init = initial_wave(g, amplitude=0.1, velocity_amplitude=0.05)
-    return sw_solve(init, p, T=0.01, dt=0.001)
+    return list(sw_steps(init, p, T=0.01, dt=0.001))
 
 
 def test_solve_allocates_no_padded_stage_per_rhs():
     """tracemalloc peak of a 10-step 2D N = 32 solve, less its one sw_rhs
     work area, stays within 1.5 MB.
 
-    What remains (about 1.19 MB) is the trajectory the solve returns, with
-    its initial state (about 0.82 MB), and the transients of one sw_rhs call
+    What remains (about 1.19 MB) is the states and tendencies the solve
+    keeps, with its initial state (about 0.82 MB), and the transients of one sw_rhs call
     (numpy's own transform buffers, the truncated spectra, the returned
     tendencies: about 0.34 MB). An sw_rhs that allocated its padded stages
     per call again read about 2.14 MB, and a solve that stopped handing its
@@ -446,7 +463,8 @@ def test_solve_allocates_no_padded_stage_per_rhs():
 
 
 def test_solve_drops_its_work_area(monkeypatch):
-    """sw_solve builds one work area, and none is reachable once it returns."""
+    """sw_steps builds one work area, and none is reachable once the run is
+    consumed."""
     built = []
 
     class Recorded(FineWork):
@@ -457,28 +475,35 @@ def test_solve_drops_its_work_area(monkeypatch):
             built.append(weakref.ref(self))
 
     monkeypatch.setattr(shallow_water, "FineWork", Recorded)
-    traj = _solve_10_steps_2d()
+    steps = _solve_10_steps_2d()
     assert len(built) == 1 and built[0]() is None
-    assert len(traj.states) == 11
+    assert len(steps) == 11
 
 
 def test_trajectory_interpolation():
     g = Grid(1, 32)
     p = Params(F=1.0, Re=100.0, gamma_bar=1.0, eps=0.1)
     init = initial_wave(g, amplitude=0.05)
-    coarse = sw_solve(init, p, T=0.5, dt=0.05)
-    fine = sw_solve(init, p, T=0.5, dt=0.0125)
-    # knots are reproduced exactly
-    knot = coarse.interpolate(0.25)
-    assert np.abs(knot.h0.values - coarse.states[5].h0.values).max() < 1e-14
-    # between knots the Hermite interpolant tracks the fine solution
-    worst = 0.0
-    for s_fine in fine.states:
-        s_int = coarse.interpolate(s_fine.t)
-        worst = max(worst, np.abs(s_int.u0.values - s_fine.u0.values).max())
-    assert worst < 1e-7
-    with pytest.raises(ValueError):
-        coarse.interpolate(0.6)
+    coarse = list(sw_steps(init, p, T=0.5, dt=0.05))
+    fine = _states(init, p, T=0.5, dt=0.0125)
+    worst, seen = 0.0, set()
+    for (sa, fa), (sb, fb) in zip(coarse, coarse[1:]):
+        pair = SWTrajectory((sa, sb), (fa, fb), 0.05)
+        # knots are reproduced exactly
+        for knot in (sa, sb):
+            got = pair.interpolate(knot.t)
+            assert np.abs(got.h0.values - knot.h0.values).max() < 1e-14
+        # between knots the Hermite interpolant tracks the fine solution
+        for j, s_fine in enumerate(fine):
+            if sa.t - 1e-12 <= s_fine.t <= sb.t + 1e-12:
+                seen.add(j)
+                s_int = pair.interpolate(s_fine.t)
+                worst = max(worst, np.abs(s_int.u0.values - s_fine.u0.values).max())
+        with pytest.raises(ValueError):
+            pair.interpolate(sb.t + 0.05)
+    assert len(seen) == len(fine) and worst < 1e-7
+    with pytest.raises(ValueError):  # the pair's spacing is its dt
+        SWTrajectory((sa, sb), (fa, fb), 0.025)
 
 
 def test_diagnostics_rows():
@@ -535,8 +560,8 @@ def test_energy_matches_nested_products(n, N, masked):
 def test_energy_nonincreasing():
     g = Grid(1, 32)
     p = Params(F=1.0, Re=5.0, gamma_bar=1.0, eps=0.1)
-    traj = sw_solve(initial_wave(g, amplitude=0.1, velocity_amplitude=0.05), p, T=2.0, dt=0.02)
-    energies = [sw_energy(s, p) for s in traj.states]
+    states = _states(initial_wave(g, amplitude=0.1, velocity_amplitude=0.05), p, T=2.0, dt=0.02)
+    energies = [sw_energy(s, p) for s in states]
     diffs = np.diff(energies)
     assert diffs.max() <= 1e-8
     assert energies[-1] < energies[0]  # friction actually dissipates

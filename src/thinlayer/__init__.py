@@ -1,127 +1,3 @@
 """Pseudospectral shallow-water solver with thin-domain diagnostics."""
 
 __version__ = "0.1.0"
-
-from .ansatz import AnsatzFields, AnsatzRate, ZPoly, ansatz_rate, build_ansatz
-from .elliptic import (
-    DivergenceLift,
-    ModeProfile,
-    SolverError,
-    divergence_lift,
-    mode_pressure_dirichlet_top,
-    mode_pressure_neumann_bottom,
-)
-from .grids import Grid, HField, deriv, div, grad
-from .korn import (
-    ConditioningError,
-    KornPencil,
-    KornSweep,
-    QuadratureError,
-    korn_basis_eval,
-    korn_pencil,
-    korn_probe,
-    korn_sweep,
-)
-from .lagrangian import (
-    Chart,
-    DegenerateChartError,
-    JacobianField,
-    bottom_slip_residual,
-    chain_rule_check,
-    chart_header,
-    chart_records,
-    integrate_chart,
-    jacobian,
-    transformed_deformation,
-)
-from .norms import norm
-from .probes import ProbeReport, anisotropy_probe
-from .residuals import (
-    StudyReport,
-    bottom_residual,
-    convergence_study,
-    divergence_residual,
-    fit_power_law,
-    interior_residual,
-    kinematic_residual,
-    solved_form_residual,
-    traction_residual,
-)
-from .shallow_water import (
-    BlowupError,
-    DegenerateStateError,
-    Params,
-    SWState,
-    SWTrajectory,
-    StabilityError,
-    initial_wave,
-    stable_dt,
-    sw_energy,
-    sw_diagnostics,
-    sw_step,
-    sw_steps,
-)
-from .thinfields import ThinField
-
-__all__ = [
-    "__version__",
-    "Grid",
-    "HField",
-    "ThinField",
-    "norm",
-    "deriv",
-    "grad",
-    "div",
-    "Params",
-    "SWState",
-    "SWTrajectory",
-    "DegenerateStateError",
-    "BlowupError",
-    "StabilityError",
-    "initial_wave",
-    "stable_dt",
-    "sw_step",
-    "sw_steps",
-    "sw_energy",
-    "sw_diagnostics",
-    "ZPoly",
-    "AnsatzFields",
-    "AnsatzRate",
-    "build_ansatz",
-    "ansatz_rate",
-    "StudyReport",
-    "interior_residual",
-    "divergence_residual",
-    "kinematic_residual",
-    "traction_residual",
-    "bottom_residual",
-    "solved_form_residual",
-    "fit_power_law",
-    "convergence_study",
-    "Chart",
-    "JacobianField",
-    "DegenerateChartError",
-    "integrate_chart",
-    "jacobian",
-    "transformed_deformation",
-    "chain_rule_check",
-    "bottom_slip_residual",
-    "chart_header",
-    "chart_records",
-    "KornPencil",
-    "KornSweep",
-    "QuadratureError",
-    "ConditioningError",
-    "korn_basis_eval",
-    "korn_pencil",
-    "korn_sweep",
-    "korn_probe",
-    "ProbeReport",
-    "anisotropy_probe",
-    "SolverError",
-    "ModeProfile",
-    "DivergenceLift",
-    "mode_pressure_dirichlet_top",
-    "mode_pressure_neumann_bottom",
-    "divergence_lift",
-]

@@ -28,8 +28,6 @@ from .grids import Grid, HField, _spec_to_fine, div, from_fine, grad, nonlinear
 from .shallow_water import DegenerateStateError, Params, SWState, sw_rhs, sym_grad
 from .thinfields import ThinField
 
-__all__ = ["ZPoly", "AnsatzFields", "AnsatzRate", "build_ansatz", "ansatz_rate"]
-
 
 class ZPoly:
     """Polynomial in z with scalar horizontal fields as coefficients.

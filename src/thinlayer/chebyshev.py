@@ -8,13 +8,6 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = [
-    "gl_nodes",
-    "barycentric_weights",
-    "diff_matrix",
-    "clenshaw_curtis_weights",
-]
-
 
 def gl_nodes(nz: int) -> np.ndarray:
     """Gauss-Lobatto points on [0, 1], ascending. Requires nz >= 2."""

@@ -51,19 +51,6 @@ from .shallow_water import (
     sw_steps,
 )
 
-SUBCOMMANDS = (
-    "sw",
-    "ansatz",
-    "residuals",
-    "study",
-    "korn",
-    "laplace",
-    "probe",
-    "lagrangian",
-    "all",
-    "validate",
-)
-
 NUMERICAL_FAILURES = (
     DegenerateStateError,
     BlowupError,
@@ -297,6 +284,8 @@ PIPELINES = {
     "lagrangian": _run_lagrangian,
 }
 
+SUBCOMMANDS = (*PIPELINES, "all", "validate")
+
 
 def run(subcommand: str, config_path, out=None, threads=None) -> int:
     """Execute one pipeline (or all) and write the manifest; returns exit code.
@@ -308,7 +297,7 @@ def run(subcommand: str, config_path, out=None, threads=None) -> int:
         for v in violations:
             print(v, file=sys.stderr)
         return 2 if violations else 0
-    if subcommand not in PIPELINES and subcommand != "all":
+    if subcommand not in SUBCOMMANDS:
         print(f"unknown subcommand: {subcommand}", file=sys.stderr)
         return 64
     try:

@@ -20,8 +20,6 @@ from pathlib import Path
 
 import numpy as np
 
-__all__ = ["Config", "ConfigError", "load_config", "validate_config", "DEFAULT_CONFIG"]
-
 
 # Smallest probes.eps_list entry: below about 1e-154 the squares of the
 # strip's eps-scaled fields overflow and samples are lost, below about
@@ -139,10 +137,16 @@ def _is_int(v) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
 
 
-def _check_keys(out, tree, section, allowed):
+def _check_keys(out, tree, section):
+    """Report each key of tree that the section's entry in DEFAULT_CONFIG
+    lacks (section is a dotted path such as "sw.init"); False, reported,
+    when tree is not an object."""
     if not isinstance(tree, dict):
         out.append(f"{section}: expected an object")
         return False
+    allowed = DEFAULT_CONFIG
+    for part in section.split("."):
+        allowed = allowed[part]
     for k in tree:
         if k not in allowed:
             out.append(f"{section}.{k}: unknown key")
@@ -176,7 +180,7 @@ def validate_tree(tree: dict) -> list:
     t = _merge_defaults(tree)
 
     d = t["domain"]
-    if _check_keys(out, d, "domain", {"n", "N", "L"}):
+    if _check_keys(out, d, "domain"):
         if not _is_int(d["n"]) or d["n"] not in (1, 2):
             out.append("domain.n: must be 1 or 2")
         if not _is_int(d["N"]) or d["N"] < 8 or d["N"] & (d["N"] - 1):
@@ -185,7 +189,7 @@ def validate_tree(tree: dict) -> list:
             out.append("domain.L: must be positive")
 
     p = t["params"]
-    if _check_keys(out, p, "params", {"F", "Re", "gamma_bar"}):
+    if _check_keys(out, p, "params"):
         for name in ("F", "Re"):
             if not _is_num(p[name]) or p[name] <= 0.0:
                 out.append(f"params.{name}: must be positive")
@@ -195,11 +199,9 @@ def validate_tree(tree: dict) -> list:
             out.append("params.gamma_bar: must be nonnegative")
 
     s = t["sw"]
-    if _check_keys(out, s, "sw", {"init", "T", "dt"}):
+    if _check_keys(out, s, "sw"):
         init = s["init"]
-        if _check_keys(
-            out, init, "sw.init", {"amplitude", "wavenumber", "velocity_amplitude"}
-        ):
+        if _check_keys(out, init, "sw.init"):
             amp = init["amplitude"]
             if not _is_num(amp) or not 0.0 <= amp < 1.0:
                 out.append("sw.init.amplitude: must lie in [0, 1) to avoid vacuum")
@@ -218,7 +220,7 @@ def validate_tree(tree: dict) -> list:
                 out.append("sw.T: must be an integer multiple of sw.dt")
 
     st = t["study"]
-    if _check_keys(out, st, "study", {"eps_list", "t_eval", "nz"}):
+    if _check_keys(out, st, "study"):
         _check_eps_list(out, st["eps_list"], "study.eps_list")
         eps = st["eps_list"]
         if isinstance(eps, list) and 0 < len(eps) < 4:
@@ -231,9 +233,9 @@ def validate_tree(tree: dict) -> list:
             out.append("study.nz: must be an integer >= 4")
 
     k = t["korn"]
-    if _check_keys(out, k, "korn", {"M_grid", "sigma_count", "quad_nodes"}):
+    if _check_keys(out, k, "korn"):
         mg = k["M_grid"]
-        if _check_keys(out, mg, "korn.M_grid", {"min", "max", "count"}):
+        if _check_keys(out, mg, "korn.M_grid"):
             ok = all(_is_num(mg[q]) for q in ("min", "max")) and _is_int(mg["count"])
             if not ok or mg["min"] <= 0.0 or mg["max"] <= mg["min"]:
                 out.append("korn.M_grid: need 0 < min < max")
@@ -247,7 +249,7 @@ def validate_tree(tree: dict) -> list:
             out.append("korn.quad_nodes: must be an integer >= 64")
 
     pr = t["probes"]
-    if _check_keys(out, pr, "probes", {"eps_list", "samples", "seed"}):
+    if _check_keys(out, pr, "probes"):
         eps = pr["eps_list"]
         _check_eps_list(out, eps, "probes.eps_list")
         if isinstance(eps, list) and any(
@@ -260,7 +262,7 @@ def validate_tree(tree: dict) -> list:
             out.append("probes.seed: must be a nonnegative integer")
 
     o = t["output"]
-    if _check_keys(out, o, "output", {"dir", "formats"}):
+    if _check_keys(out, o, "output"):
         if not isinstance(o["dir"], str) or not o["dir"]:
             out.append("output.dir: must be a non-empty string")
         fmts = o["formats"]
@@ -273,26 +275,37 @@ def validate_tree(tree: dict) -> list:
     return out
 
 
-def validate_config(path) -> list:
-    """Violations for the file at path; parse errors become diagnostics."""
+def _parse(path):
+    """The parsed file at path; ConfigError if it cannot be read or parsed."""
     try:
         text = Path(path).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
-        return [f"cannot read {path}: {exc}"]
+        raise ConfigError([f"cannot read {path}: {exc}"]) from exc
     try:
-        tree = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as exc:
-        return [f"parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}"]
+        raise ConfigError(
+            [f"parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}"]
+        ) from exc
     except ValueError as exc:  # an integer literal longer than int_max_str_digits
-        return [f"parse error: {exc}"]
+        raise ConfigError([f"parse error: {exc}"]) from exc
+
+
+def validate_config(path) -> list:
+    """Violations for the file at path; parse errors become diagnostics."""
+    try:
+        tree = _parse(path)
+    except ConfigError as exc:
+        return exc.violations
     return validate_tree(tree)
 
 
 def load_config(path) -> Config:
-    """Parse, merge defaults, validate; raises ConfigError on violations."""
-    violations = validate_config(path)
+    """Parse once, validate, merge defaults; raises ConfigError on violations."""
+    tree = _parse(path)
+    violations = validate_tree(tree)
     if violations:
         raise ConfigError(violations)
-    tree = _merge_defaults(json.loads(Path(path).read_text(encoding="utf-8")))
+    tree = _merge_defaults(tree)
     canon = _canonical(tree)
     return Config(raw=tree, sha256=hashlib.sha256(canon.encode()).hexdigest())

@@ -27,15 +27,6 @@ from .grids import HField
 from .norms import _sq_l2_thin
 from .thinfields import ThinField
 
-__all__ = [
-    "SolverError",
-    "ModeProfile",
-    "DivergenceLift",
-    "mode_pressure_dirichlet_top",
-    "mode_pressure_neumann_bottom",
-    "divergence_lift",
-]
-
 RESIDUAL_TOL = 1e-10
 MODE_NZ = 20  # Gauss-Lobatto nodes of every single-mode profile solve
 

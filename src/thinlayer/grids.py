@@ -36,8 +36,6 @@ from functools import cached_property
 
 import numpy as np
 
-__all__ = ["Grid", "HField", "deriv", "grad", "div", "nonlinear", "dealiased_product"]
-
 TWO_PI = 2.0 * np.pi
 
 MAX_DERIV_ORDER = 4

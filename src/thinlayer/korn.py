@@ -41,20 +41,6 @@ import numpy as np
 
 from .probes import KMAX, PDEG, ProbeReport, _exponent, _probe_rows, _Sample, _Strip
 
-__all__ = [
-    "KornPencil",
-    "KornSweep",
-    "QuadratureError",
-    "ConditioningError",
-    "korn_basis_eval",
-    "korn_pencil",
-    "korn_sweep",
-    "korn_probe",
-    "sigma_circle",
-    "SIGMA_LINE",
-    "default_m_grid",
-]
-
 RANK_TOL = 1e-10
 KORN_NX, KORN_NZ = 32, 24  # strip nodes of the inequality probe
 
@@ -75,11 +61,6 @@ def sigma_circle(count: int) -> tuple:
         raise ValueError("need at least one direction")
     th = 2.0 * np.pi * np.arange(count) / count
     return tuple((float(np.cos(a)), float(np.sin(a))) for a in th)
-
-
-def default_m_grid(m_count: int = 48):
-    """m_count values of M spaced geometrically over [0.01, 50]."""
-    return np.geomspace(1e-2, 50.0, m_count)
 
 
 def _check_sigma(sigma) -> tuple[float, float]:

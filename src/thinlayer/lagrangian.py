@@ -38,19 +38,6 @@ from .chebyshev import diff_matrix, gl_nodes
 from .grids import Grid, HField, _eval_coefficients, grad
 from .shallow_water import BlowupError, SWTrajectory
 
-__all__ = [
-    "Chart",
-    "JacobianField",
-    "DegenerateChartError",
-    "integrate_chart",
-    "jacobian",
-    "transformed_deformation",
-    "chain_rule_check",
-    "bottom_slip_residual",
-    "chart_header",
-    "chart_records",
-]
-
 ILL_CONDITIONED = 1e8
 
 

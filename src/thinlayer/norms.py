@@ -14,7 +14,6 @@ from . import chebyshev as cheb
 from .grids import HField
 from .thinfields import ThinField
 
-__all__ = ["norm"]
 
 def norm(f: HField | ThinField, kind: str) -> float:
     """The "Linf" or "L2" norm of a horizontal or thin field."""

@@ -41,8 +41,6 @@ import numpy as np
 from .chebyshev import clenshaw_curtis_weights, gl_nodes
 from .grids import Grid, HField
 
-__all__ = ["ProbeReport", "anisotropy_probe", "PROBE_TAGS"]
-
 PROBE_TAGS = ("L6", "Agmon", "trace_zero", "trace_general")
 KMAX = 4  # horizontal band limit of the samples
 PDEG = 3  # vertical polynomial degree

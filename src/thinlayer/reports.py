@@ -19,8 +19,6 @@ import hashlib
 import json
 from pathlib import Path
 
-__all__ = ["write_csv", "write_json", "write_manifest", "file_sha256"]
-
 MANIFEST_NAME = "manifest.json"
 HASH_BLOCK = 1 << 16  # bytes read per update of a file's digest
 

@@ -33,20 +33,6 @@ from .norms import norm
 from .shallow_water import Params, SWState, stable_dt, sw_steps
 from .thinfields import ThinField
 
-__all__ = [
-    "RESIDUAL_FLOOR",
-    "StudyReport",
-    "interior_polys",
-    "interior_residual",
-    "divergence_residual",
-    "kinematic_residual",
-    "traction_residual",
-    "bottom_residual",
-    "solved_form_residual",
-    "fit_power_law",
-    "convergence_study",
-]
-
 # Norms below this are roundoff, not signal; slope fits ignore them.
 RESIDUAL_FLOOR = 1e-13
 

@@ -16,23 +16,6 @@ import numpy as np
 
 from .grids import FineWork, Grid, HField, _fine_to_spec, _spec_to_fine
 
-__all__ = [
-    "Params",
-    "SWState",
-    "SWTrajectory",
-    "DegenerateStateError",
-    "BlowupError",
-    "StabilityError",
-    "initial_wave",
-    "sym_grad",
-    "sw_rhs",
-    "stable_dt",
-    "sw_step",
-    "sw_steps",
-    "sw_energy",
-    "sw_diagnostics",
-]
-
 # Explicit-step safety factors and the depth floor that aborts a run well
 # before the equations degenerate.
 C_ADV = 0.5

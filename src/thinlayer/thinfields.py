@@ -16,8 +16,6 @@ import numpy as np
 from . import chebyshev as cheb
 from .grids import Grid, HField
 
-__all__ = ["ThinField"]
-
 
 class ThinField:
     """Samples on the (zeta, x) collocation grid, scalar or vector.

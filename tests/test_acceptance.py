@@ -13,11 +13,11 @@ import time
 import numpy as np
 
 from thinlayer.cli import run
+from thinlayer.config import DEFAULT_CONFIG, korn_m_grid
 from thinlayer.elliptic import mode_pressure_dirichlet_top
 from thinlayer.grids import Grid, HField
 from thinlayer.korn import (
     SIGMA_LINE,
-    default_m_grid,
     korn_pencil,
     korn_probe,
     korn_sweep,
@@ -186,8 +186,9 @@ def test_criterion_05_korn_spectrum_structure():
             break
     lam_small = korn_pencil(0.05, (1.0, 0.0)).Lambda
     checks.append((abs(lam_small - 1.0) <= 0.05, f"|Lambda(0.05)-1| = {abs(lam_small-1):.2e}"))
-    s1 = korn_sweep(default_m_grid(40), SIGMA_LINE)
-    s2 = korn_sweep(default_m_grid(80), SIGMA_LINE)
+    m_grid = DEFAULT_CONFIG["korn"]["M_grid"]
+    s1 = korn_sweep(korn_m_grid({**m_grid, "count": 40}), SIGMA_LINE)
+    s2 = korn_sweep(korn_m_grid({**m_grid, "count": 80}), SIGMA_LINE)
     checks.append((s1.inf_lambda > 0.0, "infimum positive"))
     checks.append(
         (abs(s2.inf_lambda - s1.inf_lambda) < 1e-3,

@@ -1,9 +1,11 @@
 """Config schema: validation diagnostics, defaults, canonical hashing."""
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from thinlayer import config
 from thinlayer.config import (
     DEFAULT_CONFIG,
     ConfigError,
@@ -30,6 +32,13 @@ def test_default_config_is_valid(tmp_path):
     cfg = load_config(path)
     assert cfg.domain["N"] == 64
     assert len(cfg.sha256) == 64
+
+
+def test_default_config_file_mirrors_default_config():
+    # README points at configs/default.json; the program merges DEFAULT_CONFIG
+    path = Path(__file__).resolve().parent.parent / "configs" / "default.json"
+    tree = json.loads(path.read_text(encoding="utf-8"))
+    assert json.dumps(tree, sort_keys=True) == json.dumps(DEFAULT_CONFIG, sort_keys=True)
 
 
 def test_partial_config_inherits_defaults(tmp_path):
@@ -64,6 +73,26 @@ def test_unknown_keys_reported(tmp_path):
     msgs = validate_config(path)
     assert any("params.Rey" in m for m in msgs)
     assert any("plotting" in m for m in msgs)
+
+
+@pytest.mark.parametrize("change", ["rewrite", "remove"])
+def test_load_returns_the_tree_it_validated(tmp_path, monkeypatch, change):
+    # the file changes right after it validates: load_config reads it once,
+    # so it returns the validated values and never reads the new file
+    path = _write(tmp_path, {"sw": {"T": 0.5}})
+    validate = config.validate_tree
+
+    def validate_then_change(tree):
+        violations = validate(tree)
+        if change == "rewrite":
+            path.write_text(json.dumps({"sw": {"T": -1.0}, "bogus": 1}), encoding="utf-8")
+        else:
+            path.unlink()
+        return violations
+
+    monkeypatch.setattr(config, "validate_tree", validate_then_change)
+    cfg = load_config(path)
+    assert cfg.sw["T"] == 0.5 and "bogus" not in cfg.raw
 
 
 def test_parse_error_reports_position(tmp_path):

@@ -6,11 +6,11 @@ import numpy as np
 import pytest
 
 from thinlayer import korn
+from thinlayer.config import DEFAULT_CONFIG, korn_m_grid
 from thinlayer.korn import (
     SIGMA_LINE,
     ConditioningError,
     QuadratureError,
-    default_m_grid,
     korn_basis_eval,
     korn_pencil,
     korn_probe,
@@ -18,6 +18,9 @@ from thinlayer.korn import (
     sigma_circle,
 )
 from thinlayer.probes import KMAX, PDEG, _Strip
+
+# the configured Korn M grid; each sweep test sets its own count
+M_GRID = DEFAULT_CONFIG["korn"]["M_grid"]
 
 # High-precision references for Lambda(M, sigma), frozen from a 50-digit
 # reimplementation of the same pencil (Cholesky + symmetric eigensolve).
@@ -199,8 +202,8 @@ def test_pencil_validation():
 
 
 def test_sweep_infimum_stable_under_doubling():
-    s40 = korn_sweep(default_m_grid(40), SIGMA_LINE)
-    s80 = korn_sweep(default_m_grid(80), SIGMA_LINE)
+    s40 = korn_sweep(korn_m_grid({**M_GRID, "count": 40}), SIGMA_LINE)
+    s80 = korn_sweep(korn_m_grid({**M_GRID, "count": 80}), SIGMA_LINE)
     assert s40.failures == 0 and s80.failures == 0
     assert abs(s40.inf_lambda - 0.699239854) <= 1e-8
     assert abs(s80.inf_lambda - 0.698936596) <= 1e-8
@@ -211,7 +214,7 @@ def test_sweep_infimum_stable_under_doubling():
 
 
 def test_sweep_default_grid_floor():
-    sweep = korn_sweep(default_m_grid(24), sigma_circle(8))
+    sweep = korn_sweep(korn_m_grid({**M_GRID, "count": 24}), sigma_circle(8))
     assert sweep.failures == 0
     # large-M diagonal directions approach the 2/3 floor from above
     assert 0.66 < sweep.inf_lambda <= 0.68
@@ -235,8 +238,8 @@ def test_sweep_lambda_monotone_near_zero():
 
 
 def test_sweep_repeats_exactly():
-    first = korn_sweep(default_m_grid(12), sigma_circle(2))
-    second = korn_sweep(default_m_grid(12), sigma_circle(2))
+    first = korn_sweep(korn_m_grid({**M_GRID, "count": 12}), sigma_circle(2))
+    second = korn_sweep(korn_m_grid({**M_GRID, "count": 12}), sigma_circle(2))
     assert first.rows == second.rows
     assert first.inf_lambda == second.inf_lambda
 
@@ -261,7 +264,7 @@ def test_sweep_validation():
     with pytest.raises(ValueError):
         korn_sweep(np.array([0.5]), SIGMA_LINE)
     with pytest.raises(ValueError):
-        korn_sweep(default_m_grid(4), [(0.2, 0.2)])
+        korn_sweep(korn_m_grid({**M_GRID, "count": 4}), [(0.2, 0.2)])
 
 
 # -- inequality probe ---------------------------------------------------------

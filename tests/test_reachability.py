@@ -2,11 +2,15 @@
 
 `thinlayer all` runs under sys.setprofile on a cut 1D config (written to
 its configured output.dir, as the CLI does without --out) and on a 2D
-N = 16 config, and an invalid config runs once through the exit-2 path.
+N = 16 config, and an invalid config runs once through the exit-2 path of
+a pipeline and once through `thinlayer validate`.
 The functions that none of these runs enters must be exactly ALLOWLIST,
 and each entry names what still calls it. So a helper that no pipeline
 calls fails here until it is deleted or its reason is written down, and
 an entry that a pipeline starts to call fails until it is taken out.
+
+The same parse checks that each name is declared once: no module assigns
+__all__, and the package root binds only __version__.
 """
 import ast
 import json
@@ -23,7 +27,6 @@ PAPER = "paper-bearing, no artifact reports it yet; kept until it is reported or
 
 ALLOWLIST = {
     # the acceptance gate
-    "korn.default_m_grid": GATE + " (criterion 5)",
     "residuals.interior_residual": GATE + " (criterion 4)",
     # test oracles
     "korn.korn_basis_eval": "oracle: the Gram matrices against the literal basis",
@@ -67,6 +70,14 @@ ALLOWLIST = {
 CUT = {"sw": {"T": 0.1}, "study": {"t_eval": 0.1}}
 
 
+def _trees() -> dict:
+    """The parsed source of every module in the package, by module name."""
+    return {
+        path.stem: ast.parse(path.read_text(encoding="utf-8"))
+        for path in PACKAGE.glob("*.py")
+    }
+
+
 def _defined() -> set:
     """module.qualname of every def in the package, nested ones included."""
     names = set()
@@ -79,9 +90,32 @@ def _defined() -> set:
             elif isinstance(child, ast.ClassDef):
                 walk(child, module, f"{prefix}{child.name}.")
 
-    for path in PACKAGE.glob("*.py"):
-        walk(ast.parse(path.read_text(encoding="utf-8")), path.stem, "")
+    for module, tree in _trees().items():
+        walk(tree, module, "")
     return names
+
+
+def _bound(tree) -> set:
+    """Every name that an import, def, class or assignment in tree binds,
+    function locals included."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names |= {(a.asname or a.name).partition(".")[0] for a in node.names}
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            names.add(node.id)
+    return names
+
+
+def test_each_name_is_declared_once():
+    """A name is imported from the module that defines it: no module lists
+    __all__, and the package root binds nothing but __version__."""
+    trees = _trees()
+    listing = sorted(module for module, tree in trees.items() if "__all__" in _bound(tree))
+    assert listing == [], "modules that assign __all__"
+    assert _bound(trees["__init__"]) == {"__version__"}
 
 
 def _clear_caches():
@@ -107,7 +141,7 @@ def _entered(runs) -> set:
         exits = [cli.run(*args, **kwargs) for args, kwargs in runs]
     finally:
         sys.setprofile(None)
-    assert exits == [0, 0, 2]
+    assert exits == [0, 0, 2, 2]
     return {
         f"{Path(co.co_filename).stem}.{co.co_qualname}"
         for co in codes
@@ -129,6 +163,7 @@ def test_every_function_is_entered_or_allowlisted(tmp_path):
         (("all", paths["1d"]), {}),
         (("all", paths["2d"]), {"out": tmp_path / "out_2d"}),
         (("sw", paths["bad"]), {"out": tmp_path / "out_bad"}),
+        (("validate", paths["bad"]), {}),
     ]
     defined = _defined()
     never = defined - _entered(runs)

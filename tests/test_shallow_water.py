@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import thinlayer
 from conftest import loglog_slope
 from thinlayer import grids, shallow_water
 from thinlayer.grids import FineWork, Grid, HField, div, grad, nonlinear
@@ -283,10 +282,6 @@ def test_step_rejects_unstable_dt():
         sw_step(s, P1, 2.0 * stable_dt(s, P1))
     with pytest.raises(ValueError):
         sw_step(s, P1, 0.0)
-
-
-def test_stability_error_is_exported():
-    assert thinlayer.StabilityError is StabilityError
 
 
 def test_step_mass_per_step():

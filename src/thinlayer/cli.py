@@ -37,7 +37,7 @@ from .korn import (
     korn_sweep,
     sigma_circle,
 )
-from .lagrangian import DegenerateChartError, chart_header, chart_records, integrate_chart
+from .lagrangian import chart_header, chart_records, integrate_chart
 from .probes import PROBE_TAGS, anisotropy_probe
 from .reports import write_csv, write_json, write_manifest
 from .residuals import convergence_study
@@ -58,7 +58,6 @@ NUMERICAL_FAILURES = (
     ConditioningError,
     QuadratureError,
     SolverError,
-    DegenerateChartError,
 )
 
 

@@ -4,13 +4,15 @@ The config file is JSON with a fixed key schema (see docs/schema.md). All
 range checks happen at load time and are pure arithmetic, never numerics:
 `validate` can run on a machine that will never execute a study. The one
 array it builds is the Korn M grid, through the korn_m_grid that the
-pipeline uses, so the two cannot disagree on it. Loading
+pipeline uses, so the two cannot disagree on it; a count numpy refuses
+to build is a violation, not a traceback. Loading
 re-serializes the parsed tree in canonical form and hashes it, so two
 configs that differ only in whitespace or key order share a hash and
 therefore a manifest identity.
 """
 from __future__ import annotations
 
+import copy
 import hashlib
 import json
 import math
@@ -100,26 +102,19 @@ def _canonical(tree: dict) -> str:
 
 
 def _merge_defaults(tree: dict) -> dict:
-    """Missing sections and keys fall back to the defaults."""
-    merged = {}
-    for key, dval in DEFAULT_CONFIG.items():
-        uval = tree.get(key, {})
-        if isinstance(dval, dict):
-            sub = dict(dval)
-            if isinstance(uval, dict):
-                for k, v in uval.items():
-                    if isinstance(sub.get(k), dict) and isinstance(v, dict):
-                        sub[k] = {**sub[k], **v}
-                    else:
-                        sub[k] = v
-            else:
-                sub = uval
-            merged[key] = sub
-        else:
+    """Missing sections and keys fall back to the defaults; the result
+    shares no list or dict with DEFAULT_CONFIG."""
+    merged = copy.deepcopy(DEFAULT_CONFIG)
+    for key, uval in tree.items():
+        sub = merged.get(key)
+        if not (isinstance(sub, dict) and isinstance(uval, dict)):
             merged[key] = uval
-    for key in tree:
-        if key not in DEFAULT_CONFIG:
-            merged[key] = tree[key]
+            continue
+        for k, v in uval.items():
+            if isinstance(sub.get(k), dict) and isinstance(v, dict):
+                sub[k].update(v)
+            else:
+                sub[k] = v
     return merged
 
 
@@ -239,8 +234,16 @@ def validate_tree(tree: dict) -> list:
             ok = all(_is_num(mg[q]) for q in ("min", "max")) and _is_int(mg["count"])
             if not ok or mg["min"] <= 0.0 or mg["max"] <= mg["min"]:
                 out.append("korn.M_grid: need 0 < min < max")
-            elif mg["count"] >= 2 and np.any(np.diff(korn_m_grid(mg)) <= 0.0):
-                out.append("korn.M_grid: min and max are too close for count distinct points")
+            elif mg["count"] >= 2:
+                try:
+                    grid = korn_m_grid(mg)
+                except (ValueError, MemoryError):  # numpy refuses the size
+                    out.append("korn.M_grid.count: too large to build the grid")
+                else:
+                    if np.any(np.diff(grid) <= 0.0):
+                        out.append(
+                            "korn.M_grid: min and max are too close for count distinct points"
+                        )
             if not _is_int(mg["count"]) or mg["count"] < 2:
                 out.append("korn.M_grid.count: must be an integer >= 2")
         if not _is_int(k["sigma_count"]) or k["sigma_count"] < 1:

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chebyshev import clenshaw_curtis_weights, diff_matrix, gl_nodes
-from .grids import HField
+from .grids import HField, deriv
 from .norms import _sq_l2_thin
 from .thinfields import ThinField
 
@@ -211,7 +211,7 @@ def divergence_lift(h: ThinField) -> DivergenceLift:
             orders[a] += 1
             orders[b] += 1
             mult = 2.0 if b > a else 1.0
-            proxy += mult * strip_norm_sq(phi.deriv(orders).values)
+            proxy += mult * strip_norm_sq(deriv(phi, orders).values)
     source = strip_norm_sq(h.values)
     ratio = float(np.sqrt(proxy / source)) if source > 0.0 else 0.0
     return DivergenceLift(

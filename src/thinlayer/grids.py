@@ -261,9 +261,6 @@ class HField:
 
     # -- calculus ----------------------------------------------------------
 
-    def deriv(self, orders) -> "HField":
-        return deriv(self, orders)
-
     def dx(self, axis: int, order: int = 1) -> "HField":
         o = [0] * self.grid.n
         o[axis] = order

@@ -1,4 +1,4 @@
-"""Material description of the leading-order flow map and its tensor algebra.
+"""Material description of the leading-order flow map and its chain rule.
 
 The map follows the column ODEs
 
@@ -21,14 +21,13 @@ chart of each state as it arrives, with the per-column volume defect and
 the running sups of both identities; it evaluates h0 at X0 once and forms
 dX0/dx0 once per state, and holds only that state's chart. `chart_records`
 turns one chart into its CSV rows without touching h0 again. Both
-identities converge at the integrator's order. `jacobian`,
-`transformed_deformation` and `chain_rule_check` provide the change-of-
-variable algebra used by the fixed-domain form of the equations, each on
-the one chart it is given; the per-node inverses come from `np.linalg.inv`.
+identities converge at the integrator's order. `chain_rule_check` tests
+the change of variable to the fixed domain on the one chart it is given,
+applying the transposed Jacobian of the map block by block; `_xjacobian`
+is the one place dX0/dx0 is formed.
 """
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from itertools import repeat
 
@@ -37,12 +36,6 @@ import numpy as np
 from .chebyshev import diff_matrix, gl_nodes
 from .grids import Grid, HField, _eval_coefficients, grad
 from .shallow_water import BlowupError, SWTrajectory
-
-ILL_CONDITIONED = 1e8
-
-
-class DegenerateChartError(RuntimeError):
-    """The flow map stopped being orientation preserving."""
 
 
 @dataclass(frozen=True)
@@ -91,34 +84,6 @@ class Chart:
         """Z0, shape (nlev,) + grid.shape."""
         z = self.z_levels.reshape((-1,) + (1,) * self.grid.n)
         return z * self.zfactor
-
-
-@dataclass(frozen=True)
-class JacobianField:
-    """Per-node change-of-variable matrices A at one chart time.
-
-    matrices has shape (nlev,) + grid.shape + (n+1, n+1) with block layout
-    [[dX0/dx0, 0], [(grad_x0 Z0)^T, dZ0/dz0]]; dets caches det A, which is
-    positive by construction (orientation preserving).
-    """
-
-    t: float
-    z_levels: np.ndarray
-    matrices: np.ndarray
-    dets: np.ndarray
-
-    def __post_init__(self):
-        if self.matrices.shape[-1] != self.matrices.shape[-2]:
-            raise ValueError("matrices must be square per node")
-        if self.dets.shape != self.matrices.shape[:-2]:
-            raise ValueError("dets must carry one value per node")
-        if not np.isfinite(self.matrices).all():
-            raise ValueError("matrices must be finite")
-        if np.any(self.dets <= 0.0):
-            raise DegenerateChartError(
-                f"chart lost orientation at t = {self.t:.6g} "
-                f"(min det = {self.dets.min():.3g})"
-            )
 
 
 def _material_nodes(grid: Grid) -> np.ndarray:
@@ -221,62 +186,13 @@ def _xjacobian(grid: Grid, disp: np.ndarray):
     return F, det
 
 
-def jacobian(chart: Chart) -> JacobianField:
-    """Assemble A per node at the chart's time.
-
-    dX0/dz0 = 0 is structural; dZ0/dz0 equals the shared column factor
-    exactly, and grad_x0 Z0 = z0 grad(zfactor) is spectral.
-    """
-    n, shape = chart.grid.n, chart.grid.shape
-    nlev = chart.nlev
-    F, detF = _xjacobian(chart.grid, chart.xdisp)
-    zf = chart.zfactor
-    gz = grad(HField(chart.grid, zf)).values  # (n,) + shape
-
-    m = n + 1
-    A = np.zeros((nlev,) + shape + (m, m))
-    A[..., :n, :n] = F
-    A[..., n, n] = zf
-    zcol = chart.z_levels.reshape((-1,) + (1,) * n)
-    for b in range(n):
-        A[..., n, b] = zcol * gz[b]
-    dets = np.broadcast_to(detF * zf, (nlev,) + shape).copy()
-    return JacobianField(t=chart.t, z_levels=chart.z_levels, matrices=A, dets=dets)
-
-
-def transformed_deformation(grad_u: np.ndarray, A) -> np.ndarray:
-    """P = (grad u) A^-1 A^-T + A^-T (grad u)^T A^-T per node.
-
-    A may be a JacobianField or a raw matrix stack; with A = Id this reduces
-    to the symmetric velocity gradient. A condition estimate above 1e8
-    attaches a RuntimeWarning (results keep flowing; the caller judges); an
-    exactly singular node raises numpy.linalg.LinAlgError.
-    """
-    mats = A.matrices if isinstance(A, JacobianField) else np.asarray(A, dtype=float)
-    gu = np.asarray(grad_u, dtype=float)
-    if gu.shape[-2:] != mats.shape[-2:]:
-        raise ValueError("grad_u and A must have matching node dimension")
-    inv = np.linalg.inv(mats)
-    cond = np.sqrt(
-        (mats**2).sum(axis=(-2, -1)).max() * (inv**2).sum(axis=(-2, -1)).max()
-    )
-    if cond > ILL_CONDITIONED:
-        warnings.warn(
-            f"flow-map matrices are ill conditioned (estimate {cond:.2e})",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-    inv_t = np.swapaxes(inv, -1, -2)
-    gu_t = np.swapaxes(gu, -1, -2)
-    return gu @ inv @ inv_t + inv_t @ gu_t @ inv_t
-
-
 def chain_rule_check(chart: Chart, f, grad_f) -> float:
     """Sup residual of (grad_x0, d_z0)(f o Phi) = A^T ((grad_x, d_z) f) o Phi.
 
-    f(x, z) and grad_f(x, z) are closed-form callables (x stacked per
-    component, z broadcastable); the left side differentiates the pullback
-    spectrally in x0 and by Chebyshev collocation in z0.
+    A = [[dX0/dx0, 0], [(grad_x0 Z0)^T, dZ0/dz0]] is the change-of-variable
+    matrix of the chart. f(x, z) and grad_f(x, z) are closed-form callables
+    (x stacked per component, z broadcastable); the left side differentiates
+    the pullback spectrally in x0 and by Chebyshev collocation in z0.
     """
     n, shape = chart.grid.n, chart.grid.shape
     nlev = chart.nlev
@@ -297,26 +213,15 @@ def chain_rule_check(chart: Chart, f, grad_f) -> float:
     gf = np.asarray(grad_f(Xb, Z), dtype=float)
     if gf.shape != (m, nlev) + shape:
         raise ValueError("grad_f must return n+1 components per material node")
-    Amat = jacobian(chart).matrices
-    gcol = np.moveaxis(gf, 0, -1)[..., None]  # (nlev,)+shape+(m,1)
-    rhs = np.moveaxis((np.swapaxes(Amat, -1, -2) @ gcol)[..., 0], -1, 0)
+    # A^T block by block: dX0/dz0 = 0, dZ0/dz0 = zfactor, grad_x0 Z0 = z0 grad(zfactor)
+    J, _ = _xjacobian(chart.grid, chart.xdisp)
+    gz = grad(HField(chart.grid, chart.zfactor)).values
+    zcol = chart.z_levels.reshape((-1,) + (1,) * n)
+    rhs = np.empty_like(lhs)
+    for b in range(n):
+        rhs[b] = sum(J[..., a, b] * gf[a] for a in range(n)) + zcol * gz[b] * gf[n]
+    rhs[n] = chart.zfactor * gf[n]
     return float(np.abs(lhs - rhs).max())
-
-
-def bottom_slip_residual(chart: Chart, u_h, dz_u_h, gamma_bar: float) -> np.ndarray:
-    """det(dX0/dx0) d_z0(u_H)|_bottom - eps gamma_bar u_H|_bottom per node.
-
-    eps is the chart's. u_h and dz_u_h are bottom traces on the material
-    grid, shape (n,) + grid.shape. Under the identity map this is exactly
-    the Navier slip defect of the original coordinates.
-    """
-    u = np.asarray(u_h, dtype=float)
-    du = np.asarray(dz_u_h, dtype=float)
-    want = (chart.grid.n,) + chart.grid.shape
-    if u.shape != want or du.shape != want:
-        raise ValueError(f"bottom traces must have shape {want}")
-    _, det = _xjacobian(chart.grid, chart.xdisp)
-    return det * du - chart.eps * gamma_bar * u
 
 
 def chart_header(n: int) -> list:

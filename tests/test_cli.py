@@ -479,6 +479,20 @@ def test_repeating_korn_m_grid_is_invalid(tmp_path, capsys):
     assert len(err.splitlines()) == 1 and "Traceback" not in err
 
 
+@pytest.mark.parametrize("count", [2**61, 10**19])
+def test_korn_m_grid_numpy_cannot_build_is_invalid(tmp_path, capsys, count):
+    # numpy refuses these sizes before it allocates; unchecked, validate
+    # ended in a ValueError traceback with exit 1
+    cfg = _config(tmp_path, {"korn": {"M_grid": {"count": count}}})
+    assert run("validate", cfg) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "korn.M_grid.count: too large to build the grid"
+    ]
+    assert main(["korn", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
+
+
 # json parses NaN, Infinity and overflowing literals; none of them is a number
 # the pipelines can use, and T / dt must not overflow either
 NON_FINITE_CONFIGS = [

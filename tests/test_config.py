@@ -49,6 +49,17 @@ def test_partial_config_inherits_defaults(tmp_path):
     assert cfg.korn["quad_nodes"] == 96
 
 
+def test_loaded_config_shares_nothing_with_the_defaults(tmp_path):
+    # a pipeline that edits its config must not edit the next one's defaults
+    path = _write(tmp_path, {})
+    want = json.loads(json.dumps(DEFAULT_CONFIG))
+    cfg = load_config(path)
+    cfg.study["eps_list"].append(0.001)
+    cfg.korn["M_grid"]["count"] = 3
+    assert load_config(path).raw == want
+    assert DEFAULT_CONFIG == want
+
+
 def test_hash_ignores_formatting(tmp_path):
     a = _write(tmp_path, {"params": {"Re": 2.0, "F": 1.0}}, "a.json")
     b = tmp_path / "b.json"

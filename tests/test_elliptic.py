@@ -9,7 +9,7 @@ from thinlayer.elliptic import (
     mode_pressure_dirichlet_top,
     mode_pressure_neumann_bottom,
 )
-from thinlayer.grids import Grid
+from thinlayer.grids import Grid, HField, deriv
 from thinlayer.thinfields import ThinField
 
 EPS_SWEEP = (0.1, 0.01, 0.001)
@@ -152,7 +152,6 @@ def _rough_mean_sources():
 @pytest.mark.parametrize("name", ["zeta^10", "zeta^11", "random"])
 def test_lift_projects_rough_means_compatibly(name):
     from thinlayer.chebyshev import clenshaw_curtis_weights, diff_matrix
-    from thinlayer.grids import HField
 
     g, nz, eps = Grid(1, 16), 12, 0.1
     h = _flat_field(g, eps, nz, _rough_mean_sources()[name])
@@ -162,7 +161,7 @@ def test_lift_projects_rough_means_compatibly(name):
     # the Neumann data on both walls; phi has strip mean zero
     d = diff_matrix(nz)
     phi = lift.phi.values
-    lap = d @ d @ phi / eps**2 + HField(g, phi).deriv([2]).values
+    lap = d @ d @ phi / eps**2 + deriv(HField(g, phi), [2]).values
     src = h.values - lift.compatibility
     assert np.abs(lap[1:-1] - src[1:-1]).max() <= 1e-9 * np.abs(h.values).max()
     assert np.abs(d[[0, -1]] @ phi).max() <= 1e-13
@@ -234,7 +233,6 @@ def test_lift_validation():
     vec = ThinField(g, 0.1, 8, np.zeros((2, 8, 16)))
     with pytest.raises(ValueError):
         divergence_lift(vec)
-    from thinlayer.grids import HField
 
     curved = ThinField(
         g, 0.1, 8, np.zeros((8, 16)),

@@ -1,24 +1,19 @@
-"""Flow-map integration, closed-form identities, and the tensor algebra."""
+"""Flow-map integration, closed-form identities, and the chain rule through a chart."""
 from collections import deque
 
 import numpy as np
 import pytest
 
-from thinlayer.ansatz import build_ansatz
 from thinlayer.chebyshev import gl_nodes
 from thinlayer.grids import Grid, HField, div
 from thinlayer.lagrangian import (
     Chart,
-    DegenerateChartError,
-    JacobianField,
-    bottom_slip_residual,
     chain_rule_check,
     chart_header,
     chart_records,
     integrate_chart,
-    jacobian,
-    transformed_deformation,
     _flow_sampler,
+    _xjacobian,
 )
 from thinlayer.shallow_water import Params, SWState, initial_wave, sw_steps
 from tests.conftest import loglog_slope
@@ -86,9 +81,9 @@ def test_rest_chart_is_identity():
         states += 1
         assert np.abs(c.xdisp).max() == 0.0
         assert np.abs(c.zfactor - 1.0).max() == 0.0
-        J = jacobian(c)
-        assert np.abs(J.matrices - np.eye(2)).max() <= 1e-14
-        assert np.all(J.dets > 0.0)
+        F, det = _xjacobian(c.grid, c.xdisp)
+        assert np.abs(F - np.eye(1)).max() <= 1e-14
+        assert np.all(det > 0.0)
     assert states == 5
     assert ids["height"] <= 1e-15 and ids["volume"] <= 1e-14
 
@@ -103,8 +98,8 @@ def test_uniform_flow_drift_closed_form():
     want = c0 * (Re / gam) * (1.0 - np.exp(-gam * 1.0 / Re))
     assert np.abs(ch.xdisp - want).max() / want < 1e-8
     assert np.abs(ch.zfactor - 1.0).max() == 0.0
-    # uniform translation: jacobian stays the identity
-    assert np.abs(jacobian(ch).matrices - np.eye(2)).max() < 1e-12
+    # uniform translation: dX0/dx0 stays the identity
+    assert np.abs(_xjacobian(ch.grid, ch.xdisp)[0] - np.eye(1)).max() < 1e-12
     assert max(ids.values()) < 1e-12
 
 
@@ -160,77 +155,25 @@ def test_chart_validation():
 # -- jacobian ---------------------------------------------------------------------
 
 
-def test_jacobian_degenerate_chart_raises():
-    g = Grid(1, 16)
-    c = _hand_chart(g, np.zeros((1, 16)), -np.ones(16))
-    with pytest.raises(DegenerateChartError):
-        jacobian(c)
-
-
 def test_jacobian_blocks_on_hand_chart():
+    # dX0/dx0 and its determinant against the closed form, in 1D and in 2D
+    # with a displacement that mixes the axes: F[a, b] = dX0_a / dx0_b
     g = Grid(1, 16)
     x = g.nodes
-    disp = 0.2 * np.sin(x)
-    zf = 1.0 + 0.1 * np.cos(x)
-    c = _hand_chart(g, disp[None], zf, nlev=4)
-    J = jacobian(c)
-    assert J.matrices.shape == (4, 16, 2, 2)
-    assert np.abs(J.matrices[..., 0, 0] - (1.0 + 0.2 * np.cos(x))).max() < 1e-13
-    assert np.abs(J.matrices[..., 0, 1]).max() == 0.0  # structural zero
-    want_gz = -0.1 * np.sin(x)
-    for lev, z in enumerate(c.z_levels):
-        assert np.abs(J.matrices[lev, :, 1, 0] - z * want_gz).max() < 1e-13
-    assert np.abs(J.matrices[..., 1, 1] - zf).max() == 0.0
-    want_det = (1.0 + 0.2 * np.cos(x)) * zf
-    assert np.abs(J.dets - want_det).max() < 1e-13
-
-
-# -- transformed deformation --------------------------------------------------------
-
-
-def test_deformation_reduces_to_symmetric_gradient():
-    rng = np.random.default_rng(7)
-    gu = rng.standard_normal((5, 3, 3))
-    A = np.broadcast_to(np.eye(3), (5, 3, 3))
-    P = transformed_deformation(gu, A)
-    assert np.abs(P - (gu + np.swapaxes(gu, -1, -2))).max() < 1e-14
-
-
-def test_deformation_hand_oracle():
-    A = np.diag([1.0, 2.0])
-    gu = np.array([[0.0, 1.0], [0.0, 0.0]])
-    # A^-1 = diag(1, 1/2): gu A^-1 A^-T = [[0, 1/4], [0, 0]],
-    # A^-T gu^T A^-T = [[0, 0], [1/2, 0]]
-    want = np.array([[0.0, 0.25], [0.5, 0.0]])
-    assert np.abs(transformed_deformation(gu, A) - want).max() < 1e-14
-
-
-def test_deformation_linearity_and_field_input():
-    g = Grid(1, 16)
-    J = jacobian(next(_flat_charts(g)[0])[0])
-    rng = np.random.default_rng(11)
-    gu = rng.standard_normal((4, 16, 2, 2))
-    P1 = transformed_deformation(gu, J)
-    P4 = transformed_deformation(4.0 * gu, J)  # power of two: scaling is exact
-    assert np.abs(P4 - 4.0 * P1).max() == 0.0
-    assert np.abs(P1 - (gu + np.swapaxes(gu, -1, -2))).max() < 1e-14
-
-
-def test_deformation_inverse_matches_linalg():
-    rng = np.random.default_rng(3)
-    mats = np.eye(3) + 0.3 * rng.standard_normal((8, 3, 3))
-    gu = rng.standard_normal((8, 3, 3))
-    inv = np.linalg.inv(mats)
-    invT = np.swapaxes(inv, -1, -2)
-    want = gu @ inv @ invT + invT @ np.swapaxes(gu, -1, -2) @ invT
-    assert np.abs(transformed_deformation(gu, mats) - want).max() < 1e-12
-
-
-def test_deformation_ill_conditioned_warning():
-    A = np.diag([1.0, 1e-9])
-    gu = np.eye(2)
-    with pytest.warns(RuntimeWarning, match="ill conditioned"):
-        transformed_deformation(gu, A)
+    F, det = _xjacobian(g, (0.2 * np.sin(x))[None])
+    assert F.shape == (16, 1, 1)
+    assert np.abs(F[..., 0, 0] - (1.0 + 0.2 * np.cos(x))).max() < 1e-13
+    assert np.abs(det - F[..., 0, 0]).max() == 0.0
+    g = Grid(2, 16)
+    x1, x2 = g.coords()
+    disp = np.stack(np.broadcast_arrays(0.1 * np.sin(x2), 0.05 * np.cos(x1)))
+    F, det = _xjacobian(g, disp)
+    want = np.zeros(g.shape + (2, 2))
+    want[..., 0, 0] = want[..., 1, 1] = 1.0
+    want[..., 0, 1] = 0.1 * np.cos(x2)
+    want[..., 1, 0] = -0.05 * np.sin(x1)
+    assert np.abs(F - want).max() < 1e-13
+    assert np.abs(det - (1.0 + 0.005 * np.cos(x2) * np.sin(x1))).max() < 1e-13
 
 
 # -- chain rule ---------------------------------------------------------------------
@@ -262,6 +205,27 @@ def test_chain_rule_spectral_refinement():
     assert res[32] < 1e-11
 
 
+def test_chain_rule_two_dimensional_hand_chart():
+    # the displacement mixes both axes, so dX0/dx0 has off-diagonal entries
+    # and both components of grad zfactor are non-zero: a transposed
+    # dX0/dx0 or a dropped vertical row of A shows here
+    g = Grid(2, 32)
+    x1, x2 = g.coords()
+    disp = np.stack(
+        np.broadcast_arrays(0.1 * np.sin(x2) + 0.05 * np.cos(x1), 0.08 * np.cos(x1 + x2))
+    )
+    c = _hand_chart(g, disp, np.exp(0.1 * np.sin(x1) * np.cos(x2)))
+    f = lambda x, z: np.sin(x[0]) * np.cos(x[1]) * z + np.cos(x[0] - x[1]) * z**2
+    gf = lambda x, z: np.stack(
+        [
+            np.cos(x[0]) * np.cos(x[1]) * z - np.sin(x[0] - x[1]) * z**2,
+            -np.sin(x[0]) * np.sin(x[1]) * z + np.sin(x[0] - x[1]) * z**2,
+            np.sin(x[0]) * np.cos(x[1]) + 2.0 * z * np.cos(x[0] - x[1]),
+        ]
+    )
+    assert chain_rule_check(c, f, gf) <= 1e-9
+
+
 def test_chain_rule_on_integrated_chart():
     g = Grid(1, 32)
     p = Params(F=1.0, Re=10.0, gamma_bar=1.0, eps=EPS)
@@ -269,37 +233,6 @@ def test_chain_rule_on_integrated_chart():
     c = _last(integrate_chart(sw_steps(init, p, T=0.2, dt=0.005), 0.005, EPS, nlev=5))[0]
     assert abs(c.t - 0.2) < 1e-10
     assert chain_rule_check(c, F_TEST, GF_TEST) < 1e-9
-
-
-# -- bottom slip ----------------------------------------------------------------------
-
-
-def test_bottom_slip_reduces_to_eulerian():
-    """Identity map: the transformed slip defect is u1 - eps gamma u0 exactly."""
-    g = Grid(1, 16)
-    stream, p = _flat_charts(g)
-    c = next(stream)[0]
-    s = SWState(
-        0.0,
-        HField.from_function(g, lambda x: 1.0 + 0.05 * np.cos(x)),
-        HField.stack([HField.from_function(g, lambda x: 0.1 * np.sin(x))]),
-    )
-    a = build_ansatz(s, p)
-    res = bottom_slip_residual(c, s.u0.values, a.u1.values, p.gamma_bar)
-    assert np.abs(res).max() == 0.0
-    # generic traces against the displayed formula with det = 1
-    u = 0.3 * np.cos(g.nodes)[None]
-    du = 0.2 * np.sin(g.nodes)[None]
-    res2 = bottom_slip_residual(c, u, du, p.gamma_bar)
-    assert np.abs(res2 - (du - p.eps * p.gamma_bar * u)).max() < 1e-15
-
-
-def test_bottom_slip_validation():
-    g = Grid(1, 16)
-    stream, p = _flat_charts(g)
-    c = next(stream)[0]
-    with pytest.raises(ValueError):
-        bottom_slip_residual(c, np.zeros((2, 16)), np.zeros((2, 16)), p.gamma_bar)
 
 
 # -- records and 2d ------------------------------------------------------------------
@@ -331,9 +264,9 @@ def test_two_dimensional_chart():
         rows += chart_records(c, defect)
     assert abs(c.t - 0.1) < 1e-10
     assert ids["height"] < 1e-8 and ids["volume"] < 1e-8
-    J = jacobian(c)
-    assert J.matrices.shape == (4, 16, 16, 3, 3)
-    assert np.all(J.dets > 0.0)
+    F, det = _xjacobian(c.grid, c.xdisp)
+    assert F.shape == (16, 16, 2, 2)
+    assert np.all(det > 0.0)  # the map keeps its orientation
     f = lambda x, z: np.cos(x[0] + x[1]) * z
     gf = lambda x, z: np.stack(
         [

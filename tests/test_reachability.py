@@ -10,9 +10,12 @@ calls fails here until it is deleted or its reason is written down, and
 an entry that a pipeline starts to call fails until it is taken out.
 
 The same parse checks that each name is declared once: no module assigns
-__all__, and the package root binds only __version__.
+__all__, and the package root binds only __version__. It also checks that
+each exception the CLI maps to exit 3 is raised outside the allowlist, and
+that the methods perfbench/tracer.py wraps by name exist.
 """
 import ast
+import importlib
 import json
 import sys
 from pathlib import Path
@@ -23,7 +26,7 @@ from thinlayer import cli
 PACKAGE = Path(thinlayer.__file__).resolve().parent
 
 GATE = "gate: tests/test_acceptance.py"
-PAPER = "paper-bearing, no artifact reports it yet; kept until it is reported or removed"
+PAPER = "paper-bearing, no artifact reports it yet"
 
 ALLOWLIST = {
     # the acceptance gate
@@ -50,20 +53,15 @@ ALLOWLIST = {
     "cli._build_parser": "CLI entry",
     "cli._Parser.error": "CLI entry: usage errors exit 64",
     # paper-bearing code
-    "elliptic.divergence_lift": PAPER,
-    "elliptic.divergence_lift.<locals>.dz": PAPER,
-    "elliptic.divergence_lift.<locals>.strip_norm_sq": PAPER,
+    "elliptic.divergence_lift": PAPER + ": the lift behind the Stokes regularity in thin strips",
+    "elliptic.divergence_lift.<locals>.dz": PAPER + " (divergence_lift)",
+    "elliptic.divergence_lift.<locals>.strip_norm_sq": PAPER + " (divergence_lift)",
     "grids.HField.from_coefficients": PAPER + " (divergence_lift)",
-    "grids.HField.deriv": PAPER + " (divergence_lift)",
-    "grids.HField.__rsub__": PAPER + " (solved_form_residual)",
-    "lagrangian.jacobian": PAPER + ": the change-of-variable matrix A of one chart",
-    "lagrangian.JacobianField.__post_init__": PAPER + " (jacobian)",
-    "lagrangian.transformed_deformation": PAPER + ": the deformation tensor under A",
-    "lagrangian.chain_rule_check": PAPER + ": the chain rule through one chart",
-    "lagrangian.bottom_slip_residual": PAPER + ": the Navier slip condition through one chart",
-    "lagrangian.Chart.nlev": PAPER + " (jacobian, chain_rule_check)",
+    "lagrangian.chain_rule_check": PAPER + ": the change of variable that fixes the fluid domain",
+    "lagrangian.Chart.nlev": PAPER + " (chain_rule_check)",
     "lagrangian.Chart.heights": PAPER + " (chain_rule_check)",
-    "residuals.solved_form_residual": PAPER,
+    "residuals.solved_form_residual": PAPER + ": its sign disagrees with the standard elimination",
+    "grids.HField.__rsub__": PAPER + " (solved_form_residual)",
 }
 
 # sw.T = study.t_eval = 0.1 keeps both runs to a few seconds under the profiler
@@ -78,20 +76,36 @@ def _trees() -> dict:
     }
 
 
-def _defined() -> set:
-    """module.qualname of every def in the package, nested ones included."""
-    names = set()
+def _functions() -> dict:
+    """The def node of every function in the package, nested ones included,
+    by module.qualname."""
+    defs = {}
 
     def walk(node, module, prefix):
         for child in ast.iter_child_nodes(node):
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                names.add(f"{module}.{prefix}{child.name}")
+                defs[f"{module}.{prefix}{child.name}"] = child
                 walk(child, module, f"{prefix}{child.name}.<locals>.")
             elif isinstance(child, ast.ClassDef):
                 walk(child, module, f"{prefix}{child.name}.")
 
     for module, tree in _trees().items():
         walk(tree, module, "")
+    return defs
+
+
+def _raised_names(fn) -> set:
+    """The names that the raise statements of fn's own body raise, outside
+    its nested defs and classes."""
+    names = set()
+    stack = list(ast.iter_child_nodes(fn))
+    while stack:
+        node = stack.pop()
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            names.add(exc.attr if isinstance(exc, ast.Attribute) else getattr(exc, "id", None))
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            stack.extend(ast.iter_child_nodes(node))
     return names
 
 
@@ -116,6 +130,37 @@ def test_each_name_is_declared_once():
     listing = sorted(module for module, tree in trees.items() if "__all__" in _bound(tree))
     assert listing == [], "modules that assign __all__"
     assert _bound(trees["__init__"]) == {"__version__"}
+
+
+def test_every_numerical_failure_has_a_raise_site():
+    """cli maps each class in NUMERICAL_FAILURES to exit 3; a class that only
+    allowlisted code raises never reaches that mapping from a pipeline."""
+    raised = set()
+    for qualname, fn in _functions().items():
+        if qualname not in ALLOWLIST:
+            raised |= _raised_names(fn)
+    unraised = [exc.__name__ for exc in cli.NUMERICAL_FAILURES if exc.__name__ not in raised]
+    assert unraised == [], "exit-3 failures that no pipeline function raises"
+
+
+def test_perfbench_methods_exist():
+    """perfbench/tracer.py wraps these methods by name; a rename in the package
+    would end a traced benchmark run in an AttributeError."""
+    tracer = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+    tree = ast.parse(tracer.read_text(encoding="utf-8"))
+    methods = [
+        ast.literal_eval(node.value)
+        for node in tree.body
+        if isinstance(node, ast.Assign)
+        and any(isinstance(t, ast.Name) and t.id == "METHODS" for t in node.targets)
+    ]
+    assert len(methods) == 1, "perfbench/tracer.py assigns METHODS once"
+    missing = [
+        f"{module}.{cls}.{method}"
+        for module, cls, method in methods[0]
+        if not hasattr(getattr(importlib.import_module(f"thinlayer.{module}"), cls, None), method)
+    ]
+    assert missing == [], "methods that perfbench/tracer.py wraps and the package lacks"
 
 
 def _clear_caches():
@@ -165,7 +210,7 @@ def test_every_function_is_entered_or_allowlisted(tmp_path):
         (("sw", paths["bad"]), {"out": tmp_path / "out_bad"}),
         (("validate", paths["bad"]), {}),
     ]
-    defined = _defined()
+    defined = set(_functions())
     never = defined - _entered(runs)
     assert sorted(set(ALLOWLIST) - defined) == [], "allowlisted names that no longer exist"
     assert sorted(never - set(ALLOWLIST)) == [], "entered by no pipeline and not allowlisted"

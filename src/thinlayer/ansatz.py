@@ -23,10 +23,9 @@ from functools import cached_property
 
 import numpy as np
 
-from . import chebyshev as cheb
 from .grids import Grid, HField, _spec_to_fine, div, from_fine, grad, nonlinear
 from .shallow_water import DegenerateStateError, Params, SWState, sw_rhs, sym_grad
-from .thinfields import ThinField
+from .thinfields import Strip, ThinField
 
 
 class ZPoly:
@@ -115,16 +114,13 @@ class ZPoly:
             acc = acc * e + c
         return from_fine(self.grid, acc)
 
-    def to_thinfield(self, eps: float, nz: int, h0: HField | None = None) -> ThinField:
-        """Nodal samples on the ThinField collocation grid z = zeta*eps*h0."""
-        shape = self.grid.shape
-        hv = np.ones(shape) if h0 is None else h0.values
-        zeta = cheb.gl_nodes(nz).reshape((nz,) + (1,) * self.grid.n)
-        z = zeta * (eps * hv)
-        acc = np.zeros((nz,) + shape) + self.coeffs[-1].values
+    def to_thinfield(self, strip: Strip) -> ThinField:
+        """Nodal samples at the strip's heights z = zeta*eps*h0."""
+        z = strip.z
+        acc = np.zeros(z.shape) + self.coeffs[-1].values
         for c in reversed(self.coeffs[:-1]):
             acc = acc * z + c.values
-        return ThinField(self.grid, eps, nz, acc, h0)
+        return ThinField(strip, acc)
 
 
 @dataclass(frozen=True)

@@ -190,6 +190,8 @@ def validate_tree(tree: dict) -> list:
                 out.append(f"params.{name}: must be positive")
         if _is_num(p["F"]) and p["F"] > 0.0 and p["F"] * p["F"] == 0.0:
             out.append("params.F: F * F underflows to 0")
+        if _is_num(p["F"]) and float(p["F"]) * float(p["F"]) == float("inf"):
+            out.append("params.F: F * F overflows")
         if not _is_num(p["gamma_bar"]) or p["gamma_bar"] < 0.0:
             out.append("params.gamma_bar: must be nonnegative")
 

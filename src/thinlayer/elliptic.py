@@ -24,7 +24,6 @@ import numpy as np
 
 from .chebyshev import clenshaw_curtis_weights, diff_matrix, gl_nodes
 from .grids import HField, deriv
-from .norms import _sq_l2_thin
 from .thinfields import ThinField
 
 RESIDUAL_TOL = 1e-10
@@ -130,7 +129,7 @@ class DivergenceLift:
 def divergence_lift(h: ThinField) -> DivergenceLift:
     """Solve Delta phi = h with homogeneous Neumann data top and bottom.
 
-    The strip is the one h lives on, of aspect ratio h.eps. Per-mode
+    The strip is h.strip, flat, of aspect ratio eps. Per-mode
     collocation; the k = 0 column is solvable only for compatible
     sources, so the constant that its bordered solve cannot absorb is
     projected out and reported. For smooth sources it is the strip mean of
@@ -138,10 +137,10 @@ def divergence_lift(h: ThinField) -> DivergenceLift:
     """
     if h.is_vector:
         raise ValueError("divergence lift expects a scalar source")
-    if np.abs(h.h0.values - 1.0).max() > 1e-12:
+    strip = h.strip
+    if np.abs(strip.h0 - 1.0).max() > 1e-12:
         raise ValueError("divergence lift is posed on the flat-top strip (h0 == 1)")
-    eps = h.eps
-    grid, nz = h.grid, h.nz
+    grid, eps, nz = strip.grid, strip.eps, strip.nz
     # work with O(1) trigonometric coefficients, not raw fft sums
     hhat = HField(grid, h.values).coefficients
     wz = clenshaw_curtis_weights(nz)
@@ -194,28 +193,22 @@ def divergence_lift(h: ThinField) -> DivergenceLift:
         worst = max(worst, res)
 
     phi = HField.from_coefficients(grid, phihat.reshape((nz,) + grid.spec_shape))
-
-    def strip_norm_sq(vals):
-        return _sq_l2_thin(ThinField(grid, eps, nz, vals))
-
-    def dz(vals):
-        return np.tensordot(d, vals, axes=(1, 0)) / eps
-
+    integral, dz = strip.integral, strip.dz
     dz1 = dz(phi.values)
-    proxy = strip_norm_sq(phi.values) + strip_norm_sq(dz1) + strip_norm_sq(dz(dz1))
+    proxy = integral(phi.values**2) + integral(dz1**2) + integral(dz(dz1) ** 2)
     for a in range(grid.n):
         dxa = phi.dx(a).values
-        proxy += strip_norm_sq(dxa) + strip_norm_sq(dz(dxa))
+        proxy += integral(dxa**2) + integral(dz(dxa) ** 2)
         for b in range(a, grid.n):
             orders = [0] * grid.n
             orders[a] += 1
             orders[b] += 1
             mult = 2.0 if b > a else 1.0
-            proxy += mult * strip_norm_sq(deriv(phi, orders).values)
-    source = strip_norm_sq(h.values)
+            proxy += mult * integral(deriv(phi, orders).values ** 2)
+    source = integral(h.values**2)
     ratio = float(np.sqrt(proxy / source)) if source > 0.0 else 0.0
     return DivergenceLift(
-        phi=ThinField(grid, eps, nz, phi.values),
+        phi=ThinField(strip, phi.values),
         compatibility=compat,
         ratio=ratio,
         residual=worst,

@@ -26,10 +26,12 @@ The module also hosts the quadratic-form probe of the inequality itself on
 random divergence-free strip fields, reported per epsilon for uniformity
 evidence. Each sample is a stream function psi, zero at the bottom, drawn
 as a probes._Sample; u = (psi_z, -psi_x) is read off its derivative tables.
-Only the potential-flow anchors, whose cosh profiles are not
-zeta-polynomials, stay in closed form. Here the deformation tensor is the
-symmetrized half-gradient, matching the inequality's Fourier expansion
-rather than the unhalved convention of the evolution equations.
+Every integral is the probe strip's Strip.integral, and the bottom trace
+the trapezoid sum on the strip's grid. Only the potential-flow anchors,
+whose cosh profiles are not zeta-polynomials, stay in closed form. Here the
+deformation tensor is the symmetrized half-gradient, matching the
+inequality's Fourier expansion rather than the unhalved convention of the
+evolution equations.
 """
 from __future__ import annotations
 
@@ -382,7 +384,7 @@ def _korn_ratio(fields, strip: _Strip, gamma_bar: float) -> float:
     if h1 < np.ldexp(1e-12 * strip.grid.L * strip.eps, -2 * e):
         return float("nan")  # degenerate (floor scales with the area L*eps); skipped
     two_d2 = integral(2.0 * dux_h**2 + 2.0 * duz_v**2 + (duz_h + dux_v) ** 2)
-    trace = strip.wx * float((uh[0] ** 2).sum())
+    trace = strip.grid.dx * float((uh[0] ** 2).sum())
     return (two_d2 + strip.eps * gamma_bar * trace) / h1
 
 
@@ -417,8 +419,7 @@ def _random_stream(rng, strip: _Strip) -> _Sample:
 def _potential_fields(k: int, strip: _Strip) -> tuple:
     """u = grad psi with psi = cosh(k z) cos(k x): divergence free, flat at
     the bottom; the family behind the pencil's eigenvalue 2."""
-    z = strip.eps * strip.zeta[:, None]
-    ch, sh = np.cosh(k * z), np.sinh(k * z)
+    ch, sh = np.cosh(k * strip.z), np.sinh(k * strip.z)
     cosk, sink = strip.trig[0]
     cx, sx = cosk[k], sink[k]
     return (

@@ -13,7 +13,9 @@ call of the grids evaluation kernel with one phase table for both fields.
 Two structural facts shape the data layout: X0 does not depend on the
 vertical label z0 (positions are stored once per column), and the vertical
 ODE is linear and homogeneous in Z0, so every level of a column shares one
-integrating factor Z0/z0, stored once.
+integrating factor Z0/z0, stored once. The material levels z0 are the
+heights of one flat `thinfields.Strip`, built once per chart stream and
+shared by its charts; its vertical derivative is the chain rule's d/dz0.
 
 The closed-form identities Z0 = z0*h0(t, X0) and det(dX0/dx0)*h0(t, X0) = 1
 tie the map back to the evolved height field. `integrate_chart` yields the
@@ -33,37 +35,27 @@ from itertools import repeat
 
 import numpy as np
 
-from .chebyshev import diff_matrix, gl_nodes
 from .grids import Grid, HField, _eval_coefficients, grad
 from .shallow_water import BlowupError, SWTrajectory
+from .thinfields import Strip
 
 
 @dataclass(frozen=True)
 class Chart:
     """Flow-map sample at one time t on the material grid.
 
-    xdisp holds X0 - x0 (periodic in x0, unbounded in value; evaluation of
-    grid fields at X0 is trigonometric and hence wraps implicitly). zfactor
-    holds Z0/z0, shared by all z levels of a column.
+    strip is the flat Strip(grid, eps, nlev) whose heights are the material
+    levels z0. xdisp holds X0 - x0 (periodic in x0, unbounded in value;
+    evaluation of grid fields at X0 is trigonometric and hence wraps
+    implicitly). zfactor holds Z0/z0, shared by all z levels of a column.
     """
 
-    grid: Grid
-    eps: float
-    z_levels: np.ndarray  # (nlev,) ascending in [0, eps]
+    strip: Strip
     t: float
     xdisp: np.ndarray  # (n,) + grid.shape
     zfactor: np.ndarray  # grid.shape
 
     def __post_init__(self):
-        if not (np.isfinite(self.eps) and 0.0 < self.eps < 1.0):
-            raise ValueError(f"eps must lie in (0, 1), got {self.eps}")
-        z = np.asarray(self.z_levels, dtype=float)
-        if z.ndim != 1 or z.size < 2:
-            raise ValueError("z_levels must be a 1d array with at least 2 entries")
-        # vertical differentiation is collocation based, so the levels are
-        # pinned to the Gauss-Lobatto family on [0, eps]
-        if np.abs(z - self.eps * gl_nodes(z.size)).max() > 1e-12 * self.eps:
-            raise ValueError("z_levels must be eps * gl_nodes(nlev)")
         n = self.grid.n
         if self.xdisp.shape != (n,) + self.grid.shape:
             raise ValueError(f"xdisp must have shape ({n},) + grid.shape")
@@ -73,8 +65,8 @@ class Chart:
             raise ValueError("chart arrays must be finite")
 
     @property
-    def nlev(self) -> int:
-        return self.z_levels.size
+    def grid(self) -> Grid:
+        return self.strip.grid
 
     def positions(self) -> np.ndarray:
         """X0, shape (n,) + grid.shape."""
@@ -82,8 +74,7 @@ class Chart:
 
     def heights(self) -> np.ndarray:
         """Z0, shape (nlev,) + grid.shape."""
-        z = self.z_levels.reshape((-1,) + (1,) * self.grid.n)
-        return z * self.zfactor
+        return self.strip.z * self.zfactor
 
 
 def _material_nodes(grid: Grid) -> np.ndarray:
@@ -114,26 +105,23 @@ def integrate_chart(steps, dt: float, eps: float, nlev: int = 8):
     steps yields (state, tendency) pairs uniformly spaced by dt, as
     sw_steps does. The map starts from the identity at the first state and
     advances by RK4 over each consecutive pair, sampling the pair's Hermite
-    midpoint; the chart keeps nlev material z levels. As each state arrives,
-    h0 is evaluated at X0 once and dX0/dx0 formed once, and (chart, defect,
-    {"height", "volume"}) is yielded: defect is det(dX0/dx0) h0(t, X0) - 1
-    per column (shaped like chart.zfactor), height is sup |Z0 - z0 h0(t, X0)|
-    and volume sup |defect|, both over the states up to this one. Both
-    identities vanish for the continuous map; discretely they decay at the
-    integrator's order.
+    midpoint. The charts share one flat Strip(grid, eps, nlev) of material
+    z levels, built (and its eps and nlev checked) at the first state. As
+    each state arrives, h0 is evaluated at X0 once and dX0/dx0 formed once,
+    and (chart, defect, {"height", "volume"}) is yielded: defect is
+    det(dX0/dx0) h0(t, X0) - 1 per column (shaped like chart.zfactor),
+    height is sup |Z0 - z0 h0(t, X0)| and volume sup |defect|, both over the
+    states up to this one. Both identities vanish for the continuous map;
+    discretely they decay at the integrator's order.
     """
-    if nlev < 2:
-        raise ValueError(f"need at least 2 vertical levels, got {nlev}")
-    eps = float(eps)
-    z_levels = eps * gl_nodes(nlev)
     grid = None
     height = volume = 0.0
     for sb, fb in steps:
         if grid is None:
             grid = sb.grid
             n, shape = grid.n, grid.shape
+            strip = Strip(grid, eps, nlev)
             x0 = _material_nodes(grid)
-            zcol = z_levels.reshape((-1,) + (1,) * n)
             X = x0.copy()
             G = np.ones(shape)
             f_b = _flow_sampler(sb, shape)
@@ -157,9 +145,9 @@ def integrate_chart(steps, dt: float, eps: float, nlev: int = 8):
         hX = sb.h0.eval_at((x0 + d).reshape(n, -1).T).reshape(shape)
         _, det = _xjacobian(grid, d)
         defect = det * hX - 1.0
-        height = max(height, float(np.abs(zcol * G - zcol * hX).max()))
+        height = max(height, float(np.abs(strip.z * G - strip.z * hX).max()))
         volume = max(volume, float(np.abs(defect).max()))
-        chart = Chart(grid=grid, eps=eps, z_levels=z_levels, t=sb.t, xdisp=d, zfactor=G)
+        chart = Chart(strip=strip, t=sb.t, xdisp=d, zfactor=G)
         yield chart, defect, {"height": height, "volume": volume}
         sa, fa = sb, fb
     if grid is None:
@@ -194,8 +182,8 @@ def chain_rule_check(chart: Chart, f, grad_f) -> float:
     (x stacked per component, z broadcastable); the left side differentiates
     the pullback spectrally in x0 and by Chebyshev collocation in z0.
     """
-    n, shape = chart.grid.n, chart.grid.shape
-    nlev = chart.nlev
+    strip = chart.strip
+    n, shape, nlev = strip.grid.n, strip.grid.shape, strip.nz
     X = chart.positions()
     Z = chart.heights()
     Xb = np.broadcast_to(X[:, None], (n, nlev) + shape)
@@ -207,8 +195,7 @@ def chain_rule_check(chart: Chart, f, grad_f) -> float:
     lhs = np.empty((m, nlev) + shape)
     for lev in range(nlev):
         lhs[:n, lev] = grad(HField(chart.grid, F[lev])).values
-    D = diff_matrix(nlev) / chart.eps  # z0 in [0, eps]
-    lhs[n] = np.tensordot(D, F, axes=([1], [0]))
+    lhs[n] = strip.dz(F)
 
     gf = np.asarray(grad_f(Xb, Z), dtype=float)
     if gf.shape != (m, nlev) + shape:
@@ -216,10 +203,9 @@ def chain_rule_check(chart: Chart, f, grad_f) -> float:
     # A^T block by block: dX0/dz0 = 0, dZ0/dz0 = zfactor, grad_x0 Z0 = z0 grad(zfactor)
     J, _ = _xjacobian(chart.grid, chart.xdisp)
     gz = grad(HField(chart.grid, chart.zfactor)).values
-    zcol = chart.z_levels.reshape((-1,) + (1,) * n)
     rhs = np.empty_like(lhs)
     for b in range(n):
-        rhs[b] = sum(J[..., a, b] * gf[a] for a in range(n)) + zcol * gz[b] * gf[n]
+        rhs[b] = sum(J[..., a, b] * gf[a] for a in range(n)) + strip.z * gz[b] * gf[n]
     rhs[n] = chart.zfactor * gf[n]
     return float(np.abs(lhs - rhs).max())
 

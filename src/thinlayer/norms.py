@@ -2,15 +2,15 @@
 residual study reports.
 
 Horizontal L2 uses trapezoid quadrature, exact for trigonometric
-polynomials. Thin-field L2 integrates with Clenshaw-Curtis in zeta against
-the column Jacobian eps h0(x). The sup norm is the largest nodal magnitude,
+polynomials. Thin-field L2 is the integral over the field's strip
+(`Strip.integral`: Clenshaw-Curtis in zeta against the column Jacobian
+eps h0(x), trapezoid in x). The sup norm is the largest nodal magnitude,
 the Euclidean length for vector fields.
 """
 from __future__ import annotations
 
 import numpy as np
 
-from . import chebyshev as cheb
 from .grids import HField
 from .thinfields import ThinField
 
@@ -23,21 +23,8 @@ def norm(f: HField | ThinField, kind: str) -> float:
         mag = np.abs(f.values) if not f.is_vector else np.sqrt((f.values**2).sum(axis=0))
         return float(mag.max())
     if kind == "L2":
-        return float(np.sqrt(_sq_l2_h(f) if isinstance(f, HField) else _sq_l2_thin(f)))
+        if isinstance(f, HField):
+            return float(np.sqrt((f.values**2).sum() * f.grid.dx**f.grid.n))
+        mag2 = f.values**2 if not f.is_vector else (f.values**2).sum(axis=0)
+        return float(np.sqrt(f.strip.integral(mag2)))
     raise ValueError(f"unknown norm kind {kind!r}: expected 'Linf' or 'L2'")
-
-
-def _sq_l2_h(f: HField) -> float:
-    return float((f.values**2).sum() * f.grid.dx**f.grid.n)
-
-
-def _column_weights(tf: ThinField) -> np.ndarray:
-    """Quadrature weights over (zeta, x): w_m * eps * h0(x) * dx^n."""
-    w = cheb.clenshaw_curtis_weights(tf.nz).reshape((tf.nz,) + (1,) * tf.grid.n)
-    return w * (tf.eps * tf.h0.values) * tf.grid.dx**tf.grid.n
-
-
-def _sq_l2_thin(tf: ThinField) -> float:
-    w = _column_weights(tf)
-    mag2 = tf.values**2 if not tf.is_vector else (tf.values**2).sum(axis=0)
-    return float((w * mag2).sum())

@@ -13,12 +13,14 @@ are chosen so a uniform-in-eps constant shows up as a ratio band that does
 not drift as the strip thins. Samples are trigonometric in x (modes <= 4)
 and polynomial in the scaled vertical coordinate, so all norms except Linf
 are computed by exact quadrature (trapezoid in x, Clenshaw-Curtis in z);
-Linf is the nodal sup. The Agmon and Korn ratios divide their fields by a
-power of two (exact) before squaring, so thin strips cannot overflow. Every
-sample gets its own counter-keyed stream, so reports are independent of
-evaluation order. The trig and zeta-power tables are built once per strip
-and shared by its samples; the Korn probe draws its stream functions as
-the same samples. Each ProbeReport derives its own spread and verdict.
+Linf is the nodal sup. Each epsilon's strip is a flat thinfields.Strip on
+Grid(1, nx), and its integral takes every quadrature. The Agmon and Korn
+ratios divide their fields by a power of two (exact) before squaring, so
+thin strips cannot overflow. Every sample gets its own counter-keyed
+stream, so reports are independent of evaluation order. The trig and
+zeta-power tables are cached on the strip and shared by its samples; the
+Korn probe draws its stream functions as the same samples. Each
+ProbeReport derives its own spread and verdict.
 
 The zero-bottom trace ratio is the one tag whose sharp constant lives at
 horizontal wavenumbers comparable to 1/eps: any fixed band limit makes the
@@ -38,8 +40,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .chebyshev import clenshaw_curtis_weights, gl_nodes
 from .grids import Grid, HField
+from .thinfields import Strip
 
 PROBE_TAGS = ("L6", "Agmon", "trace_zero", "trace_general")
 KMAX = 4  # horizontal band limit of the samples
@@ -100,32 +102,22 @@ class ProbeReport:
         }
 
 
-class _Strip:
-    """Quadrature, differentiation tables and layer-mode norms for one epsilon.
+class _Strip(Strip):
+    """A flat Strip on Grid(1, nx) with the tables its samples share.
 
     Every table is built on first use and then shared, read-only, by all
     samples drawn on the strip.
     """
 
     def __init__(self, nx: int, nz: int, eps: float):
-        if not 0.0 < eps < 1.0:
-            raise ValueError(f"eps must lie in (0, 1), got {eps}")
-        self.grid = Grid(1, nx)
-        self.x = self.grid.nodes
-        self.zeta = gl_nodes(nz)
-        self.wz = clenshaw_curtis_weights(nz) * eps
-        self.wx = self.grid.dx
-        self.eps = eps
-
-    def integral(self, f):
-        return self.wx * float((self.wz[:, None] * f).sum())
+        super().__init__(Grid(1, nx), eps, nz)
 
     @cached_property
     def trig(self) -> tuple:
         """(cos, sin) factors of modes 0..KMAX and their first two
         x-derivatives, indexed by order; each array is (KMAX+1, nx)."""
         ks = np.arange(KMAX + 1)[:, None]
-        kx = ks * self.x[None, :]
+        kx = ks * self.grid.nodes[None, :]
         c, s = np.cos(kx), np.sin(kx)
         return _frozen(
             (c, s), (-ks * s, ks * c), (-(ks**2) * c, -(ks**2) * s)
@@ -158,12 +150,12 @@ class _Strip:
         """
         k = np.array(_layer_modes(self.eps), dtype=float)
         kc = k[:, None]
-        z = self.eps * self.zeta[None, :]
+        z, w = self.z[:, 0], self.weights[:, 0]  # one column of the flat strip
         s = np.sinh(kc * self.eps)
         g = np.sinh(kc * z) / s
         dg = kc * np.cosh(kc * z) / s
         half_l = 0.5 * self.grid.L
-        h1 = half_l * (((1.0 + kc * kc) * g * g + dg * dg) * self.wz).sum(axis=1)
+        h1 = half_l * (((1.0 + kc * kc) * g * g + dg * dg) * w).sum(axis=1)
         return _frozen(h1, half_l * np.sqrt(1.0 + k * k))
 
 

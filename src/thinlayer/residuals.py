@@ -31,7 +31,7 @@ from .ansatz import AnsatzFields, ZPoly, _velocity_polys, build_ansatz
 from .grids import HField
 from .norms import norm
 from .shallow_water import Params, SWState, stable_dt, sw_steps
-from .thinfields import ThinField
+from .thinfields import Strip, ThinField
 
 # Norms below this are roundoff, not signal; slope fits ignore them.
 RESIDUAL_FLOOR = 1e-13
@@ -96,13 +96,12 @@ def interior_polys(a: AnsatzFields) -> dict[str, list[ZPoly]]:
     return {"time": time, "advection": advection, "pressure": pressure, "viscous": viscous}
 
 
-def _interior_samples(a: AnsatzFields, nz: int) -> dict:
-    """Nodal samples of every interior_polys term, components stacked as
-    (n+1, nz) + grid.shape, and their sum in INTERIOR_TERMS order under
-    "total"."""
-    h0 = a.base.h0
+def _interior_samples(a: AnsatzFields, strip: Strip) -> dict:
+    """Nodal samples on the strip of every interior_polys term, components
+    stacked as (n+1, nz) + grid.shape, and their sum in INTERIOR_TERMS order
+    under "total"."""
     out = {
-        name: np.stack([q.to_thinfield(a.eps, nz, h0).values for q in polys])
+        name: np.stack([q.to_thinfield(strip).values for q in polys])
         for name, polys in interior_polys(a).items()
     }
     total = out[INTERIOR_TERMS[0]]
@@ -112,20 +111,19 @@ def _interior_samples(a: AnsatzFields, nz: int) -> dict:
     return out
 
 
-def interior_residual(a: AnsatzFields, nz: int) -> ThinField:
-    """Momentum residual on the thin grid, components (H1..Hn, V)."""
-    vals = _interior_samples(a, nz)["total"]
-    return ThinField(a.grid, a.eps, nz, vals, a.base.h0)
+def interior_residual(a: AnsatzFields, strip: Strip) -> ThinField:
+    """Momentum residual on the strip, components (H1..Hn, V)."""
+    return ThinField(strip, _interior_samples(a, strip)["total"])
 
 
-def divergence_residual(a: AnsatzFields, nz: int) -> ThinField:
-    """div_x u_H + dz u_V on the thin grid (identically zero by design)."""
+def divergence_residual(a: AnsatzFields, strip: Strip) -> ThinField:
+    """div_x u_H + dz u_V on the strip (identically zero by design)."""
     polys = a.horizontal_polys()
     divpoly = polys[0].dx(0)
     for i in range(1, a.grid.n):
         divpoly = divpoly + polys[i].dx(i)
     divpoly = divpoly + a.vertical_poly().dz()
-    return divpoly.to_thinfield(a.eps, nz, a.base.h0)
+    return divpoly.to_thinfield(strip)
 
 
 def kinematic_residual(a: AnsatzFields) -> HField:
@@ -306,10 +304,12 @@ def _residual_records(s: SWState, pvar: Params, nz: int):
             }
         )
 
-    def thin(vals):
-        return ThinField(s.grid, pvar.eps, nz, vals, s.h0).components()
+    strip = Strip(s.grid, pvar.eps, nz, s.h0)
 
-    samples = _interior_samples(a, nz)
+    def thin(vals):
+        return ThinField(strip, vals).components()
+
+    samples = _interior_samples(a, strip)
     for name in INTERIOR_TERMS:
         for comp, c in zip(comp_names, thin(samples[name])):
             term_records.append(
@@ -323,7 +323,7 @@ def _residual_records(s: SWState, pvar: Params, nz: int):
     for comp, c in zip(comp_names, thin(samples["total"])):
         add("interior_momentum", comp, *_sup_l2(c))
 
-    add("divergence", "scalar", *_sup_l2(divergence_residual(a, nz)))
+    add("divergence", "scalar", *_sup_l2(divergence_residual(a, strip)))
     add("kinematic", "scalar", *_sup_l2(kinematic_residual(a)))
     for comp, c in zip(comp_names, traction_residual(a).components()):
         add("traction", comp, *_sup_l2(c))

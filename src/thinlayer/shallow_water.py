@@ -57,6 +57,8 @@ class Params:
             raise ValueError("F and Re must be positive")
         if self.F * self.F == 0.0:
             raise ValueError(f"F * F underflows to 0 at F = {self.F}")
+        if float(self.F) * float(self.F) == float("inf"):
+            raise ValueError(f"F * F overflows at F = {self.F}")
         if self.gamma_bar < 0.0:
             raise ValueError(f"gamma_bar must be nonnegative, got {self.gamma_bar}")
         if not 0.0 < self.eps < 1.0:
@@ -88,8 +90,10 @@ class SWState:
         return self.h0.grid
 
     def max_speed(self) -> float:
-        """Largest pointwise Euclidean velocity magnitude."""
-        return float(np.sqrt((self.u0.values**2).sum(axis=0)).max())
+        """Largest pointwise Euclidean velocity magnitude; inf when a square
+        overflows."""
+        with np.errstate(over="ignore"):
+            return float(np.sqrt((self.u0.values**2).sum(axis=0)).max())
 
 
 def initial_wave(

@@ -3,9 +3,11 @@ import numpy as np
 import pytest
 
 from conftest import loglog_slope
+from thinlayer import chebyshev as cheb
 from thinlayer.grids import Grid, HField, from_fine, to_fine
 from thinlayer.norms import norm
 from thinlayer.shallow_water import Params, SWState, sw_step
+from thinlayer.thinfields import Strip
 from thinlayer.ansatz import (
     AnsatzFields,
     ZPoly,
@@ -129,8 +131,8 @@ def test_zpoly_to_thinfield_samples():
     h0 = HField(g, 1.0 + 0.2 * np.cos(x))
     zero = HField(g, np.zeros(16))
     p = ZPoly([zero, HField(g, np.sin(x))])  # f = sin(x) z
-    tf = p.to_thinfield(0.1, 6, h0)
-    z = tf.zeta.reshape(6, 1) * (0.1 * h0.values)
+    tf = p.to_thinfield(Strip(g, 0.1, 6, h0))
+    z = cheb.gl_nodes(6).reshape(6, 1) * (0.1 * h0.values)
     assert np.abs(tf.values - np.sin(x) * z).max() < 1e-14
 
 
@@ -175,7 +177,7 @@ def test_divergence_identity_on_thin_grid():
     a = build_ansatz(s, P)
     polys = a.horizontal_polys()
     divpoly = polys[0].dx(0) + a.vertical_poly().dz()
-    tf = divpoly.to_thinfield(P.eps, 10, s.h0)
+    tf = divpoly.to_thinfield(Strip(s.grid, P.eps, 10, s.h0))
     assert norm(tf, "Linf") < 1e-11
 
 
@@ -189,7 +191,7 @@ def test_divergence_identity_2d():
     a = build_ansatz(s, P)
     polys = a.horizontal_polys()
     divpoly = polys[0].dx(0) + polys[1].dx(1) + a.vertical_poly().dz()
-    tf = divpoly.to_thinfield(P.eps, 8, s.h0)
+    tf = divpoly.to_thinfield(Strip(g, P.eps, 8, s.h0))
     assert norm(tf, "Linf") < 1e-11
 
 

@@ -398,6 +398,30 @@ def test_underflowing_froude_number_is_invalid(tmp_path, capsys):
         assert len(err.splitlines()) == 1 and "Traceback" not in err
 
 
+@pytest.mark.parametrize("F", [1.4e154, 2 * 10**154], ids=["float", "int"])
+def test_overflowing_froude_number_is_invalid(tmp_path, capsys, F):
+    # unchecked, F * F = inf passes validate and p.F**2 ends the pipelines
+    # in an OverflowError traceback
+    cfg = _config(tmp_path, {"params": {"F": F}})
+    assert run("validate", cfg) == 2
+    assert capsys.readouterr().err.splitlines() == ["params.F: F * F overflows"]
+    for sub in ("sw", "ansatz", "study", "lagrangian"):
+        assert main([sub, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err.splitlines() == ["params.F: F * F overflows"]
+
+
+@pytest.mark.parametrize("amplitude", [1.4e154, 1e300])
+def test_overflowing_velocity_maps_to_exit_3_with_one_line(tmp_path, capsys, amplitude):
+    # the squares of max_speed overflow to inf, so the stability bound is 0;
+    # the pipelines report that in one line, with no numpy warning before it
+    cfg = _config(tmp_path, {"sw": {"init": {"velocity_amplitude": amplitude}}})
+    assert run("validate", cfg) == 0
+    for sub in ("sw", "ansatz", "study", "lagrangian"):
+        assert main([sub, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"numerical failure in {sub}: "), err
+
+
 @pytest.mark.parametrize("Re", [1e-306, 5e-324])
 def test_study_without_a_finite_step_count_maps_to_exit_3(tmp_path, capsys, Re):
     cfg = _config(tmp_path, {"params": {"Re": Re}})

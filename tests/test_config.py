@@ -163,8 +163,8 @@ def test_grid_size_check_matches_grid():
 
 
 def test_froude_check_matches_params():
-    # F * F must not underflow to 0: Params divides by it
-    for F in (1.0, 1e-150, 1e-154, 1e-162, 5e-324):
+    # F * F must neither underflow to 0 (Params divides by it) nor overflow
+    for F in (1.0, 1e-150, 1e-154, 1e-162, 5e-324, 1.3e154, 1.4e154, 1e300):
         try:
             Params(F=F, Re=1.0, gamma_bar=1.0, eps=0.1)
             params_ok = True
@@ -174,6 +174,9 @@ def test_froude_check_matches_params():
         assert params_ok == (not any(m.startswith("params.F") for m in msgs)), F
     assert not validate_tree({"params": {"F": 1e-154}})
     assert validate_tree({"params": {"F": 1e-162}}) == ["params.F: F * F underflows to 0"]
+    assert not validate_tree({"params": {"F": 1.3e154}})
+    assert validate_tree({"params": {"F": 1.4e154}}) == ["params.F: F * F overflows"]
+    assert validate_tree({"params": {"F": 2 * 10**154}}) == ["params.F: F * F overflows"]
 
 
 def test_undecodable_file_is_a_diagnostic(tmp_path):

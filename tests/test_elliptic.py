@@ -10,7 +10,7 @@ from thinlayer.elliptic import (
     mode_pressure_neumann_bottom,
 )
 from thinlayer.grids import Grid, HField, deriv
-from thinlayer.thinfields import ThinField
+from thinlayer.thinfields import Strip, ThinField
 
 EPS_SWEEP = (0.1, 0.01, 0.001)
 
@@ -93,7 +93,7 @@ def _flat_field(grid, eps, nz, fn):
     coords = grid.coords()
     for m in range(nz):
         vals[m] = fn(zeta[m], *coords)
-    return ThinField(grid, eps, nz, vals)
+    return ThinField(Strip(grid, eps, nz), vals)
 
 
 def test_lift_zero_source():
@@ -230,13 +230,11 @@ def test_lift_two_dimensional():
 
 def test_lift_validation():
     g = Grid(1, 16)
-    vec = ThinField(g, 0.1, 8, np.zeros((2, 8, 16)))
+    vec = ThinField(Strip(g, 0.1, 8), np.zeros((2, 8, 16)))
     with pytest.raises(ValueError):
         divergence_lift(vec)
 
-    curved = ThinField(
-        g, 0.1, 8, np.zeros((8, 16)),
-        h0=HField.from_function(g, lambda x: 1.0 + 0.1 * np.cos(x)),
-    )
+    h0 = HField.from_function(g, lambda x: 1.0 + 0.1 * np.cos(x))
+    curved = ThinField(Strip(g, 0.1, 8, h0), np.zeros((8, 16)))
     with pytest.raises(ValueError):
         divergence_lift(curved)

@@ -314,7 +314,7 @@ def _stream_reference(rng, strip):
     cosk, sink = strip.trig[0]
     zc = strip.zeta[:, None]
     zp = [zc**m for m in range(PDEG + 1)]
-    fields = [np.zeros((strip.zeta.size, strip.x.size)) for _ in range(6)]
+    fields = [np.zeros(strip.z.shape) for _ in range(6)]
     uh, uv, dux_h, duz_h, dux_v, duz_v = fields
     for k in range(1, KMAX + 1):
         a, b = rng.standard_normal(2) / k**2
@@ -365,7 +365,7 @@ def test_probe_rows_match_hand_derivatives(seed):
             korn._korn_ratio(_stream_reference(_philox(seed, i), strip), strip, gamma)
             for i in range(samples)
         ]
-        shape = (strip.zeta.size, strip.x.size)
+        shape = strip.z.shape
         translation = (np.ones(shape),) + tuple(np.zeros(shape) for _ in range(5))
         ratios.append(korn._korn_ratio(translation, strip, gamma))
         ratios += [

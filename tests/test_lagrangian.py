@@ -4,7 +4,6 @@ from collections import deque
 import numpy as np
 import pytest
 
-from thinlayer.chebyshev import gl_nodes
 from thinlayer.grids import Grid, HField, div
 from thinlayer.lagrangian import (
     Chart,
@@ -16,6 +15,7 @@ from thinlayer.lagrangian import (
     _xjacobian,
 )
 from thinlayer.shallow_water import Params, SWState, initial_wave, sw_steps
+from thinlayer.thinfields import Strip
 from tests.conftest import loglog_slope
 
 EPS = 0.1
@@ -37,9 +37,7 @@ def _last(stream):
 
 def _hand_chart(g, disp, zfactor, nlev=5):
     return Chart(
-        grid=g,
-        eps=EPS,
-        z_levels=EPS * gl_nodes(nlev),
+        strip=Strip(g, EPS, nlev),
         t=0.0,
         xdisp=np.asarray(disp),
         zfactor=np.asarray(zfactor),
@@ -141,15 +139,12 @@ def test_integrate_validation():
 
 def test_chart_validation():
     g = Grid(1, 16)
-    with pytest.raises(ValueError):  # z levels off the collocation family
-        Chart(
-            grid=g,
-            eps=EPS,
-            z_levels=EPS * np.linspace(0.0, 1.0, 4),
-            t=0.0,
-            xdisp=np.zeros((1, 16)),
-            zfactor=np.ones(16),
-        )
+    with pytest.raises(ValueError):  # one displacement per axis
+        _hand_chart(g, np.zeros((2, 16)), np.ones(16))
+    with pytest.raises(ValueError):  # one factor per column
+        _hand_chart(g, np.zeros((1, 16)), np.ones(8))
+    with pytest.raises(ValueError):
+        _hand_chart(g, np.zeros((1, 16)), np.full(16, np.inf))
 
 
 # -- jacobian ---------------------------------------------------------------------

@@ -4,7 +4,7 @@ import pytest
 
 from thinlayer.grids import Grid, HField
 from thinlayer.norms import norm
-from thinlayer.thinfields import ThinField
+from thinlayer.thinfields import Strip, ThinField
 
 TWO_PI = 2.0 * np.pi
 
@@ -80,7 +80,7 @@ def test_thin_l2_z_independent_matches_quadrature():
     h0 = HField(g, 1.0 + 0.3 * np.cos(x))
     eps = 0.05
     fvals = np.broadcast_to(np.sin(2 * x), (12,) + g.shape)
-    tf = ThinField(g, eps, 12, np.array(fvals), h0)
+    tf = ThinField(Strip(g, eps, 12, h0), np.array(fvals))
     got = norm(tf, "L2")
     want = np.sqrt((eps * h0.values * np.sin(2 * x) ** 2).sum() * g.dx)
     assert abs(got - want) < 1e-10
@@ -90,9 +90,21 @@ def test_thin_l2_polynomial_in_z_exact():
     """f = z on a flat strip: ||f||^2 = L eps^3 / 3."""
     g = Grid(1, 16)
     eps = 0.1
-    tf = ThinField.from_function(g, eps, 8, lambda x, z: z)
+    tf = ThinField.from_function(Strip(g, eps, 8), lambda x, z: z)
     want = np.sqrt(g.L * eps**3 / 3)
     assert abs(norm(tf, "L2") - want) < 1e-12
+
+
+def test_thin_l2_polynomial_in_z_on_curved_2d_strip():
+    """f = z under h0 = 1 + 0.3 cos x1 cos x2: ||f||^2 = eps^3 int h0^3 / 3,
+    and int h0^3 = L^2 (1 + 0.27 / 4) by the x-means of cos^2 products."""
+    g = Grid(2, 16)
+    x1, x2 = g.coords()
+    h0 = HField(g, 1.0 + 0.3 * np.cos(x1) * np.cos(x2))
+    eps = 0.05
+    tf = ThinField.from_function(Strip(g, eps, 6, h0), lambda x1, x2, z: z)
+    want = np.sqrt(eps**3 * g.L**2 * (1.0 + 3 * 0.3**2 / 4) / 3)
+    assert abs(norm(tf, "L2") - want) < 1e-14
 
 
 def test_thin_derivatives_with_curved_surface():
@@ -101,17 +113,20 @@ def test_thin_derivatives_with_curved_surface():
     x1 = g.nodes
     h0 = HField(g, 1.0 + 0.2 * np.sin(x1))
     eps = 0.1
-    tf = ThinField.from_function(g, eps, 10, lambda x, z: z**2 * np.cos(x), h0)
-    z = tf.z_coords()
+    strip = Strip(g, eps, 10, h0)
+    tf = ThinField.from_function(strip, lambda x, z: z**2 * np.cos(x))
+    z = strip.z
     xb = np.broadcast_to(x1, z.shape)
-    dzf = tf.dz()
-    assert np.abs(dzf.values - 2 * z * np.cos(xb)).max() < 1e-10
+    assert np.abs(strip.dz(tf.values) - 2 * z * np.cos(xb)).max() < 1e-10
+    vec = strip.dz(np.stack([tf.values, -tf.values]))
+    assert np.array_equal(vec, np.stack([strip.dz(tf.values), strip.dz(-tf.values)]))
 
 
 def test_thin_vector_norm_and_linf():
     g = Grid(1, 16)
     eps = 0.1
-    a = ThinField.from_function(g, eps, 8, lambda x, z: 3.0 + 0 * z)
-    vec = ThinField(g, eps, 8, np.stack([a.values, a.values]))
+    strip = Strip(g, eps, 8)
+    a = ThinField.from_function(strip, lambda x, z: 3.0 + 0 * z)
+    vec = ThinField(strip, np.stack([a.values, a.values]))
     assert abs(norm(vec, "Linf") - 3.0 * np.sqrt(2)) < 1e-12
     assert abs(norm(a, "L2") - 3.0 * np.sqrt(eps * g.L)) < 1e-12

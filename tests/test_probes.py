@@ -133,9 +133,9 @@ def _layer_reference(eps, seed, samples, nx=64, nz=24):
         rng = np.random.Generator(np.random.Philox([seed, i]))
         amp = rng.standard_normal(len(modes))
         phase = rng.uniform(0.0, 2.0 * np.pi, len(modes))
-        u, ux, uz = (np.zeros((nz, strip.x.size)) for _ in range(3))
+        u, ux, uz = (np.zeros((nz, strip.grid.N)) for _ in range(3))
         for a, phi, k in zip(amp, phase, modes):
-            arg = k * strip.x + phi
+            arg = k * strip.grid.nodes + phi
             s = np.sinh(k * eps)
             u += a * np.cos(arg) * (np.sinh(k * z) / s)
             ux += a * (-k * np.sin(arg)) * (np.sinh(k * z) / s)

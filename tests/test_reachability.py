@@ -36,16 +36,14 @@ ALLOWLIST = {
     "grids.HField.mask_two_thirds": "oracle: _rhs_reference of the sw_rhs tests",
     "grids.HField.constant": "oracle: AnsatzFields.pressure_poly",
     "ansatz.AnsatzFields.pressure_poly": "oracle: _unguarded_interior",
-    "thinfields.ThinField.dz": "oracle: _unguarded_interior",
-    "thinfields.ThinField.dzeta": "oracle: ThinField.dz",
+    "thinfields.Strip.dz": "oracle: _unguarded_interior; "
+    + PAPER + " (chain_rule_check, divergence_lift)",
     "ansatz.ZPoly.at_z": "oracle: the checks of the ZPoly calculus",
     "ansatz.ZPoly.degree": "oracle: the checks of the ZPoly calculus",
     "ansatz.ZPoly.bottom": "oracle: u_V vanishes at the bottom",
     # test fixtures
     "grids.HField.from_function": "fixture",
     "thinfields.ThinField.from_function": "fixture",
-    "thinfields.ThinField.z_coords": "fixture: ThinField.from_function",
-    "thinfields.ThinField.zeta": "fixture: ThinField.z_coords",
     # guard rails
     "grids.HField.__setattr__": "guard: an HField never changes after its spectrum is cached",
     # CLI entry points; the runs below go through cli.run
@@ -54,11 +52,8 @@ ALLOWLIST = {
     "cli._Parser.error": "CLI entry: usage errors exit 64",
     # paper-bearing code
     "elliptic.divergence_lift": PAPER + ": the lift behind the Stokes regularity in thin strips",
-    "elliptic.divergence_lift.<locals>.dz": PAPER + " (divergence_lift)",
-    "elliptic.divergence_lift.<locals>.strip_norm_sq": PAPER + " (divergence_lift)",
     "grids.HField.from_coefficients": PAPER + " (divergence_lift)",
     "lagrangian.chain_rule_check": PAPER + ": the change of variable that fixes the fluid domain",
-    "lagrangian.Chart.nlev": PAPER + " (chain_rule_check)",
     "lagrangian.Chart.heights": PAPER + " (chain_rule_check)",
     "residuals.solved_form_residual": PAPER + ": its sign disagrees with the standard elimination",
     "grids.HField.__rsub__": PAPER + " (solved_form_residual)",

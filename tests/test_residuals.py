@@ -20,8 +20,14 @@ from thinlayer.residuals import (
     traction_residual,
 )
 from thinlayer.shallow_water import Params, SWState, stable_dt, sw_steps
+from thinlayer.thinfields import Strip
 
 P = Params(F=1.0, Re=2.0, gamma_bar=0.5, eps=0.1)
+
+
+def _strip(a, nz):
+    """The strip under the ansatz a, with nz levels."""
+    return Strip(a.grid, a.eps, nz, a.base.h0)
 
 
 def _state(grid, h_fn, u_fns, t=0.0):
@@ -54,7 +60,7 @@ def _wavy(N=32):
 
 def test_interior_equilibrium_zero():
     a = build_ansatz(_equilibrium(), P)
-    res = interior_residual(a, nz=12)
+    res = interior_residual(a, _strip(a, 12))
     assert np.abs(res.values).max() < 1e-12
 
 
@@ -63,8 +69,8 @@ def test_interior_uniform_flow_oracle():
     c = 0.7
     p = Params(F=1.3, Re=2.0, gamma_bar=0.5, eps=0.1)
     a = build_ansatz(_uniform(c), p)
-    res = interior_residual(a, nz=12)
-    z = res.zeta.reshape(-1, 1) * p.eps
+    res = interior_residual(a, _strip(a, 12))
+    z = res.strip.z
     want = (p.gamma_bar**2 * c / p.Re) * (z**2 / 2 - p.eps * z)
     assert np.abs(res.values[0] - want).max() < 1e-13
     assert np.abs(res.values[1]).max() < 1e-14
@@ -97,10 +103,10 @@ def _unguarded_interior(a, nz):
     Chebyshev differentiation of the pressure: the roundoff the analytic
     cancellation avoids."""
     p = a.params
-    res = interior_residual(a, nz)
-    psamp = a.pressure_poly().to_thinfield(p.eps, nz, a.base.h0)
+    res = interior_residual(a, _strip(a, nz))
+    psamp = a.pressure_poly().to_thinfield(res.strip)
     vals = res.values.copy()
-    vals[a.grid.n] += (psamp.dz().values + 1.0) / (p.eps * p.F**2)
+    vals[a.grid.n] += (res.strip.dz(psamp.values) + 1.0) / (p.eps * p.F**2)
     return vals
 
 
@@ -110,7 +116,7 @@ def test_hydrostatic_guard():
     p = Params(F=1.0, Re=1.0, gamma_bar=1.0, eps=1e-3)
     s = _state(g, lambda x: 1.0 + 0.0 * x, [lambda x: 0.0 * x])
     a = build_ansatz(s, p)
-    guarded = interior_residual(a, nz=24)
+    guarded = interior_residual(a, _strip(a, 24))
     unguarded = _unguarded_interior(a, nz=24)
     g_sup = np.abs(guarded.values[1]).max()
     u_sup = np.abs(unguarded[1]).max()
@@ -120,7 +126,7 @@ def test_hydrostatic_guard():
     # stays guarded slightly off equilibrium too
     s2 = _state(g, lambda x: 1.0 + 1e-9 * np.cos(x), [lambda x: 0.0 * x])
     a2 = build_ansatz(s2, p)
-    assert np.abs(interior_residual(a2, nz=24).values[1]).max() <= 1e-11
+    assert np.abs(interior_residual(a2, _strip(a2, 24)).values[1]).max() <= 1e-11
 
 
 # -- divergence -----------------------------------------------------------------
@@ -128,7 +134,7 @@ def test_hydrostatic_guard():
 
 def test_divergence_identically_zero():
     a = build_ansatz(_wavy(), P)
-    assert norm(divergence_residual(a, 12), "Linf") < 1e-11
+    assert norm(divergence_residual(a, _strip(a, 12)), "Linf") < 1e-11
 
 
 def test_divergence_detects_tampering():
@@ -137,7 +143,7 @@ def test_divergence_detects_tampering():
     bad = AnsatzFields(
         a.base, a.params, a.u0, a.u1, a.u2, a.w1, a.w2, a.w3 + 1.0, a.p_nonhydro
     )
-    sup = norm(divergence_residual(bad, 12), "Linf")
+    sup = norm(divergence_residual(bad, _strip(bad, 12)), "Linf")
     want = (P.eps * s.h0.values.max()) ** 2 / 2
     assert abs(sup - want) < 1e-10
 
@@ -213,7 +219,7 @@ def test_translation_equivariance():
     s_sh = SWState(0.0, h_sh, u_sh)
     for state, out in ((s, {}), (s_sh, {})):
         a = build_ansatz(state, P)
-        out["interior"] = np.abs(interior_residual(a, 12).values).max()
+        out["interior"] = np.abs(interior_residual(a, _strip(a, 12)).values).max()
         out["kinematic"] = norm(kinematic_residual(a), "Linf")
         out["traction"] = np.abs(traction_residual(a).values).max()
         if state is s:
@@ -227,7 +233,7 @@ def test_resolution_independence():
     for N, nz in ((32, 12), (64, 24)):
         a = build_ansatz(_wavy(N), P)
         sups[N] = {
-            "interior": np.abs(interior_residual(a, nz).values).max(),
+            "interior": np.abs(interior_residual(a, _strip(a, nz)).values).max(),
             "kinematic": norm(kinematic_residual(a), "Linf"),
             "traction": np.abs(traction_residual(a).values).max(),
         }
@@ -339,13 +345,14 @@ def test_study_interior_rows_are_interior_residual_norms(n, N):
         pass
     for eps in (0.1, 0.0125):
         p = Params(F=1.0, Re=1.0, gamma_bar=1.0, eps=eps)
-        res = interior_residual(build_ansatz(s, p), nz=24)
+        a = build_ansatz(s, p)
+        res = interior_residual(a, _strip(a, 24))
         records, _ = _residual_records(s, p, nz=24)
         rows = [r for r in records if r["kind"] == "interior_momentum"]
         assert len(rows) == n + 1
-        for i, row in enumerate(rows):
-            assert row["norm_sup"] == norm(res.component(i), "Linf")
-            assert row["norm_l2"] == norm(res.component(i), "L2")
+        for row, c in zip(rows, res.components(), strict=True):
+            assert row["norm_sup"] == norm(c, "Linf")
+            assert row["norm_l2"] == norm(c, "L2")
 
 
 def test_residuals_two_dimensional():
@@ -356,10 +363,10 @@ def test_residuals_two_dimensional():
         [lambda x, y: 0.02 * np.sin(x + y), lambda x, y: 0.01 * np.cos(x) + 0.0 * y],
     )
     a = build_ansatz(s, P)
-    res = interior_residual(a, nz=8)
+    res = interior_residual(a, _strip(a, 8))
     assert res.values.shape == (3, 8, 16, 16)
     assert np.isfinite(res.values).all()
-    assert norm(divergence_residual(a, 8), "Linf") < 1e-11
+    assert norm(divergence_residual(a, _strip(a, 8)), "Linf") < 1e-11
     rv, rslip = bottom_residual(a)
     assert np.abs(rv.values).max() == 0.0 and np.abs(rslip.values).max() < 1e-14
     trac = traction_residual(a)

@@ -48,6 +48,7 @@ def _state(grid, h_fn, u_fns, t=0.0):
         dict(F=1.0, Re=1.0, gamma_bar=0.0, eps=1.0),
         dict(F=np.nan, Re=1.0, gamma_bar=0.0, eps=0.1),
         dict(F=1e-162, Re=1.0, gamma_bar=0.0, eps=0.1),  # F * F underflows to 0
+        dict(F=1.4e154, Re=1.0, gamma_bar=0.0, eps=0.1),  # F * F overflows
     ],
 )
 def test_params_rejected(kw):

@@ -33,7 +33,6 @@ from .korn import (
     SIGMA_LINE,
     ConditioningError,
     QuadratureError,
-    korn_probe,
     korn_sweep,
     sigma_circle,
 )
@@ -223,14 +222,12 @@ def _run_laplace(cfg, out: Path) -> list:
 
 def _run_probe(cfg, out: Path) -> list:
     pc = cfg.probes
-    reports = [
-        anisotropy_probe(tag, pc["eps_list"], pc["samples"], seed=pc["seed"])
+    summaries = [
+        anisotropy_probe(
+            tag, pc["eps_list"], pc["samples"], pc["seed"], cfg.params["gamma_bar"]
+        ).summary()
         for tag in PROBE_TAGS
     ]
-    reports.append(
-        korn_probe(pc["eps_list"], cfg.params["gamma_bar"], pc["samples"], seed=pc["seed"])
-    )
-    summaries = [rep.summary() for rep in reports]
     verdicts = {s["tag"]: {"verdict": s["verdict"], "spread": s["spread"]} for s in summaries}
     rows = [
         (s["tag"], r["eps"], r["n_samples"], r["max_ratio"], r["min_ratio"])

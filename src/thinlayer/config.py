@@ -202,8 +202,11 @@ def validate_tree(tree: dict) -> list:
             amp = init["amplitude"]
             if not _is_num(amp) or not 0.0 <= amp < 1.0:
                 out.append("sw.init.amplitude: must lie in [0, 1) to avoid vacuum")
-            if not _is_int(init["wavenumber"]) or init["wavenumber"] < 1:
+            wn = init["wavenumber"]
+            if not _is_int(wn) or wn < 1:
                 out.append("sw.init.wavenumber: must be a positive integer")
+            elif wn > sys.float_info.max or not math.isfinite(2.0 * math.pi * wn):
+                out.append("sw.init.wavenumber: 2 pi wavenumber must be a finite float")
             if not _is_num(init["velocity_amplitude"]):
                 out.append("sw.init.velocity_amplitude: must be a number")
         for name in ("T", "dt"):

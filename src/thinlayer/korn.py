@@ -22,16 +22,8 @@ korn_pencil is the one entry point of a cell: it returns both Gram
 matrices, both design matrices and the ascending spectrum, and the sweep
 reads Lambda and the six eigenvalues off it.
 
-The module also hosts the quadratic-form probe of the inequality itself on
-random divergence-free strip fields, reported per epsilon for uniformity
-evidence. Each sample is a stream function psi, zero at the bottom, drawn
-as a probes._Sample; u = (psi_z, -psi_x) is read off its derivative tables.
-Every integral is the probe strip's Strip.integral, and the bottom trace
-the trapezoid sum on the strip's grid. Only the potential-flow anchors,
-whose cosh profiles are not zeta-polynomials, stay in closed form. Here the
-deformation tensor is the symmetrized half-gradient, matching the
-inequality's Fourier expansion rather than the unhalved convention of the
-evolution equations.
+The probe of the inequality itself on random strip fields is the korn tag
+of probes.anisotropy_probe.
 """
 from __future__ import annotations
 
@@ -41,10 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .probes import KMAX, PDEG, ProbeReport, _exponent, _probe_rows, _Sample, _Strip
-
 RANK_TOL = 1e-10
-KORN_NX, KORN_NZ = 32, 24  # strip nodes of the inequality probe
 
 SIGMA_LINE = ((1.0, 0.0), (-1.0, 0.0))
 
@@ -360,99 +349,3 @@ def korn_sweep(M_grid, sigma_grid, quad_nodes: int = 96):
         max_jump=float(max_jump),
         failures=len(rows) - len(good),
     )
-
-
-# -- inequality probe ------------------------------------------------------------------
-
-
-def _korn_ratio(fields, strip: _Strip, gamma_bar: float) -> float:
-    """(2 ||D(u)||^2 + eps gamma |u_H(0)|^2) / ||u||_H1^2 on the strip.
-
-    fields holds the nodal arrays (nz, nx) of u_H, u_V and their x- and
-    z-derivatives: (uh, uv, dux_h, duz_h, dux_v, duz_v). D is the
-    symmetrized half-gradient. The ratio is homogeneous of degree 2, so
-    the fields are scaled by an exact power of two first, and the
-    degeneracy floor with them.
-    """
-    fields = np.stack(fields)
-    e = _exponent(fields)
-    uh, uv, dux_h, duz_h, dux_v, duz_v = np.ldexp(fields, -e)
-    integral = strip.integral
-    l2 = integral(uh**2 + uv**2)
-    grad2 = integral(dux_h**2 + duz_h**2 + dux_v**2 + duz_v**2)
-    h1 = l2 + grad2
-    if h1 < np.ldexp(1e-12 * strip.grid.L * strip.eps, -2 * e):
-        return float("nan")  # degenerate (floor scales with the area L*eps); skipped
-    two_d2 = integral(2.0 * dux_h**2 + 2.0 * duz_v**2 + (duz_h + dux_v) ** 2)
-    trace = strip.grid.dx * float((uh[0] ** 2).sum())
-    return (two_d2 + strip.eps * gamma_bar * trace) / h1
-
-
-def _stream_fields(psi: _Sample) -> tuple:
-    """u = (psi_z, -psi_x) and its first derivatives, read off the stream
-    function: divergence free, and u_V = 0 at the bottom when psi is."""
-    psi_xz = psi.derivative(dx=1, dz=1)
-    return (
-        psi.derivative(dz=1),
-        -psi.derivative(dx=1),
-        psi_xz,
-        psi.derivative(dz=2),
-        -psi.derivative(dx=2),
-        -psi_xz,
-    )
-
-
-def _random_stream(rng, strip: _Strip) -> _Sample:
-    """Random stream function psi = sum_k trig(k x) P_k(zeta), k = 1..KMAX.
-
-    Mode k carries (a_k cos + b_k sin) / k^2 times P_k = sum_m p_{k,m}
-    zeta^m, m = 1..PDEG, so P_k(0) = 0 and u_V = -psi_x vanishes at the
-    bottom. Row k - 1 of the draw is (a_k, b_k, p_{k,1..PDEG}).
-    """
-    draw = rng.standard_normal((KMAX, 2 + PDEG))
-    k = np.arange(1, KMAX + 1)[:, None]
-    coeffs = np.zeros((KMAX + 1, 2, PDEG + 1))
-    coeffs[1:, :, 1:] = (draw[:, :2] / k**2)[:, :, None] * draw[:, None, 2:]
-    return _Sample(strip, coeffs)
-
-
-def _potential_fields(k: int, strip: _Strip) -> tuple:
-    """u = grad psi with psi = cosh(k z) cos(k x): divergence free, flat at
-    the bottom; the family behind the pencil's eigenvalue 2."""
-    ch, sh = np.cosh(k * strip.z), np.sinh(k * strip.z)
-    cosk, sink = strip.trig[0]
-    cx, sx = cosk[k], sink[k]
-    return (
-        -k * sx * ch,
-        k * cx * sh,
-        -k * k * cx * ch,
-        -k * k * sx * sh,
-        -k * k * sx * sh,
-        k * k * cx * ch,
-    )
-
-
-def korn_probe(eps_list, gamma_bar: float, samples: int = 64, seed: int = 0) -> ProbeReport:
-    """Probe the deformation inequality on random admissible strip fields.
-
-    Every epsilon gets a _Strip of KORN_NX x KORN_NZ nodes and sees the
-    same sample construction (per-sample counter streams, so results do
-    not depend on evaluation order), plus the rigid
-    translation psi = z (ratio gamma_bar) and potential-flow extremals. At
-    gamma_bar = 0 the translation's ratio is 0: without friction a rigid
-    translation has no deformation, and the report reads that floor as an
-    unbounded trend.
-    """
-
-    def draw(strip, rng):
-        return _korn_ratio(_stream_fields(_random_stream(rng, strip)), strip, gamma_bar)
-
-    def anchors(strip):
-        translation = np.zeros((KMAX + 1, 2, PDEG + 1))
-        translation[0, 0, 1] = strip.eps  # psi = z, so u_H = 1
-        yield _korn_ratio(_stream_fields(_Sample(strip, translation)), strip, gamma_bar)
-        for k in (1, 2):
-            yield _korn_ratio(_potential_fields(k, strip), strip, gamma_bar)
-
-    rows = _probe_rows(eps_list, samples, seed, KORN_NX, KORN_NZ, draw, anchors)
-    return ProbeReport(tag="korn", eps_list=[r["eps"] for r in rows], rows=rows)

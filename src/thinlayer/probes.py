@@ -8,19 +8,20 @@ inequality, and reports the extremes per epsilon. The scalings
     Agmon:         eps^{1/2} ||u||_{Linf} / ||u||_{H2}
     trace_zero:              |u(., eps)|_{1/2} / ||u||_{H1}   (u = 0 at z = 0)
     trace_general: eps^{1/2} |u(., eps)|_{1/2} / ||u||_{H1}
+    korn:          (2 ||D(u)||^2 + eps gamma_bar |u_H(., 0)|^2) / ||u||_{H1}^2
 
 are chosen so a uniform-in-eps constant shows up as a ratio band that does
-not drift as the strip thins. Samples are trigonometric in x (modes <= 4)
-and polynomial in the scaled vertical coordinate, so all norms except Linf
-are computed by exact quadrature (trapezoid in x, Clenshaw-Curtis in z);
-Linf is the nodal sup. Each epsilon's strip is a flat thinfields.Strip on
-Grid(1, nx), and its integral takes every quadrature. The Agmon and Korn
-ratios divide their fields by a power of two (exact) before squaring, so
-thin strips cannot overflow. Every sample gets its own counter-keyed
-stream, so reports are independent of evaluation order. The trig and
-zeta-power tables are cached on the strip and shared by its samples; the
-Korn probe draws its stream functions as the same samples. Each
-ProbeReport derives its own spread and verdict.
+not drift as the strip thins; the korn band is bounded from below. Samples
+are trigonometric in x (modes <= 4) and polynomial in the scaled vertical
+coordinate, so all norms except Linf are computed by exact quadrature
+(trapezoid in x, Clenshaw-Curtis in z); Linf is the nodal sup. Each
+epsilon's strip is a flat thinfields.Strip on Grid(1, nx), and its
+integral takes every quadrature. The Agmon and Korn ratios divide their
+fields by a power of two (exact) before squaring, so thin strips cannot
+overflow. Every sample gets its own counter-keyed stream, so reports are
+independent of evaluation order. The trig and zeta-power tables are cached
+on the strip and shared by its samples. Each ProbeReport derives its own
+spread and verdict.
 
 The zero-bottom trace ratio is the one tag whose sharp constant lives at
 horizontal wavenumbers comparable to 1/eps: any fixed band limit makes the
@@ -32,6 +33,15 @@ orthogonal in x, so its x-integrals are taken in closed form (the x-mean
 of cos^2 is 1/2): they equal the trapezoid sums on any grid of at least
 4 kmax points, Clenshaw-Curtis still integrates in z, and the cost of a
 sample does not depend on eps.
+
+The korn tag probes the deformation inequality on random divergence-free
+fields. Each sample is a stream function psi, zero at the bottom, drawn as
+a _Sample; u = (psi_z, -psi_x) is read off its derivative tables. The
+bottom trace is the trapezoid sum on the strip's grid. Only the
+potential-flow anchors, whose cosh profiles are not zeta-polynomials, stay
+in closed form. Here the deformation tensor is the symmetrized
+half-gradient, matching the inequality's Fourier expansion rather than the
+unhalved convention of the evolution equations.
 """
 from __future__ import annotations
 
@@ -43,11 +53,12 @@ import numpy as np
 from .grids import Grid, HField
 from .thinfields import Strip
 
-PROBE_TAGS = ("L6", "Agmon", "trace_zero", "trace_general")
+PROBE_TAGS = ("L6", "Agmon", "trace_zero", "trace_general", "korn")
 KMAX = 4  # horizontal band limit of the samples
 PDEG = 3  # vertical polynomial degree
 SPREAD_LIMIT = 3.0  # largest per-eps extreme over the smallest, for "bounded"
 PROBE_NX, PROBE_NZ = 64, 24  # strip nodes of anisotropy_probe
+KORN_NX = 32  # strip columns of the korn tag
 
 
 @dataclass(frozen=True)
@@ -253,33 +264,137 @@ def _scaled_ratio(tag: str, sample) -> float:
             + strip.integral(uxx * uxx + 2.0 * uxz * uxz + uzz * uzz)
         )
         return np.sqrt(eps) * np.abs(u).max() / h2
-    if tag in ("trace_zero", "trace_general"):
-        half = np.sqrt(sample.top_trace_sq())
-        scale = 1.0 if tag == "trace_zero" else np.sqrt(eps)
-        return scale * half / np.sqrt(h1_sq)
-    raise ValueError(f"unknown tag {tag!r}, expected one of {PROBE_TAGS}")
+    half = np.sqrt(sample.top_trace_sq())
+    scale = 1.0 if tag == "trace_zero" else np.sqrt(eps)
+    return scale * half / np.sqrt(h1_sq)
 
 
-def _probe_rows(eps_list, samples: int, seed: int, nx: int, nz: int, draw, anchors):
-    """One row of ratio extremes per epsilon, on a _Strip(nx, nz, eps).
+def _korn_ratio(fields, strip: _Strip, gamma_bar: float) -> float:
+    """(2 ||D(u)||^2 + eps gamma |u_H(0)|^2) / ||u||_H1^2 on the strip.
 
-    Sample i draws from its own counter-keyed stream Philox([seed, i]) through
-    draw(strip, rng). The ratios of anchors(strip), closed-form extremals,
-    join them; a non-finite (degenerate) ratio, sample or anchor, is skipped,
-    and n_samples counts the ratios kept.
+    fields holds the nodal arrays (nz, nx) of u_H, u_V and their x- and
+    z-derivatives: (uh, uv, dux_h, duz_h, dux_v, duz_v). D is the
+    symmetrized half-gradient. The ratio is homogeneous of degree 2, so
+    the fields are scaled by an exact power of two first, and the
+    degeneracy floor with them.
     """
+    fields = np.stack(fields)
+    e = _exponent(fields)
+    uh, uv, dux_h, duz_h, dux_v, duz_v = np.ldexp(fields, -e)
+    integral = strip.integral
+    l2 = integral(uh**2 + uv**2)
+    grad2 = integral(dux_h**2 + duz_h**2 + dux_v**2 + duz_v**2)
+    h1 = l2 + grad2
+    if h1 < np.ldexp(1e-12 * strip.grid.L * strip.eps, -2 * e):
+        return float("nan")  # degenerate (floor scales with the area L*eps); skipped
+    two_d2 = integral(2.0 * dux_h**2 + 2.0 * duz_v**2 + (duz_h + dux_v) ** 2)
+    trace = strip.grid.dx * float((uh[0] ** 2).sum())
+    return (two_d2 + strip.eps * gamma_bar * trace) / h1
+
+
+def _stream_fields(psi: _Sample) -> tuple:
+    """u = (psi_z, -psi_x) and its first derivatives, read off the stream
+    function: divergence free, and u_V = 0 at the bottom when psi is."""
+    psi_xz = psi.derivative(dx=1, dz=1)
+    return (
+        psi.derivative(dz=1),
+        -psi.derivative(dx=1),
+        psi_xz,
+        psi.derivative(dz=2),
+        -psi.derivative(dx=2),
+        -psi_xz,
+    )
+
+
+def _random_stream(rng, strip: _Strip) -> _Sample:
+    """Random stream function psi = sum_k trig(k x) P_k(zeta), k = 1..KMAX.
+
+    Mode k carries (a_k cos + b_k sin) / k^2 times P_k = sum_m p_{k,m}
+    zeta^m, m = 1..PDEG, so P_k(0) = 0 and u_V = -psi_x vanishes at the
+    bottom. Row k - 1 of the draw is (a_k, b_k, p_{k,1..PDEG}).
+    """
+    draw = rng.standard_normal((KMAX, 2 + PDEG))
+    k = np.arange(1, KMAX + 1)[:, None]
+    coeffs = np.zeros((KMAX + 1, 2, PDEG + 1))
+    coeffs[1:, :, 1:] = (draw[:, :2] / k**2)[:, :, None] * draw[:, None, 2:]
+    return _Sample(strip, coeffs)
+
+
+def _potential_fields(k: int, strip: _Strip) -> tuple:
+    """u = grad psi with psi = cosh(k z) cos(k x): divergence free, flat at
+    the bottom; the family behind the Korn pencil's eigenvalue 2."""
+    ch, sh = np.cosh(k * strip.z), np.sinh(k * strip.z)
+    cosk, sink = strip.trig[0]
+    cx, sx = cosk[k], sink[k]
+    return (
+        -k * sx * ch,
+        k * cx * sh,
+        -k * k * cx * ch,
+        -k * k * sx * sh,
+        -k * k * sx * sh,
+        k * k * cx * ch,
+    )
+
+
+def _draw(tag: str, strip: _Strip, rng, gamma_bar: float) -> float:
+    """The ratio of one random sample of tag, drawn from rng."""
+    if tag == "korn":
+        return _korn_ratio(_stream_fields(_random_stream(rng, strip)), strip, gamma_bar)
+    if tag == "trace_zero":
+        return _scaled_ratio(tag, _LayerSample(strip, rng))
+    coeffs = rng.standard_normal((KMAX + 1, 2, PDEG + 1))
+    coeffs /= (1.0 + np.arange(KMAX + 1))[:, None, None] ** 2
+    return _scaled_ratio(tag, _Sample(strip, coeffs))
+
+
+def _anchors(tag: str, strip: _Strip, gamma_bar: float) -> list:
+    """Ratios of the closed-form extremals that join tag's samples: the
+    rigid translation psi = z and two potential flows for korn, none for
+    trace_zero, the constant field for every other tag."""
+    if tag == "korn":
+        translation = np.zeros((KMAX + 1, 2, PDEG + 1))
+        translation[0, 0, 1] = strip.eps  # psi = z, so u_H = 1
+        ratios = [_korn_ratio(_stream_fields(_Sample(strip, translation)), strip, gamma_bar)]
+        ratios += [_korn_ratio(_potential_fields(k, strip), strip, gamma_bar) for k in (1, 2)]
+        return ratios
+    if tag == "trace_zero":
+        return []
+    const = np.zeros((KMAX + 1, 2, PDEG + 1))
+    const[0, 0, 0] = 1.0
+    return [_scaled_ratio(tag, _Sample(strip, const))]
+
+
+def anisotropy_probe(
+    tag: str, eps_list, samples: int = 64, seed: int = 0, gamma_bar: float = 1.0
+) -> ProbeReport:
+    """Extremal eps-scaled ratios of one inequality over random fields.
+
+    Each epsilon gets a _Strip of PROBE_NX x PROBE_NZ nodes, KORN_NX x
+    PROBE_NZ for korn. Sample i draws from its own counter-keyed stream
+    Philox([seed, i]), so the same draws are replayed for every epsilon and
+    the report isolates the eps-dependence. The ratios of the tag's anchors
+    join them; a non-finite (degenerate) ratio, sample or anchor, is
+    skipped, and n_samples counts the ratios kept. gamma_bar is the scaled
+    friction of the korn ratio; the other tags ignore it. At gamma_bar = 0
+    the rigid translation's korn ratio is 0: without friction a rigid
+    translation has no deformation, and the report reads that floor as an
+    unbounded trend.
+    """
+    if tag not in PROBE_TAGS:
+        raise ValueError(f"unknown tag {tag!r}, expected one of {PROBE_TAGS}")
     eps_list = [float(e) for e in np.atleast_1d(eps_list)]
     if samples < 50:
         raise ValueError("need at least 50 samples per epsilon")
+    nx = KORN_NX if tag == "korn" else PROBE_NX
     rows = []
     for eps in eps_list:
-        strip = _Strip(nx, nz, eps)
+        strip = _Strip(nx, PROBE_NZ, eps)
         ratios = []
         for i in range(samples):
-            r = draw(strip, np.random.Generator(np.random.Philox([seed, i])))
+            r = _draw(tag, strip, np.random.Generator(np.random.Philox([seed, i])), gamma_bar)
             if np.isfinite(r):
                 ratios.append(float(r))
-        ratios += [float(r) for r in anchors(strip) if np.isfinite(r)]
+        ratios += [float(r) for r in _anchors(tag, strip, gamma_bar) if np.isfinite(r)]
         if not ratios:
             raise ValueError(f"all samples degenerate at eps = {eps}")
         rows.append(
@@ -290,33 +405,4 @@ def _probe_rows(eps_list, samples: int, seed: int, nx: int, nz: int, draw, ancho
                 "min_ratio": min(ratios),
             }
         )
-    return rows
-
-
-def anisotropy_probe(tag: str, eps_list, samples: int = 64, seed: int = 0) -> ProbeReport:
-    """Extremal eps-scaled inequality ratios over random band-limited fields.
-
-    Each epsilon gets a _Strip of PROBE_NX x PROBE_NZ nodes. The same
-    coefficient draws are replayed for every epsilon so the report
-    isolates the eps-dependence. For every tag except trace_zero the constant
-    field rides along as a closed-form anchor sample.
-    """
-    if tag not in PROBE_TAGS:
-        raise ValueError(f"unknown tag {tag!r}, expected one of {PROBE_TAGS}")
-
-    def draw(strip, rng):
-        if tag == "trace_zero":
-            return _scaled_ratio(tag, _LayerSample(strip, rng))
-        coeffs = rng.standard_normal((KMAX + 1, 2, PDEG + 1))
-        coeffs /= (1.0 + np.arange(KMAX + 1))[:, None, None] ** 2
-        return _scaled_ratio(tag, _Sample(strip, coeffs))
-
-    def anchors(strip):
-        if tag == "trace_zero":
-            return []
-        const = np.zeros((KMAX + 1, 2, PDEG + 1))
-        const[0, 0, 0] = 1.0
-        return [_scaled_ratio(tag, _Sample(strip, const))]
-
-    rows = _probe_rows(eps_list, samples, seed, PROBE_NX, PROBE_NZ, draw, anchors)
-    return ProbeReport(tag=tag, eps_list=[r["eps"] for r in rows], rows=rows)
+    return ProbeReport(tag=tag, eps_list=eps_list, rows=rows)

@@ -51,7 +51,11 @@ class Params:
     def __post_init__(self):
         for name in ("F", "Re", "gamma_bar", "eps"):
             v = getattr(self, name)
-            if not np.isfinite(v):
+            try:
+                finite = math.isfinite(v)
+            except OverflowError:  # an int beyond the float range
+                finite = False
+            if not finite:
                 raise ValueError(f"{name} must be finite, got {v}")
         if self.F <= 0.0 or self.Re <= 0.0:
             raise ValueError("F and Re must be positive")

@@ -410,6 +410,19 @@ def test_overflowing_froude_number_is_invalid(tmp_path, capsys, F):
         assert capsys.readouterr().err.splitlines() == ["params.F: F * F overflows"]
 
 
+@pytest.mark.parametrize("wavenumber", [10**400, 2**1023], ids=["10^400", "2^1023"])
+def test_wavenumber_beyond_the_float_range_is_invalid(tmp_path, capsys, wavenumber):
+    # unchecked, both passed validate; sw then ended in an OverflowError
+    # traceback (10^400) or blamed a blowup at t = 0.001 on a state that was
+    # NaN at t = 0 (2^1023)
+    cfg = _config(tmp_path, {"sw": {"init": {"wavenumber": wavenumber}}})
+    want = ["sw.init.wavenumber: 2 pi wavenumber must be a finite float"]
+    assert run("validate", cfg) == 2
+    assert capsys.readouterr().err.splitlines() == want
+    assert main(["sw", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.splitlines() == want
+
+
 @pytest.mark.parametrize("amplitude", [1.4e154, 1e300])
 def test_overflowing_velocity_maps_to_exit_3_with_one_line(tmp_path, capsys, amplitude):
     # the squares of max_speed overflow to inf, so the stability bound is 0;

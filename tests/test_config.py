@@ -1,5 +1,6 @@
 """Config schema: validation diagnostics, defaults, canonical hashing."""
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +17,7 @@ from thinlayer.config import (
 )
 from thinlayer.grids import Grid
 from thinlayer.korn import SIGMA_LINE, korn_sweep
-from thinlayer.shallow_water import Params
+from thinlayer.shallow_water import Params, initial_wave
 
 
 def _write(tmp_path, tree, name="cfg.json"):
@@ -177,6 +178,24 @@ def test_froude_check_matches_params():
     assert not validate_tree({"params": {"F": 1.3e154}})
     assert validate_tree({"params": {"F": 1.4e154}}) == ["params.F: F * F overflows"]
     assert validate_tree({"params": {"F": 2 * 10**154}}) == ["params.F: F * F overflows"]
+
+
+def test_wavenumber_check_matches_initial_wave():
+    # 2 pi k must be a finite float: beyond it initial_wave raises an
+    # OverflowError or builds a NaN state
+    for k in (1, 2**60, 2**1021, 2**1022, 2**1023, 10**400):
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                initial_wave(Grid(1, 8), wavenumber=k)
+            wave_ok = True
+        except (OverflowError, RuntimeWarning):
+            wave_ok = False
+        msgs = validate_tree({"sw": {"init": {"wavenumber": k}}})
+        assert wave_ok == (not msgs), k
+    assert validate_tree({"sw": {"init": {"wavenumber": 10**400}}}) == [
+        "sw.init.wavenumber: 2 pi wavenumber must be a finite float"
+    ]
 
 
 def test_undecodable_file_is_a_diagnostic(tmp_path):

@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from thinlayer import korn
+from thinlayer import korn, probes
 from thinlayer.config import DEFAULT_CONFIG, korn_m_grid
 from thinlayer.korn import (
     SIGMA_LINE,
@@ -13,11 +13,10 @@ from thinlayer.korn import (
     QuadratureError,
     korn_basis_eval,
     korn_pencil,
-    korn_probe,
     korn_sweep,
     sigma_circle,
 )
-from thinlayer.probes import KMAX, PDEG, _Strip
+from thinlayer.probes import KMAX, PDEG, _Strip, anisotropy_probe
 
 # the configured Korn M grid; each sweep test sets its own count
 M_GRID = DEFAULT_CONFIG["korn"]["M_grid"]
@@ -272,7 +271,7 @@ def test_sweep_validation():
 
 def test_probe_translation_floor_and_uniformity():
     gamma = 0.7
-    rep = korn_probe([0.1, 0.01, 0.001], gamma_bar=gamma, samples=56, seed=3)
+    rep = anisotropy_probe("korn", [0.1, 0.01, 0.001], samples=56, seed=3, gamma_bar=gamma)
     assert rep.tag == "korn"
     mins = [r["min_ratio"] for r in rep.rows]
     # the rigid translation realizes the ratio gamma_bar exactly
@@ -288,28 +287,28 @@ def test_probe_keeps_every_sample_on_tiny_strips():
     # the fields are scaled by a power of two before squaring: no square
     # overflows (the RuntimeWarning filter would fail this test) and every
     # sample and anchor survives at eps = 1e-100
-    rep = korn_probe([0.1, 1e-14, 1e-100], 0.7, samples=64)
+    rep = anisotropy_probe("korn", [0.1, 1e-14, 1e-100], samples=64, gamma_bar=0.7)
     assert [r["n_samples"] for r in rep.rows] == [67, 67, 67]
     assert all(abs(r["min_ratio"] - 0.7) <= 1e-12 for r in rep.rows)
 
 
 def test_probe_sample_floor_enforced():
     with pytest.raises(ValueError):
-        korn_probe([0.1], gamma_bar=1.0, samples=10)
+        anisotropy_probe("korn", [0.1], samples=10, gamma_bar=1.0)
     with pytest.raises(ValueError):
-        korn_probe([1.5], gamma_bar=1.0, samples=64)
+        anisotropy_probe("korn", [1.5], samples=64, gamma_bar=1.0)
 
 
 def test_probe_deterministic_across_calls():
-    a = korn_probe([0.05], gamma_bar=1.0, samples=52, seed=11)
-    b = korn_probe([0.05], gamma_bar=1.0, samples=52, seed=11)
+    a = anisotropy_probe("korn", [0.05], samples=52, seed=11, gamma_bar=1.0)
+    b = anisotropy_probe("korn", [0.05], samples=52, seed=11, gamma_bar=1.0)
     assert a.rows == b.rows
 
 
 def _stream_reference(rng, strip):
     """(uh, uv, dux_h, duz_h, dux_v, duz_v) of a random stream function,
     differentiated by hand mode by mode: psi = sum_k (a cos kx + b sin kx)
-    / k^2 * sum_m p_m zeta^m with the same draws as korn_probe's samples."""
+    / k^2 * sum_m p_m zeta^m with the same draws as the korn probe's samples."""
     eps = strip.eps
     cosk, sink = strip.trig[0]
     zc = strip.zeta[:, None]
@@ -348,28 +347,28 @@ def test_stream_samples_match_hand_derivatives(seed):
         strip = _Strip(32, 24, eps)
         for i in range(8):
             ref = _stream_reference(_philox(seed, i), strip)
-            got = korn._stream_fields(korn._random_stream(_philox(seed, i), strip))
+            got = probes._stream_fields(probes._random_stream(_philox(seed, i), strip))
             for g, r in zip(got, ref):
                 assert np.abs(g - r).max() <= 1e-13 * np.abs(r).max()
-            want = korn._korn_ratio(ref, strip, 0.7)
-            assert abs(korn._korn_ratio(got, strip, 0.7) - want) <= 1e-13 * want
+            want = probes._korn_ratio(ref, strip, 0.7)
+            assert abs(probes._korn_ratio(got, strip, 0.7) - want) <= 1e-13 * want
 
 
 @pytest.mark.parametrize("seed", [0, 3, 11])
 def test_probe_rows_match_hand_derivatives(seed):
     eps_list, gamma, samples = [0.1, 0.01, 0.001], 0.7, 64
-    rep = korn_probe(eps_list, gamma_bar=gamma, samples=samples, seed=seed)
+    rep = anisotropy_probe("korn", eps_list, samples=samples, seed=seed, gamma_bar=gamma)
     for eps, row in zip(eps_list, rep.rows):
         strip = _Strip(32, 24, eps)
         ratios = [
-            korn._korn_ratio(_stream_reference(_philox(seed, i), strip), strip, gamma)
+            probes._korn_ratio(_stream_reference(_philox(seed, i), strip), strip, gamma)
             for i in range(samples)
         ]
         shape = strip.z.shape
         translation = (np.ones(shape),) + tuple(np.zeros(shape) for _ in range(5))
-        ratios.append(korn._korn_ratio(translation, strip, gamma))
+        ratios.append(probes._korn_ratio(translation, strip, gamma))
         ratios += [
-            korn._korn_ratio(korn._potential_fields(k, strip), strip, gamma)
+            probes._korn_ratio(probes._potential_fields(k, strip), strip, gamma)
             for k in (1, 2)
         ]
         assert row["n_samples"] == len(ratios)

@@ -1,16 +1,19 @@
 """Scaled-inequality probes: anchors, uniformity, determinism."""
+import ast
+import re
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from thinlayer import probes
 from thinlayer.grids import HField
 from thinlayer.probes import (
     PROBE_TAGS,
     ProbeReport,
     _layer_modes,
     _LayerSample,
-    _probe_rows,
     _Strip,
     anisotropy_probe,
 )
@@ -178,11 +181,34 @@ def test_trace_zero_tiny_eps_is_cheap():
     assert peak < 1 << 20
 
 
-def test_probe_rows_skip_non_finite_anchors():
+def test_probe_rows_skip_non_finite_anchors(monkeypatch):
     # a degenerate anchor is skipped like a degenerate sample and not counted
-    def draw(strip, rng):
-        return rng.uniform(0.5, 1.0)
-
-    rows = _probe_rows([0.1], 50, 0, 16, 8, draw, lambda strip: [np.nan, 2.0])
+    monkeypatch.setattr(probes, "_draw", lambda tag, strip, rng, gamma_bar: rng.uniform(0.5, 1.0))
+    monkeypatch.setattr(probes, "_anchors", lambda tag, strip, gamma_bar: [np.nan, 2.0])
+    rows = anisotropy_probe("L6", [0.1], samples=50).rows
     assert rows[0]["n_samples"] == 51
     assert rows[0]["max_ratio"] == 2.0 and rows[0]["min_ratio"] >= 0.5
+
+
+def test_probe_family_has_one_home():
+    # the probe strips, samples and band limits live in probes alone, and
+    # korn keeps only the pencil: probes may import korn, never the reverse
+    src = Path(__file__).resolve().parents[1] / "src" / "thinlayer"
+    pattern = re.compile(r"\b(KMAX|PDEG|_Sample|_Strip)\b")
+    hits = [
+        f"{path.name}:{i}"
+        for path in sorted(src.glob("*.py"))
+        if path.name != "probes.py"
+        for i, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+        if pattern.search(line)
+    ]
+    assert sorted(src.glob("*.py")) and hits == []
+    assert pattern.search((src / "probes.py").read_text(encoding="utf-8"))
+    korn = ast.parse((src / "korn.py").read_text(encoding="utf-8"))
+    imported = [
+        name
+        for node in ast.walk(korn)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        for name in [getattr(node, "module", None) or ""] + [a.name for a in node.names]
+    ]
+    assert not any("probes" in name.split(".") for name in imported)

@@ -12,7 +12,7 @@ an entry that a pipeline starts to call fails until it is taken out.
 The same parse checks that each name is declared once: no module assigns
 __all__, and the package root binds only __version__. It also checks that
 each exception the CLI maps to exit 3 is raised outside the allowlist, and
-that the methods perfbench/tracer.py wraps by name exist.
+that the methods and functions perfbench/tracer.py wraps by name exist.
 """
 import ast
 import importlib
@@ -138,24 +138,44 @@ def test_every_numerical_failure_has_a_raise_site():
     assert unraised == [], "exit-3 failures that no pipeline function raises"
 
 
+def _tracer_value(name: str):
+    """The value node of perfbench/tracer.py's one top-level assignment to name."""
+    tracer = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+    tree = ast.parse(tracer.read_text(encoding="utf-8"))
+    values = [
+        node.value
+        for node in tree.body
+        if isinstance(node, ast.Assign)
+        and any(isinstance(t, ast.Name) and t.id == name for t in node.targets)
+    ]
+    assert len(values) == 1, f"perfbench/tracer.py assigns {name} once"
+    return values[0]
+
+
 def test_perfbench_methods_exist():
     """perfbench/tracer.py wraps these methods by name; a rename in the package
     would end a traced benchmark run in an AttributeError."""
-    tracer = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
-    tree = ast.parse(tracer.read_text(encoding="utf-8"))
-    methods = [
-        ast.literal_eval(node.value)
-        for node in tree.body
-        if isinstance(node, ast.Assign)
-        and any(isinstance(t, ast.Name) and t.id == "METHODS" for t in node.targets)
-    ]
-    assert len(methods) == 1, "perfbench/tracer.py assigns METHODS once"
     missing = [
         f"{module}.{cls}.{method}"
-        for module, cls, method in methods[0]
+        for module, cls, method in ast.literal_eval(_tracer_value("METHODS"))
         if not hasattr(getattr(importlib.import_module(f"thinlayer.{module}"), cls, None), method)
     ]
     assert missing == [], "methods that perfbench/tracer.py wraps and the package lacks"
+
+
+def test_perfbench_observers_exist():
+    """perfbench/tracer.py observes these module-level functions by name; a
+    missing one is never wrapped and its per-layer metrics silently read 0."""
+    observed = [ast.literal_eval(key) for key in _tracer_value("OBSERVERS").keys]
+    defined = {
+        f"{module}.{node.name}"
+        for module, tree in _trees().items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+    }
+    missing = sorted(set(observed) - defined)
+    assert observed, "perfbench/tracer.py observes no function"
+    assert missing == [], "functions that perfbench/tracer.py observes and the package lacks"
 
 
 def _clear_caches():

@@ -49,6 +49,12 @@ def _state(grid, h_fn, u_fns, t=0.0):
         dict(F=np.nan, Re=1.0, gamma_bar=0.0, eps=0.1),
         dict(F=1e-162, Re=1.0, gamma_bar=0.0, eps=0.1),  # F * F underflows to 0
         dict(F=1.4e154, Re=1.0, gamma_bar=0.0, eps=0.1),  # F * F overflows
+        dict(F=2 * 10**154, Re=1, gamma_bar=1, eps=0.1),  # an int F whose F * F overflows
+        # ints beyond the float range
+        dict(F=10**400, Re=1.0, gamma_bar=0.0, eps=0.1),
+        dict(F=1.0, Re=10**400, gamma_bar=0.0, eps=0.1),
+        dict(F=1.0, Re=1.0, gamma_bar=10**400, eps=0.1),
+        dict(F=1.0, Re=1.0, gamma_bar=0.0, eps=10**400),
     ],
 )
 def test_params_rejected(kw):

@@ -39,7 +39,7 @@ from .korn import (
 from .lagrangian import chart_header, chart_records, integrate_chart
 from .probes import PROBE_TAGS, anisotropy_probe
 from .reports import write_csv, write_json, write_manifest
-from .residuals import convergence_study
+from .residuals import RECORD_HEADER, TERM_HEADER, convergence_study
 from .shallow_water import (
     BlowupError,
     DegenerateStateError,
@@ -148,35 +148,15 @@ def _study_report(cfg):
     )
 
 
-RECORD_HEADER = ["eps", "kind", "component", "norm_sup", "norm_l2"]
-TERM_HEADER = ["eps", "term", "component", "norm_sup"]
-
-
 def _run_residuals(report, out: Path) -> list:
-    rows = map(itemgetter(*RECORD_HEADER), report.records)
-    return [write_csv(out / "residual_records.csv", RECORD_HEADER, rows)]
+    return [write_csv(out / "residual_records.csv", RECORD_HEADER, report.records)]
 
 
 def _run_study(report, out: Path) -> list:
     files = [
-        write_csv(
-            out / "study_records.csv",
-            RECORD_HEADER,
-            map(itemgetter(*RECORD_HEADER), report.records),
-        ),
-        write_csv(
-            out / "study_terms.csv",
-            TERM_HEADER,
-            map(itemgetter(*TERM_HEADER), report.term_records),
-        ),
-        write_json(
-            out / "study_summary.json",
-            {
-                **report.summary(),
-                "component_slopes": report.component_slopes,
-                "discrepancy_count": len(report.discrepancies),
-            },
-        ),
+        write_csv(out / "study_records.csv", RECORD_HEADER, report.records),
+        write_csv(out / "study_terms.csv", TERM_HEADER, report.term_records),
+        write_json(out / "study_summary.json", report.summary()),
     ]
     if report.discrepancies:
         files.append(

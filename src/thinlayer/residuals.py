@@ -19,11 +19,14 @@ cancellations are applied analytically before any discretization:
 The convergence study reuses one shallow-water state for every aspect
 ratio, fits log-log slopes above a roundoff floor, and keeps a per-term
 breakdown of the interior momentum residual so any order below the
-claimed one can be traced to the term responsible.
+claimed one can be traced to the term responsible. It writes its rows as
+tuples in RECORD_HEADER and TERM_HEADER order, gathers them once into a
+table of sup series keyed by (kind or term, component), and reads every
+slope from that table.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -39,6 +42,11 @@ RESIDUAL_FLOOR = 1e-13
 CLAIMED_ORDER = 3.0
 
 INTERIOR_TERMS = ("time", "advection", "pressure", "viscous")
+
+# Column order of the study's rows: one record per (eps, kind, component),
+# one term record per (eps, interior term, component).
+RECORD_HEADER = ("eps", "kind", "component", "norm_sup", "norm_l2")
+TERM_HEADER = ("eps", "term", "component", "norm_sup")
 
 
 def _component_names(n: int) -> list[str]:
@@ -255,83 +263,61 @@ def fit_power_law(eps_list, values):
 class StudyReport:
     """Residual norms over an eps sweep with fitted orders.
 
-    records rows: (eps, kind, component, norm_sup, norm_l2).
-    term_records rows: (eps, term, component, norm_sup), interior only.
-    discrepancies: kinds whose fitted slope falls below the claimed order,
-    with the per-component slopes and the dominant interior term attached.
+    records rows: RECORD_HEADER tuples. term_records rows: TERM_HEADER
+    tuples, interior only. discrepancies: kinds whose fitted slope falls
+    below the claimed order, with the per-component slopes and the
+    dominant interior term attached.
     """
 
     eps_list: list[float]
-    records: list[dict]
+    records: list[tuple]
     kind_sup: dict[str, list[float]]
     slopes: dict[str, float | None]
     r2: dict[str, float | None]
     flags: list[str]
     component_slopes: dict[str, dict[str, float | None]]
-    term_records: list[dict] = field(default_factory=list)
-    term_slopes: dict[str, dict[str, float | None]] = field(default_factory=dict)
-    discrepancies: list[dict] = field(default_factory=list)
+    term_records: list[tuple]
+    discrepancies: list[dict]
 
     def summary(self) -> dict:
-        """JSON-ready digest."""
+        """The study_summary.json document."""
         return {
             "eps_list": list(self.eps_list),
             "slopes": self.slopes,
             "r2": self.r2,
             "flags": list(self.flags),
+            "component_slopes": self.component_slopes,
+            "discrepancy_count": len(self.discrepancies),
         }
 
 
-def _sup_l2(f: ThinField | HField) -> tuple[float, float]:
-    return norm(f, "Linf"), norm(f, "L2")
-
-
 def _residual_records(s: SWState, pvar: Params, nz: int):
-    """All residual norms for one eps; returns (records, term_records)."""
+    """All residual norms for one eps; returns (records, term_records),
+    rows in RECORD_HEADER and TERM_HEADER order."""
+    eps = pvar.eps
     comp_names = _component_names(s.grid.n)
     a = build_ansatz(s, pvar)
-    records = []
-    term_records = []
+    strip = Strip(s.grid, eps, nz, s.h0)
 
-    def add(kind, component, sup, l2):
-        records.append(
-            {
-                "eps": pvar.eps,
-                "kind": kind,
-                "component": component,
-                "norm_sup": sup,
-                "norm_l2": l2,
-            }
-        )
-
-    strip = Strip(s.grid, pvar.eps, nz, s.h0)
-
-    def thin(vals):
-        return ThinField(strip, vals).components()
+    def named(f):
+        return zip(comp_names, f.components())
 
     samples = _interior_samples(a, strip)
-    for name in INTERIOR_TERMS:
-        for comp, c in zip(comp_names, thin(samples[name])):
-            term_records.append(
-                {
-                    "eps": pvar.eps,
-                    "term": name,
-                    "component": comp,
-                    "norm_sup": norm(c, "Linf"),
-                }
-            )
-    for comp, c in zip(comp_names, thin(samples["total"])):
-        add("interior_momentum", comp, *_sup_l2(c))
-
-    add("divergence", "scalar", *_sup_l2(divergence_residual(a, strip)))
-    add("kinematic", "scalar", *_sup_l2(kinematic_residual(a)))
-    for comp, c in zip(comp_names, traction_residual(a).components()):
-        add("traction", comp, *_sup_l2(c))
-
+    term_records = [
+        (eps, name, comp, norm(c, "Linf"))
+        for name in INTERIOR_TERMS
+        for comp, c in named(ThinField(strip, samples[name]))
+    ]
     bot_v, bot_slip = bottom_residual(a)
-    add("bottom", "V", *_sup_l2(bot_v))
-    for comp, c in zip(comp_names, bot_slip.components()):
-        add("bottom", comp, *_sup_l2(c))
+    residuals = [
+        *(("interior_momentum", comp, c) for comp, c in named(ThinField(strip, samples["total"]))),
+        ("divergence", "scalar", divergence_residual(a, strip)),
+        ("kinematic", "scalar", kinematic_residual(a)),
+        *(("traction", comp, c) for comp, c in named(traction_residual(a))),
+        ("bottom", "V", bot_v),
+        *(("bottom", comp, c) for comp, c in named(bot_slip)),
+    ]
+    records = [(eps, kind, comp, norm(f, "Linf"), norm(f, "L2")) for kind, comp, f in residuals]
     return records, term_records
 
 
@@ -364,53 +350,28 @@ def convergence_study(
     else:
         s = init
 
-    results = [
-        _residual_records(s, Params(F=base.F, Re=base.Re, gamma_bar=base.gamma_bar, eps=e), nz)
-        for e in eps_list
-    ]
-
+    results = [_residual_records(s, replace(base, eps=e), nz) for e in eps_list]
     records = [row for recs, _ in results for row in recs]
     term_records = [row for _, trecs in results for row in trecs]
 
-    kinds = ("interior_momentum", "divergence", "kinematic", "traction", "bottom")
-    comp_names = _component_names(init.grid.n)
+    # the sup series over eps of every (kind, component) and (term,
+    # component), keys in the order the rows were recorded
+    sup: dict[tuple[str, str], list[float]] = {}
+    for row in records + term_records:
+        sup.setdefault(row[1:3], []).append(row[3])
 
-    def series(rows, key_field, key, comp=None):
-        out = []
-        for e in eps_list:
-            vals = [
-                row["norm_sup"]
-                for row in rows
-                if row["eps"] == e
-                and row[key_field] == key
-                and (comp is None or row["component"] == comp)
-            ]
-            out.append(max(vals))
-        return out
-
-    kind_sup, slopes, r2s, flags = {}, {}, {}, []
-    component_slopes: dict[str, dict] = {}
-    for kind in kinds:
-        kind_sup[kind] = series(records, "kind", kind)
-        slope, r2, flag = fit_power_law(eps_list, kind_sup[kind])
-        slopes[kind], r2s[kind] = slope, r2
+    kind_sup, slopes, r2s, flags, component_slopes = {}, {}, {}, [], {}
+    for kind in ("interior_momentum", "divergence", "kinematic", "traction", "bottom"):
+        comps = [c for k, c in sup if k == kind]
+        kind_sup[kind] = [max(v) for v in zip(*(sup[kind, c] for c in comps))]
+        slopes[kind], r2s[kind], flag = fit_power_law(eps_list, kind_sup[kind])
         if flag:
             flags.append(f"{kind}: {flag}")
-        comps = sorted({row["component"] for row in records if row["kind"] == kind})
-        component_slopes[kind] = {}
-        for c in comps:
-            cs, _, _ = fit_power_law(eps_list, series(records, "kind", kind, c))
-            component_slopes[kind][c] = cs
-
-    term_slopes: dict[str, dict] = {}
-    for term in INTERIOR_TERMS:
-        term_slopes[term] = {}
-        for c in comp_names:
-            ts, _, _ = fit_power_law(eps_list, series(term_records, "term", term, c))
-            term_slopes[term][c] = ts
+        component_slopes[kind] = {
+            c: fit_power_law(eps_list, sup[kind, c])[0] for c in sorted(comps)
+        }
 
     discrepancies = []
-    finest = eps_list[-1]
     for kind in ("interior_momentum", "kinematic", "traction"):
         slope = slopes[kind]
         if slope is None or slope >= 2.5:
@@ -426,17 +387,15 @@ def convergence_study(
             "worst_component": worst,
         }
         if kind == "interior_momentum" and worst is not None:
-            # the largest term inside the slope-carrying component; terms in
-            # other components may be bigger but cancel among themselves
-            finest_terms = [
-                r for r in term_records if r["eps"] == finest and r["component"] == worst
-            ]
-            dom = max(finest_terms, key=lambda r: r["norm_sup"])
+            # the largest term at the finest eps inside the slope-carrying
+            # component; terms in other components may be bigger but cancel
+            # among themselves
+            dom = max(INTERIOR_TERMS, key=lambda term: sup[term, worst][-1])
             entry["dominant_term"] = {
-                "term": dom["term"],
-                "component": dom["component"],
-                "norm_sup_at_finest": dom["norm_sup"],
-                "slope": term_slopes[dom["term"]][dom["component"]],
+                "term": dom,
+                "component": worst,
+                "norm_sup_at_finest": sup[dom, worst][-1],
+                "slope": fit_power_law(eps_list, sup[dom, worst])[0],
             }
         discrepancies.append(entry)
 
@@ -449,6 +408,5 @@ def convergence_study(
         flags=flags,
         component_slopes=component_slopes,
         term_records=term_records,
-        term_slopes=term_slopes,
         discrepancies=discrepancies,
     )

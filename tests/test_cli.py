@@ -270,6 +270,32 @@ def test_all_computes_the_convergence_study_once(tmp_path, monkeypatch):
     assert residual and residual == (out / "study_records.csv").read_bytes()
 
 
+def test_study_artifacts_are_the_report(tmp_path, monkeypatch):
+    reports = []
+
+    def kept(*args, **kwargs):
+        reports.append(convergence_study(*args, **kwargs))
+        return reports[-1]
+
+    monkeypatch.setattr(cli, "convergence_study", kept)
+    out = tmp_path / "out"
+    assert run("study", _config(tmp_path), out=out) == 0
+    (report,) = reports
+    summary = json.loads((out / "study_summary.json").read_text())
+    assert summary == json.loads(json.dumps(report.summary()))
+
+    def parsed(name):
+        with open(out / name, newline="", encoding="utf-8") as fh:
+            header, *rows = csv.reader(fh)
+        return [
+            tuple(c if col in LABEL_COLUMNS else float(c) for col, c in zip(header, row))
+            for row in rows
+        ]
+
+    assert parsed("study_records.csv") == report.records
+    assert parsed("study_terms.csv") == report.term_records
+
+
 # columns whose cells are labels; every other CSV cell is a number
 LABEL_COLUMNS = {"tag", "kind", "component", "term", "cond_flag"}
 
@@ -423,11 +449,22 @@ def test_wavenumber_beyond_the_float_range_is_invalid(tmp_path, capsys, wavenumb
     assert capsys.readouterr().err.splitlines() == want
 
 
-@pytest.mark.parametrize("amplitude", [1.4e154, 1e300])
-def test_overflowing_velocity_maps_to_exit_3_with_one_line(tmp_path, capsys, amplitude):
-    # the squares of max_speed overflow to inf, so the stability bound is 0;
-    # the pipelines report that in one line, with no numpy warning before it
-    cfg = _config(tmp_path, {"sw": {"init": {"velocity_amplitude": amplitude}}})
+@pytest.mark.parametrize(
+    "tree",
+    [
+        {"sw": {"init": {"velocity_amplitude": 1.4e154}}},
+        {"sw": {"init": {"velocity_amplitude": 1e300}}},
+        {"params": {"gamma_bar": 1e300}},
+        {"params": {"F": 1e-100}},
+    ],
+    ids=["1.4e+154", "1e+300", "gamma_bar-1e+300", "F-1e-100"],
+)
+def test_overflowing_velocity_maps_to_exit_3_with_one_line(tmp_path, capsys, tree):
+    # at these amplitudes the squares of max_speed overflow to inf, so the
+    # stability bound is 0; at this friction or Froude number an RK4 stage
+    # overflows and the next state fails its depth check. Either way the
+    # pipelines report it in one line, with no numpy warning before it
+    cfg = _config(tmp_path, tree)
     assert run("validate", cfg) == 0
     for sub in ("sw", "ansatz", "study", "lagrangian"):
         assert main([sub, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 3

@@ -8,10 +8,13 @@ horizontal-field coefficients:
 
 ZPoly carries that structure: z is an independent coordinate, so horizontal
 derivatives act on coefficients and vertical derivatives shift them. The
-depth polynomials of u_H and u_V are written once, in `_velocity_polys`,
-for the coefficients of an AnsatzFields or of its time derivative
-AnsatzRate, and the residuals read them there. The rate depends only on
-the state and the parameters, so each AnsatzFields computes its own `rate`
+depth polynomials of u_H and u_V are written once, as `velocity_polys` on
+the common base of an AnsatzFields and of its time derivative AnsatzRate,
+and built once per object; an AnsatzFields also keeps its deformation
+D(u_a) once built. The residuals read both there. The coefficients of the
+ansatz and of its rate come from the same linear maps (`_coefficients`)
+applied to u0 and to its time derivative. The rate depends only on the
+state and the parameters, so each AnsatzFields computes its own `rate`
 once, on first use. The incompressibility of the triple (u0, u1, u2) against
 (w1, w2, w3) is an algebraic identity of the construction, not an
 approximation.
@@ -24,7 +27,7 @@ from functools import cached_property
 import numpy as np
 
 from .grids import Grid, HField, _spec_to_fine, div, from_fine, grad, nonlinear
-from .shallow_water import DegenerateStateError, Params, SWState, sw_rhs, sym_grad
+from .shallow_water import Params, SWState, sw_rhs, sym_grad
 from .thinfields import Strip, ThinField
 
 
@@ -54,23 +57,16 @@ class ZPoly:
 
     @classmethod
     def zero(cls, grid: Grid) -> "ZPoly":
-        return cls([HField(grid, np.zeros(grid.shape))])
+        return cls([HField.constant(grid, 0.0)])
 
     @property
     def degree(self) -> int:
         return len(self.coeffs) - 1
 
-    def _zero_field(self) -> HField:
-        return HField(self.grid, np.zeros(self.grid.shape))
-
     def __add__(self, other: "ZPoly") -> "ZPoly":
-        m = max(len(self.coeffs), len(other.coeffs))
-        out = []
-        for k in range(m):
-            a = self.coeffs[k] if k < len(self.coeffs) else self._zero_field()
-            b = other.coeffs[k] if k < len(other.coeffs) else self._zero_field()
-            out.append(a + b)
-        return ZPoly(out)
+        """Coefficient-wise sum; the longer operand's tail is kept as it is."""
+        a, b = self.coeffs, other.coeffs
+        return ZPoly([p + q for p, q in zip(a, b)] + a[len(b):] + b[len(a):])
 
     def __mul__(self, other):
         if isinstance(other, ZPoly):
@@ -123,8 +119,25 @@ class ZPoly:
         return ThinField(strip, acc)
 
 
+class _VelocityForm:
+    """The depth polynomials of the velocity, read from the coefficient
+    fields u0, u1, u2, w1, w2, w3 of the class it is mixed into."""
+
+    @cached_property
+    def velocity_polys(self) -> tuple[ZPoly, ...]:
+        """u_H = u0 + u1 z + u2 z^2/2, one ZPoly per component, then
+        u_V = w1 z + w2 z^2/2 + w3 z^3/6; built on first use and then kept."""
+        g = self.u0.grid
+        horizontal = [
+            ZPoly([self.u0.component(i), self.u1.component(i), 0.5 * self.u2.component(i)])
+            for i in range(g.n)
+        ]
+        vertical = ZPoly([HField.constant(g, 0.0), self.w1, 0.5 * self.w2, self.w3 * (1.0 / 6.0)])
+        return (*horizontal, vertical)
+
+
 @dataclass(frozen=True)
-class AnsatzFields:
+class AnsatzFields(_VelocityForm):
     """Coefficient fields of the approximate solution at one instant.
 
     p_nonhydro is the z-independent non-hydrostatic pressure part; the full
@@ -149,16 +162,24 @@ class AnsatzFields:
     def grid(self) -> Grid:
         return self.u0.grid
 
-    def horizontal_polys(self) -> list[ZPoly]:
-        """One ZPoly per horizontal velocity component."""
-        return _velocity_polys(self)[:-1]
-
-    def vertical_poly(self) -> ZPoly:
-        return _velocity_polys(self)[-1]
-
     def pressure_poly(self) -> ZPoly:
         hydro = self.eps * self.base.h0 + self.p_nonhydro
         return ZPoly([hydro, HField.constant(self.grid, -1.0)])
+
+    @cached_property
+    def deformation(self) -> tuple[tuple[ZPoly, ...], ...]:
+        """D(u_a) = grad u_a + grad u_a^T as an (n+1) x (n+1) array of
+        vertical polynomials, z the last coordinate; built on first use and
+        then kept. Each mirrored pair is one object: S[i][j] is S[j][i]."""
+        vel = self.velocity_polys
+        n = self.grid.n
+        S = [[None] * (n + 1) for _ in range(n + 1)]
+        for i in range(n):
+            for j in range(i, n):
+                S[i][j] = S[j][i] = vel[i].dx(j) + vel[j].dx(i)
+            S[i][n] = S[n][i] = vel[i].dz() + vel[n].dx(i)
+        S[n][n] = 2.0 * vel[n].dz()
+        return tuple(map(tuple, S))
 
     @cached_property
     def rate(self) -> "AnsatzRate":
@@ -167,7 +188,7 @@ class AnsatzFields:
 
 
 @dataclass(frozen=True)
-class AnsatzRate:
+class AnsatzRate(_VelocityForm):
     """Time derivative of every AnsatzFields coefficient (same names)."""
 
     h0: HField
@@ -178,18 +199,6 @@ class AnsatzRate:
     w2: HField
     w3: HField
     p_nonhydro: HField
-
-
-def _velocity_polys(c: AnsatzFields | AnsatzRate) -> list[ZPoly]:
-    """u_H = u0 + u1 z + u2 z^2/2, one ZPoly per component, then
-    u_V = w1 z + w2 z^2/2 + w3 z^3/6, from the coefficients of c."""
-    g = c.u0.grid
-    zero = HField(g, np.zeros(g.shape))
-    horizontal = [
-        ZPoly([c.u0.component(i), c.u1.component(i), 0.5 * c.u2.component(i)])
-        for i in range(g.n)
-    ]
-    return horizontal + [ZPoly([zero, c.w1, 0.5 * c.w2, c.w3 * (1.0 / 6.0)])]
 
 
 def _stress_vec(u: HField, gh: HField) -> HField:
@@ -206,25 +215,26 @@ def _stress_vec(u: HField, gh: HField) -> HField:
     return HField.stack(rows)
 
 
-def _pressure_factor(p: Params) -> float:
-    return -2.0 * p.eps * p.F**2 / p.Re * (1.0 + p.eps**2 * p.gamma_bar)
+def _coefficients(v: HField, quot: HField, p: Params) -> tuple[HField, ...]:
+    """(u1, u2, w1, w2, w3, p_nonhydro) from the velocity v and the quotient
+    term of u2: the linear maps that build the ansatz from u0, and its rate
+    from the time derivative of u0."""
+    divv = div(v)
+    u1 = (p.eps * p.gamma_bar) * v
+    w1 = -divv
+    w2 = -div(u1)
+    u2 = -grad(w1) + quot
+    w3 = -div(u2)
+    factor = -2.0 * p.eps * p.F**2 / p.Re * (1.0 + p.eps**2 * p.gamma_bar)
+    return u1, u2, w1, w2, w3, factor * divv
 
 
 def build_ansatz(s: SWState, p: Params) -> AnsatzFields:
     """Second-order coefficients of the approximation seeded by (h0, u0)."""
     h0, u0 = s.h0, s.u0
-    if h0.values.min() <= 0.0:
-        raise DegenerateStateError("depth must stay positive")
-    g = s.grid
-
-    u1 = (p.eps * p.gamma_bar) * u0
-    w1 = -div(u0)
-    w2 = -div(u1)
     A = _stress_vec(u0, grad(h0)) - p.gamma_bar * u0
-    u2 = -grad(w1) + nonlinear(g, lambda a, h: a / h, A, h0)
-    w3 = -div(u2)
-    p_nh = _pressure_factor(p) * div(u0)
-    return AnsatzFields(s, p, u0, u1, u2, w1, w2, w3, p_nh)
+    quot = nonlinear(s.grid, lambda a, h: a / h, A, h0)
+    return AnsatzFields(s, p, u0, *_coefficients(u0, quot, p))
 
 
 def ansatz_rate(s: SWState, p: Params) -> AnsatzRate:
@@ -232,20 +242,12 @@ def ansatz_rate(s: SWState, p: Params) -> AnsatzRate:
 
     Every coefficient is an explicit function of (h0, u0), so its time
     derivative follows by substituting sw_rhs into the product/quotient
-    rule of its defining formula.
+    rule of its defining formula. All but the quotient term of u2 are
+    linear in u0, so they are the ansatz's own maps applied to dt u0.
     """
     h0, u0 = s.h0, s.u0
-    g = s.grid
     dth0, dtu0 = sw_rhs(s, p)
-
-    du1 = (p.eps * p.gamma_bar) * dtu0
-    dw1 = -div(dtu0)
-    dw2 = -div(du1)
-
     A = _stress_vec(u0, grad(h0)) - p.gamma_bar * u0
     dA = _stress_vec(dtu0, grad(h0)) + _stress_vec(u0, grad(dth0)) - p.gamma_bar * dtu0
-    quot = nonlinear(g, lambda a, da, h, dh: da / h - a * dh / (h * h), A, dA, h0, dth0)
-    du2 = -grad(dw1) + quot
-    dw3 = -div(du2)
-    dp_nh = _pressure_factor(p) * div(dtu0)
-    return AnsatzRate(dth0, dtu0, du1, du2, dw1, dw2, dw3, dp_nh)
+    quot = nonlinear(s.grid, lambda a, da, h, dh: da / h - a * dh / (h * h), A, dA, h0, dth0)
+    return AnsatzRate(dth0, dtu0, *_coefficients(dtu0, quot, p))

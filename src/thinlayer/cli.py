@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -31,6 +30,7 @@ from .elliptic import (
 from .grids import Grid
 from .korn import (
     SIGMA_LINE,
+    SWEEP_HEADER,
     ConditioningError,
     QuadratureError,
     korn_sweep,
@@ -169,9 +169,8 @@ def _run_korn(cfg, out: Path) -> list:
     kc = cfg.korn
     sigma = SIGMA_LINE if cfg.domain["n"] == 1 else sigma_circle(kc["sigma_count"])
     sweep = korn_sweep(korn_m_grid(kc["M_grid"]), sigma, quad_nodes=kc["quad_nodes"])
-    header = ["M", "c", "s", "lam"] + [f"eig{j}" for j in range(1, 7)] + ["cond_flag"]
     return [
-        write_csv(out / "korn_sweep.csv", header, map(itemgetter(*header), sweep.rows)),
+        write_csv(out / "korn_sweep.csv", SWEEP_HEADER, map(dict.values, sweep.rows)),
         write_json(out / "korn_summary.json", sweep.summary()),
     ]
 

@@ -242,7 +242,7 @@ def validate_tree(tree: dict) -> list:
             elif mg["count"] >= 2:
                 try:
                     grid = korn_m_grid(mg)
-                except (ValueError, MemoryError):  # numpy refuses the size
+                except (ValueError, MemoryError, OverflowError):  # numpy refuses the size
                     out.append("korn.M_grid.count: too large to build the grid")
                 else:
                     if np.any(np.diff(grid) <= 0.0):

@@ -37,6 +37,11 @@ RANK_TOL = 1e-10
 
 SIGMA_LINE = ((1.0, 0.0), (-1.0, 0.0))
 
+# Column order of the sweep's rows (korn_sweep.csv): one row per (sigma, M)
+# cell, its direction (c, s), Lambda, the six pencil eigenvalues ascending,
+# and the failure that left the cell blank, if any.
+SWEEP_HEADER = ("M", "c", "s", "lam", *(f"eig{j}" for j in range(1, 7)), "cond_flag")
+
 
 class QuadratureError(RuntimeError):
     """Node-doubling disagreement above tolerance."""
@@ -305,18 +310,15 @@ class KornSweep:
 
 
 def _sweep_cell(M: float, sigma, quad_nodes: int) -> dict:
-    row = {"M": float(M), "c": sigma[0], "s": sigma[1], "cond_flag": ""}
+    """One sweep row, keys in SWEEP_HEADER order. A cell whose pencil fails
+    has no Lambda or eigenvalues and names the failure in cond_flag."""
     try:
         p = korn_pencil(M, sigma, quad_nodes)
-        row["lam"] = p.Lambda
-        for j in range(6):
-            row[f"eig{j + 1}"] = float(p.spectrum[j])
     except (ConditioningError, QuadratureError) as exc:
-        row["lam"] = None
-        for j in range(6):
-            row[f"eig{j + 1}"] = None
-        row["cond_flag"] = f"{type(exc).__name__}: {exc}"
-    return row
+        lam, eigs, flag = None, [None] * 6, f"{type(exc).__name__}: {exc}"
+    else:
+        lam, eigs, flag = p.Lambda, [float(p.spectrum[j]) for j in range(6)], ""
+    return dict(zip(SWEEP_HEADER, (float(M), sigma[0], sigma[1], lam, *eigs, flag), strict=True))
 
 
 def korn_sweep(M_grid, sigma_grid, quad_nodes: int = 96):

@@ -2,9 +2,12 @@
 
 Every residual is assembled exactly as a polynomial in z with spectral
 coefficient fields (the ZPoly calculus), then sampled on the collocation
-grid only for norm-taking. Each residual takes the ansatz alone: its
-parameters are `a.params`, and its time rate is `a.rate`, which the ansatz
-computes once. The interior momentum residual is sampled once per term
+grid only for norm-taking. Each residual takes the ansatz alone and reads
+what the ansatz builds once: its parameters `a.params`, the depth
+polynomials of u_a (`a.velocity_polys`) and of its time rate
+(`a.rate.velocity_polys`), and the deformation D(u_a) (`a.deformation`),
+whose distinct entries are evaluated at the surface once for the traction.
+The interior momentum residual is sampled once per term
 (`_interior_samples`); `interior_residual` is the nodal sum of those
 samples, the same sum the convergence study reports. Two
 cancellations are applied analytically before any discretization:
@@ -30,7 +33,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .ansatz import AnsatzFields, ZPoly, _velocity_polys, build_ansatz
+from .ansatz import AnsatzFields, ZPoly, build_ansatz
 from .grids import HField
 from .norms import norm
 from .shallow_water import Params, SWState, stable_dt, sw_steps
@@ -53,18 +56,6 @@ def _component_names(n: int) -> list[str]:
     return [f"H{i + 1}" for i in range(n)] + ["V"]
 
 
-def _stress_polys(vel: list[ZPoly], n: int) -> list[list[ZPoly]]:
-    """D(u_a) as an (n+1) x (n+1) array of vertical polynomials."""
-    S = [[None] * (n + 1) for _ in range(n + 1)]
-    for i in range(n):
-        for j in range(n):
-            S[i][j] = vel[i].dx(j) + vel[j].dx(i)
-        S[i][n] = vel[i].dz() + vel[n].dx(i)
-        S[n][i] = S[i][n]
-    S[n][n] = 2.0 * vel[n].dz()
-    return S
-
-
 def interior_polys(a: AnsatzFields) -> dict[str, list[ZPoly]]:
     """Interior momentum residual, split by term, one ZPoly per component.
 
@@ -74,10 +65,8 @@ def interior_polys(a: AnsatzFields) -> dict[str, list[ZPoly]]:
     """
     p = a.params
     n = a.grid.n
-    vel = _velocity_polys(a)
-    zero_poly = ZPoly.zero(a.grid)
-
-    time = _velocity_polys(a.rate)
+    vel = a.velocity_polys
+    time = list(a.rate.velocity_polys)
 
     advection = []
     for comp in vel:
@@ -90,9 +79,9 @@ def interior_polys(a: AnsatzFields) -> dict[str, list[ZPoly]]:
     pressure = [
         ZPoly([(a.base.h0.dx(i) + pnh_over_eps.dx(i)) * (1.0 / p.F**2)]) for i in range(n)
     ]
-    pressure.append(zero_poly)  # hydrostatic pair cancels identically
+    pressure.append(ZPoly.zero(a.grid))  # hydrostatic pair cancels identically
 
-    S = _stress_polys(vel, n)
+    S = a.deformation
     viscous = []
     for i in range(n + 1):
         acc = S[i][0].dx(0)
@@ -126,11 +115,11 @@ def interior_residual(a: AnsatzFields, strip: Strip) -> ThinField:
 
 def divergence_residual(a: AnsatzFields, strip: Strip) -> ThinField:
     """div_x u_H + dz u_V on the strip (identically zero by design)."""
-    polys = a.horizontal_polys()
-    divpoly = polys[0].dx(0)
+    *horizontal, vertical = a.velocity_polys
+    divpoly = horizontal[0].dx(0)
     for i in range(1, a.grid.n):
-        divpoly = divpoly + polys[i].dx(i)
-    divpoly = divpoly + a.vertical_poly().dz()
+        divpoly = divpoly + horizontal[i].dx(i)
+    divpoly = divpoly + vertical.dz()
     return divpoly.to_thinfield(strip)
 
 
@@ -139,17 +128,23 @@ def kinematic_residual(a: AnsatzFields) -> HField:
     eps = a.eps
     h0 = a.base.h0
     eta = eps * h0
+    *horizontal, vertical = a.velocity_polys
     res = eps * a.rate.h0
-    for i, poly in enumerate(a.horizontal_polys()):
+    for i, poly in enumerate(horizontal):
         res = res + poly.at_height(eta) * (eps * h0.dx(i))
-    return res - a.vertical_poly().at_height(eta)
+    return res - vertical.at_height(eta)
 
 
 def _surface_stress(a: AnsatzFields) -> list[list[HField]]:
-    n = a.grid.n
+    """D(u_a) at z = eps h0: each distinct entry evaluated once, then mirrored."""
+    S = a.deformation
+    m = len(S)
     eta = a.eps * a.base.h0
-    S = _stress_polys(_velocity_polys(a), n)
-    return [[S[i][j].at_height(eta) for j in range(n + 1)] for i in range(n + 1)]
+    out = [[None] * m for _ in range(m)]
+    for i in range(m):
+        for j in range(i, m):
+            out[i][j] = out[j][i] = S[i][j].at_height(eta)
+    return out
 
 
 def _surface_pressure(a: AnsatzFields) -> HField:
@@ -193,9 +188,8 @@ def bottom_residual(a: AnsatzFields) -> tuple[HField, HField]:
     Both vanish by construction; this is the exactness claim for the bottom
     conditions, asserted symbolically rather than by quadrature.
     """
-    zero = HField(a.grid, np.zeros(a.grid.shape))
     slip = a.u1 - (a.eps * a.params.gamma_bar) * a.u0
-    return zero, slip
+    return HField.constant(a.grid, 0.0), slip
 
 
 def solved_form_residual(a: AnsatzFields) -> tuple[HField, HField]:
@@ -219,7 +213,7 @@ def solved_form_residual(a: AnsatzFields) -> tuple[HField, HField]:
     S = _surface_stress(a)
     g_vec = [p.eps * a.base.h0.dx(j) for j in range(n)]
 
-    gDg = g2 = HField(a.grid, np.zeros(a.grid.shape))
+    gDg = g2 = HField.constant(a.grid, 0.0)
     Dg = []
     for i in range(n):
         acc = S[i][0] * g_vec[0]

@@ -180,8 +180,6 @@ def sw_rhs(s: SWState, p: Params, work: FineWork | None = None) -> tuple[HField,
     h0, u0 = s.h0, s.u0
     g = s.grid
     n = g.n
-    if h0.values.min() <= 0.0:
-        raise DegenerateStateError("depth must stay positive")
     if work is None:
         work = _rhs_work(g)
     ik = g.ik  # ik[a] = d/dx_a

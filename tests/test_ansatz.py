@@ -26,7 +26,7 @@ def _state(grid, h_fn, u_fns, t=0.0):
 
 def _point_values(a, j, z):
     """(u_H components, u_V, p) at node j and height z."""
-    polys = a.horizontal_polys() + [a.vertical_poly(), a.pressure_poly()]
+    polys = [*a.velocity_polys, a.pressure_poly()]
     return [q.at_z(z).values[j] for q in polys]
 
 
@@ -175,8 +175,8 @@ def test_build_resting_bump():
 def test_divergence_identity_on_thin_grid():
     s = _wavy_state()
     a = build_ansatz(s, P)
-    polys = a.horizontal_polys()
-    divpoly = polys[0].dx(0) + a.vertical_poly().dz()
+    h1, v = a.velocity_polys
+    divpoly = h1.dx(0) + v.dz()
     tf = divpoly.to_thinfield(Strip(s.grid, P.eps, 10, s.h0))
     assert norm(tf, "Linf") < 1e-11
 
@@ -189,8 +189,8 @@ def test_divergence_identity_2d():
         [lambda x, y: 0.1 * np.sin(x + y), lambda x, y: 0.05 * np.cos(y) + 0.0 * x],
     )
     a = build_ansatz(s, P)
-    polys = a.horizontal_polys()
-    divpoly = polys[0].dx(0) + polys[1].dx(1) + a.vertical_poly().dz()
+    h1, h2, v = a.velocity_polys
+    divpoly = h1.dx(0) + h2.dx(1) + v.dz()
     tf = divpoly.to_thinfield(Strip(g, P.eps, 8, s.h0))
     assert norm(tf, "Linf") < 1e-11
 
@@ -198,7 +198,7 @@ def test_divergence_identity_2d():
 def test_bottom_slip_identity():
     a = build_ansatz(_wavy_state(), P)
     assert np.abs(a.u1.values - P.eps * P.gamma_bar * a.u0.values).max() == 0.0
-    assert np.abs(a.vertical_poly().bottom().values).max() == 0.0
+    assert np.abs(a.velocity_polys[-1].bottom().values).max() == 0.0
 
 
 def test_eps_scaling():

@@ -553,10 +553,11 @@ def test_repeating_korn_m_grid_is_invalid(tmp_path, capsys):
     assert len(err.splitlines()) == 1 and "Traceback" not in err
 
 
-@pytest.mark.parametrize("count", [2**61, 10**19])
+@pytest.mark.parametrize("count", [2**61, 10**19, pytest.param(10**400, id="10^400")])
 def test_korn_m_grid_numpy_cannot_build_is_invalid(tmp_path, capsys, count):
     # numpy refuses these sizes before it allocates; unchecked, validate
-    # ended in a ValueError traceback with exit 1
+    # ended in a ValueError traceback with exit 1, or an OverflowError one
+    # for a count beyond the float range
     cfg = _config(tmp_path, {"korn": {"M_grid": {"count": count}}})
     assert run("validate", cfg) == 2
     assert capsys.readouterr().err.splitlines() == [

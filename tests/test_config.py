@@ -226,3 +226,11 @@ def test_korn_m_grid_check_matches_korn_sweep():
     ]
     assert not validate_tree({"korn": {"M_grid": {**mg, "count": 2}}})
     assert not validate_tree({"korn": {"M_grid": {**mg, "max": 1.001}}})
+
+
+def test_korn_m_grid_count_beyond_the_float_range_is_invalid():
+    # geomspace cannot convert such a count to a float; unchecked, the
+    # OverflowError ended validate and every pipeline in a traceback
+    assert validate_tree({"korn": {"M_grid": {"count": 10**400}}}) == [
+        "korn.M_grid.count: too large to build the grid"
+    ]

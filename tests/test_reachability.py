@@ -34,7 +34,6 @@ ALLOWLIST = {
     # test oracles
     "korn.korn_basis_eval": "oracle: the Gram matrices against the literal basis",
     "grids.HField.mask_two_thirds": "oracle: _rhs_reference of the sw_rhs tests",
-    "grids.HField.constant": "oracle: AnsatzFields.pressure_poly",
     "ansatz.AnsatzFields.pressure_poly": "oracle: _unguarded_interior",
     "thinfields.Strip.dz": "oracle: _unguarded_interior; "
     + PAPER + " (chain_rule_check, divergence_lift)",

@@ -4,7 +4,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from thinlayer import ansatz
+from thinlayer import ansatz, residuals
 from thinlayer.ansatz import AnsatzFields, ansatz_rate, build_ansatz
 from thinlayer.grids import Grid, HField
 from thinlayer.norms import norm
@@ -88,6 +88,39 @@ def test_rate_is_computed_once_per_ansatz(monkeypatch):
     eps_list = [0.1, 0.05, 0.025, 0.0125]
     convergence_study(_wavy(), P, eps_list, t_eval=0.0, nz=8)
     assert calls == eps_list
+
+
+def test_residual_records_build_u_a_once_per_ansatz_and_rate(monkeypatch):
+    # the u_V polynomial of an ansatz or of its rate has that object's w1 as
+    # its second coefficient, so these constructions count the u_a builds
+    built, second = [], []
+
+    def captured(s, p):
+        built.append(build_ansatz(s, p))
+        return built[-1]
+
+    init = ansatz.ZPoly.__init__
+
+    def counted(self, coeffs):
+        coeffs = list(coeffs)
+        second.append(coeffs[1] if len(coeffs) > 1 else None)
+        init(self, coeffs)
+
+    monkeypatch.setattr(residuals, "build_ansatz", captured)
+    monkeypatch.setattr(ansatz.ZPoly, "__init__", counted)
+    s = _state(
+        Grid(2, 16),
+        lambda x, y: 1.0 + 0.05 * np.cos(x) + 0.03 * np.sin(y),
+        [lambda x, y: 0.02 * np.sin(x + y), lambda x, y: 0.01 * np.cos(x) + 0.0 * y],
+    )
+    _residual_records(s, P, nz=8)
+    (a,) = built
+    assert sum(c is a.w1 for c in second) == 1
+    assert sum(c is a.rate.w1 for c in second) == 1
+    # D(u_a) was built by the study and is symmetric by identity
+    S = vars(a)["deformation"]
+    assert len(S) == 3
+    assert all(S[i][j] is S[j][i] for i in range(3) for j in range(3))
 
 
 def test_perturbed_ansatz_computes_its_own_rate():

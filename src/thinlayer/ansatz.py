@@ -35,9 +35,10 @@ class ZPoly:
     """Polynomial in z with scalar horizontal fields as coefficients.
 
     value(x, z) = sum_k coeffs[k](x) * z**k. A product pads both factors'
-    coefficients in one pass and dealiases every coefficient pair in one
-    batched projection; at_height performs the whole Horner evaluation in
-    one padded pass so truncation is committed only once.
+    coefficients in one pass and dealiases the coefficient pairs one row at
+    a time, each coefficient of self against all of other's in one
+    projection; at_height performs the whole Horner evaluation in one
+    padded pass so truncation is committed only once.
     """
 
     __slots__ = ("grid", "coeffs")
@@ -72,13 +73,12 @@ class ZPoly:
         if isinstance(other, ZPoly):
             p, q = len(self.coeffs), len(other.coeffs)
             fine = _spec_to_fine(self.grid, np.stack([c.spec for c in self.coeffs + other.coeffs]))
-            pairs = (fine[:p, None] * fine[None, p:]).reshape((p * q,) + fine.shape[1:])
-            prods = from_fine(self.grid, pairs).values.reshape((p, q) + self.grid.shape)
-            # one pair at a time in (i, j) order: a vectorised sum rounds differently
             out = np.zeros((p + q - 1,) + self.grid.shape)
             for i in range(p):
+                row = from_fine(self.grid, fine[i] * fine[p:]).values
+                # one pair at a time in (i, j) order: a vectorised sum rounds differently
                 for j in range(q):
-                    out[i + j] += prods[i, j]
+                    out[i + j] += row[j]
             return ZPoly([HField(self.grid, v) for v in out])
         return ZPoly([c * float(other) for c in self.coeffs])
 
@@ -113,9 +113,12 @@ class ZPoly:
     def to_thinfield(self, strip: Strip) -> ThinField:
         """Nodal samples at the strip's heights z = zeta*eps*h0."""
         z = strip.z
-        acc = np.zeros(z.shape) + self.coeffs[-1].values
+        acc = np.zeros(z.shape)
+        acc += self.coeffs[-1].values
+        # Horner in place on one array
         for c in reversed(self.coeffs[:-1]):
-            acc = acc * z + c.values
+            acc *= z
+            acc += c.values
         return ThinField(strip, acc)
 
 

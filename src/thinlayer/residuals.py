@@ -7,9 +7,11 @@ what the ansatz builds once: its parameters `a.params`, the depth
 polynomials of u_a (`a.velocity_polys`) and of its time rate
 (`a.rate.velocity_polys`), and the deformation D(u_a) (`a.deformation`),
 whose distinct entries are evaluated at the surface once for the traction.
-The interior momentum residual is sampled once per term
-(`_interior_samples`); `interior_residual` is the nodal sum of those
-samples, the same sum the convergence study reports. Two
+The interior momentum residual is sampled one component at a time
+(`_interior_component`): each term is sampled, reduced to its sup norm
+and added into the component's running sum in INTERIOR_TERMS order, so no
+strip-sized sample outlives the norms taken from it. `interior_residual`
+stacks those sums, the same sums the convergence study reports. Two
 cancellations are applied analytically before any discretization:
 
   * the hydrostatic pair dz(p)/(eps F^2) + 1/(eps F^2) in the vertical
@@ -56,8 +58,9 @@ def _component_names(n: int) -> list[str]:
     return [f"H{i + 1}" for i in range(n)] + ["V"]
 
 
-def interior_polys(a: AnsatzFields) -> dict[str, list[ZPoly]]:
-    """Interior momentum residual, split by term, one ZPoly per component.
+def _interior_terms(a: AnsatzFields, i: int) -> tuple[ZPoly, ...]:
+    """Component i (H1..Hn, then V) of the interior momentum residual, its
+    terms as ZPolys in INTERIOR_TERMS order.
 
     The pressure term divides out eps analytically: grad p / (eps F^2) has
     horizontal part (grad h0 + grad(p_nonhydro / eps)) / F^2 and, with the
@@ -66,51 +69,47 @@ def interior_polys(a: AnsatzFields) -> dict[str, list[ZPoly]]:
     p = a.params
     n = a.grid.n
     vel = a.velocity_polys
-    time = list(a.rate.velocity_polys)
 
-    advection = []
-    for comp in vel:
-        acc = vel[0] * comp.dx(0)
-        for j in range(1, n):
-            acc = acc + vel[j] * comp.dx(j)
-        advection.append(acc + vel[n] * comp.dz())
+    advection = vel[0] * vel[i].dx(0)
+    for j in range(1, n):
+        advection = advection + vel[j] * vel[i].dx(j)
+    advection = advection + vel[n] * vel[i].dz()
 
-    pnh_over_eps = (1.0 / p.eps) * a.p_nonhydro
-    pressure = [
-        ZPoly([(a.base.h0.dx(i) + pnh_over_eps.dx(i)) * (1.0 / p.F**2)]) for i in range(n)
-    ]
-    pressure.append(ZPoly.zero(a.grid))  # hydrostatic pair cancels identically
+    if i < n:
+        pnh_over_eps = (1.0 / p.eps) * a.p_nonhydro
+        pressure = ZPoly([(a.base.h0.dx(i) + pnh_over_eps.dx(i)) * (1.0 / p.F**2)])
+    else:
+        pressure = ZPoly.zero(a.grid)  # hydrostatic pair cancels identically
 
-    S = a.deformation
-    viscous = []
-    for i in range(n + 1):
-        acc = S[i][0].dx(0)
-        for j in range(1, n):
-            acc = acc + S[i][j].dx(j)
-        acc = acc + S[i][n].dz()
-        viscous.append((-1.0 / p.Re) * acc)
+    S = a.deformation[i]
+    viscous = S[0].dx(0)
+    for j in range(1, n):
+        viscous = viscous + S[j].dx(j)
+    viscous = (-1.0 / p.Re) * (viscous + S[n].dz())
 
-    return {"time": time, "advection": advection, "pressure": pressure, "viscous": viscous}
+    return a.rate.velocity_polys[i], advection, pressure, viscous
 
 
-def _interior_samples(a: AnsatzFields, strip: Strip) -> dict:
-    """Nodal samples on the strip of every interior_polys term, components
-    stacked as (n+1, nz) + grid.shape, and their sum in INTERIOR_TERMS order
-    under "total"."""
-    out = {
-        name: np.stack([q.to_thinfield(strip).values for q in polys])
-        for name, polys in interior_polys(a).items()
-    }
-    total = out[INTERIOR_TERMS[0]]
-    for name in INTERIOR_TERMS[1:]:
-        total = total + out[name]
-    out["total"] = total
-    return out
+def _interior_component(a: AnsatzFields, strip: Strip, i: int) -> tuple[list[float], ThinField]:
+    """The sup norm of each interior term of component i in INTERIOR_TERMS
+    order, and the nodal sum of those terms in that order, a scalar
+    ThinField. The terms are built before any is sampled, so the products
+    of their coefficients run while no sample is held; each term is then
+    sampled, measured and added into the running sum, so one term's
+    samples and the sum are the most that is held."""
+    terms = _interior_terms(a, i)
+    sups, total = [], np.zeros(strip.z.shape)
+    for poly in terms:
+        term = poly.to_thinfield(strip)
+        sups.append(norm(term, "Linf"))
+        total += term.values
+    return sups, ThinField(strip, total)
 
 
 def interior_residual(a: AnsatzFields, strip: Strip) -> ThinField:
     """Momentum residual on the strip, components (H1..Hn, V)."""
-    return ThinField(strip, _interior_samples(a, strip)["total"])
+    sums = [_interior_component(a, strip, i)[1].values for i in range(a.grid.n + 1)]
+    return ThinField(strip, np.stack(sums))
 
 
 def divergence_residual(a: AnsatzFields, strip: Strip) -> ThinField:
@@ -287,31 +286,40 @@ class StudyReport:
 
 def _residual_records(s: SWState, pvar: Params, nz: int):
     """All residual norms for one eps; returns (records, term_records),
-    rows in RECORD_HEADER and TERM_HEADER order."""
+    rows in RECORD_HEADER and TERM_HEADER order. Each residual is reduced to
+    its norms as soon as it is built."""
     eps = pvar.eps
     comp_names = _component_names(s.grid.n)
     a = build_ansatz(s, pvar)
+    # the rate (its sw_rhs work area is the largest transient here) and
+    # D(u_a) are built before the strip holds its full-size heights and
+    # weights
+    a.rate, a.deformation
     strip = Strip(s.grid, eps, nz, s.h0)
 
-    def named(f):
-        return zip(comp_names, f.components())
+    records = []
 
-    samples = _interior_samples(a, strip)
+    def measure(kind, names, f):
+        for comp, c in zip(names, f.components()):
+            records.append((eps, kind, comp, norm(c, "Linf"), norm(c, "L2")))
+
+    term_sups = []
+    for i, comp in enumerate(comp_names):
+        sups, total = _interior_component(a, strip, i)
+        term_sups.append(sups)
+        measure("interior_momentum", [comp], total)
+        del total  # not held while the next component is sampled
     term_records = [
-        (eps, name, comp, norm(c, "Linf"))
-        for name in INTERIOR_TERMS
-        for comp, c in named(ThinField(strip, samples[name]))
+        (eps, name, comp, sups[k])
+        for k, name in enumerate(INTERIOR_TERMS)
+        for comp, sups in zip(comp_names, term_sups)
     ]
+    measure("divergence", ["scalar"], divergence_residual(a, strip))
+    measure("kinematic", ["scalar"], kinematic_residual(a))
+    measure("traction", comp_names, traction_residual(a))
     bot_v, bot_slip = bottom_residual(a)
-    residuals = [
-        *(("interior_momentum", comp, c) for comp, c in named(ThinField(strip, samples["total"]))),
-        ("divergence", "scalar", divergence_residual(a, strip)),
-        ("kinematic", "scalar", kinematic_residual(a)),
-        *(("traction", comp, c) for comp, c in named(traction_residual(a))),
-        ("bottom", "V", bot_v),
-        *(("bottom", comp, c) for comp, c in named(bot_slip)),
-    ]
-    records = [(eps, kind, comp, norm(f, "Linf"), norm(f, "L2")) for kind, comp, f in residuals]
+    measure("bottom", ["V"], bot_v)
+    measure("bottom", comp_names, bot_slip)
     return records, term_records
 
 

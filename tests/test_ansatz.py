@@ -4,7 +4,7 @@ import pytest
 
 from conftest import loglog_slope
 from thinlayer import chebyshev as cheb
-from thinlayer.grids import Grid, HField, from_fine, to_fine
+from thinlayer.grids import Grid, HField, _spec_to_fine, from_fine, to_fine
 from thinlayer.norms import norm
 from thinlayer.shallow_water import Params, SWState, sw_step
 from thinlayer.thinfields import Strip
@@ -100,6 +100,59 @@ def test_zpoly_product_matches_pairwise_hfield_products(n, N):
             assert (a.values == b.values).all()
         eta = HField(g, 0.1 + 0.01 * rng.standard_normal(g.shape))
         assert (p.at_height(eta).values == _padded_horner(p, eta).values).all()
+
+
+def _all_pairs_product(p, q):
+    """ZPoly product with every coefficient pair dealiased in one batched
+    projection, then summed one pair at a time in (i, j) order."""
+    g = p.grid
+    m, k = len(p.coeffs), len(q.coeffs)
+    fine = _spec_to_fine(g, np.stack([c.spec for c in p.coeffs + q.coeffs]))
+    pairs = (fine[:m, None] * fine[None, m:]).reshape((m * k,) + fine.shape[1:])
+    prods = from_fine(g, pairs).values.reshape((m, k) + g.shape)
+    out = np.zeros((m + k - 1,) + g.shape)
+    for i in range(m):
+        for j in range(k):
+            out[i + j] += prods[i, j]
+    return out
+
+
+def _band_limited_poly(g, rng, degree):
+    """A ZPoly whose coefficients are random fields inside the 2/3 band."""
+    return ZPoly(
+        [HField(g, rng.standard_normal(g.shape)).mask_two_thirds() for _ in range(degree + 1)]
+    )
+
+
+@pytest.mark.parametrize("n, N", [(1, 64), (2, 32)])
+def test_zpoly_product_matches_all_pairs_batch(n, N):
+    # dealiasing one row of pairs at a time must not move a single bit
+    g = Grid(n, N)
+    rng = np.random.default_rng(10 * n + N)
+    for dp, dq in ((3, 4), (4, 4)):
+        p, q = _band_limited_poly(g, rng, dp), _band_limited_poly(g, rng, dq)
+        got = np.stack([c.values for c in (p * q).coeffs])
+        assert np.array_equal(got, _all_pairs_product(p, q))
+
+
+def _out_of_place_samples(p, strip):
+    """to_thinfield with a fresh array at every Horner step."""
+    z = strip.z
+    acc = np.zeros(z.shape) + p.coeffs[-1].values
+    for c in reversed(p.coeffs[:-1]):
+        acc = acc * z + c.values
+    return acc
+
+
+def test_zpoly_to_thinfield_matches_out_of_place_horner():
+    # the in-place Horner must not move a single bit
+    g = Grid(2, 32)
+    rng = np.random.default_rng(5)
+    h0 = HField.from_function(g, lambda x, y: 1.0 + 0.2 * np.cos(x) + 0.1 * np.sin(2 * y))
+    strip = Strip(g, 0.05, 24, h0)
+    for degree in (0, 3, 6):
+        p = _band_limited_poly(g, rng, degree)
+        assert np.array_equal(p.to_thinfield(strip).values, _out_of_place_samples(p, strip))
 
 
 def test_zpoly_calculus():

@@ -1,5 +1,6 @@
 """Residual assembly oracles and the aspect-ratio convergence study."""
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -121,6 +122,35 @@ def test_residual_records_build_u_a_once_per_ansatz_and_rate(monkeypatch):
     S = vars(a)["deformation"]
     assert len(S) == 3
     assert all(S[i][j] is S[j][i] for i in range(3) for j in range(3))
+
+
+def test_residual_records_stream_the_interior_into_its_norms():
+    """tracemalloc peak of one _residual_records call on a 2D N = 32 state
+    with nz = 24 stays within 2.5 MB of its start.
+
+    What remains (about 1.8 MB) is held while the vertical component's
+    terms are built: the ansatz with D(u_a), its rate and the spectra they
+    cache (about 0.58 MB), the strip's heights and weights (2 x 192 KiB),
+    and the padded transforms of the ZPoly products of the vertical
+    advection with the terms built so far (about 0.84 MB). The rate's
+    sw_rhs work area (about 1.06 MB) comes and goes before the strip is
+    built. A pass that held the four sampled terms and their sum at once,
+    each (n+1, nz) + grid.shape, read about 4.6 MB.
+    """
+    s = _state(
+        Grid(2, 32),
+        lambda x, y: 1.0 + 0.05 * np.cos(x) + 0.03 * np.sin(y),
+        [lambda x, y: 0.05 * np.sin(x + y), lambda x, y: 0.02 * np.cos(x) + 0.0 * y],
+    )
+    _residual_records(s, P, nz=24)  # cached grid symbols, first-call imports
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        _residual_records(s, P, nz=24)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - start <= 2.5 * 2**20
 
 
 def test_perturbed_ansatz_computes_its_own_rate():

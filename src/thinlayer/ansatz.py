@@ -13,15 +13,16 @@ the common base of an AnsatzFields and of its time derivative AnsatzRate,
 and built once per object; an AnsatzFields also keeps its deformation
 D(u_a) once built. The residuals read both there. The coefficients of the
 ansatz and of its rate come from the same linear maps (`_coefficients`)
-applied to u0 and to its time derivative. The rate depends only on the
-state and the parameters, so each AnsatzFields computes its own `rate`
-once, on first use. The incompressibility of the triple (u0, u1, u2) against
-(w1, w2, w3) is an algebraic identity of the construction, not an
-approximation.
+applied to u0 and to its time derivative; `build_ansatz` keeps the rate as
+the field `rate`. Only u1, w2 and p_nonhydro depend on eps, and `_scaled`
+is the one map that builds them, so `at(eps)` moves the ansatz and its rate
+to another aspect ratio and shares every other field. The incompressibility
+of (u0, u1, u2) against (w1, w2, w3) is an algebraic identity of the
+construction, not an approximation.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -144,7 +145,7 @@ class AnsatzFields(_VelocityForm):
     """Coefficient fields of the approximate solution at one instant.
 
     p_nonhydro is the z-independent non-hydrostatic pressure part; the full
-    pressure is eps*h0 + p_nonhydro - z.
+    pressure is eps*h0 + p_nonhydro - z. rate is the time derivative.
     """
 
     base: SWState
@@ -156,6 +157,7 @@ class AnsatzFields(_VelocityForm):
     w2: HField
     w3: HField
     p_nonhydro: HField
+    rate: "AnsatzRate"
 
     @property
     def eps(self) -> float:
@@ -184,10 +186,11 @@ class AnsatzFields(_VelocityForm):
         S[n][n] = 2.0 * vel[n].dz()
         return tuple(map(tuple, S))
 
-    @cached_property
-    def rate(self) -> "AnsatzRate":
-        """ansatz_rate(base, params), computed on first use and then kept."""
-        return ansatz_rate(self.base, self.params)
+    def at(self, eps: float) -> "AnsatzFields":
+        """This state's ansatz and rate at eps: only u1, w2 and p_nonhydro change."""
+        p = replace(self.params, eps=eps)
+        rate = replace(self.rate, **_scaled(self.rate.u0, self.rate.w1, p))
+        return replace(self, params=p, rate=rate, **_scaled(self.u0, self.w1, p))
 
 
 @dataclass(frozen=True)
@@ -218,26 +221,28 @@ def _stress_vec(u: HField, gh: HField) -> HField:
     return HField.stack(rows)
 
 
-def _coefficients(v: HField, quot: HField, p: Params) -> tuple[HField, ...]:
-    """(u1, u2, w1, w2, w3, p_nonhydro) from the velocity v and the quotient
-    term of u2: the linear maps that build the ansatz from u0, and its rate
-    from the time derivative of u0."""
-    divv = div(v)
+def _scaled(v: HField, w1: HField, p: Params) -> dict[str, HField]:
+    """u1, w2 and p_nonhydro from v and w1 = -div v: the one place eps enters."""
     u1 = (p.eps * p.gamma_bar) * v
-    w1 = -divv
-    w2 = -div(u1)
-    u2 = -grad(w1) + quot
-    w3 = -div(u2)
     factor = -2.0 * p.eps * p.F**2 / p.Re * (1.0 + p.eps**2 * p.gamma_bar)
-    return u1, u2, w1, w2, w3, factor * divv
+    return {"u1": u1, "w2": -div(u1), "p_nonhydro": factor * (-w1)}
+
+
+def _coefficients(v: HField, quot: HField, p: Params) -> dict[str, HField]:
+    """Every coefficient but u0, from the velocity v and the quotient term of
+    u2: the maps that build the ansatz from u0, and its rate from dt u0."""
+    w1 = -div(v)
+    u2 = -grad(w1) + quot
+    return {"u2": u2, "w1": w1, "w3": -div(u2), **_scaled(v, w1, p)}
 
 
 def build_ansatz(s: SWState, p: Params) -> AnsatzFields:
-    """Second-order coefficients of the approximation seeded by (h0, u0)."""
+    """Second-order coefficients seeded by (h0, u0), with their time rate."""
+    rate = ansatz_rate(s, p)  # first, so its sw_rhs work area is gone here
     h0, u0 = s.h0, s.u0
     A = _stress_vec(u0, grad(h0)) - p.gamma_bar * u0
     quot = nonlinear(s.grid, lambda a, h: a / h, A, h0)
-    return AnsatzFields(s, p, u0, *_coefficients(u0, quot, p))
+    return AnsatzFields(s, p, u0, rate=rate, **_coefficients(u0, quot, p))
 
 
 def ansatz_rate(s: SWState, p: Params) -> AnsatzRate:
@@ -253,4 +258,4 @@ def ansatz_rate(s: SWState, p: Params) -> AnsatzRate:
     A = _stress_vec(u0, grad(h0)) - p.gamma_bar * u0
     dA = _stress_vec(dtu0, grad(h0)) + _stress_vec(u0, grad(dth0)) - p.gamma_bar * dtu0
     quot = nonlinear(s.grid, lambda a, da, h, dh: da / h - a * dh / (h * h), A, dA, h0, dth0)
-    return AnsatzRate(dth0, dtu0, *_coefficients(dtu0, quot, p))
+    return AnsatzRate(dth0, dtu0, **_coefficients(dtu0, quot, p))

@@ -130,8 +130,7 @@ def _run_ansatz(cfg, out: Path) -> list:
     header += ["w1", "w2", "w3"]
     cols = [np.broadcast_to(c, grid.shape).reshape(-1) for c in grid.coords()]
     for fld in (a.u0, a.u1, a.u2):
-        vals = fld.values if fld.is_vector else fld.values[None]
-        cols += [vals[i].reshape(-1) for i in range(n)]
+        cols += list(fld.values.reshape(n, -1))
     for fld in (a.w1, a.w2, a.w3):
         cols.append(fld.values.reshape(-1))
     return [write_csv(out / "ansatz_coefficients.csv", header, zip(*cols))]

@@ -21,17 +21,19 @@ cancellations are applied analytically before any discretization:
   * the surface pressure p(eps h0) = p_nonhydro (the hydrostatic part
     cancels against -z at the surface).
 
-The convergence study reuses one shallow-water state for every aspect
-ratio, fits log-log slopes above a roundoff floor, and keeps a per-term
-breakdown of the interior momentum residual so any order below the
-claimed one can be traced to the term responsible. It writes its rows as
-tuples in RECORD_HEADER and TERM_HEADER order, gathers them once into a
-table of sup series keyed by (kind or term, component), and reads every
-slope from that table.
+The convergence study builds one ansatz, with its rate, from one
+shallow-water state and moves it to each aspect ratio with `at(eps)`,
+which rebuilds only the coefficients that eps enters. It fits log-log
+slopes above a roundoff floor, and keeps a per-term breakdown of the
+interior momentum residual so any order below the claimed one can be
+traced to the term responsible. It writes its rows as tuples in
+RECORD_HEADER and TERM_HEADER order, gathers them once into a table of
+sup series keyed by (kind or term, component), and reads every slope
+from that table.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -284,18 +286,15 @@ class StudyReport:
         }
 
 
-def _residual_records(s: SWState, pvar: Params, nz: int):
-    """All residual norms for one eps; returns (records, term_records),
-    rows in RECORD_HEADER and TERM_HEADER order. Each residual is reduced to
-    its norms as soon as it is built."""
-    eps = pvar.eps
-    comp_names = _component_names(s.grid.n)
-    a = build_ansatz(s, pvar)
-    # the rate (its sw_rhs work area is the largest transient here) and
-    # D(u_a) are built before the strip holds its full-size heights and
-    # weights
-    a.rate, a.deformation
-    strip = Strip(s.grid, eps, nz, s.h0)
+def _residual_records(a: AnsatzFields, nz: int):
+    """All residual norms of the ansatz a at its eps; returns (records,
+    term_records), rows in RECORD_HEADER and TERM_HEADER order. Each
+    residual is reduced to its norms as soon as it is built."""
+    eps = a.eps
+    comp_names = _component_names(a.grid.n)
+    # D(u_a) is built before the strip holds its full-size heights and weights
+    a.deformation
+    strip = Strip(a.grid, eps, nz, a.base.h0)
 
     records = []
 
@@ -333,7 +332,7 @@ def convergence_study(
     """Sweep the aspect ratio over one shared shallow-water state.
 
     The depth/velocity system does not involve eps, so init is evolved
-    once to t_eval and the resulting state seeds the ansatz at every eps.
+    once to t_eval, and one ansatz of that state is moved to every eps.
     t_eval should avoid states where residuals vanish identically (at a
     resting initial wave, every coefficient except the hydrostatic
     pressure is zero at t=0). The evolution takes the fewest steps of at
@@ -352,7 +351,8 @@ def convergence_study(
     else:
         s = init
 
-    results = [_residual_records(s, replace(base, eps=e), nz) for e in eps_list]
+    a = build_ansatz(s, base)
+    results = [_residual_records(a.at(e), nz) for e in eps_list]
     records = [row for recs, _ in results for row in recs]
     term_records = [row for _, trecs in results for row in trecs]
 

@@ -1,4 +1,6 @@
 """Coefficient construction, vertical polynomials, and their time rates."""
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from thinlayer.shallow_water import Params, SWState, sw_step
 from thinlayer.thinfields import Strip
 from thinlayer.ansatz import (
     AnsatzFields,
+    AnsatzRate,
     ZPoly,
     ansatz_rate,
     build_ansatz,
@@ -306,6 +309,35 @@ def test_rate_matches_finite_difference():
     assert loglog_slope(dts, errs) >= 1.9
 
 
+@pytest.mark.parametrize("n, N", [(1, 32), (2, 16)])
+def test_at_is_a_fresh_build_bit_for_bit(n, N):
+    """a.at(eps) and its rate equal build_ansatz at that eps in every field,
+    and share with a every field that does not depend on eps."""
+    if n == 1:
+        s = _wavy_state(N)
+    else:
+        s = _state(
+            Grid(2, N),
+            lambda x, y: 1.0 + 0.05 * np.cos(x) + 0.03 * np.sin(y),
+            [lambda x, y: 0.02 * np.sin(x + y), lambda x, y: 0.01 * np.cos(x) + 0.0 * y],
+        )
+    a = build_ansatz(s, P)
+    for eps in (P.eps, 0.05, 0.0125):
+        moved = a.at(eps)
+        fresh = build_ansatz(s, dataclasses.replace(P, eps=eps))
+        assert moved.base is s and moved.params == fresh.params
+        for f in dataclasses.fields(AnsatzFields):
+            if f.name not in ("base", "params", "rate"):
+                assert np.array_equal(getattr(moved, f.name).values, getattr(fresh, f.name).values)
+        for f in dataclasses.fields(AnsatzRate):
+            want = getattr(fresh.rate, f.name).values
+            assert np.array_equal(getattr(moved.rate, f.name).values, want), f.name
+        for name in ("u0", "u2", "w1", "w3"):
+            assert getattr(moved, name) is getattr(a, name)
+            assert getattr(moved.rate, name) is getattr(a.rate, name)
+        assert moved.rate.h0 is a.rate.h0
+
+
 # -- point evaluation -----------------------------------------------------------
 
 
@@ -318,6 +350,7 @@ def test_eval_horner_matches_naive():
         P,
         *(HField(g, rng.standard_normal((1, 16))) for _ in range(3)),
         *(HField(g, rng.standard_normal(16)) for _ in range(4)),
+        ansatz_rate(s, P),
     )
     z = 0.09
     for j in range(0, 16, 3):

@@ -12,7 +12,9 @@ an entry that a pipeline starts to call fails until it is taken out.
 The same parse checks that each name is declared once: no module assigns
 __all__, and the package root binds only __version__. It also checks that
 each exception the CLI maps to exit 3 is raised outside the allowlist, and
-that the methods and functions perfbench/tracer.py wraps by name exist.
+that the methods and functions perfbench/tracer.py wraps by name exist,
+and that each function a perfbench/run.py metric reads a span of is a
+plain function of the package, apart from a listed set of stale names.
 """
 import ast
 import importlib
@@ -88,18 +90,23 @@ def _functions() -> dict:
     return defs
 
 
-def _raised_names(fn) -> set:
-    """The names that the raise statements of fn's own body raise, outside
-    its nested defs and classes."""
-    names = set()
+def _own_nodes(fn):
+    """The nodes of fn's own body, outside its nested defs and classes."""
     stack = list(ast.iter_child_nodes(fn))
     while stack:
         node = stack.pop()
+        yield node
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            stack.extend(ast.iter_child_nodes(node))
+
+
+def _raised_names(fn) -> set:
+    """The names that the raise statements of fn's own body raise."""
+    names = set()
+    for node in _own_nodes(fn):
         if isinstance(node, ast.Raise) and node.exc is not None:
             exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
             names.add(exc.attr if isinstance(exc, ast.Attribute) else getattr(exc, "id", None))
-        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            stack.extend(ast.iter_child_nodes(node))
     return names
 
 
@@ -137,17 +144,23 @@ def test_every_numerical_failure_has_a_raise_site():
     assert unraised == [], "exit-3 failures that no pipeline function raises"
 
 
-def _tracer_value(name: str):
-    """The value node of perfbench/tracer.py's one top-level assignment to name."""
-    tracer = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
-    tree = ast.parse(tracer.read_text(encoding="utf-8"))
-    values = [
-        node.value
-        for node in tree.body
-        if isinstance(node, ast.Assign)
-        and any(isinstance(t, ast.Name) and t.id == name for t in node.targets)
-    ]
-    assert len(values) == 1, f"perfbench/tracer.py assigns {name} once"
+def _perfbench_value(module: str, name: str):
+    """The value node of perfbench/<module>.py's one top-level assignment to
+    name; in a tuple assignment, the value matching name's position."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / f"{module}.py"
+    values = []
+    for node in ast.parse(path.read_text(encoding="utf-8")).body:
+        if not isinstance(node, ast.Assign):
+            continue
+        for target in node.targets:
+            if isinstance(target, ast.Name) and target.id == name:
+                values.append(node.value)
+            elif isinstance(target, ast.Tuple):
+                values += [
+                    v for t, v in zip(target.elts, node.value.elts)
+                    if isinstance(t, ast.Name) and t.id == name
+                ]
+    assert len(values) == 1, f"perfbench/{module}.py assigns {name} once"
     return values[0]
 
 
@@ -156,7 +169,7 @@ def test_perfbench_methods_exist():
     would end a traced benchmark run in an AttributeError."""
     missing = [
         f"{module}.{cls}.{method}"
-        for module, cls, method in ast.literal_eval(_tracer_value("METHODS"))
+        for module, cls, method in ast.literal_eval(_perfbench_value("tracer", "METHODS"))
         if not hasattr(getattr(importlib.import_module(f"thinlayer.{module}"), cls, None), method)
     ]
     assert missing == [], "methods that perfbench/tracer.py wraps and the package lacks"
@@ -165,7 +178,7 @@ def test_perfbench_methods_exist():
 def test_perfbench_observers_exist():
     """perfbench/tracer.py observes these module-level functions by name; a
     missing one is never wrapped and its per-layer metrics silently read 0."""
-    observed = [ast.literal_eval(key) for key in _tracer_value("OBSERVERS").keys]
+    observed = [ast.literal_eval(key) for key in _perfbench_value("tracer", "OBSERVERS").keys]
     defined = {
         f"{module}.{node.name}"
         for module, tree in _trees().items()
@@ -175,6 +188,65 @@ def test_perfbench_observers_exist():
     missing = sorted(set(observed) - defined)
     assert observed, "perfbench/tracer.py observes no function"
     assert missing == [], "functions that perfbench/tracer.py observes and the package lacks"
+
+
+# Span names that perfbench/run.py reads although no plain function of the
+# package has them; ROADMAP item 1 re-points or drops each metric that reads
+# one, and takes the name out of this set.
+STALE_SPANS = {
+    "shallow_water.sw_solve",  # deleted
+    "lagrangian.chart_identities",  # deleted
+    "korn.korn_gram",  # deleted
+    "korn.korn_probe",  # deleted
+    "lagrangian.integrate_chart",  # a generator function
+}
+
+
+def _run_spans() -> set:
+    """The function names whose spans the metrics of perfbench/run.py read:
+    the name argument of every t.calls, t.time and t.get in PER_LAYER, with
+    SW, GR and KO resolved, and the names in MODES."""
+    prefixes = {k: ast.literal_eval(_perfbench_value("run", k)) for k in ("SW", "GR", "KO")}
+
+    def resolved(node):
+        if isinstance(node, ast.Constant):
+            return node.value
+        if isinstance(node, ast.JoinedStr):
+            return "".join(resolved(v) for v in node.values)
+        if isinstance(node, ast.FormattedValue):
+            return prefixes[node.value.id]
+        return None  # a comprehension variable over MODES
+
+    names = set(ast.literal_eval(_perfbench_value("run", "MODES")))
+    for node in ast.walk(_perfbench_value("run", "PER_LAYER")):
+        if (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and isinstance(node.func.value, ast.Name)
+            and node.func.value.id == "t"
+            and node.func.attr in ("calls", "time", "get")
+        ):
+            name = resolved(node.args[1 if node.func.attr == "get" else 0])
+            if name is not None:
+                names.add(name)
+    return names
+
+
+def _is_generator(fn) -> bool:
+    return any(isinstance(node, (ast.Yield, ast.YieldFrom)) for node in _own_nodes(fn))
+
+
+def test_perfbench_spans_exist():
+    """A metric that reads the span of a missing function reads 0, and one
+    that reads a generator function's span times only its creation. Every
+    such name must be in STALE_SPANS, and every entry of STALE_SPANS must
+    still be such a name, so the set shrinks as the metrics are repaired."""
+    defs = _functions()
+    spans = _run_spans()
+    stale = {name for name in spans if name not in defs or _is_generator(defs[name])}
+    assert "ansatz.ansatz_rate" in spans and "residuals.convergence_study" in spans
+    assert sorted(stale - STALE_SPANS) == [], "perfbench/run.py spans of no plain function"
+    assert sorted(STALE_SPANS - stale) == [], "listed as stale but no longer stale"
 
 
 def _clear_caches():

@@ -1,11 +1,10 @@
 """Residual assembly oracles and the aspect-ratio convergence study."""
-import dataclasses
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from thinlayer import ansatz, residuals
+from thinlayer import ansatz, shallow_water
 from thinlayer.ansatz import AnsatzFields, ansatz_rate, build_ansatz
 from thinlayer.grids import Grid, HField
 from thinlayer.norms import norm
@@ -88,18 +87,28 @@ def test_rate_is_computed_once_per_ansatz(monkeypatch):
     monkeypatch.setattr(ansatz, "ansatz_rate", counted)
     eps_list = [0.1, 0.05, 0.025, 0.0125]
     convergence_study(_wavy(), P, eps_list, t_eval=0.0, nz=8)
-    assert calls == eps_list
+    # one rate per study, built at the base eps and moved to each eps by `at`
+    assert calls == [P.eps]
+
+
+def test_study_evaluates_the_shallow_water_tendency_once(monkeypatch):
+    # the tendency does not depend on eps, so a 4-eps study at t_eval = 0
+    # needs it once, for the one rate of its one ansatz
+    calls = []
+
+    def counted(s, p):
+        calls.append(p.eps)
+        return shallow_water.sw_rhs(s, p)
+
+    monkeypatch.setattr(ansatz, "sw_rhs", counted)
+    convergence_study(_wavy(), P, [0.1, 0.05, 0.025, 0.0125], t_eval=0.0, nz=8)
+    assert calls == [P.eps]
 
 
 def test_residual_records_build_u_a_once_per_ansatz_and_rate(monkeypatch):
     # the u_V polynomial of an ansatz or of its rate has that object's w1 as
     # its second coefficient, so these constructions count the u_a builds
-    built, second = [], []
-
-    def captured(s, p):
-        built.append(build_ansatz(s, p))
-        return built[-1]
-
+    second = []
     init = ansatz.ZPoly.__init__
 
     def counted(self, coeffs):
@@ -107,15 +116,14 @@ def test_residual_records_build_u_a_once_per_ansatz_and_rate(monkeypatch):
         second.append(coeffs[1] if len(coeffs) > 1 else None)
         init(self, coeffs)
 
-    monkeypatch.setattr(residuals, "build_ansatz", captured)
-    monkeypatch.setattr(ansatz.ZPoly, "__init__", counted)
     s = _state(
         Grid(2, 16),
         lambda x, y: 1.0 + 0.05 * np.cos(x) + 0.03 * np.sin(y),
         [lambda x, y: 0.02 * np.sin(x + y), lambda x, y: 0.01 * np.cos(x) + 0.0 * y],
     )
-    _residual_records(s, P, nz=8)
-    (a,) = built
+    a = build_ansatz(s, P)
+    monkeypatch.setattr(ansatz.ZPoly, "__init__", counted)
+    _residual_records(a, nz=8)
     assert sum(c is a.w1 for c in second) == 1
     assert sum(c is a.rate.w1 for c in second) == 1
     # D(u_a) was built by the study and is symmetric by identity
@@ -125,41 +133,34 @@ def test_residual_records_build_u_a_once_per_ansatz_and_rate(monkeypatch):
 
 
 def test_residual_records_stream_the_interior_into_its_norms():
-    """tracemalloc peak of one _residual_records call on a 2D N = 32 state
-    with nz = 24 stays within 2.5 MB of its start.
+    """tracemalloc peak of building the ansatz of a 2D N = 32 state and
+    running its _residual_records with nz = 24 stays within 2.5 MB of its
+    start.
 
     What remains (about 1.8 MB) is held while the vertical component's
     terms are built: the ansatz with D(u_a), its rate and the spectra they
     cache (about 0.58 MB), the strip's heights and weights (2 x 192 KiB),
     and the padded transforms of the ZPoly products of the vertical
     advection with the terms built so far (about 0.84 MB). The rate's
-    sw_rhs work area (about 1.06 MB) comes and goes before the strip is
-    built. A pass that held the four sampled terms and their sum at once,
-    each (n+1, nz) + grid.shape, read about 4.6 MB.
+    sw_rhs work area (about 1.06 MB) comes and goes inside build_ansatz,
+    before the ansatz's own quotient is built. A pass that held the four
+    sampled terms and their sum at once, each (n+1, nz) + grid.shape, read
+    about 4.6 MB.
     """
     s = _state(
         Grid(2, 32),
         lambda x, y: 1.0 + 0.05 * np.cos(x) + 0.03 * np.sin(y),
         [lambda x, y: 0.05 * np.sin(x + y), lambda x, y: 0.02 * np.cos(x) + 0.0 * y],
     )
-    _residual_records(s, P, nz=24)  # cached grid symbols, first-call imports
+    _residual_records(build_ansatz(s, P), nz=24)  # cached grid symbols, first-call imports
     tracemalloc.start()
     try:
         start = tracemalloc.get_traced_memory()[0]
-        _residual_records(s, P, nz=24)
+        _residual_records(build_ansatz(s, P), nz=24)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak - start <= 2.5 * 2**20
-
-
-def test_perturbed_ansatz_computes_its_own_rate():
-    a = build_ansatz(_wavy(), P)
-    bad = dataclasses.replace(a, w3=a.w3 + 1.0)
-    assert bad.rate is not a.rate
-    for f in dataclasses.fields(a.rate):
-        name = f.name
-        assert np.array_equal(getattr(bad.rate, name).values, getattr(a.rate, name).values)
 
 
 def _unguarded_interior(a, nz):
@@ -205,7 +206,7 @@ def test_divergence_detects_tampering():
     s = _wavy()
     a = build_ansatz(s, P)
     bad = AnsatzFields(
-        a.base, a.params, a.u0, a.u1, a.u2, a.w1, a.w2, a.w3 + 1.0, a.p_nonhydro
+        a.base, a.params, a.u0, a.u1, a.u2, a.w1, a.w2, a.w3 + 1.0, a.p_nonhydro, a.rate
     )
     sup = norm(divergence_residual(bad, _strip(bad, 12)), "Linf")
     want = (P.eps * s.h0.values.max()) ** 2 / 2
@@ -247,7 +248,7 @@ def test_bottom_residual_structure():
     assert np.abs(rslip.values).max() == 0.0
     delta = 0.37
     bad = AnsatzFields(
-        a.base, a.params, a.u0, a.u1 + delta, a.u2, a.w1, a.w2, a.w3, a.p_nonhydro
+        a.base, a.params, a.u0, a.u1 + delta, a.u2, a.w1, a.w2, a.w3, a.p_nonhydro, a.rate
     )
     _, rslip2 = bottom_residual(bad)
     assert np.abs(rslip2.values - delta).max() < 1e-14
@@ -413,7 +414,7 @@ def test_study_interior_rows_are_interior_residual_norms(n, N):
         p = Params(F=1.0, Re=1.0, gamma_bar=1.0, eps=eps)
         a = build_ansatz(s, p)
         res = interior_residual(a, _strip(a, 24))
-        records, _ = _residual_records(s, p, nz=24)
+        records, _ = _residual_records(build_ansatz(s, p), nz=24)
         rows = [r for r in records if r[1] == "interior_momentum"]
         assert len(rows) == n + 1
         for (_, _, _, sup, l2), c in zip(rows, res.components(), strict=True):

@@ -84,8 +84,10 @@ def _grid(cfg) -> Grid:
     return Grid(d["n"], d["N"], d["L"])
 
 
-def _params(cfg, eps: float) -> Params:
+def _params(cfg) -> Params:
+    """The run's parameters; the first study eps labels them."""
     p = cfg.params
+    eps = cfg.study["eps_list"][0]
     return Params(F=p["F"], Re=p["Re"], gamma_bar=p["gamma_bar"], eps=eps)
 
 
@@ -110,7 +112,7 @@ def _component_columns(n: int, base: str):
 
 def _run_sw(cfg, out: Path) -> list:
     sw = cfg.sw
-    p = _params(cfg, cfg.study["eps_list"][0])
+    p = _params(cfg)
     steps = sw_steps(_initial_state(cfg), p, sw["T"], sw["dt"])
     rows = (sw_diagnostics(s, p) for s, _ in steps)
     header = ["t", "mass", "energy", "min_h", "max_u"]
@@ -118,7 +120,7 @@ def _run_sw(cfg, out: Path) -> list:
 
 
 def _run_ansatz(cfg, out: Path) -> list:
-    p = _params(cfg, cfg.study["eps_list"][0])
+    p = _params(cfg)
     for state, _ in sw_steps(_initial_state(cfg), p, cfg.study["t_eval"], cfg.sw["dt"]):
         pass
     a = build_ansatz(state, p)
@@ -137,10 +139,9 @@ def _run_ansatz(cfg, out: Path) -> list:
 
 
 def _study_report(cfg):
-    base = _params(cfg, cfg.study["eps_list"][0])
     return convergence_study(
         _initial_state(cfg),
-        base,
+        _params(cfg),
         cfg.study["eps_list"],
         t_eval=cfg.study["t_eval"],
         nz=cfg.study["nz"],
@@ -223,13 +224,12 @@ def _run_lagrangian(cfg, out: Path) -> list:
     # chart identity runs presuppose a flat initial height; the configured
     # velocity perturbation supplies the motion
     sw = cfg.sw
-    eps = cfg.study["eps_list"][0]
-    p = _params(cfg, eps)
+    p = _params(cfg)
     steps = sw_steps(_initial_state(cfg, flat=True), p, sw["T"], sw["dt"])
     last = {}
 
     def rows():
-        for chart, defect, ids in integrate_chart(steps, sw["dt"], eps):
+        for chart, defect, ids in integrate_chart(steps, sw["dt"], p.eps):
             last.update(ids)
             yield from chart_records(chart, defect)
 

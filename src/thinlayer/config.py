@@ -182,6 +182,8 @@ def validate_tree(tree: dict) -> list:
             out.append("domain.N: must be a power of two >= 8")
         if not _is_num(d["L"]) or d["L"] <= 0.0:
             out.append("domain.L: must be positive")
+        elif d["n"] == 2 and float(d["L"]) * float(d["L"]) == math.inf:
+            out.append("domain.L: L ** n overflows")
 
     p = t["params"]
     if _check_keys(out, p, "params"):

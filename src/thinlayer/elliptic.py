@@ -145,10 +145,7 @@ def divergence_lift(h: ThinField) -> DivergenceLift:
     hhat = HField(grid, h.values).coefficients
     wz = clenshaw_curtis_weights(nz)
 
-    k2 = np.zeros(grid.spec_shape)
-    for kg in grid.kgrids():
-        k2 = k2 + kg**2
-    flat_k2 = k2.reshape(-1)
+    flat_k2 = grid.k2.reshape(-1)
     flat_h = hhat.reshape(nz, -1)
     phihat = np.empty_like(flat_h)
     d = diff_matrix(nz)

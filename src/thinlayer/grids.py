@@ -31,6 +31,7 @@ ever returned: _fine_to_spec truncates into fresh N-band spectra.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -77,8 +78,10 @@ class Grid:
             raise ValueError(f"horizontal dimension must be 1 or 2, got {self.n}")
         if self.N < 8 or not _is_power_of_two(self.N):
             raise ValueError(f"N must be a power of two >= 8, got {self.N}")
-        if not (self.L > 0.0) or not np.isfinite(self.L):
+        if not (self.L > 0.0) or not math.isfinite(self.L):
             raise ValueError(f"period must be positive and finite, got {self.L}")
+        if self.n == 2 and float(self.L) * float(self.L) == math.inf:
+            raise ValueError(f"period {self.L} overflows: L ** 2 is not finite")
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -127,10 +130,13 @@ class Grid:
         """Angular wavenumbers 2 pi m / L of the full axis layout."""
         return (TWO_PI / self.L) * self._modes
 
-    def kgrids(self) -> list[np.ndarray]:
-        """Wavenumber arrays broadcastable to spec_shape, one per axis. The
-        Nyquist slot carries -N/2 on both axes, as in the full layout."""
-        return self._spectral(self.axis_wavenumbers)
+    @cached_property
+    def k2(self) -> np.ndarray:
+        """|k|^2 on spec_shape, read-only. The Nyquist slot carries -N/2 on
+        both axes, as in the full layout."""
+        k2 = sum(k * k for k in self._spectral(self.axis_wavenumbers))
+        k2.flags.writeable = False
+        return k2
 
     @cached_property
     def half_weights(self) -> np.ndarray:
@@ -249,7 +255,7 @@ class HField:
         """Squared H^s norm by Parseval, volume * sum_k (1 + |k|^2)^s |c_k|^2,
         summed over components."""
         g = self.grid
-        mult = (1.0 + sum(k * k for k in g.kgrids())) ** s * g.half_weights
+        mult = (1.0 + g.k2) ** s * g.half_weights
         return sum(
             float((mult * np.abs(c.coefficients) ** 2).sum()) * g.volume
             for c in self.components()

@@ -3,19 +3,23 @@
 Everything written here must be byte-identical across reruns with the same
 config and seed, on any thread count, so floats are rendered with repr
 (shortest round-trip form), line endings are fixed to "\n", and JSON keys
-are sorted. Every CSV goes through `write_csv`, which takes any iterable of
-rows, each a sequence of cells in header order, and streams them to the
-open file one line at a time, so a lazily generated table is never held in
-memory whole, and renames the file into place only once every row is
-written, so a run that fails midway leaves no partial CSV. A cell holding
-a comma, a quote or a line break is quoted as RFC 4180 says. The manifest
-is the one exception: it carries a wall-clock timestamp by design and is
-therefore excluded when reruns are compared; its checksums are how the
-comparison is made without it.
+are sorted. Every file, CSV, JSON and the manifest alike, reaches disk
+through `_write`, which streams its lines to path + ".part" and renames
+that file into place only once the last line is written, so a run that
+fails midway leaves no partial file and an earlier file of the same name
+keeps its bytes. `write_csv` takes any iterable of rows, each a sequence
+of cells in header order, and renders them one line at a time, so a lazily
+generated table is never held in memory whole. A cell holding a comma, a
+quote or a line break is quoted as RFC 4180 says. `write_json` encodes
+what `json` encodes natively; numpy floats are floats and render as such.
+The manifest is the one exception to byte identity: it carries a
+wall-clock timestamp by design and is therefore excluded when reruns are
+compared; its checksums are how the comparison is made without it.
 """
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 from pathlib import Path
 
@@ -38,19 +42,15 @@ def _cell(value) -> str:
     return text
 
 
-def write_csv(path, header, rows) -> Path:
-    """Write rows, each a sequence of cells in header order; None is blank.
-
-    The rows go to path + ".part", which replaces path once the last row is
-    written; on any exception the part file is removed and path is left as
-    it was. Returns the path of the closed file.
-    """
+def _write(path, lines) -> Path:
+    """Write the lines, each ending in "\n", to path + ".part", which
+    replaces path once the last line is written; on any exception the part
+    file is removed and path is left as it was. Returns path."""
     path = Path(path)
     part = path.with_name(path.name + ".part")
     try:
         with part.open("w", encoding="utf-8", newline="\n") as fh:
-            fh.write(",".join(header) + "\n")
-            fh.writelines(",".join(map(_cell, row)) + "\n" for row in rows)
+            fh.writelines(lines)
     except BaseException:
         part.unlink(missing_ok=True)
         raise
@@ -58,24 +58,17 @@ def write_csv(path, header, rows) -> Path:
     return path
 
 
-def _json_clean(obj):
-    """Make numpy scalars/arrays JSON-serializable without importing numpy."""
-    if isinstance(obj, dict):
-        return {str(k): _json_clean(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_json_clean(v) for v in obj]
-    if hasattr(obj, "item") and not isinstance(obj, (str, bytes)):
-        return obj.item()
-    if hasattr(obj, "tolist"):
-        return obj.tolist()
-    return obj
+def write_csv(path, header, rows) -> Path:
+    """Write the header, then rows, each a sequence of cells in header
+    order; None is blank."""
+    lines = (",".join(map(_cell, row)) + "\n" for row in rows)
+    return _write(path, itertools.chain([",".join(header) + "\n"], lines))
 
 
 def write_json(path, obj) -> Path:
-    path = Path(path)
-    text = json.dumps(_json_clean(obj), sort_keys=True, indent=2, ensure_ascii=False)
-    path.write_text(text + "\n", encoding="utf-8", newline="\n")
-    return path
+    """Write obj as UTF-8 JSON, keys sorted, indented by two spaces."""
+    text = json.dumps(obj, sort_keys=True, indent=2, ensure_ascii=False)
+    return _write(path, [text + "\n"])
 
 
 def file_sha256(path) -> str:

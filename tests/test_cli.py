@@ -10,6 +10,7 @@ import warnings
 import numpy as np
 import pytest
 
+from conftest import schema_names
 from thinlayer import cli, grids, lagrangian, shallow_water
 from thinlayer.cli import main, run
 from thinlayer.korn import SIGMA_LINE, korn_sweep
@@ -146,6 +147,22 @@ def test_allocation_failure_exits_1_with_one_line(tmp_path, capsys, monkeypatch)
     assert not (tmp_path / "out" / MANIFEST_NAME).exists()
 
 
+def test_failed_write_exits_1_with_one_line(tmp_path, capsys, full_disk):
+    out = tmp_path / "out"
+    assert run("laplace", _config(tmp_path), out=out) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "I/O failure: [Errno 28] No space left on device"
+    ]
+    assert list(out.iterdir()) == []
+
+
+def test_out_under_a_regular_file_exits_1_with_one_line(tmp_path, capsys):
+    (tmp_path / "file").write_bytes(b"")
+    assert run("laplace", _config(tmp_path), out=tmp_path / "file" / "out") == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("output directory not writable: ")
+
+
 def test_probe_pipeline_tiny_eps(tmp_path):
     cfg = _config(tmp_path, {"probes": {"eps_list": [0.1, 1e-5]}})
     assert main(["probe", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
@@ -253,6 +270,14 @@ def test_manifest_covers_every_artifact(tmp_path):
     for entry in manifest["files"]:
         assert entry["sha256"] == file_sha256(out / entry["name"])
     assert len(manifest["config_sha256"]) == 64
+
+
+def test_schema_files_table_names_every_file_all_writes(tmp_path):
+    # claim_discrepancy.json is written only when a fitted order falls short
+    out = tmp_path / "out"
+    assert run("all", _config(tmp_path), out=out) == 0
+    written = {p.name for p in out.iterdir()} | {"claim_discrepancy.json"}
+    assert schema_names("Emitted files") == written
 
 
 def test_all_computes_the_convergence_study_once(tmp_path, monkeypatch):
@@ -434,6 +459,29 @@ def test_overflowing_froude_number_is_invalid(tmp_path, capsys, F):
     for sub in ("sw", "ansatz", "study", "lagrangian"):
         assert main([sub, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
         assert capsys.readouterr().err.splitlines() == ["params.F: F * F overflows"]
+
+
+@pytest.mark.parametrize("L", [1.35e154, 1e200])
+def test_overflowing_2d_period_is_invalid(tmp_path, capsys, L):
+    # unchecked, L ** 2 or dx ** 2 overflows and sw, ansatz, study and
+    # lagrangian end in an OverflowError traceback or a RuntimeWarning
+    cfg = _config(tmp_path, {"domain": {"n": 2, "N": 8, "L": L}})
+    for sub in ("validate", "sw"):
+        assert main([sub, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err.splitlines() == ["domain.L: L ** n overflows"]
+    assert not (tmp_path / "out").exists()
+
+
+def test_largest_2d_period_runs(tmp_path, capsys):
+    # the largest period whose square is finite
+    L = 1.3407807929942596e154
+    above = math.nextafter(L, math.inf)
+    assert math.isfinite(L * L) and above * above == math.inf
+    tree = {**FAST, "domain": {"n": 2, "N": 8, "L": L}}
+    cfg = _config(tmp_path, tree)
+    for sub in ("validate", "sw", "ansatz", "study", "lagrangian"):
+        assert main([sub, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+        assert capsys.readouterr().err == ""
 
 
 @pytest.mark.parametrize("wavenumber", [10**400, 2**1023], ids=["10^400", "2^1023"])

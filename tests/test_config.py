@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import schema_names
 from thinlayer import config
 from thinlayer.config import (
     DEFAULT_CONFIG,
@@ -152,6 +153,14 @@ def test_value_range_checks(tmp_path):
         assert any(needle in m for m in msgs), needle
 
 
+def test_schema_config_table_names_every_key():
+    def leaves(tree, prefix=""):
+        for k, v in tree.items():
+            yield from leaves(v, f"{prefix}{k}.") if isinstance(v, dict) else [prefix + k]
+
+    assert schema_names("Config file") == set(leaves(DEFAULT_CONFIG))
+
+
 def test_grid_size_check_matches_grid():
     for N in range(1, 140):
         try:
@@ -161,6 +170,24 @@ def test_grid_size_check_matches_grid():
             grid_ok = False
         msgs = validate_tree({"domain": {"N": N}})
         assert grid_ok == (not any(m.startswith("domain.N") for m in msgs)), N
+
+
+def test_period_check_matches_grid():
+    # L ** n must be finite, as Grid.volume is L ** n and HField.integral
+    # scales by dx ** n; an int L beyond int64 must not reach np.isfinite
+    Lmax = 1.3407807929942596e154  # the largest L whose square is finite
+    for n in (1, 2):
+        for L in (1.0, 10**23, Lmax, 1.35e154, 2 * 10**154, 1e200, 1e308):
+            try:
+                Grid(n, 8, L)
+                grid_ok = True
+            except ValueError:
+                grid_ok = False
+            msgs = validate_tree({"domain": {"n": n, "L": L}})
+            assert grid_ok == (not any(m.startswith("domain.L") for m in msgs)), (n, L)
+    assert not validate_tree({"domain": {"n": 1, "L": 1e200}})
+    assert not validate_tree({"domain": {"n": 2, "L": Lmax}})
+    assert validate_tree({"domain": {"n": 2, "L": 1.35e154}}) == ["domain.L: L ** n overflows"]
 
 
 def test_froude_check_matches_params():

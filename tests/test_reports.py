@@ -1,11 +1,12 @@
-"""Deterministic emitters: CSV cell rendering and streaming."""
+"""Deterministic emitters: CSV cell rendering and streaming, JSON rendering,
+and the one write path that both take."""
 import csv
 import hashlib
 
 import numpy as np
 import pytest
 
-from thinlayer.reports import HASH_BLOCK, file_sha256, write_csv
+from thinlayer.reports import HASH_BLOCK, file_sha256, write_csv, write_json
 
 
 def test_write_csv_streams_rows_in_header_order(tmp_path):
@@ -46,6 +47,31 @@ def test_failed_rows_leave_an_existing_file_as_it_was(tmp_path):
         write_csv(path, ["a"], rows())
     assert path.read_bytes() == before
     assert sorted(p.name for p in tmp_path.iterdir()) == ["t.csv"]
+
+
+def test_write_json_renders_sorted_utf8_with_native_floats(tmp_path):
+    # tuples encode as lists, and a numpy float64 is a float: json needs no
+    # converter for either
+    obj = {"zeta": (1, (2.5, "x")), "alpha": "Grüße ε", "mid": np.float64(0.1) * 3}
+    path = write_json(tmp_path / "t.json", obj)
+    assert path == tmp_path / "t.json"
+    assert path.read_bytes() == (
+        b'{\n  "alpha": "Gr\xc3\xbc\xc3\x9fe \xce\xb5",\n  "mid": 0.30000000000000004,\n'
+        b'  "zeta": [\n    1,\n    [\n      2.5,\n      "x"\n    ]\n  ]\n}\n'
+    )
+
+
+@pytest.mark.parametrize("writer", ["csv", "json"])
+def test_a_failed_write_leaves_an_existing_file_as_it_was(tmp_path, full_disk, writer):
+    path = tmp_path / "t"
+    path.write_bytes(b"earlier run\n")
+    with pytest.raises(OSError, match="No space left"):
+        if writer == "csv":
+            write_csv(path, ["a"], [(1,)])
+        else:
+            write_json(path, {"a": 1})
+    assert path.read_bytes() == b"earlier run\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["t"]
 
 
 @pytest.mark.parametrize("size", [0, HASH_BLOCK, 3 * HASH_BLOCK + 1])

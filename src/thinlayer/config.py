@@ -13,7 +13,6 @@ therefore a manifest identity.
 from __future__ import annotations
 
 import copy
-import hashlib
 import json
 import math
 import sys
@@ -21,6 +20,8 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+
+from .reports import sha256
 
 
 # Smallest probes.eps_list entry: below about 1e-154 the squares of the
@@ -318,4 +319,4 @@ def load_config(path) -> Config:
         raise ConfigError(violations)
     tree = _merge_defaults(tree)
     canon = _canonical(tree)
-    return Config(raw=tree, sha256=hashlib.sha256(canon.encode()).hexdigest())
+    return Config(raw=tree, sha256=sha256(canon.encode()).hexdigest())

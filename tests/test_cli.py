@@ -1,11 +1,15 @@
 """Driver pipelines: exit codes, emitted artifacts, rerun determinism."""
 import csv
+import importlib.util
 import json
 import math
 import re
+import subprocess
+import sys
 import threading
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -366,6 +370,33 @@ def test_all_starts_no_thread(tmp_path, monkeypatch):
 
     monkeypatch.setattr(threading.Thread, "start", refuse)
     assert run("all", _config(tmp_path), out=tmp_path / "out", threads=4) == 0
+
+
+@pytest.mark.skipif(
+    not any(importlib.util.find_spec(m) for m in ("_sha2", "_sha256")),
+    reason="no built-in SHA-256 module: checksums fall back to hashlib",
+)
+def test_pipelines_do_not_load_openssl(tmp_path):
+    """Every pipeline but probe runs in a fresh process without importing
+    _hashlib, which maps OpenSSL's libcrypto: checksums come from CPython's
+    built-in SHA-256 module. probe is left out because numpy.random imports
+    secrets, which loads _hashlib through hmac."""
+    script = (
+        "import json, sys\n"
+        "sys.path.insert(0, sys.argv[1])\n"
+        "from thinlayer.cli import run\n"
+        "subs = ('validate', 'sw', 'ansatz', 'lagrangian', 'residuals', 'study', 'korn', 'laplace')\n"
+        "rcs = {s: run(s, sys.argv[2], out=sys.argv[3]) for s in subs}\n"
+        "print(json.dumps({'rcs': rcs, '_hashlib': '_hashlib' in sys.modules}))\n"
+    )
+    src = str(Path(cli.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", script, src, str(_config(tmp_path)), str(tmp_path / "out")],
+        capture_output=True, text=True, timeout=300, check=True,
+    )
+    report = json.loads(proc.stdout.splitlines()[-1])
+    assert set(report["rcs"].values()) == {0}
+    assert report["_hashlib"] is False
 
 
 def test_probe_without_friction_reports_an_unbounded_floor(tmp_path, capsys):

@@ -1,4 +1,5 @@
 """Config schema: validation diagnostics, defaults, canonical hashing."""
+import hashlib
 import json
 import warnings
 from pathlib import Path
@@ -67,6 +68,25 @@ def test_hash_ignores_formatting(tmp_path):
     b = tmp_path / "b.json"
     b.write_text('{\n  "params": {"F": 1.0,   "Re": 2.0}\n}\n', encoding="utf-8")
     assert load_config(a).sha256 == load_config(b).sha256
+
+
+def test_hash_is_the_sha256_of_the_canonical_text(tmp_path):
+    # the digest is standard SHA-256 of the merged tree with sorted keys and
+    # no whitespace, whichever SHA-256 implementation computes it
+    path = Path(__file__).resolve().parent.parent / "configs" / "default.json"
+    tree = json.loads(path.read_text(encoding="utf-8"))
+    canonical_text = json.dumps(tree, sort_keys=True, separators=(",", ":"))
+    want = hashlib.sha256(canonical_text.encode()).hexdigest()
+    assert load_config(path).sha256 == want
+
+    def reordered(node):
+        if isinstance(node, dict):
+            return {k: reordered(node[k]) for k in reversed(list(node))}
+        return node
+
+    copy = _write(tmp_path, reordered(tree))
+    assert copy.read_text(encoding="utf-8") != json.dumps(tree)
+    assert load_config(copy).sha256 == want
 
 
 def test_eps_list_must_decrease(tmp_path):

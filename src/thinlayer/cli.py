@@ -10,6 +10,13 @@ bound, conditioning, uncertified solve), 64 usage error, 1 I/O failure or
 an allocation that failed.
 --threads is accepted for compatibility and has no effect: every pipeline
 runs serially.
+
+Only the config, the emitters and the leaf `failures` module load with
+this one. Each pipeline imports the modules it runs when it runs, so a
+process that runs `korn` never loads the solver, and `all` loads them all.
+Exit 3 catches `NumericalFailure`, the base that every numerical failure
+of `shallow_water`, `korn` and `elliptic` shares, so catching it loads
+none of them.
 """
 from __future__ import annotations
 
@@ -20,44 +27,9 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .ansatz import build_ansatz
 from .config import ConfigError, korn_m_grid, load_config, validate_config
-from .elliptic import (
-    SolverError,
-    mode_pressure_dirichlet_top,
-    mode_pressure_neumann_bottom,
-)
-from .grids import Grid
-from .korn import (
-    SIGMA_LINE,
-    SWEEP_HEADER,
-    ConditioningError,
-    QuadratureError,
-    korn_sweep,
-    sigma_circle,
-)
-from .lagrangian import chart_header, chart_records, integrate_chart
-from .probes import PROBE_TAGS, anisotropy_probe
+from .failures import NumericalFailure
 from .reports import write_csv, write_json, write_manifest
-from .residuals import RECORD_HEADER, TERM_HEADER, convergence_study
-from .shallow_water import (
-    BlowupError,
-    DegenerateStateError,
-    Params,
-    StabilityError,
-    initial_wave,
-    sw_diagnostics,
-    sw_steps,
-)
-
-NUMERICAL_FAILURES = (
-    DegenerateStateError,
-    BlowupError,
-    StabilityError,
-    ConditioningError,
-    QuadratureError,
-    SolverError,
-)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -79,19 +51,25 @@ def _build_parser() -> _Parser:
 # -- shared construction ---------------------------------------------------------
 
 
-def _grid(cfg) -> Grid:
+def _grid(cfg):
+    from .grids import Grid
+
     d = cfg.domain
     return Grid(d["n"], d["N"], d["L"])
 
 
-def _params(cfg) -> Params:
+def _params(cfg):
     """The run's parameters; the first study eps labels them."""
+    from .shallow_water import Params
+
     p = cfg.params
     eps = cfg.study["eps_list"][0]
     return Params(F=p["F"], Re=p["Re"], gamma_bar=p["gamma_bar"], eps=eps)
 
 
 def _initial_state(cfg, flat: bool = False):
+    from .shallow_water import initial_wave
+
     init = cfg.sw["init"]
     return initial_wave(
         _grid(cfg),
@@ -111,6 +89,8 @@ def _component_columns(n: int, base: str):
 
 
 def _run_sw(cfg, out: Path) -> list:
+    from .shallow_water import sw_diagnostics, sw_steps
+
     sw = cfg.sw
     p = _params(cfg)
     steps = sw_steps(_initial_state(cfg), p, sw["T"], sw["dt"])
@@ -120,6 +100,9 @@ def _run_sw(cfg, out: Path) -> list:
 
 
 def _run_ansatz(cfg, out: Path) -> list:
+    from .ansatz import build_ansatz
+    from .shallow_water import sw_steps
+
     p = _params(cfg)
     for state, _ in sw_steps(_initial_state(cfg), p, cfg.study["t_eval"], cfg.sw["dt"]):
         pass
@@ -139,6 +122,8 @@ def _run_ansatz(cfg, out: Path) -> list:
 
 
 def _study_report(cfg):
+    from .residuals import convergence_study
+
     return convergence_study(
         _initial_state(cfg),
         _params(cfg),
@@ -149,10 +134,14 @@ def _study_report(cfg):
 
 
 def _run_residuals(report, out: Path) -> list:
+    from .residuals import RECORD_HEADER
+
     return [write_csv(out / "residual_records.csv", RECORD_HEADER, report.records)]
 
 
 def _run_study(report, out: Path) -> list:
+    from .residuals import RECORD_HEADER, TERM_HEADER
+
     files = [
         write_csv(out / "study_records.csv", RECORD_HEADER, report.records),
         write_csv(out / "study_terms.csv", TERM_HEADER, report.term_records),
@@ -166,6 +155,8 @@ def _run_study(report, out: Path) -> list:
 
 
 def _run_korn(cfg, out: Path) -> list:
+    from .korn import SIGMA_LINE, SWEEP_HEADER, korn_sweep, sigma_circle
+
     kc = cfg.korn
     sigma = SIGMA_LINE if cfg.domain["n"] == 1 else sigma_circle(kc["sigma_count"])
     sweep = korn_sweep(korn_m_grid(kc["M_grid"]), sigma, quad_nodes=kc["quad_nodes"])
@@ -176,6 +167,8 @@ def _run_korn(cfg, out: Path) -> list:
 
 
 def _run_laplace(cfg, out: Path) -> list:
+    from .elliptic import mode_pressure_dirichlet_top, mode_pressure_neumann_bottom
+
     rows = []
     worst_tanh = 0.0
     ratios = []
@@ -200,6 +193,8 @@ def _run_laplace(cfg, out: Path) -> list:
 
 
 def _run_probe(cfg, out: Path) -> list:
+    from .probes import PROBE_TAGS, anisotropy_probe
+
     pc = cfg.probes
     summaries = [
         anisotropy_probe(
@@ -223,6 +218,9 @@ def _run_probe(cfg, out: Path) -> list:
 def _run_lagrangian(cfg, out: Path) -> list:
     # chart identity runs presuppose a flat initial height; the configured
     # velocity perturbation supplies the motion
+    from .lagrangian import chart_header, chart_records, integrate_chart
+    from .shallow_water import sw_steps
+
     sw = cfg.sw
     p = _params(cfg)
     steps = sw_steps(_initial_state(cfg, flat=True), p, sw["T"], sw["dt"])
@@ -302,7 +300,7 @@ def run(subcommand: str, config_path, out=None, threads=None) -> int:
                 emitted += PIPELINES[name](report, out_dir)
             else:
                 emitted += PIPELINES[name](cfg, out_dir)
-    except NUMERICAL_FAILURES as exc:
+    except NumericalFailure as exc:
         print(f"numerical failure in {subcommand}: {exc}", file=sys.stderr)
         return 3
     except OSError as exc:

@@ -23,6 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chebyshev import clenshaw_curtis_weights, diff_matrix, gl_nodes
+from .failures import NumericalFailure
 from .grids import HField, deriv
 from .thinfields import ThinField
 
@@ -30,7 +31,7 @@ RESIDUAL_TOL = 1e-10
 MODE_NZ = 20  # Gauss-Lobatto nodes of every single-mode profile solve
 
 
-class SolverError(RuntimeError):
+class SolverError(RuntimeError, NumericalFailure):
     """A collocation solve failed its own residual certificate."""
 
 

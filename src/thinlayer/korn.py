@@ -33,6 +33,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .failures import NumericalFailure
+
 RANK_TOL = 1e-10
 
 SIGMA_LINE = ((1.0, 0.0), (-1.0, 0.0))
@@ -43,11 +45,11 @@ SIGMA_LINE = ((1.0, 0.0), (-1.0, 0.0))
 SWEEP_HEADER = ("M", "c", "s", "lam", *(f"eig{j}" for j in range(1, 7)), "cond_flag")
 
 
-class QuadratureError(RuntimeError):
+class QuadratureError(RuntimeError, NumericalFailure):
     """Node-doubling disagreement above tolerance."""
 
 
-class ConditioningError(RuntimeError):
+class ConditioningError(RuntimeError, NumericalFailure):
     """The conditioned pencil is still numerically degenerate."""
 
 

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .failures import NumericalFailure
 from .grids import FineWork, Grid, HField, _fine_to_spec, _spec_to_fine
 
 # Explicit-step safety factors and the depth floor that aborts a run well
@@ -23,15 +24,15 @@ C_VISC = 0.2
 VACUUM_FLOOR = 0.1
 
 
-class DegenerateStateError(ValueError):
+class DegenerateStateError(ValueError, NumericalFailure):
     """The layer depth reached the vacuum guard."""
 
 
-class BlowupError(RuntimeError):
+class BlowupError(RuntimeError, NumericalFailure):
     """Non-finite values appeared during time stepping."""
 
 
-class StabilityError(ValueError):
+class StabilityError(ValueError, NumericalFailure):
     """The requested step exceeds the explicit stability bound."""
 
 

@@ -15,8 +15,9 @@ import numpy as np
 import pytest
 
 from conftest import schema_names
-from thinlayer import cli, grids, lagrangian, shallow_water
+from thinlayer import cli, elliptic, grids, korn, lagrangian, residuals, shallow_water
 from thinlayer.cli import main, run
+from thinlayer.failures import NumericalFailure
 from thinlayer.korn import SIGMA_LINE, korn_sweep
 from thinlayer.residuals import convergence_study
 from thinlayer.reports import MANIFEST_NAME, file_sha256
@@ -147,6 +148,32 @@ def test_allocation_failure_exits_1_with_one_line(tmp_path, capsys, monkeypatch)
     assert run("sw", _config(tmp_path), out=tmp_path / "out") == 1
     assert capsys.readouterr().err.splitlines() == [
         "out of memory in sw: Unable to allocate 32.0 GiB for an array"
+    ]
+    assert not (tmp_path / "out" / MANIFEST_NAME).exists()
+
+
+# each exception that maps to exit 3, with the ValueError/RuntimeError base
+# that it keeps next to NumericalFailure
+NUMERICAL_FAILURES = [
+    (shallow_water.DegenerateStateError, ValueError),
+    (shallow_water.BlowupError, RuntimeError),
+    (shallow_water.StabilityError, ValueError),
+    (korn.ConditioningError, RuntimeError),
+    (korn.QuadratureError, RuntimeError),
+    (elliptic.SolverError, RuntimeError),
+]
+
+
+@pytest.mark.parametrize("exc, base", NUMERICAL_FAILURES, ids=lambda e: e.__name__)
+def test_each_numerical_failure_exits_3_with_one_line(tmp_path, capsys, monkeypatch, exc, base):
+    def failing(cfg, out):
+        raise exc("the solve went wrong")
+
+    assert issubclass(exc, base) and issubclass(exc, NumericalFailure)
+    monkeypatch.setitem(cli.PIPELINES, "sw", failing)
+    assert run("sw", _config(tmp_path), out=tmp_path / "out") == 3
+    assert capsys.readouterr().err.splitlines() == [
+        "numerical failure in sw: the solve went wrong"
     ]
     assert not (tmp_path / "out" / MANIFEST_NAME).exists()
 
@@ -291,7 +318,7 @@ def test_all_computes_the_convergence_study_once(tmp_path, monkeypatch):
         calls.append(args)
         return convergence_study(*args, **kwargs)
 
-    monkeypatch.setattr(cli, "convergence_study", counted)
+    monkeypatch.setattr(residuals, "convergence_study", counted)
     out = tmp_path / "out"
     assert run("all", _config(tmp_path), out=out) == 0
     assert len(calls) == 1
@@ -306,7 +333,7 @@ def test_study_artifacts_are_the_report(tmp_path, monkeypatch):
         reports.append(convergence_study(*args, **kwargs))
         return reports[-1]
 
-    monkeypatch.setattr(cli, "convergence_study", kept)
+    monkeypatch.setattr(residuals, "convergence_study", kept)
     out = tmp_path / "out"
     assert run("study", _config(tmp_path), out=out) == 0
     (report,) = reports
@@ -397,6 +424,54 @@ def test_pipelines_do_not_load_openssl(tmp_path):
     report = json.loads(proc.stdout.splitlines()[-1])
     assert set(report["rcs"].values()) == {0}
     assert report["_hashlib"] is False
+
+
+# The thinlayer modules a fresh process has loaded after one subcommand,
+# besides the package root: the driver, the config, the emitters and the
+# failure base, and then only the modules the pipeline runs.
+DRIVER = {"cli", "config", "reports", "failures"}
+SOLVER = {"grids", "shallow_water"}
+STRIP = {"grids", "thinfields", "chebyshev"}
+STUDY = DRIVER | SOLVER | STRIP | {"ansatz", "norms", "residuals"}
+LOADED = {
+    "validate": DRIVER,
+    "sw": DRIVER | SOLVER,
+    "ansatz": DRIVER | SOLVER | STRIP | {"ansatz"},
+    "residuals": STUDY,
+    "study": STUDY,
+    "lagrangian": DRIVER | SOLVER | STRIP | {"lagrangian"},
+    "korn": DRIVER | {"korn"},
+    "laplace": DRIVER | STRIP | {"elliptic"},
+    "probe": DRIVER | STRIP | {"probes"},
+    "all": STUDY | {"lagrangian", "korn", "elliptic", "probes"},
+}
+
+
+def test_import_sets_cover_every_subcommand():
+    assert set(LOADED) == set(cli.SUBCOMMANDS)
+    package = {p.stem for p in Path(cli.__file__).parent.glob("*.py")} - {"__init__"}
+    assert LOADED["all"] == package
+
+
+@pytest.mark.parametrize("subcommand", list(LOADED))
+def test_each_subcommand_loads_only_its_modules(tmp_path, subcommand):
+    """One subcommand in a fresh process loads exactly its thinlayer modules:
+    cli imports a pipeline's modules when it runs, so korn never pays for
+    the solver, nor probe for korn."""
+    script = (
+        "import json, sys\n"
+        "sys.path.insert(0, sys.argv[1])\n"
+        "from thinlayer.cli import run\n"
+        "rc = run(sys.argv[2], sys.argv[3], out=sys.argv[4])\n"
+        "loaded = sorted(m.partition('.')[2] for m in sys.modules if m.startswith('thinlayer.'))\n"
+        "print(json.dumps({'rc': rc, 'loaded': loaded}))\n"
+    )
+    src = str(Path(cli.__file__).resolve().parents[1])
+    cmd = [sys.executable, "-c", script, src, subcommand, str(_config(tmp_path)), str(tmp_path / "out")]
+    proc = subprocess.run(cmd, capture_output=True, text=True, timeout=300, check=True)
+    report = json.loads(proc.stdout.splitlines()[-1])
+    assert report["rc"] == 0
+    assert report["loaded"] == sorted(LOADED[subcommand])
 
 
 def test_probe_without_friction_reports_an_unbounded_floor(tmp_path, capsys):

@@ -11,19 +11,22 @@ an entry that a pipeline starts to call fails until it is taken out.
 
 The same parse checks that each name is declared once: no module assigns
 __all__, and the package root binds only __version__. It also checks that
-each exception the CLI maps to exit 3 is raised outside the allowlist, and
-that the methods and functions perfbench/tracer.py wraps by name exist,
-and that each function a perfbench/run.py metric reads a span of is a
-plain function of the package, apart from a listed set of stale names.
+each exception the CLI maps to exit 3, every subclass of NumericalFailure,
+is raised outside the allowlist, that the methods and functions
+perfbench/tracer.py wraps by name exist, and that each function a
+perfbench/run.py metric reads a span of is a plain function of the
+package, apart from a listed set of stale names.
 """
 import ast
 import importlib
 import json
+import pkgutil
 import sys
 from pathlib import Path
 
 import thinlayer
 from thinlayer import cli
+from thinlayer.failures import NumericalFailure
 
 PACKAGE = Path(thinlayer.__file__).resolve().parent
 
@@ -133,14 +136,29 @@ def test_each_name_is_declared_once():
     assert _bound(trees["__init__"]) == {"__version__"}
 
 
+def _numerical_failures() -> list:
+    """Every subclass of NumericalFailure, read after importing every module
+    of the package, since cli itself loads only the modules a pipeline runs."""
+    for info in pkgutil.iter_modules(thinlayer.__path__):
+        importlib.import_module(f"thinlayer.{info.name}")
+    family, stack = [], NumericalFailure.__subclasses__()
+    while stack:
+        exc = stack.pop()
+        family.append(exc)
+        stack += exc.__subclasses__()
+    return family
+
+
 def test_every_numerical_failure_has_a_raise_site():
-    """cli maps each class in NUMERICAL_FAILURES to exit 3; a class that only
+    """cli maps each subclass of NumericalFailure to exit 3; a class that only
     allowlisted code raises never reaches that mapping from a pipeline."""
+    family = _numerical_failures()
+    assert family, "no class subclasses NumericalFailure"
     raised = set()
     for qualname, fn in _functions().items():
         if qualname not in ALLOWLIST:
             raised |= _raised_names(fn)
-    unraised = [exc.__name__ for exc in cli.NUMERICAL_FAILURES if exc.__name__ not in raised]
+    unraised = [exc.__name__ for exc in family if exc.__name__ not in raised]
     assert unraised == [], "exit-3 failures that no pipeline function raises"
 
 

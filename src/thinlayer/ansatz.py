@@ -14,7 +14,10 @@ and built once per object; an AnsatzFields also keeps its deformation
 D(u_a) once built. The residuals read both there. The coefficients of the
 ansatz and of its rate come from the same linear maps (`_coefficients`)
 applied to u0 and to its time derivative; `build_ansatz` keeps the rate as
-the field `rate`. Only u1, w2 and p_nonhydro depend on eps, and `_scaled`
+the field `rate`. The stress vector A = (D(u0) + 2 div u0 Id) grad h0 -
+gamma_bar u0 of u2's quotient term A/h0, and D(u0), div u0 and grad h0,
+are built once per state, in `ansatz_rate`, and A/h0 and its rate take one
+padded pass. Only u1, w2 and p_nonhydro depend on eps, and `_scaled`
 is the one map that builds them, so `at(eps)` moves the ansatz and its rate
 to another aspect ratio and shares every other field. The incompressibility
 of (u0, u1, u2) against (w1, w2, w3) is an algebraic identity of the
@@ -207,11 +210,9 @@ class AnsatzRate(_VelocityForm):
     p_nonhydro: HField
 
 
-def _stress_vec(u: HField, gh: HField) -> HField:
-    """(D(u) + 2 div u Id) applied to the vector gh."""
-    n = u.grid.n
-    D = sym_grad(u)
-    divu = div(u)
+def _stress_vec(D: list[list[HField]], divu: HField, gh: HField) -> HField:
+    """(D(u) + 2 div u Id) applied to the vector gh, from D(u) and div u."""
+    n = gh.grid.n
     rows = []
     for i in range(n):
         acc = D[i][0] * gh.component(0)
@@ -238,24 +239,29 @@ def _coefficients(v: HField, quot: HField, p: Params) -> dict[str, HField]:
 
 def build_ansatz(s: SWState, p: Params) -> AnsatzFields:
     """Second-order coefficients seeded by (h0, u0), with their time rate."""
-    rate = ansatz_rate(s, p)  # first, so its sw_rhs work area is gone here
-    h0, u0 = s.h0, s.u0
-    A = _stress_vec(u0, grad(h0)) - p.gamma_bar * u0
-    quot = nonlinear(s.grid, lambda a, h: a / h, A, h0)
-    return AnsatzFields(s, p, u0, rate=rate, **_coefficients(u0, quot, p))
+    rate, quot = ansatz_rate(s, p)
+    return AnsatzFields(s, p, s.u0, rate=rate, **_coefficients(s.u0, quot, p))
 
 
-def ansatz_rate(s: SWState, p: Params) -> AnsatzRate:
-    """Chain rule through the shallow-water tendencies.
+def ansatz_rate(s: SWState, p: Params) -> tuple[AnsatzRate, HField]:
+    """Chain rule through the shallow-water tendencies; returns the rate and
+    the quotient term A/h0 of u2.
 
     Every coefficient is an explicit function of (h0, u0), so its time
     derivative follows by substituting sw_rhs into the product/quotient
     rule of its defining formula. All but the quotient term of u2 are
-    linear in u0, so they are the ansatz's own maps applied to dt u0.
+    linear in u0, so they are the ansatz's own maps applied to dt u0. A,
+    D(u0), div u0 and grad h0 are built once, and A/h0 and d(A/h0) take one
+    padded pass.
     """
     h0, u0 = s.h0, s.u0
     dth0, dtu0 = sw_rhs(s, p)
-    A = _stress_vec(u0, grad(h0)) - p.gamma_bar * u0
-    dA = _stress_vec(dtu0, grad(h0)) + _stress_vec(u0, grad(dth0)) - p.gamma_bar * dtu0
-    quot = nonlinear(s.grid, lambda a, da, h, dh: da / h - a * dh / (h * h), A, dA, h0, dth0)
-    return AnsatzRate(dth0, dtu0, **_coefficients(dtu0, quot, p))
+    gh0, D0, div0 = grad(h0), sym_grad(u0), div(u0)
+    A = _stress_vec(D0, div0, gh0) - p.gamma_bar * u0
+    dA = (_stress_vec(sym_grad(dtu0), div(dtu0), gh0) + _stress_vec(D0, div0, grad(dth0))
+          - p.gamma_bar * dtu0)
+    n = s.grid.n
+    both = nonlinear(s.grid, lambda a, da, h, dh: np.concatenate(
+        (a / h, da / h - a * dh / (h * h))), A, dA, h0, dth0).values
+    quot, dquot = HField(s.grid, both[:n]), HField(s.grid, both[n:])
+    return AnsatzRate(dth0, dtu0, **_coefficients(dtu0, dquot, p)), quot

@@ -64,38 +64,17 @@ DEFAULT_CONFIG = {
 
 @dataclass(frozen=True)
 class Config:
-    """Validated run configuration plus its canonical hash."""
+    """Validated run configuration, one field per section, plus its
+    canonical hash."""
 
-    raw: dict
+    domain: dict
+    params: dict
+    sw: dict
+    study: dict
+    korn: dict
+    probes: dict
+    output: dict
     sha256: str
-
-    @property
-    def domain(self) -> dict:
-        return self.raw["domain"]
-
-    @property
-    def params(self) -> dict:
-        return self.raw["params"]
-
-    @property
-    def sw(self) -> dict:
-        return self.raw["sw"]
-
-    @property
-    def study(self) -> dict:
-        return self.raw["study"]
-
-    @property
-    def korn(self) -> dict:
-        return self.raw["korn"]
-
-    @property
-    def probes(self) -> dict:
-        return self.raw["probes"]
-
-    @property
-    def output(self) -> dict:
-        return self.raw["output"]
 
 
 def _canonical(tree: dict) -> str:
@@ -319,4 +298,4 @@ def load_config(path) -> Config:
         raise ConfigError(violations)
     tree = _merge_defaults(tree)
     canon = _canonical(tree)
-    return Config(raw=tree, sha256=sha256(canon.encode()).hexdigest())
+    return Config(**tree, sha256=sha256(canon.encode()).hexdigest())

@@ -312,8 +312,6 @@ class HField:
         return HField(self.grid, self.values * other)
 
     def __rmul__(self, other):
-        if isinstance(other, HField):
-            return dealiased_product(other, self)
         return HField(self.grid, self.values * other)
 
     def __neg__(self):

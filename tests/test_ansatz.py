@@ -1,19 +1,22 @@
 """Coefficient construction, vertical polynomials, and their time rates."""
 import dataclasses
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from conftest import loglog_slope
 from thinlayer import chebyshev as cheb
-from thinlayer.grids import Grid, HField, _spec_to_fine, from_fine, to_fine
+from thinlayer import ansatz
+from thinlayer.grids import Grid, HField, _spec_to_fine, div, from_fine, grad, nonlinear, to_fine
 from thinlayer.norms import norm
-from thinlayer.shallow_water import Params, SWState, sw_step
+from thinlayer.shallow_water import Params, SWState, sw_rhs, sw_step, sym_grad
 from thinlayer.thinfields import Strip
 from thinlayer.ansatz import (
     AnsatzFields,
     AnsatzRate,
     ZPoly,
+    _coefficients,
     ansatz_rate,
     build_ansatz,
 )
@@ -39,6 +42,16 @@ def _wavy_state(N=64):
         g,
         lambda x: 1.0 + 0.3 * np.cos(x) + 0.1 * np.sin(2 * x),
         [lambda x: 0.2 * np.sin(x) + 0.05 * np.cos(3 * x)],
+    )
+
+
+def _sample_state(n, N):
+    if n == 1:
+        return _wavy_state(N)
+    return _state(
+        Grid(2, N),
+        lambda x, y: 1.0 + 0.05 * np.cos(x) + 0.03 * np.sin(y),
+        [lambda x, y: 0.02 * np.sin(x + y), lambda x, y: 0.01 * np.cos(x) + 0.0 * y],
     )
 
 
@@ -271,14 +284,14 @@ def test_eps_scaling():
 
 def test_rate_equilibrium_zero():
     g = Grid(1, 32)
-    r = ansatz_rate(_state(g, lambda x: 1.0 + 0.0 * x, [lambda x: 0.0 * x]), P)
+    r, _ = ansatz_rate(_state(g, lambda x: 1.0 + 0.0 * x, [lambda x: 0.0 * x]), P)
     for f in (r.h0, r.u0, r.u1, r.u2, r.w1, r.w2, r.w3, r.p_nonhydro):
         assert np.abs(f.values).max() < 1e-14
 
 
 def test_rate_u1_linearity():
     s = _wavy_state()
-    r = ansatz_rate(s, P)
+    r, _ = ansatz_rate(s, P)
     assert np.abs(r.u1.values - P.eps * P.gamma_bar * r.u0.values).max() == 0.0
 
 
@@ -298,7 +311,7 @@ def test_rate_matches_finite_difference():
         s1 = sw_step(s0, p, dt)
         s2 = sw_step(s1, p, dt)
         a0, a2 = build_ansatz(s0, p), build_ansatz(s2, p)
-        rate = ansatz_rate(s1, p)
+        rate, _ = ansatz_rate(s1, p)
         worst = 0.0
         for nm in names:
             f0 = a0.base.h0 if nm == "h0" else getattr(a0, nm)
@@ -313,14 +326,7 @@ def test_rate_matches_finite_difference():
 def test_at_is_a_fresh_build_bit_for_bit(n, N):
     """a.at(eps) and its rate equal build_ansatz at that eps in every field,
     and share with a every field that does not depend on eps."""
-    if n == 1:
-        s = _wavy_state(N)
-    else:
-        s = _state(
-            Grid(2, N),
-            lambda x, y: 1.0 + 0.05 * np.cos(x) + 0.03 * np.sin(y),
-            [lambda x, y: 0.02 * np.sin(x + y), lambda x, y: 0.01 * np.cos(x) + 0.0 * y],
-        )
+    s = _sample_state(n, N)
     a = build_ansatz(s, P)
     for eps in (P.eps, 0.05, 0.0125):
         moved = a.at(eps)
@@ -338,6 +344,60 @@ def test_at_is_a_fresh_build_bit_for_bit(n, N):
         assert moved.rate.h0 is a.rate.h0
 
 
+def _two_pass_stress_vec(u, gh):
+    """(D(u) + 2 div u Id) gh with D(u) and div u formed from u on each call."""
+    D, divu = sym_grad(u), div(u)
+    rows = []
+    for i in range(u.grid.n):
+        acc = D[i][0] * gh.component(0)
+        for a in range(1, u.grid.n):
+            acc = acc + D[i][a] * gh.component(a)
+        rows.append(acc + 2.0 * (divu * gh.component(i)))
+    return HField.stack(rows)
+
+
+@pytest.mark.parametrize("n, N", [(1, 32), (2, 16)])
+def test_one_stress_vector_matches_two_pass_build_bit_for_bit(n, N):
+    """The ansatz and its rate equal a build that forms A once for the rate
+    and once more for u2's own quotient, with one quotient pass each."""
+    s = _sample_state(n, N)
+    h0, u0 = s.h0, s.u0
+    dth0, dtu0 = sw_rhs(s, P)
+    A = _two_pass_stress_vec(u0, grad(h0)) - P.gamma_bar * u0
+    dA = (
+        _two_pass_stress_vec(dtu0, grad(h0))
+        + _two_pass_stress_vec(u0, grad(dth0))
+        - P.gamma_bar * dtu0
+    )
+    dquot = nonlinear(s.grid, lambda a, da, h, dh: da / h - a * dh / (h * h), A, dA, h0, dth0)
+    A = _two_pass_stress_vec(u0, grad(h0)) - P.gamma_bar * u0
+    quot = nonlinear(s.grid, lambda a, h: a / h, A, h0)
+    want = {"u0": u0, **_coefficients(u0, quot, P)}
+    want_rate = {"h0": dth0, "u0": dtu0, **_coefficients(dtu0, dquot, P)}
+
+    a = build_ansatz(s, P)
+    for f in dataclasses.fields(AnsatzFields):
+        if f.name not in ("base", "params", "rate"):
+            assert np.array_equal(getattr(a, f.name).values, want[f.name].values), f.name
+    for f in dataclasses.fields(AnsatzRate):
+        assert np.array_equal(getattr(a.rate, f.name).values, want_rate[f.name].values), f.name
+    assert np.array_equal(ansatz_rate(s, P)[1].values, quot.values)
+
+
+def test_build_forms_the_stress_vector_once(monkeypatch):
+    """One build: one tendency, D of u0 and of dt u0 once each, A, dA's two
+    terms, and one quotient pass for A/h0 and its rate together."""
+    counts = Counter()
+    for name in ("sw_rhs", "sym_grad", "_stress_vec", "nonlinear"):
+        def counted(*args, _fn=getattr(ansatz, name), _name=name):
+            counts[_name] += 1
+            return _fn(*args)
+
+        monkeypatch.setattr(ansatz, name, counted)
+    build_ansatz(_sample_state(2, 16), P)
+    assert counts == {"sw_rhs": 1, "sym_grad": 2, "_stress_vec": 3, "nonlinear": 1}
+
+
 # -- point evaluation -----------------------------------------------------------
 
 
@@ -350,7 +410,7 @@ def test_eval_horner_matches_naive():
         P,
         *(HField(g, rng.standard_normal((1, 16))) for _ in range(3)),
         *(HField(g, rng.standard_normal(16)) for _ in range(4)),
-        ansatz_rate(s, P),
+        ansatz_rate(s, P)[0],
     )
     z = 0.09
     for j in range(0, 16, 3):

@@ -248,14 +248,15 @@ def ansatz_rate(s: SWState, p: Params) -> tuple[AnsatzRate, HField]:
     the quotient term A/h0 of u2.
 
     Every coefficient is an explicit function of (h0, u0), so its time
-    derivative follows by substituting sw_rhs into the product/quotient
-    rule of its defining formula. All but the quotient term of u2 are
-    linear in u0, so they are the ansatz's own maps applied to dt u0. A,
-    D(u0), div u0 and grad h0 are built once, and A/h0 and d(A/h0) take one
-    padded pass.
+    derivative follows by substituting the rows dt h0 and dt u0 of sw_rhs
+    into the product/quotient rule of its defining formula. All but the
+    quotient term of u2 are linear in u0, so they are the ansatz's own maps
+    applied to dt u0. A, D(u0), div u0 and grad h0 are built once, and A/h0
+    and d(A/h0) take one padded pass.
     """
     h0, u0 = s.h0, s.u0
-    dth0, dtu0 = sw_rhs(s, p)
+    dtq = sw_rhs(s, p).values
+    dth0, dtu0 = HField(s.grid, dtq[0]), HField(s.grid, dtq[1:])
     gh0, D0, div0 = grad(h0), sym_grad(u0), div(u0)
     A = _stress_vec(D0, div0, gh0) - p.gamma_bar * u0
     dA = (_stress_vec(sym_grad(dtu0), div(dtu0), gh0) + _stress_vec(D0, div0, grad(dth0))

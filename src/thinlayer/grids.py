@@ -24,10 +24,13 @@ symbols, Parseval sums and off-grid values from here.
 
 Padded transforms run either on fresh buffers or in a FineWork: padded
 half spectra zeroed once, fine nodal fields and fine half spectra, which
-the transforms fill through numpy's out= arguments. A FineWork belongs to
-one loop of its caller (shallow_water.sw_steps builds one per run for
-every sw_rhs call and drops it with the generator), and no array of it is
-ever returned: _fine_to_spec truncates into fresh N-band spectra.
+the transforms fill through numpy's out= arguments. The fine transforms
+scale by PAD**n against the N-grid ones; _pad applies that factor as it
+copies spectra in and _truncate divides it out as it copies them back,
+exactly, as it is a power of two. A FineWork belongs to one loop of its
+caller (shallow_water.sw_steps builds one per run for every sw_rhs call and
+drops it with the generator), and no array of it is ever returned:
+_fine_to_spec truncates into fresh N-band spectra.
 """
 from __future__ import annotations
 
@@ -42,7 +45,8 @@ TWO_PI = 2.0 * np.pi
 MAX_DERIV_ORDER = 4
 
 # Padding factor of every dealiased product: 2 makes the product of two
-# band-limited fields the exact projection onto the retained modes.
+# band-limited fields the exact projection onto the retained modes. _pad
+# and _truncate apply the fine grid's PAD**n scale in their copies.
 PAD = 2
 
 
@@ -404,11 +408,12 @@ class FineWork:
 
     padded holds npadded padded half spectra and is zeroed once:
     _spec_to_fine writes only the retained block and its split Nyquist
-    slots, the same entries on every call, so the zero band stays zero. fine
-    holds nfine nodal fields on the PAD-fine grid and spec nspec fine half
-    spectra. A caller that transforms in a loop builds one work area, hands
-    slices of it to _spec_to_fine and _fine_to_spec, and drops it when the
-    loop ends; the spectra _fine_to_spec returns are always fresh arrays.
+    slots, scaled by PAD**n, the same entries on every call, so the zero
+    band stays zero. fine holds nfine nodal fields on the PAD-fine grid and
+    spec nspec fine half spectra. A caller that transforms in a loop builds
+    one work area, hands slices of it to _spec_to_fine and _fine_to_spec,
+    and drops it when the loop ends; the spectra _fine_to_spec returns are
+    always fresh arrays.
     """
 
     __slots__ = ("padded", "fine", "spec")
@@ -421,41 +426,42 @@ class FineWork:
 
 
 def _pad(grid: Grid, spec: np.ndarray, padded: np.ndarray) -> None:
-    """Write spectra into the retained block of a zeroed padded buffer.
+    """Write PAD**n times spectra into the retained block of a zeroed padded buffer.
 
-    The Nyquist row (2D) and column are split symmetrically, half at +N/2
-    and half at -N/2, to keep the spectrum Hermitian; on the half axis the
-    -N/2 half is implicit.
+    The factor keeps nodal values through the fine inverse transform. The
+    Nyquist row (2D) and column are split symmetrically, half at +N/2 and
+    half at -N/2, to keep the spectrum Hermitian; on the half axis the -N/2
+    half is implicit.
     """
-    h = grid.N // 2
+    h, scale = grid.N // 2, PAD**grid.n
     if grid.n == 2:
-        padded[..., : h + 1, : h + 1] = spec[..., : h + 1, :]
-        padded[..., 1 - h :, : h + 1] = spec[..., 1 - h :, :]
+        np.multiply(spec[..., : h + 1, :], scale, out=padded[..., : h + 1, : h + 1])
+        np.multiply(spec[..., 1 - h :, :], scale, out=padded[..., 1 - h :, : h + 1])
         padded[..., h, : h + 1] *= 0.5
         padded[..., -h, : h + 1] = padded[..., h, : h + 1]
     else:
-        padded[..., : h + 1] = spec
+        np.multiply(spec, scale, out=padded[..., : h + 1])
     padded[..., h] *= 0.5
 
 
 def _truncate(grid: Grid, spec: np.ndarray) -> np.ndarray:
-    """Fresh N-band copy of fine half spectra, the adjoint of _pad.
+    """Fresh N-band copy of fine half spectra over PAD**n, the adjoint of _pad.
 
     The +-N/2 pair of each axis folds back into its Nyquist slot: S[N/2] +
     S[-N/2] on the leading axis in 2D, and on the half axis S[k1, N/2] +
     conj(S[-k1, N/2]), where k1 runs over the leading axis in 2D.
     """
-    h = grid.N // 2
+    h, scale = grid.N // 2, PAD**grid.n
     out = np.empty(spec.shape[: -grid.n] + grid.spec_shape, dtype=complex)
     if grid.n == 2:
-        out[..., :h, :] = spec[..., :h, : h + 1]
-        out[..., h + 1 :, :] = spec[..., 1 - h :, : h + 1]
-        np.add(spec[..., h, : h + 1], spec[..., -h, : h + 1], out=out[..., h, :])
+        np.divide(spec[..., :h, : h + 1], scale, out=out[..., :h, :])
+        np.divide(spec[..., 1 - h :, : h + 1], scale, out=out[..., h + 1 :, :])
+        out[..., h, :] = (spec[..., h, : h + 1] + spec[..., -h, : h + 1]) / scale
         col = out[..., h]
         out[..., h] = col + col[..., -np.arange(grid.N) % grid.N].conj()
     else:
-        out[...] = spec[..., : h + 1]
-        out[..., h] += spec[..., h].conj()
+        np.divide(spec[..., : h + 1], scale, out=out)
+        out[..., h] += out[..., h].conj()
     return out
 
 
@@ -473,9 +479,7 @@ def _spec_to_fine(
     if padded is None:
         padded = np.zeros(spec.shape[: -grid.n] + _fine_spec_shape(grid), dtype=complex)
     _pad(grid, spec, padded)
-    fine = _irfft(padded, grid.n, PAD * grid.N, out)
-    fine *= PAD**grid.n
-    return fine
+    return _irfft(padded, grid.n, PAD * grid.N, out)
 
 
 def _fine_to_spec(
@@ -486,9 +490,7 @@ def _fine_to_spec(
     spec, a FineWork.spec slice, receives the fine spectra; the returned
     N-band spectra are fresh either way.
     """
-    out = _truncate(grid, _rfft(fine_values, grid.n, spec))
-    out /= PAD**grid.n
-    return out
+    return _truncate(grid, _rfft(fine_values, grid.n, spec))
 
 
 def to_fine(f: HField) -> np.ndarray:

@@ -84,12 +84,13 @@ def _material_nodes(grid: Grid) -> np.ndarray:
 def _flow_sampler(state, shape):
     """Evaluator of (u0, div u0) at arbitrary positions (n,) + shape.
 
-    The coefficients of u0 and of div u0 = sum_a i kappa_a c_a are stacked
-    once, so each call is one evaluation over shared phase tables.
+    The coefficients of u0, rows of q.spec (cached by sw_rhs on the states
+    of sw_steps), and of div u0 = sum_a i kappa_a c_a are stacked once, so
+    each call is one evaluation over shared phase tables.
     """
     g = state.grid
     n = g.n
-    c_u = state.u0.coefficients
+    c_u = state.q.coefficients[1:]
     stacked = np.concatenate([c_u, (g.ik * c_u).sum(0)[None]])
 
     def at(pos):

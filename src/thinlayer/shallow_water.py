@@ -1,11 +1,13 @@
 """Viscous shallow-water dynamics on the periodic torus.
 
 The unknowns are the layer depth h0 > 0 and the mean horizontal velocity
-u0. The momentum equation is advanced in velocity form (divided through by
-h0), with height-weighted viscous stresses and a linear bottom friction
-gamma_bar * u0 / Re. All quadratic terms are evaluated on a padded grid and
-the tendencies are truncated to the 2/3 wavenumber band, so the retained
-modes follow the exact Galerkin dynamics of the band.
+u0, held as one stacked field q = (h0, u0_1, ..., u0_n) that the tendency,
+the RK4 step and the Hermite interpolant treat whole. The momentum equation
+is advanced in velocity form (divided through by h0), with height-weighted
+viscous stresses and a linear bottom friction gamma_bar * u0 / Re. All
+quadratic terms are evaluated on a padded grid and the tendencies are
+truncated to the 2/3 wavenumber band, so the retained modes follow the exact
+Galerkin dynamics of the band.
 """
 from __future__ import annotations
 
@@ -71,28 +73,28 @@ class Params:
 
 
 class SWState:
-    """Layer depth and mean horizontal velocity at one instant."""
+    """Layer depth and mean horizontal velocity at one instant, stacked in q.
 
-    __slots__ = ("t", "h0", "u0", "mass")
+    q = (h0, u0_1, ..., u0_n) has 1 + n components; h0 and u0 view its rows.
+    """
 
-    def __init__(self, t: float, h0: HField, u0: HField):
-        if h0.is_vector:
-            raise ValueError("h0 must be a scalar field")
-        if not u0.is_vector or u0.ncomp != h0.grid.n:
-            raise ValueError("u0 must have one component per horizontal axis")
-        if u0.grid != h0.grid:
-            raise ValueError("h0 and u0 must share a grid")
-        hmin = float(h0.values.min())
+    __slots__ = ("t", "q", "h0", "u0", "mass")
+
+    def __init__(self, t: float, q: HField):
+        g, want = q.grid, (1 + q.grid.n,) + q.grid.shape
+        if q.values.shape != want:
+            raise ValueError(f"q must stack (h0, u0) as shape {want}, got {q.values.shape}")
+        hmin = float(q.values[0].min())
         if hmin <= 0.0:
             raise DegenerateStateError(f"min h0 = {hmin:.3g} at t = {t:.6g} is not positive")
         self.t = float(t)
-        self.h0 = h0
-        self.u0 = u0
-        self.mass = h0.integral()
+        self.q = q
+        self.h0, self.u0 = HField(g, q.values[0]), HField(g, q.values[1:])
+        self.mass = self.h0.integral()
 
     @property
     def grid(self) -> Grid:
-        return self.h0.grid
+        return self.q.grid
 
     def max_speed(self) -> float:
         """Largest pointwise Euclidean velocity magnitude; inf when a square
@@ -110,11 +112,10 @@ def initial_wave(
     """Single-mode initial data h0 = 1 + a cos(k x1), u0 = b sin(k x1) e1."""
     kap = 2.0 * np.pi * wavenumber / grid.L
     x1 = grid.coords()[0]
-    h0 = HField(grid, 1.0 + amplitude * np.cos(kap * x1) + np.zeros(grid.shape))
-    comps = [HField(grid, velocity_amplitude * np.sin(kap * x1) + np.zeros(grid.shape))]
-    zero = HField(grid, np.zeros(grid.shape))
-    comps += [zero] * (grid.n - 1)
-    return SWState(0.0, h0, HField.stack(comps))
+    q = np.zeros((1 + grid.n,) + grid.shape)
+    q[0] += 1.0 + amplitude * np.cos(kap * x1)
+    q[1] += velocity_amplitude * np.sin(kap * x1)
+    return SWState(0.0, HField(grid, q))
 
 
 def sym_grad(u: HField) -> list[list[HField]]:
@@ -145,8 +146,8 @@ def _rhs_work(grid: Grid) -> FineWork:
     return FineWork(grid, nin, _nprod(n) + nin, _nprod(n))
 
 
-def sw_rhs(s: SWState, p: Params, work: FineWork | None = None) -> tuple[HField, HField]:
-    """Tendencies (dth0, dtu0) of the depth/velocity system.
+def sw_rhs(s: SWState, p: Params, work: FineWork | None = None) -> HField:
+    """Tendency dt q = (dth0, dtu0) of the depth/velocity system, stacked as q.
 
     dth0 = -div(h0 u0)
     dtu0 = -(u0 . grad) u0 - grad(h0^2 / 2F^2) / h0
@@ -164,7 +165,7 @@ def sw_rhs(s: SWState, p: Params, work: FineWork | None = None) -> tuple[HField,
     The transforms are batched, one per stage (five): 1 + n + n^2 inputs
     (h0, u0, grad u0) to the padded grid, 2n + 1 + n(n+1)/2 products back,
     and n numerators through the quotient, 19 fine-grid fields in 2D and 9
-    in 1D. The inputs enter through their cached spectra (h0.spec, u0.spec),
+    in 1D. The inputs enter through the state's one stacked spectrum q.spec,
     which later readers of the state such as sw_energy reuse. The padded
     stages live in work, the area sw_steps builds once per run (a fresh
     one when work is None): the fine fields h0, u0 and grad u0 sit behind
@@ -172,13 +173,12 @@ def sw_rhs(s: SWState, p: Params, work: FineWork | None = None) -> tuple[HField,
     triangle row by row), the products are formed in place and transformed
     from there, and the quotient reuses the first n padded and product
     slots, which are spent by then. Only the truncated spectra and the
-    returned tendencies are fresh arrays; nothing of work is returned. The
+    returned tendency are fresh arrays; nothing of work is returned. The
     projections are those of the HField product/derivative path: each
     quadratic product and the quotient by h0 are formed on the padded grid
     and truncated to the N-mode band before they are differentiated or
     combined, so the two agree to rounding.
     """
-    h0, u0 = s.h0, s.u0
     g = s.grid
     n = g.n
     if work is None:
@@ -186,7 +186,7 @@ def sw_rhs(s: SWState, p: Params, work: FineWork | None = None) -> tuple[HField,
     ik = g.ik  # ik[a] = d/dx_a
     pairs = _PAIRS[n]
 
-    state = np.concatenate([h0.spec[None], u0.spec])
+    state = s.q.spec
     U = state[1:]
     dU = U[:, None] * ik  # dU[i, a] = d u_i / d x_a
     stage = np.concatenate([state, dU.reshape((n * n,) + g.spec_shape)])
@@ -221,13 +221,11 @@ def sw_rhs(s: SWState, p: Params, work: FineWork | None = None) -> tuple[HField,
         num[i] += ik[a] * hD[k]
         if a != i:
             num[a] += ik[i] * hD[k]
-    q = work.fine[:n]
-    _spec_to_fine(g, num, work.padded[:n], q)
-    q /= hf
-    dtu0 = _fine_to_spec(g, q, work.spec[:n]) - adv
-
-    out = HField.from_spec(g, np.concatenate([dth0[None], dtu0]) * g.dealias_keep).values
-    return HField(g, out[0]), HField(g, out[1:])
+    quot = work.fine[:n]
+    _spec_to_fine(g, num, work.padded[:n], quot)
+    quot /= hf
+    dtu0 = _fine_to_spec(g, quot, work.spec[:n]) - adv
+    return HField.from_spec(g, np.concatenate([dth0[None], dtu0]) * g.dealias_keep)
 
 
 def stable_dt(s: SWState, p: Params) -> float:
@@ -247,13 +245,9 @@ def _check_step(s: SWState, p: Params, dt: float) -> None:
         raise StabilityError(f"dt = {dt:.4g} exceeds the stability bound {bound:.4g}")
 
 
-def _advanced(s: SWState, w: float, kh: HField, ku: HField) -> SWState:
-    return SWState(s.t + w, s.h0 + w * kh, s.u0 + w * ku)
-
-
-def _check_vacuum(h0: HField, t: float) -> None:
+def _check_vacuum(h0: np.ndarray, t: float) -> None:
     """Raise DegenerateStateError when min h0 is at or below VACUUM_FLOOR."""
-    hmin = float(h0.values.min())
+    hmin = float(h0.min())
     if hmin <= VACUUM_FLOOR:
         raise DegenerateStateError(
             f"min h0 = {hmin:.3g} at t = {t:.6g} breached the vacuum floor"
@@ -264,15 +258,16 @@ def sw_step(
     s: SWState,
     p: Params,
     dt: float,
-    k1: tuple[HField, HField] | None = None,
+    k1: HField | None = None,
     work: FineWork | None = None,
 ) -> SWState:
     """One explicit RK4 step of length dt.
 
     dt must respect the stable_dt bound. The new state is checked for
-    finiteness and against the vacuum floor. k1 is sw_rhs(s, p) when the
-    caller already holds it (first same as last); it is evaluated otherwise.
-    work is the sw_rhs work area of the caller's solve, if it keeps one.
+    finiteness and against the vacuum floor. k1 is the stacked tendency
+    sw_rhs(s, p) when the caller already holds it (first same as last); it
+    is evaluated otherwise. work is the sw_rhs work area of the caller's
+    solve, if it keeps one.
     """
     dt = float(dt)
     if not dt > 0.0:
@@ -281,31 +276,30 @@ def sw_step(
 
     with np.errstate(over="ignore", invalid="ignore"):
         # a stage that overflows leaves inf or nan, which the checks below report
-        k1h, k1u = sw_rhs(s, p, work) if k1 is None else k1
-        k2h, k2u = sw_rhs(_advanced(s, 0.5 * dt, k1h, k1u), p, work)
-        k3h, k3u = sw_rhs(_advanced(s, 0.5 * dt, k2h, k2u), p, work)
-        k4h, k4u = sw_rhs(_advanced(s, dt, k3h, k3u), p, work)
-        c = dt / 6.0
-        h_new = s.h0 + c * (k1h + 2.0 * (k2h + k3h) + k4h)
-        u_new = s.u0 + c * (k1u + 2.0 * (k2u + k3u) + k4u)
+        w = 0.5 * dt
+        k1 = sw_rhs(s, p, work) if k1 is None else k1
+        k2 = sw_rhs(SWState(s.t + w, s.q + w * k1), p, work)
+        k3 = sw_rhs(SWState(s.t + w, s.q + w * k2), p, work)
+        k4 = sw_rhs(SWState(s.t + dt, s.q + dt * k3), p, work)
+        q_new = s.q + (dt / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
 
     t_new = s.t + dt
-    if not (np.isfinite(h_new.values).all() and np.isfinite(u_new.values).all()):
+    if not np.isfinite(q_new.values).all():
         raise BlowupError(
             f"non-finite fields at t = {t_new:.6g} "
             f"(max|u| before the step was {s.max_speed():.3g})"
         )
-    _check_vacuum(h_new, t_new)
-    return SWState(t_new, h_new, u_new)
+    _check_vacuum(q_new.values[0], t_new)
+    return SWState(t_new, q_new)
 
 
 class SWTrajectory:
     """Two consecutive states with their stored tendencies, dt apart.
 
-    Keeping (dth0, dtu0) alongside each state makes the pair a cubic
-    Hermite interpolant in time, fourth order between the knots. The chart
-    integrator builds one over each pair of consecutive states of sw_steps
-    to sample the midpoint between them.
+    Keeping the stacked tendency dt q alongside each state makes the pair a
+    cubic Hermite interpolant of q in time, fourth order between the knots.
+    The chart integrator builds one over each pair of consecutive states of
+    sw_steps to sample the midpoint between them.
     """
 
     def __init__(self, states, tendencies, dt: float):
@@ -325,21 +319,12 @@ class SWTrajectory:
         w10 = th * (1.0 - th) ** 2
         w01 = th * th * (3.0 - 2.0 * th)
         w11 = th * th * (th - 1.0)
-        (fa_h, fa_u), (fb_h, fb_u) = self.fa, self.fb
-        g = sa.grid
-        h = HField(
-            g,
-            w00 * sa.h0.values
-            + w01 * sb.h0.values
-            + self.dt * (w10 * fa_h.values + w11 * fb_h.values),
+        q = (
+            w00 * sa.q.values
+            + w01 * sb.q.values
+            + self.dt * (w10 * self.fa.values + w11 * self.fb.values)
         )
-        u = HField(
-            g,
-            w00 * sa.u0.values
-            + w01 * sb.u0.values
-            + self.dt * (w10 * fa_u.values + w11 * fb_u.values),
-        )
-        return SWState(t, h, u)
+        return SWState(t, HField(sa.grid, q))
 
 
 def sw_steps(init: SWState, p: Params, T: float, dt: float):
@@ -347,11 +332,11 @@ def sw_steps(init: SWState, p: Params, T: float, dt: float):
 
     A T within 1e-9 (relative to max(1, T)) of a multiple of dt steps with
     dt itself; any other T steps with T / ceil(T / dt). Yields
-    (state, (dth0, dtu0)) for init and after each step; each tendency is
-    the next step's k1. A dt <= 0, or a T / dt that overflows, allows no
-    finite step count and raises StabilityError. That check, the step
-    bound and the vacuum floor run on init before the first tendency is
-    evaluated, at the first next(), so a run that cannot step fails at t0
+    (state, sw_rhs(state, p)) for init and after each step; each stacked
+    tendency is the next step's k1. A dt <= 0, or a T / dt that overflows,
+    allows no finite step count and raises StabilityError. That check, the
+    step bound and the vacuum floor run on init before the first tendency
+    is evaluated, at the first next(), so a run that cannot step fails at t0
     before any arithmetic on the state. Vacuum and blowup errors propagate
     with the failing time attached. One sw_rhs work area serves every
     tendency of the run and is dropped when the generator is.
@@ -366,7 +351,7 @@ def sw_steps(init: SWState, p: Params, T: float, dt: float):
         nsteps = math.ceil(steps)
         dt = T / nsteps
     _check_step(init, p, dt)
-    _check_vacuum(init.h0, init.t)
+    _check_vacuum(init.h0.values, init.t)
     work = _rhs_work(init.grid)
     s, f = init, sw_rhs(init, p, work)
     yield s, f
@@ -380,13 +365,13 @@ def sw_steps(init: SWState, p: Params, T: float, dt: float):
 def sw_energy(s: SWState, p: Params) -> float:
     """Total energy E = int h0 |u0|^2 / 2 + h0^2 / (2 F^2).
 
-    One padded pass: the cached spectra of h0 and u0 go to the PAD-fine grid
-    together, and the integral is the fine-grid mean times the volume. The
+    One padded pass: the cached stacked spectrum q.spec goes to the PAD-fine
+    grid, and the integral is the fine-grid mean times the volume. The
     integrand is cubic, its highest mode 3N/2 lies below the fine grid's 2N,
     so the fine trapezoid sum is exact.
     """
     g = s.grid
-    fine = _spec_to_fine(g, np.concatenate([s.h0.spec[None], s.u0.spec]))
+    fine = _spec_to_fine(g, s.q.spec)
     h, u = fine[0], fine[1:]
     dens = h * h * (0.5 / p.F**2) + 0.5 * h * (u * u).sum(0)
     return float(dens.mean() * g.volume)

@@ -4,6 +4,10 @@ import re
 import numpy as np
 import pytest
 
+from thinlayer import grids
+from thinlayer.grids import HField
+from thinlayer.shallow_water import SWState
+
 SCHEMA = pathlib.Path(__file__).resolve().parents[1] / "docs" / "schema.md"
 
 
@@ -12,6 +16,27 @@ def loglog_slope(xs, ys):
     lx = np.log(np.asarray(xs, dtype=float))
     ly = np.log(np.asarray(ys, dtype=float))
     return float(np.polyfit(lx, ly, 1)[0])
+
+
+def stacked_state(t, h0, u0):
+    """SWState of a separate depth h0 and velocity u0, stacked into q."""
+    return SWState(t, HField(h0.grid, np.concatenate([h0.values[None], u0.values])))
+
+
+def split_tendency(dtq):
+    """(dt h0, dt u0), the rows of the stacked tendency sw_rhs returns."""
+    return HField(dtq.grid, dtq.values[0]), HField(dtq.grid, dtq.values[1:])
+
+
+@pytest.fixture
+def transforms(monkeypatch):
+    """A list that grows by one entry per call of grids._rfft or grids._irfft,
+    the only transforms of the package."""
+    calls = []
+    for name in ("_rfft", "_irfft"):
+        real = getattr(grids, name)
+        monkeypatch.setattr(grids, name, lambda *a, _real=real: calls.append(1) or _real(*a))
+    return calls
 
 
 def schema_names(section: str) -> set:

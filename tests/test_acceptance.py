@@ -33,9 +33,9 @@ from thinlayer.residuals import (
     kinematic_residual,
     traction_residual,
 )
-from thinlayer.shallow_water import Params, SWState, initial_wave, sw_energy, sw_steps
+from thinlayer.shallow_water import Params, initial_wave, sw_energy, sw_steps
 from thinlayer.thinfields import Strip
-from tests.conftest import loglog_slope
+from tests.conftest import loglog_slope, stacked_state
 
 EPS3 = (0.1, 0.01, 0.001)
 
@@ -58,7 +58,7 @@ def _random_state(i, N=32):
         ph, pu = 2.0 * np.pi * rng.random(2)
         h += ah * np.cos(k * x + ph)
         u += au * np.cos(k * x + pu)
-    return SWState(0.0, HField(g, h), HField.stack([HField(g, u)]))
+    return stacked_state(0.0, HField(g, h), HField.stack([HField(g, u)]))
 
 
 def _random_params(i):
@@ -164,7 +164,7 @@ def test_criterion_04_equilibrium_and_uniform_flow_exact():
         ):
             worst = max(worst, np.abs(f.values).max())
         moving = initial_wave(g, amplitude=0.0)
-        moving = SWState(0.0, moving.h0, moving.u0 + 0.7)
+        moving = stacked_state(0.0, moving.h0, moving.u0 + 0.7)
         am = build_ansatz(moving, p)
         worst = max(worst, np.abs(kinematic_residual(am).values).max())
         worst = max(worst, np.abs(traction_residual(am).values).max())
@@ -261,7 +261,7 @@ def test_criterion_08_shallow_water_integrity():
     steps_up = sum(b > a + 1e-8 for a, b in zip(energy, energy[1:]))
 
     uniform = initial_wave(g, amplitude=0.0)
-    uniform = SWState(0.0, uniform.h0, uniform.u0 + 0.7)
+    uniform = stacked_state(0.0, uniform.h0, uniform.u0 + 0.7)
     dev = max(
         np.abs(s.u0.values - 0.7 * math.exp(-p.gamma_bar * s.t / p.Re)).max()
         for s, _ in sw_steps(uniform, p, T=1.0, dt=1e-3)

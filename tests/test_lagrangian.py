@@ -14,9 +14,9 @@ from thinlayer.lagrangian import (
     _flow_sampler,
     _xjacobian,
 )
-from thinlayer.shallow_water import Params, SWState, initial_wave, sw_steps
+from thinlayer.shallow_water import Params, initial_wave, sw_steps
 from thinlayer.thinfields import Strip
-from tests.conftest import loglog_slope
+from tests.conftest import loglog_slope, stacked_state
 
 EPS = 0.1
 
@@ -26,8 +26,26 @@ def _flat_charts(g, velocity=0.0, p=None, T=0.2, dt=0.05):
     p = p or Params(F=1.0, Re=10.0, gamma_bar=1.0, eps=EPS)
     init = initial_wave(g, amplitude=0.0, wavenumber=1, velocity_amplitude=0.0)
     if velocity:
-        init = SWState(0.0, init.h0, init.u0 + velocity)
+        init = stacked_state(0.0, init.h0, init.u0 + velocity)
     return integrate_chart(sw_steps(init, p, T=T, dt=dt), dt, EPS, nlev=4), p
+
+
+@pytest.mark.parametrize("n,N,most", [(1, 64, 28), (2, 32, 32)])
+def test_chart_state_transform_count(transforms, n, N, most):
+    """Each charted state, its sw_steps step included, takes at most 28
+    transforms in 1D N = 64 and 32 in 2D N = 32: 24 for the step, one of the
+    Hermite midpoint's stacked q, one of h0 for its evaluation at X0 and
+    2n for dX0/dx0. The velocity rows of q.spec, which sw_rhs caches, need
+    none; transforming h0 and u0 apart took 31 and 35."""
+    g = Grid(n, N)
+    p = Params(F=1.0, Re=10.0, gamma_bar=1.0, eps=EPS)
+    init = initial_wave(g, amplitude=0.1, velocity_amplitude=0.05)
+    charts = integrate_chart(sw_steps(init, p, T=0.004, dt=0.001), 0.001, EPS, nlev=4)
+    next(charts)
+    for _ in range(4):
+        before = len(transforms)
+        next(charts)
+        assert len(transforms) - before <= most
 
 
 def _last(stream):
@@ -60,7 +78,7 @@ def test_stacked_sampler_matches_field_evaluation(n, N):
     g = Grid(n, N)
     rng = np.random.default_rng(3 * n + N)
     u0 = HField(g, rng.standard_normal((n,) + g.shape))
-    state = SWState(0.0, HField(g, 1.0 + 0.3 * rng.random(g.shape)), u0)
+    state = stacked_state(0.0, HField(g, 1.0 + 0.3 * rng.random(g.shape)), u0)
     shape = (5, 7)
     pos = rng.uniform(-10.0, 20.0, (n,) + shape)
     u, d = _flow_sampler(state, shape)(pos)

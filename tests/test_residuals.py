@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from conftest import stacked_state
 from thinlayer import ansatz, shallow_water
 from thinlayer.ansatz import AnsatzFields, ansatz_rate, build_ansatz
 from thinlayer.grids import Grid, HField
@@ -20,7 +21,7 @@ from thinlayer.residuals import (
     solved_form_residual,
     traction_residual,
 )
-from thinlayer.shallow_water import Params, SWState, stable_dt, sw_steps
+from thinlayer.shallow_water import Params, stable_dt, sw_steps
 from thinlayer.thinfields import Strip
 
 P = Params(F=1.0, Re=2.0, gamma_bar=0.5, eps=0.1)
@@ -34,7 +35,7 @@ def _strip(a, nz):
 def _state(grid, h_fn, u_fns, t=0.0):
     h0 = HField.from_function(grid, h_fn)
     u0 = HField.stack([HField.from_function(grid, f) for f in u_fns])
-    return SWState(t, h0, u0)
+    return stacked_state(t, h0, u0)
 
 
 def _equilibrium(N=32):
@@ -281,7 +282,7 @@ def test_translation_equivariance():
     shift = 5
     h_sh = HField(g, np.roll(s.h0.values, shift))
     u_sh = HField(g, np.roll(s.u0.values, shift, axis=-1))
-    s_sh = SWState(0.0, h_sh, u_sh)
+    s_sh = stacked_state(0.0, h_sh, u_sh)
     for state, out in ((s, {}), (s_sh, {})):
         a = build_ansatz(state, P)
         out["interior"] = np.abs(interior_residual(a, _strip(a, 12)).values).max()

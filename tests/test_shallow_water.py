@@ -1,13 +1,14 @@
 """Depth/velocity system: symbolic tendencies, conservation, convergence."""
 import tracemalloc
 import weakref
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import loglog_slope
+from conftest import loglog_slope, split_tendency, stacked_state
 from thinlayer import grids, shallow_water
 from thinlayer.grids import FineWork, Grid, HField, div, grad, nonlinear
 from thinlayer.shallow_water import (
@@ -32,7 +33,7 @@ P1 = Params(F=1.0, Re=1.0, gamma_bar=1.0, eps=0.1)
 def _state(grid, h_fn, u_fns, t=0.0):
     h0 = HField.from_function(grid, h_fn)
     u0 = HField.stack([HField.from_function(grid, f) for f in u_fns])
-    return SWState(t, h0, u0)
+    return stacked_state(t, h0, u0)
 
 
 # -- validation ---------------------------------------------------------------
@@ -67,8 +68,11 @@ def test_state_validation_and_mass():
     x = g.nodes
     with pytest.raises(DegenerateStateError):
         _state(g, lambda x: -1.0 + 0.0 * x, [lambda x: 0.0 * x])
-    with pytest.raises(ValueError):
-        SWState(0.0, HField(g, np.ones(16)), HField(g, np.zeros(16)))  # scalar u0
+    g2 = Grid(2, 16)
+    with pytest.raises(ValueError, match=r"q must stack \(h0, u0\)"):
+        SWState(0.0, HField(g2, np.ones((2, 16, 16))))  # n components, not 1 + n
+    with pytest.raises(ValueError, match=r"q must stack \(h0, u0\)"):
+        SWState(0.0, HField(g2, np.ones((16, 16))))  # rows of shape (16,), not the grid's
     s = _state(g, lambda x: 1.0 + 0.1 * np.cos(x), [np.sin])
     assert abs(s.mass - 2 * np.pi) < 1e-13
     assert abs(s.max_speed() - np.abs(np.sin(x)).max()) < 1e-14
@@ -80,7 +84,7 @@ def test_state_validation_and_mass():
 def test_rhs_equilibrium_is_zero():
     g = Grid(1, 32)
     s = initial_wave(g, amplitude=0.0)
-    dth, dtu = sw_rhs(s, P1)
+    dth, dtu = split_tendency(sw_rhs(s, P1))
     assert np.abs(dth.values).max() < 1e-14
     assert np.abs(dtu.values).max() < 1e-14
 
@@ -91,7 +95,7 @@ def test_rhs_gravity_only():
     a, F = 0.3, 2.0
     p = Params(F=F, Re=1.0, gamma_bar=1.0, eps=0.1)
     s = initial_wave(g, amplitude=a)
-    dth, dtu = sw_rhs(s, p)
+    dth, dtu = split_tendency(sw_rhs(s, p))
     assert np.abs(dth.values).max() < 1e-14
     want = (a / F**2) * np.sin(g.nodes)
     assert np.abs(dtu.values[0] - want).max() < 1e-13
@@ -102,7 +106,7 @@ def test_rhs_uniform_flow_friction_only():
     c = 0.7
     p = Params(F=1.0, Re=2.0, gamma_bar=0.5, eps=0.1)
     s = _state(g, lambda x: 1.0 + 0.0 * x, [lambda x: c + 0.0 * x])
-    dth, dtu = sw_rhs(s, p)
+    dth, dtu = split_tendency(sw_rhs(s, p))
     assert np.abs(dth.values).max() < 1e-14
     assert np.abs(dtu.values + p.gamma_bar * c / p.Re).max() < 1e-14
 
@@ -128,7 +132,7 @@ def test_rhs_flat_depth_single_mode():
     g = Grid(1, 64)
     p = Params(F=1.0, Re=2.0, gamma_bar=0.5, eps=0.1)
     s = _state(g, lambda x: 1.0 + 0.0 * x, [np.sin])
-    dth, dtu = sw_rhs(s, p)
+    dth, dtu = split_tendency(sw_rhs(s, p))
     x = g.nodes
     assert np.abs(dth.values + np.cos(x)).max() < 1e-13
     want = -np.sin(x) * np.cos(x) - (4.0 + p.gamma_bar) * np.sin(x) / p.Re
@@ -152,7 +156,7 @@ def test_rhs_two_dimensional_shear():
         lambda x, y: 1.0 + 0.0 * x,
         [lambda x, y: np.sin(y) + 0.0 * x, lambda x, y: 0.0 * x],
     )
-    dth, dtu = sw_rhs(s, p)
+    dth, dtu = split_tendency(sw_rhs(s, p))
     _, y = np.meshgrid(g.nodes, g.nodes, indexing="ij")
     assert np.abs(dth.values).max() < 1e-14
     want = -(1.0 + p.gamma_bar) * np.sin(y) / p.Re
@@ -208,10 +212,10 @@ def test_rhs_matches_hfield_composition(n, N):
     rng = np.random.default_rng(100 * n + N)
     h0 = HField(g, 1.0 + 0.3 * rng.random(g.shape))
     u0 = HField(g, rng.standard_normal((n,) + g.shape))
-    s = SWState(0.0, h0, u0)
+    s = stacked_state(0.0, h0, u0)
     for F, Re, gamma_bar in [(0.7, 3.0, 0.8), (0.05, 1e3, 0.0), (1.0, 1e6, 1.0)]:
         p = Params(F=F, Re=Re, gamma_bar=gamma_bar, eps=0.1)
-        for got, want in zip(sw_rhs(s, p), _rhs_reference(s, p)):
+        for got, want in zip(split_tendency(sw_rhs(s, p)), _rhs_reference(s, p)):
             scale = np.abs(want.values).max()
             assert np.abs(got.values - want.values).max() <= 1e-13 * scale
 
@@ -265,7 +269,7 @@ def test_rhs_cross_resolution_agreement():
     out = {}
     for N in (64, 128):
         g = Grid(1, N)
-        dth, dtu = sw_rhs(_state(g, h_fn, [u_fn]), P1)
+        dth, dtu = split_tendency(sw_rhs(_state(g, h_fn, [u_fn]), P1))
         out[N] = (dth.values, dtu.values[0])
     assert np.abs(out[64][0] - out[128][0][::2]).max() < 1e-12
     assert np.abs(out[64][1] - out[128][1][::2]).max() < 1e-9
@@ -322,7 +326,7 @@ def test_step_local_order():
 def test_step_vacuum_guard():
     g = Grid(1, 32)
     h0 = HField(g, 1.0 + 0.92 * np.cos(g.nodes))  # min depth 0.08
-    s = SWState(0.0, h0, HField(g, np.zeros((1, 32))))
+    s = stacked_state(0.0, h0, HField(g, np.zeros((1, 32))))
     with pytest.raises(DegenerateStateError):
         sw_step(s, P1, 1e-4)
 
@@ -411,8 +415,23 @@ def test_solve_reuses_stored_tendency():
             s = sw_step(s, p, dt)
         assert np.abs(state.h0.values - s.h0.values).max() <= 1e-15
         assert np.abs(state.u0.values - s.u0.values).max() <= 1e-15
-        for got, want in zip(stored, sw_rhs(state, p)):
+        for got, want in zip(split_tendency(stored), split_tendency(sw_rhs(state, p))):
             assert np.abs(got.values - want.values).max() <= 1e-15
+
+
+def _sample_state(n, N):
+    """A state that varies along every axis, with every velocity component nonzero."""
+    if n == 1:
+        return _state(
+            Grid(1, N),
+            lambda x: 1.0 + 0.1 * np.cos(x) + 0.05 * np.sin(3 * x),
+            [lambda x: 0.05 * np.sin(2 * x) + 0.02 * np.cos(x)],
+        )
+    return _state(
+        Grid(2, N),
+        lambda x, y: 1.0 + 0.1 * np.cos(x) * np.sin(2 * y),
+        [lambda x, y: 0.05 * np.sin(x + y), lambda x, y: 0.03 * np.cos(2 * x - y)],
+    )
 
 
 @pytest.mark.parametrize("N", [16, 32])
@@ -421,16 +440,79 @@ def test_solve_2d_tendencies_equal_standalone_rhs(N):
     work area, equals sw_rhs on its own fresh work area bit for bit; a
     work-area array leaking into a returned field would be overwritten by
     the later calls of the solve."""
-    g = Grid(2, N)
     p = Params(F=0.8, Re=5.0, gamma_bar=0.5, eps=0.1)
-    h0 = HField.from_function(g, lambda x, y: 1.0 + 0.1 * np.cos(x) * np.sin(2 * y))
-    u0 = HField.stack([
-        HField.from_function(g, lambda x, y: 0.05 * np.sin(x + y)),
-        HField.from_function(g, lambda x, y: 0.03 * np.cos(2 * x - y)),
-    ])
-    for state, stored in list(sw_steps(SWState(0.0, h0, u0), p, T=0.05, dt=0.01)):
-        for got, want in zip(stored, sw_rhs(state, p)):
+    for state, stored in list(sw_steps(_sample_state(2, N), p, T=0.05, dt=0.01)):
+        for got, want in zip(split_tendency(stored), split_tendency(sw_rhs(state, p))):
             assert np.array_equal(got.values, want.values)
+
+
+def _pair_rhs(h0, u0, p):
+    """Tendency pair (dt h0, dt u0) of sw_rhs on separate fields: the spectra
+    of h0 and of u0 taken one at a time and concatenated."""
+    spec = np.concatenate([h0.spec[None], u0.spec])
+    return split_tendency(sw_rhs(SimpleNamespace(grid=h0.grid, q=SimpleNamespace(spec=spec)), p))
+
+
+def _pair_step(h0, u0, p, dt, k1):
+    """The RK4 step on separate fields: each stage advances h0 and u0 apart,
+    and the new h0 and u0 are two combinations."""
+    k1h, k1u = k1
+    k2h, k2u = _pair_rhs(h0 + 0.5 * dt * k1h, u0 + 0.5 * dt * k1u, p)
+    k3h, k3u = _pair_rhs(h0 + 0.5 * dt * k2h, u0 + 0.5 * dt * k2u, p)
+    k4h, k4u = _pair_rhs(h0 + dt * k3h, u0 + dt * k3u, p)
+    c = dt / 6.0
+    return h0 + c * (k1h + 2.0 * (k2h + k3h) + k4h), u0 + c * (k1u + 2.0 * (k2u + k3u) + k4u)
+
+
+@pytest.mark.parametrize("n,N", [(1, 64), (2, 32)])
+def test_stacked_step_matches_pair_form_bit_for_bit(n, N):
+    """The solve on the stacked q reproduces, bit for bit, the step written
+    for separate h0 and u0 fields (_pair_step, _pair_rhs): every state and
+    every tendency of 10 sw_steps steps, a step that evaluates its own k1,
+    and the Hermite midpoint, weighted field by field."""
+    p = Params(F=0.8, Re=5.0, gamma_bar=0.5, eps=0.1)
+    dt = 0.002
+    init = _sample_state(n, N)
+    h0, u0 = init.h0, init.u0
+    pair = _pair_rhs(h0, u0, p)
+    run = list(sw_steps(init, p, T=10 * dt, dt=dt))
+    assert len(run) == 11
+    for i, (s, f) in enumerate(run):
+        if i:
+            h0, u0 = _pair_step(h0, u0, p, dt, pair)
+            pair = _pair_rhs(h0, u0, p)
+        assert np.array_equal(s.h0.values, h0.values) and np.array_equal(s.u0.values, u0.values)
+        for got, want in zip(split_tendency(f), pair):
+            assert np.array_equal(got.values, want.values)
+
+    one = sw_step(init, p, dt)
+    want = _pair_step(init.h0, init.u0, p, dt, _pair_rhs(init.h0, init.u0, p))
+    for got, field in zip((one.h0, one.u0), want):
+        assert np.array_equal(got.values, field.values)
+
+    (sa, fa), (sb, fb) = run[0], run[1]
+    mid = SWTrajectory((sa, sb), (fa, fb), dt).interpolate(0.5 * dt)
+    th = (0.5 * dt - sa.t) / dt
+    w00, w10 = (1.0 + 2.0 * th) * (1.0 - th) ** 2, th * (1.0 - th) ** 2
+    w01, w11 = th * th * (3.0 - 2.0 * th), th * th * (th - 1.0)
+    for got, a, b, da, db in zip(
+        (mid.h0, mid.u0), (sa.h0, sa.u0), (sb.h0, sb.u0), split_tendency(fa), split_tendency(fb)
+    ):
+        want = w00 * a.values + w01 * b.values + dt * (w10 * da.values + w11 * db.values)
+        assert np.array_equal(got.values, want)
+
+
+@pytest.mark.parametrize("n,N", [(1, 64), (2, 32)])
+def test_step_makes_24_transforms(transforms, n, N):
+    """One sw_steps step makes 24 transforms: three stage tendencies and the
+    new state's, each one transform of the stacked q and five of the padded
+    stages. Transforming h0 and u0 apart made 28."""
+    steps = sw_steps(_sample_state(n, N), P1, T=0.004, dt=0.001)
+    next(steps)
+    for _ in range(4):
+        before = len(transforms)
+        next(steps)
+        assert len(transforms) - before == 24
 
 
 def _solve_10_steps_2d():
@@ -554,7 +636,7 @@ def test_energy_matches_nested_products(n, N, masked):
         u0 = HField(g, rng.standard_normal((n,) + g.shape))
         if masked:
             h0, u0 = h0.mask_two_thirds(), u0.mask_two_thirds()
-        s = SWState(0.0, h0, u0)
+        s = stacked_state(0.0, h0, u0)
         want = _energy_reference(s, p)
         assert abs(sw_energy(s, p) - want) <= 1e-15 * want
 

@@ -7,21 +7,23 @@ horizontal-field coefficients:
     p   = eps h0 - z - (2 eps F^2 / Re)(1 + eps^2 gamma_bar) div u0.
 
 ZPoly carries that structure: z is an independent coordinate, so horizontal
-derivatives act on coefficients and vertical derivatives shift them. The
-depth polynomials of u_H and u_V are written once, as `velocity_polys` on
-the common base of an AnsatzFields and of its time derivative AnsatzRate,
-and built once per object; an AnsatzFields also keeps its deformation
-D(u_a) once built. The residuals read both there. The coefficients of the
-ansatz and of its rate come from the same linear maps (`_coefficients`)
-applied to u0 and to its time derivative; `build_ansatz` keeps the rate as
-the field `rate`. The stress vector A = (D(u0) + 2 div u0 Id) grad h0 -
-gamma_bar u0 of u2's quotient term A/h0, and D(u0), div u0 and grad h0,
-are built once per state, in `ansatz_rate`, and A/h0 and its rate take one
-padded pass. Only u1, w2 and p_nonhydro depend on eps, and `_scaled`
-is the one map that builds them, so `at(eps)` moves the ansatz and its rate
-to another aspect ratio and shares every other field. The incompressibility
-of (u0, u1, u2) against (w1, w2, w3) is an algebraic identity of the
-construction, not an approximation.
+derivatives act on coefficients and vertical derivatives shift them. Its
+coefficients are the rows of one HField, so each operation acts on the
+stack and one transform call covers every row. The depth polynomials of
+u_H and u_V are written once, as `velocity_polys` on the common base of an
+AnsatzFields and of its time derivative AnsatzRate, and built once per
+object; an AnsatzFields also keeps its deformation D(u_a) once built. The
+residuals read both there. The coefficients of the ansatz and of its rate
+come from the same linear maps (`_coefficients`) applied to u0 and to its
+time derivative; `build_ansatz` keeps the rate as the field `rate`. The
+stress vector A = (D(u0) + 2 div u0 Id) grad h0 - gamma_bar u0 of u2's
+quotient term A/h0, and D(u0), div u0 and grad h0, are built once per
+state, in `ansatz_rate`, and A/h0 and its rate take one padded pass. Only
+u1, w2 and p_nonhydro depend on eps, and `_scaled` is the one map that
+builds them, so `at(eps)` moves the ansatz and its rate to another aspect
+ratio and shares every other field. The incompressibility of (u0, u1, u2)
+against (w1, w2, w3) is an algebraic identity of the construction, not an
+approximation.
 """
 from __future__ import annotations
 
@@ -38,91 +40,84 @@ from .thinfields import Strip, ThinField
 class ZPoly:
     """Polynomial in z with scalar horizontal fields as coefficients.
 
-    value(x, z) = sum_k coeffs[k](x) * z**k. A product pads both factors'
-    coefficients in one pass and dealiases the coefficient pairs one row at
-    a time, each coefficient of self against all of other's in one
-    projection; at_height performs the whole Horner evaluation in one
-    padded pass so truncation is committed only once.
+    value(x, z) = sum_k c[k](x) * z**k: the coefficients are the rows of one
+    HField c, row k multiplying z**k, and `ZPoly.stack` builds c from a list
+    of fields. Each operation acts on the whole stack, so one transform call
+    covers every row. A product pads both factors' rows in one pass and
+    dealiases the coefficient pairs one row at a time, each row of self
+    against all of other's in one projection; at_height performs the whole
+    Horner evaluation in one padded pass so truncation is committed only
+    once.
     """
 
-    __slots__ = ("grid", "coeffs")
+    __slots__ = ("c",)
 
-    def __init__(self, coeffs):
-        coeffs = list(coeffs)
-        if not coeffs:
-            raise ValueError("a ZPoly needs at least one coefficient")
-        grid = coeffs[0].grid
-        for c in coeffs:
-            if c.grid != grid:
-                raise ValueError("coefficients must share a grid")
-            if c.is_vector:
-                raise ValueError("coefficients must be scalar fields")
-        self.grid = grid
-        self.coeffs = coeffs
+    def __init__(self, c: HField):
+        self.c = c
 
     @classmethod
-    def zero(cls, grid: Grid) -> "ZPoly":
-        return cls([HField.constant(grid, 0.0)])
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
+    def stack(cls, coeffs) -> "ZPoly":
+        """sum_k coeffs[k] z**k, from a non-empty list of scalar fields on one grid."""
+        coeffs = list(coeffs)
+        if not coeffs or any(c.grid != coeffs[0].grid or c.is_vector for c in coeffs):
+            raise ValueError("a ZPoly needs one or more scalar coefficients on one grid")
+        return cls(HField.stack(coeffs))
 
     def __add__(self, other: "ZPoly") -> "ZPoly":
-        """Coefficient-wise sum; the longer operand's tail is kept as it is."""
-        a, b = self.coeffs, other.coeffs
-        return ZPoly([p + q for p, q in zip(a, b)] + a[len(b):] + b[len(a):])
+        """Row-wise sum; the longer operand's tail rows are copied unchanged."""
+        a, b = sorted((self.c.values, other.c.values), key=len, reverse=True)
+        out = a.copy()
+        out[: len(b)] += b
+        return ZPoly(HField(self.c.grid, out))
 
     def __mul__(self, other):
+        g = self.c.grid
         if isinstance(other, ZPoly):
-            p, q = len(self.coeffs), len(other.coeffs)
-            fine = _spec_to_fine(self.grid, np.stack([c.spec for c in self.coeffs + other.coeffs]))
-            out = np.zeros((p + q - 1,) + self.grid.shape)
+            p, q = len(self.c.values), len(other.c.values)
+            fine = _spec_to_fine(g, np.concatenate([self.c.spec, other.c.spec]))
+            out = np.zeros((p + q - 1,) + g.shape)
             for i in range(p):
-                row = from_fine(self.grid, fine[i] * fine[p:]).values
+                row = from_fine(g, fine[i] * fine[p:]).values
                 # one pair at a time in (i, j) order: a vectorised sum rounds differently
                 for j in range(q):
                     out[i + j] += row[j]
-            return ZPoly([HField(self.grid, v) for v in out])
-        return ZPoly([c * float(other) for c in self.coeffs])
+            return ZPoly(HField(g, out))
+        return ZPoly(HField(g, self.c.values * float(other)))
 
     __rmul__ = __mul__
 
     def dz(self) -> "ZPoly":
-        if len(self.coeffs) == 1:
-            return ZPoly.zero(self.grid)
-        return ZPoly([(k + 1.0) * c for k, c in enumerate(self.coeffs[1:])])
+        v = self.c.values
+        k = np.arange(1.0, len(v)).reshape((-1,) + (1,) * self.c.grid.n)
+        return ZPoly(HField(self.c.grid, k * v[1:] if len(v) > 1 else np.zeros_like(v)))
 
-    def dx(self, axis: int, order: int = 1) -> "ZPoly":
-        return ZPoly([c.dx(axis, order) for c in self.coeffs])
-
-    def bottom(self) -> HField:
-        return self.coeffs[0]
+    def dx(self, axis: int) -> "ZPoly":
+        return ZPoly(self.c.dx(axis))
 
     def at_z(self, z: float) -> HField:
         """Evaluation at a constant height (a plain linear combination)."""
-        acc = self.coeffs[-1].values
-        for c in reversed(self.coeffs[:-1]):
-            acc = acc * z + c.values
-        return HField(self.grid, acc + np.zeros(self.grid.shape))
+        acc = self.c.values[-1]
+        for c in self.c.values[-2::-1]:
+            acc = acc * z + c
+        return HField(self.c.grid, acc + np.zeros(self.c.grid.shape))
 
     def at_height(self, eta: HField) -> HField:
         """Evaluation at a variable height eta(x), one padded Horner pass."""
-        *fine, e = _spec_to_fine(self.grid, np.stack([c.spec for c in self.coeffs + [eta]]))
+        *fine, e = _spec_to_fine(self.c.grid, np.concatenate([self.c.spec, eta.spec[None]]))
         acc = fine[-1]
         for c in reversed(fine[:-1]):
             acc = acc * e + c
-        return from_fine(self.grid, acc)
+        return from_fine(self.c.grid, acc)
 
     def to_thinfield(self, strip: Strip) -> ThinField:
         """Nodal samples at the strip's heights z = zeta*eps*h0."""
         z = strip.z
         acc = np.zeros(z.shape)
-        acc += self.coeffs[-1].values
+        acc += self.c.values[-1]
         # Horner in place on one array
-        for c in reversed(self.coeffs[:-1]):
+        for c in self.c.values[-2::-1]:
             acc *= z
-            acc += c.values
+            acc += c
         return ThinField(strip, acc)
 
 
@@ -136,10 +131,12 @@ class _VelocityForm:
         u_V = w1 z + w2 z^2/2 + w3 z^3/6; built on first use and then kept."""
         g = self.u0.grid
         horizontal = [
-            ZPoly([self.u0.component(i), self.u1.component(i), 0.5 * self.u2.component(i)])
+            ZPoly.stack([self.u0.component(i), self.u1.component(i), 0.5 * self.u2.component(i)])
             for i in range(g.n)
         ]
-        vertical = ZPoly([HField.constant(g, 0.0), self.w1, 0.5 * self.w2, self.w3 * (1.0 / 6.0)])
+        vertical = ZPoly.stack(
+            [HField.constant(g, 0.0), self.w1, 0.5 * self.w2, self.w3 * (1.0 / 6.0)]
+        )
         return (*horizontal, vertical)
 
 
@@ -172,7 +169,7 @@ class AnsatzFields(_VelocityForm):
 
     def pressure_poly(self) -> ZPoly:
         hydro = self.eps * self.base.h0 + self.p_nonhydro
-        return ZPoly([hydro, HField.constant(self.grid, -1.0)])
+        return ZPoly.stack([hydro, HField.constant(self.grid, -1.0)])
 
     @cached_property
     def deformation(self) -> tuple[tuple[ZPoly, ...], ...]:

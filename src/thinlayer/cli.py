@@ -9,7 +9,8 @@ failure, 3 numerical failure (vacuum, blowup, step above the stability
 bound, conditioning, uncertified solve), 64 usage error, 1 I/O failure or
 an allocation that failed.
 --threads is accepted for compatibility and has no effect: every pipeline
-runs serially.
+runs serially, and OpenBLAS on one thread unless OPENBLAS_NUM_THREADS is
+set before the CLI starts (an explicit value wins).
 
 Only the config, the emitters and the leaf `failures` module load with
 this one. Each pipeline imports the modules it runs when it runs, so a
@@ -21,9 +22,11 @@ none of them.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from pathlib import Path
 
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")  # read once, as numpy loads OpenBLAS
 import numpy as np
 
 from . import __version__

@@ -7,15 +7,17 @@ The map follows the column ODEs
 integrated with RK4 along the solver's stream of states, one consecutive
 pair at a time; velocities at stage times come from the pair's cubic
 Hermite interpolant and spatial values from trigonometric evaluation, so
-positions never need wrapping into the periodic box. The sampler stacks
-the coefficients of u0 and div u0 once per state, so each RK4 stage is one
-call of the grids evaluation kernel with one phase table for both fields.
-Two structural facts shape the data layout: X0 does not depend on the
-vertical label z0 (positions are stored once per column), and the vertical
-ODE is linear and homogeneous in Z0, so every level of a column shares one
-integrating factor Z0/z0, stored once. The material levels z0 are the
-heights of one flat `thinfields.Strip`, built once per chart stream and
-shared by its charts; its vertical derivative is the chain rule's d/dz0.
+positions never need wrapping into the periodic box. Two structural
+facts shape the data layout: X0 does not depend on the vertical label z0
+(positions are stored once per column), and the vertical ODE is linear and
+homogeneous in Z0, so every level of a column shares one integrating
+factor Z0/z0, stored once. RK4 advances the stack Y = (X0, Z0/z0) whole,
+so the stage and update formulas are written once for both. The rate of
+each state (`_flow_rate`) stacks the coefficients of u0 and div u0 once,
+so each stage is one call of the grids evaluation kernel with one phase
+table for both fields. The material levels z0 are the heights of one flat
+`thinfields.Strip`, built once per chart stream and shared by its charts;
+its vertical derivative is the chain rule's d/dz0.
 
 The closed-form identities Z0 = z0*h0(t, X0) and det(dX0/dx0)*h0(t, X0) = 1
 tie the map back to the evolved height field. `integrate_chart` yields the
@@ -81,8 +83,9 @@ def _material_nodes(grid: Grid) -> np.ndarray:
     return np.stack(np.broadcast_arrays(*grid.coords())).astype(float)
 
 
-def _flow_sampler(state, shape):
-    """Evaluator of (u0, div u0) at arbitrary positions (n,) + shape.
+def _flow_rate(state):
+    """The chart rate dY/dt = (u0(X0), (-Z0/z0) div u0(X0)) at this state,
+    for chart states Y = (X0, Z0/z0) of shape (n + 1,) + any shape.
 
     The coefficients of u0, rows of q.spec (cached by sw_rhs on the states
     of sw_steps), and of div u0 = sum_a i kappa_a c_a are stacked once, so
@@ -93,11 +96,12 @@ def _flow_sampler(state, shape):
     c_u = state.q.coefficients[1:]
     stacked = np.concatenate([c_u, (g.ik * c_u).sum(0)[None]])
 
-    def at(pos):
-        vals = _eval_coefficients(g, stacked, pos.reshape(n, -1).T)
-        return vals[:n].reshape((n,) + shape), vals[n].reshape(shape)
+    def rate(Y):
+        k = _eval_coefficients(g, stacked, Y[:n].reshape(n, -1).T).reshape(Y.shape)
+        k[n] *= -Y[n]
+        return k
 
-    return at
+    return rate
 
 
 def integrate_chart(steps, dt: float, eps: float, nlev: int = 8):
@@ -106,14 +110,15 @@ def integrate_chart(steps, dt: float, eps: float, nlev: int = 8):
     steps yields (state, tendency) pairs uniformly spaced by dt, as
     sw_steps does. The map starts from the identity at the first state and
     advances by RK4 over each consecutive pair, sampling the pair's Hermite
-    midpoint. The charts share one flat Strip(grid, eps, nlev) of material
-    z levels, built (and its eps and nlev checked) at the first state. As
-    each state arrives, h0 is evaluated at X0 once and dX0/dx0 formed once,
-    and (chart, defect, {"height", "volume"}) is yielded: defect is
-    det(dX0/dx0) h0(t, X0) - 1 per column (shaped like chart.zfactor),
-    height is sup |Z0 - z0 h0(t, X0)| and volume sup |defect|, both over the
-    states up to this one. Both identities vanish for the continuous map;
-    discretely they decay at the integrator's order.
+    midpoint; the RK4 state is one stack Y = (X0, Z0/z0). The charts share
+    one flat Strip(grid, eps, nlev) of material z levels, built (and its eps
+    and nlev checked) at the first state. As each state arrives, h0 is
+    evaluated at X0 once and dX0/dx0 formed once, and (chart, defect,
+    {"height", "volume"}) is yielded: defect is det(dX0/dx0) h0(t, X0) - 1
+    per column (shaped like chart.zfactor), height is sup |Z0 - z0 h0(t, X0)|
+    and volume sup |defect|, both over the states up to this one. Both
+    identities vanish for the continuous map; discretely they decay at the
+    integrator's order.
     """
     grid = None
     height = volume = 0.0
@@ -123,26 +128,19 @@ def integrate_chart(steps, dt: float, eps: float, nlev: int = 8):
             n, shape = grid.n, grid.shape
             strip = Strip(grid, eps, nlev)
             x0 = _material_nodes(grid)
-            X = x0.copy()
-            G = np.ones(shape)
-            f_b = _flow_sampler(sb, shape)
+            Y = np.concatenate([x0, np.ones((1,) + shape)])
+            f_b = _flow_rate(sb)
         else:
             mid = SWTrajectory((sa, sb), (fa, fb), dt).interpolate(sa.t + 0.5 * dt)
-            f_a, f_m, f_b = f_b, _flow_sampler(mid, shape), _flow_sampler(sb, shape)
-            u1, d1 = f_a(X)
-            g1 = -G * d1
-            u2, d2 = f_m(X + 0.5 * dt * u1)
-            g2 = -(G + 0.5 * dt * g1) * d2
-            u3, d3 = f_m(X + 0.5 * dt * u2)
-            g3 = -(G + 0.5 * dt * g2) * d3
-            u4, d4 = f_b(X + dt * u3)
-            g4 = -(G + dt * g3) * d4
-
-            X = X + (dt / 6.0) * (u1 + 2.0 * (u2 + u3) + u4)
-            G = G + (dt / 6.0) * (g1 + 2.0 * (g2 + g3) + g4)
-            if not (np.isfinite(X).all() and np.isfinite(G).all()):
+            f_a, f_m, f_b = f_b, _flow_rate(mid), _flow_rate(sb)
+            k1 = f_a(Y)
+            k2 = f_m(Y + 0.5 * dt * k1)
+            k3 = f_m(Y + 0.5 * dt * k2)
+            k4 = f_b(Y + dt * k3)
+            Y = Y + (dt / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
+            if not np.isfinite(Y).all():
                 raise BlowupError(f"flow map lost finiteness at t = {sb.t:.6g}")
-        d = X - x0
+        d, G = Y[:n] - x0, Y[n]
         hX = sb.h0.eval_at((x0 + d).reshape(n, -1).T).reshape(shape)
         _, det = _xjacobian(grid, d)
         defect = det * hX - 1.0

@@ -79,9 +79,9 @@ def _interior_terms(a: AnsatzFields, i: int) -> tuple[ZPoly, ...]:
 
     if i < n:
         pnh_over_eps = (1.0 / p.eps) * a.p_nonhydro
-        pressure = ZPoly([(a.base.h0.dx(i) + pnh_over_eps.dx(i)) * (1.0 / p.F**2)])
-    else:
-        pressure = ZPoly.zero(a.grid)  # hydrostatic pair cancels identically
+        pressure = ZPoly.stack([(a.base.h0.dx(i) + pnh_over_eps.dx(i)) * (1.0 / p.F**2)])
+    else:  # the hydrostatic pair cancels identically
+        pressure = ZPoly.stack([HField.constant(a.grid, 0.0)])
 
     S = a.deformation[i]
     viscous = S[0].dx(0)

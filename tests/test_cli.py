@@ -3,6 +3,7 @@ import csv
 import importlib.util
 import json
 import math
+import os
 import re
 import subprocess
 import sys
@@ -424,6 +425,35 @@ def test_pipelines_do_not_load_openssl(tmp_path):
     report = json.loads(proc.stdout.splitlines()[-1])
     assert set(report["rcs"].values()) == {0}
     assert report["_hashlib"] is False
+
+
+@pytest.mark.skipif(
+    not Path("/proc/self/status").exists() or (os.cpu_count() or 1) < 2,
+    reason="needs /proc/self/status and two CPUs",
+)
+@pytest.mark.parametrize("pin, threads", [(None, 1), ("2", 2)])
+def test_cli_runs_one_blas_thread_unless_asked(pin, threads):
+    """A fresh process that imports the CLI runs on its main thread alone:
+    OpenBLAS starts no worker unless OPENBLAS_NUM_THREADS asks for one. The
+    variables OpenBLAS falls back to are removed, so only the CLI's own
+    default can pin it."""
+    blas_vars = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+    env = {k: v for k, v in os.environ.items() if k not in blas_vars}
+    if pin is not None:
+        env["OPENBLAS_NUM_THREADS"] = pin
+    script = (
+        "import re, sys\n"
+        "sys.path.insert(0, sys.argv[1])\n"
+        "import thinlayer.cli\n"
+        "status = open('/proc/self/status').read()\n"
+        "print(re.search(r'^Threads:\\s*(\\d+)$', status, re.M)[1])\n"
+    )
+    src = str(Path(cli.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", script, src], env=env,
+        capture_output=True, text=True, timeout=120, check=True,
+    )
+    assert int(proc.stdout) == threads
 
 
 # The thinlayer modules a fresh process has loaded after one subcommand,

@@ -4,17 +4,18 @@ from collections import deque
 import numpy as np
 import pytest
 
-from thinlayer.grids import Grid, HField, div
+from thinlayer.grids import Grid, HField, _eval_coefficients, div
 from thinlayer.lagrangian import (
     Chart,
     chain_rule_check,
     chart_header,
     chart_records,
     integrate_chart,
-    _flow_sampler,
+    _flow_rate,
+    _material_nodes,
     _xjacobian,
 )
-from thinlayer.shallow_water import Params, initial_wave, sw_steps
+from thinlayer.shallow_water import Params, SWTrajectory, initial_wave, sw_steps
 from thinlayer.thinfields import Strip
 from tests.conftest import loglog_slope, stacked_state
 
@@ -73,20 +74,98 @@ GF_TEST = lambda x, z: np.stack(
 
 @pytest.mark.parametrize("n,N", [(1, 32), (2, 16)])
 def test_stacked_sampler_matches_field_evaluation(n, N):
-    # (u0, div u0) from stacked coefficients in one kernel call, against two
-    # eval_at calls on u0 and on the div() field
+    # the chart rate (u0, (-Z0/z0) div u0) from stacked coefficients in one
+    # kernel call, against two eval_at calls on u0 and on the div() field
     g = Grid(n, N)
     rng = np.random.default_rng(3 * n + N)
     u0 = HField(g, rng.standard_normal((n,) + g.shape))
     state = stacked_state(0.0, HField(g, 1.0 + 0.3 * rng.random(g.shape)), u0)
     shape = (5, 7)
     pos = rng.uniform(-10.0, 20.0, (n,) + shape)
-    u, d = _flow_sampler(state, shape)(pos)
+    zfactor = rng.uniform(0.5, 1.5, shape)
+    k = _flow_rate(state)(np.concatenate([pos, zfactor[None]]))
+    u, d = k[:n], k[n]
     pts = pos.reshape(n, -1).T
     want_u = u0.eval_at(pts).reshape((n,) + shape)
-    want_d = div(u0).eval_at(pts).reshape(shape)
+    want_d = -zfactor * div(u0).eval_at(pts).reshape(shape)
     assert np.abs(u - want_u).max() <= 1e-13 * np.abs(want_u).max()
     assert np.abs(d - want_d).max() <= 1e-13 * np.abs(want_d).max()
+
+
+def _separate_sampler(state):
+    """(u0, div u0) at positions X0, from the stacked coefficients of u0 and
+    of div u0, as two arrays."""
+    g = state.grid
+    c_u = state.q.coefficients[1:]
+    stacked = np.concatenate([c_u, (g.ik * c_u).sum(0)[None]])
+
+    def at(X):
+        vals = _eval_coefficients(g, stacked, X.reshape(g.n, -1).T)
+        return vals[: g.n].reshape(X.shape), vals[g.n].reshape(X.shape[1:])
+
+    return at
+
+
+def _separate_charts(steps, dt, eps, nlev):
+    """integrate_chart with X0 and G = Z0/z0 advanced as two arrays, each RK4
+    stage and the update written once for X0 and once for G: (t, xdisp,
+    zfactor, defect, height, volume) per state."""
+    X = None
+    height = volume = 0.0
+    for sb, fb in steps:
+        if X is None:
+            g = sb.grid
+            strip = Strip(g, eps, nlev)
+            x0 = _material_nodes(g)
+            X, G = x0.copy(), np.ones(g.shape)
+            f_b = _separate_sampler(sb)
+        else:
+            mid = SWTrajectory((sa, sb), (fa, fb), dt).interpolate(sa.t + 0.5 * dt)
+            f_a, f_m, f_b = f_b, _separate_sampler(mid), _separate_sampler(sb)
+            u1, d1 = f_a(X)
+            g1 = -G * d1
+            u2, d2 = f_m(X + 0.5 * dt * u1)
+            g2 = -(G + 0.5 * dt * g1) * d2
+            u3, d3 = f_m(X + 0.5 * dt * u2)
+            g3 = -(G + 0.5 * dt * g2) * d3
+            u4, d4 = f_b(X + dt * u3)
+            g4 = -(G + dt * g3) * d4
+            X = X + (dt / 6.0) * (u1 + 2.0 * (u2 + u3) + u4)
+            G = G + (dt / 6.0) * (g1 + 2.0 * (g2 + g3) + g4)
+        d = X - x0
+        hX = sb.h0.eval_at((x0 + d).reshape(g.n, -1).T).reshape(g.shape)
+        defect = _xjacobian(g, d)[1] * hX - 1.0
+        height = max(height, float(np.abs(strip.z * G - strip.z * hX).max()))
+        volume = max(volume, float(np.abs(defect).max()))
+        yield sb.t, d, G, defect, height, volume
+        sa, fa = sb, fb
+
+
+@pytest.mark.parametrize("n,N", [(1, 64), (2, 32)])
+def test_stacked_chart_matches_separate_loop_bit_for_bit(n, N):
+    """Every chart, defect and running sup of the stacked RK4 state equals
+    the loop that advances X0 and Z0/z0 apart, over 12 states; the 2D state
+    varies in x2 and both velocity components are nonzero."""
+    g = Grid(n, N)
+    p = Params(F=1.0, Re=10.0, gamma_bar=1.0, eps=EPS)
+    if n == 1:
+        init = initial_wave(g, amplitude=0.1, velocity_amplitude=0.2)
+    else:
+        x1, x2 = g.coords()
+        h0 = HField(g, 1.0 + 0.1 * np.cos(x1) + 0.05 * np.sin(x2))
+        u0 = HField(g, np.stack(np.broadcast_arrays(
+            0.1 * np.sin(x1 + x2), 0.08 * np.cos(x2) + 0.03 * np.sin(x1)
+        )))
+        init = stacked_state(0.0, h0, u0)
+    dt, T = 0.002, 0.022
+    got = list(integrate_chart(sw_steps(init, p, T=T, dt=dt), dt, EPS, nlev=4))
+    want = list(_separate_charts(sw_steps(init, p, T=T, dt=dt), dt, EPS, nlev=4))
+    assert len(got) == len(want) == 12
+    for (chart, defect, ids), (t, xdisp, zfactor, w_defect, height, volume) in zip(got, want):
+        assert chart.t == t
+        assert np.array_equal(chart.xdisp, xdisp) and np.array_equal(chart.zfactor, zfactor)
+        assert np.array_equal(defect, w_defect)
+        assert ids == {"height": height, "volume": volume}
 
 
 def test_rest_chart_is_identity():

@@ -43,8 +43,6 @@ ALLOWLIST = {
     "thinfields.Strip.dz": "oracle: _unguarded_interior; "
     + PAPER + " (chain_rule_check, divergence_lift)",
     "ansatz.ZPoly.at_z": "oracle: the checks of the ZPoly calculus",
-    "ansatz.ZPoly.degree": "oracle: the checks of the ZPoly calculus",
-    "ansatz.ZPoly.bottom": "oracle: u_V vanishes at the bottom",
     # test fixtures
     "grids.HField.from_function": "fixture",
     "thinfields.ThinField.from_function": "fixture",

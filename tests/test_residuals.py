@@ -1,5 +1,7 @@
 """Residual assembly oracles and the aspect-ratio convergence study."""
+import json
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,10 +23,12 @@ from thinlayer.residuals import (
     solved_form_residual,
     traction_residual,
 )
-from thinlayer.shallow_water import Params, stable_dt, sw_steps
+from thinlayer.shallow_water import Params, initial_wave, stable_dt, sw_steps
 from thinlayer.thinfields import Strip
 
 P = Params(F=1.0, Re=2.0, gamma_bar=0.5, eps=0.1)
+
+DEFAULT_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "default.json"
 
 
 def _strip(a, nz):
@@ -110,12 +114,12 @@ def test_residual_records_build_u_a_once_per_ansatz_and_rate(monkeypatch):
     # the u_V polynomial of an ansatz or of its rate has that object's w1 as
     # its second coefficient, so these constructions count the u_a builds
     second = []
-    init = ansatz.ZPoly.__init__
+    stack = ansatz.ZPoly.stack
 
-    def counted(self, coeffs):
+    def counted(coeffs):
         coeffs = list(coeffs)
         second.append(coeffs[1] if len(coeffs) > 1 else None)
-        init(self, coeffs)
+        return stack(coeffs)
 
     s = _state(
         Grid(2, 16),
@@ -123,7 +127,7 @@ def test_residual_records_build_u_a_once_per_ansatz_and_rate(monkeypatch):
         [lambda x, y: 0.02 * np.sin(x + y), lambda x, y: 0.01 * np.cos(x) + 0.0 * y],
     )
     a = build_ansatz(s, P)
-    monkeypatch.setattr(ansatz.ZPoly, "__init__", counted)
+    monkeypatch.setattr(ansatz.ZPoly, "stack", staticmethod(counted))
     _residual_records(a, nz=8)
     assert sum(c is a.w1 for c in second) == 1
     assert sum(c is a.rate.w1 for c in second) == 1
@@ -131,6 +135,27 @@ def test_residual_records_build_u_a_once_per_ansatz_and_rate(monkeypatch):
     S = vars(a)["deformation"]
     assert len(S) == 3
     assert all(S[i][j] is S[j][i] for i in range(3) for j in range(3))
+
+
+def test_one_study_eps_takes_at_most_200_transforms(transforms):
+    """One eps of the convergence study of configs/default.json in 2D at
+    N = 32, on its state at study.t_eval, takes at most 200 transforms: a
+    ZPoly transforms its stacked coefficients in one call. One call per
+    coefficient took 288."""
+    cfg = json.loads(DEFAULT_CONFIG.read_text())
+    par, init, study = cfg["params"], cfg["sw"]["init"], cfg["study"]
+    eps = study["eps_list"][0]
+    p = Params(F=par["F"], Re=par["Re"], gamma_bar=par["gamma_bar"], eps=eps)
+    s0 = initial_wave(
+        Grid(2, 32, cfg["domain"]["L"]),
+        init["amplitude"], init["wavenumber"], init["velocity_amplitude"],
+    )
+    for s, _ in sw_steps(s0, p, study["t_eval"], 0.4 * stable_dt(s0, p)):
+        pass
+    a = build_ansatz(s, p)
+    before = len(transforms)
+    _residual_records(a.at(eps), study["nz"])
+    assert len(transforms) - before <= 200
 
 
 def test_residual_records_stream_the_interior_into_its_norms():

@@ -116,7 +116,7 @@ def _run_ansatz(cfg, out: Path) -> list:
     for name in ("u0", "u1", "u2"):
         header += _component_columns(n, name)
     header += ["w1", "w2", "w3"]
-    cols = [np.broadcast_to(c, grid.shape).reshape(-1) for c in grid.coords()]
+    cols = list(grid.mesh.reshape(n, -1))
     for fld in (a.u0, a.u1, a.u2):
         cols += list(fld.values.reshape(n, -1))
     for fld in (a.w1, a.w2, a.w3):

@@ -22,6 +22,13 @@ axis. This is the only module that transforms, and it uses only numpy's
 real-input transforms: other modules take spectra, coefficients, derivative
 symbols, Parseval sums and off-grid values from here.
 
+Every first derivative takes one path: a stack's spectrum times the cached
+symbol Grid.ik, then one inverse transform for the whole stack. HField.dx
+takes one axis, grad_values every axis of every component (grad, sym_grad
+and the chart's Jacobian read it), and div sums the rows of one such
+transform in axis order. Each rejects NaN input. deriv, with its per-call
+symbol, is left for the orders of two and more.
+
 Padded transforms run either on fresh buffers or in a FineWork: padded
 half spectra zeroed once, fine nodal fields and fine half spectra, which
 the transforms fill through numpy's out= arguments. The fine transforms
@@ -116,6 +123,13 @@ class Grid:
             return [self.nodes]
         return [self.nodes[:, None], self.nodes[None, :]]
 
+    @cached_property
+    def mesh(self) -> np.ndarray:
+        """Node coordinates on the whole grid, shape (n,) + shape, read-only."""
+        mesh = np.stack(np.broadcast_arrays(*self.coords()))
+        mesh.flags.writeable = False
+        return mesh
+
     def _spectral(self, v: np.ndarray) -> list[np.ndarray]:
         """A 1d array over the full axis layout laid along each spectral axis:
         whole on the leading axis in 2D, its entries for modes 0..N/2 on the
@@ -152,7 +166,8 @@ class Grid:
 
     @cached_property
     def ik(self) -> np.ndarray:
-        """First-derivative symbols i kappa_a, shape (n,) + spec_shape, read-only."""
+        """First-derivative symbols i kappa_a, shape (n,) + spec_shape, read-only:
+        the symbol of every first derivative of the package."""
         ik = np.stack([np.broadcast_to(s, self.spec_shape) for s in _symbol(self, 1)])
         ik.flags.writeable = False
         return ik
@@ -271,10 +286,11 @@ class HField:
 
     # -- calculus ----------------------------------------------------------
 
-    def dx(self, axis: int, order: int = 1) -> "HField":
-        o = [0] * self.grid.n
-        o[axis] = order
-        return deriv(self, tuple(o))
+    def dx(self, axis: int) -> "HField":
+        """d/dx_axis of every component: the spectrum times ik[axis], one
+        inverse transform."""
+        _reject_nan(self)
+        return HField.from_spec(self.grid, self.spec * self.grid.ik[axis])
 
     def integral(self):
         """Integral over the torus (trapezoid, exact for trig polynomials)."""
@@ -352,12 +368,19 @@ def _eval_coefficients(grid: Grid, c: np.ndarray, points: np.ndarray) -> np.ndar
     return (folded @ powers[:, 0]).real
 
 
+def _reject_nan(f: HField) -> None:
+    if np.isnan(f.values).any():
+        raise ValueError("NaN in field values")
+
+
 def deriv(f: HField, orders) -> HField:
     """Spectral partial derivative d^orders f, orders a tuple per axis.
 
     Total order is capped at 4 (higher orders amplify roundoff past the
     tolerances the rest of the suite is built on). Odd orders zero the
-    Nyquist slot. NaN input is rejected.
+    Nyquist slot. NaN input is rejected. First derivatives take the cached
+    Grid.ik instead (HField.dx, grad_values, div); this builds its symbol
+    per call, for the orders of two and more.
     """
     if isinstance(orders, int):
         orders = (orders,)
@@ -368,8 +391,7 @@ def deriv(f: HField, orders) -> HField:
         raise ValueError(f"derivative orders must be nonnegative, got {orders}")
     if sum(orders) > MAX_DERIV_ORDER:
         raise ValueError(f"total derivative order {sum(orders)} exceeds {MAX_DERIV_ORDER}")
-    if np.isnan(f.values).any():
-        raise ValueError("NaN in field values")
+    _reject_nan(f)
     if sum(orders) == 0:
         return f
     spec = f.spec
@@ -379,19 +401,33 @@ def deriv(f: HField, orders) -> HField:
     return HField.from_spec(f.grid, spec)
 
 
+def grad_values(f: HField) -> np.ndarray:
+    """Nodal first derivatives of every component of f along every axis, in
+    one inverse transform of f.spec * ik: shape (n,) + grid.shape for a
+    scalar, row a = d f / d x_a, and (m, n) + grid.shape for an m-vector,
+    entry [i, a] = d f_i / d x_a."""
+    _reject_nan(f)
+    g = f.grid
+    return _irfft(np.expand_dims(f.spec, -g.n - 1) * g.ik, g.n, g.N)
+
+
 def grad(f: HField) -> HField:
     """Gradient of a scalar field as a vector field."""
-    return HField.stack([f.dx(a) for a in range(f.grid.n)])
+    return HField(f.grid, grad_values(f))
 
 
 def div(v: HField) -> HField:
-    """Divergence of a vector field."""
+    """Divergence of a vector field: one inverse transform of v.spec * ik,
+    its rows summed in axis order."""
     if not v.is_vector or v.ncomp != v.grid.n:
         raise ValueError("div needs an n-component vector field")
-    out = v.component(0).dx(0)
-    for a in range(1, v.grid.n):
-        out = out + v.component(a).dx(a)
-    return out
+    _reject_nan(v)
+    g = v.grid
+    d = _irfft(v.spec * g.ik, g.n, g.N)
+    out = d[0]
+    for a in range(1, g.n):
+        out = out + d[a]
+    return HField(g, out)
 
 
 # -- dealiasing by zero padding ---------------------------------------------

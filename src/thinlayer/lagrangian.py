@@ -23,12 +23,15 @@ The closed-form identities Z0 = z0*h0(t, X0) and det(dX0/dx0)*h0(t, X0) = 1
 tie the map back to the evolved height field. `integrate_chart` yields the
 chart of each state as it arrives, with the per-column volume defect and
 the running sups of both identities; it evaluates h0 at X0 once and forms
-dX0/dx0 once per state, and holds only that state's chart. `chart_records`
-turns one chart into its CSV rows without touching h0 again. Both
-identities converge at the integrator's order. `chain_rule_check` tests
-the change of variable to the fixed domain on the one chart it is given,
-applying the transposed Jacobian of the map block by block; `_xjacobian`
-is the one place dX0/dx0 is formed.
+dX0/dx0 once per state, and holds only that state's chart. The material
+nodes x0 are the grid's cached `Grid.mesh`. `chart_records` turns one
+chart into its CSV rows without touching h0 again. Both identities
+converge at the integrator's order. `chain_rule_check` tests the change of
+variable to the fixed domain on the one chart it is given, applying the
+transposed Jacobian of the map block by block; `_xjacobian` is the one
+place dX0/dx0 is formed, from one `grids.grad_values` of the whole
+displacement stack, and the pullback's horizontal gradient likewise takes
+one of its whole level stack.
 """
 from __future__ import annotations
 
@@ -37,7 +40,7 @@ from itertools import repeat
 
 import numpy as np
 
-from .grids import Grid, HField, _eval_coefficients, grad
+from .grids import Grid, HField, _eval_coefficients, grad_values
 from .shallow_water import BlowupError, SWTrajectory
 from .thinfields import Strip
 
@@ -72,15 +75,11 @@ class Chart:
 
     def positions(self) -> np.ndarray:
         """X0, shape (n,) + grid.shape."""
-        return _material_nodes(self.grid) + self.xdisp
+        return self.grid.mesh + self.xdisp
 
     def heights(self) -> np.ndarray:
         """Z0, shape (nlev,) + grid.shape."""
         return self.strip.z * self.zfactor
-
-
-def _material_nodes(grid: Grid) -> np.ndarray:
-    return np.stack(np.broadcast_arrays(*grid.coords())).astype(float)
 
 
 def _flow_rate(state):
@@ -127,7 +126,7 @@ def integrate_chart(steps, dt: float, eps: float, nlev: int = 8):
             grid = sb.grid
             n, shape = grid.n, grid.shape
             strip = Strip(grid, eps, nlev)
-            x0 = _material_nodes(grid)
+            x0 = grid.mesh
             Y = np.concatenate([x0, np.ones((1,) + shape)])
             f_b = _flow_rate(sb)
         else:
@@ -157,20 +156,17 @@ def _xjacobian(grid: Grid, disp: np.ndarray):
     """dX0/dx0 and its determinant for the displacement disp = X0 - x0.
 
     The displacement is periodic whatever the drift, so the derivative is
-    spectral; the identity block is added exactly.
+    spectral: one grad_values of the whole displacement stack. The identity
+    block is added exactly.
     """
-    n, shape = grid.n, grid.shape
-    F = np.empty(shape + (n, n))
-    for a in range(n):
-        ga = grad(HField(grid, disp[a])).values
-        for b in range(n):
-            F[..., a, b] = ga[b]
-        F[..., a, a] += 1.0
+    n = grid.n
+    J = grad_values(HField(grid, disp))  # J[a, b] = d disp_a / d x_b
+    J[np.arange(n), np.arange(n)] += 1.0
     if n == 1:
-        det = F[..., 0, 0]
+        det = J[0, 0]
     else:
-        det = F[..., 0, 0] * F[..., 1, 1] - F[..., 0, 1] * F[..., 1, 0]
-    return F, det
+        det = J[0, 0] * J[1, 1] - J[0, 1] * J[1, 0]
+    return np.moveaxis(J, (0, 1), (-2, -1)), det
 
 
 def chain_rule_check(chart: Chart, f, grad_f) -> float:
@@ -192,8 +188,7 @@ def chain_rule_check(chart: Chart, f, grad_f) -> float:
 
     m = n + 1
     lhs = np.empty((m, nlev) + shape)
-    for lev in range(nlev):
-        lhs[:n, lev] = grad(HField(chart.grid, F[lev])).values
+    lhs[:n] = grad_values(HField(chart.grid, F)).swapaxes(0, 1)
     lhs[n] = strip.dz(F)
 
     gf = np.asarray(grad_f(Xb, Z), dtype=float)
@@ -201,7 +196,7 @@ def chain_rule_check(chart: Chart, f, grad_f) -> float:
         raise ValueError("grad_f must return n+1 components per material node")
     # A^T block by block: dX0/dz0 = 0, dZ0/dz0 = zfactor, grad_x0 Z0 = z0 grad(zfactor)
     J, _ = _xjacobian(chart.grid, chart.xdisp)
-    gz = grad(HField(chart.grid, chart.zfactor)).values
+    gz = grad_values(HField(chart.grid, chart.zfactor))
     rhs = np.empty_like(lhs)
     for b in range(n):
         rhs[b] = sum(J[..., a, b] * gf[a] for a in range(n)) + strip.z * gz[b] * gf[n]
@@ -223,7 +218,7 @@ def chart_records(chart: Chart, defect: np.ndarray):
     n = chart.grid.n
     return zip(
         repeat(chart.t),
-        *_material_nodes(chart.grid).reshape(n, -1).tolist(),
+        *chart.grid.mesh.reshape(n, -1).tolist(),
         *chart.positions().reshape(n, -1).tolist(),
         chart.zfactor.reshape(-1).tolist(),
         defect.reshape(-1).tolist(),

@@ -38,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ansatz import AnsatzFields, ZPoly, build_ansatz
-from .grids import HField
+from .grids import HField, grad
 from .norms import norm
 from .shallow_water import Params, SWState, stable_dt, sw_steps
 from .thinfields import Strip, ThinField
@@ -130,9 +130,10 @@ def kinematic_residual(a: AnsatzFields) -> HField:
     h0 = a.base.h0
     eta = eps * h0
     *horizontal, vertical = a.velocity_polys
+    eps_grad_h0 = (eps * grad(h0)).components()
     res = eps * a.rate.h0
-    for i, poly in enumerate(horizontal):
-        res = res + poly.at_height(eta) * (eps * h0.dx(i))
+    for poly, slope in zip(horizontal, eps_grad_h0):
+        res = res + poly.at_height(eta) * slope
     return res - vertical.at_height(eta)
 
 
@@ -168,7 +169,7 @@ def traction_residual(a: AnsatzFields) -> HField:
     h0 = a.base.h0
     Ssurf = _surface_stress(a)
     p_over = _surface_pressure(a)
-    normal_H = [(-p.eps) * h0.dx(j) for j in range(n)]
+    normal_H = ((-p.eps) * grad(h0)).components()
     rows = []
     for i in range(n + 1):
         acc = Ssurf[i][n] * (1.0 / p.Re)  # vertical normal component is 1
@@ -212,7 +213,7 @@ def solved_form_residual(a: AnsatzFields) -> tuple[HField, HField]:
     # D(u_a) at the surface: D_x(u_H) is the horizontal block,
     # S[i][n] = dz u_H + grad u_V and S[n][n] = 2 dz u_V
     S = _surface_stress(a)
-    g_vec = [p.eps * a.base.h0.dx(j) for j in range(n)]
+    g_vec = (p.eps * grad(a.base.h0)).components()
 
     gDg = g2 = HField.constant(a.grid, 0.0)
     Dg = []

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .failures import NumericalFailure
-from .grids import FineWork, Grid, HField, _fine_to_spec, _spec_to_fine
+from .grids import FineWork, Grid, HField, _fine_to_spec, _spec_to_fine, grad_values
 
 # Explicit-step safety factors and the depth floor that aborts a run well
 # before the equations degenerate.
@@ -119,10 +119,11 @@ def initial_wave(
 
 
 def sym_grad(u: HField) -> list[list[HField]]:
-    """Symmetric velocity gradient D(u) = grad u + (grad u)^T, no 1/2."""
+    """Symmetric velocity gradient D(u) = grad u + (grad u)^T, no 1/2, from
+    one grad_values of the whole stack u."""
     n = u.grid.n
-    du = [[u.component(i).dx(a) for a in range(n)] for i in range(n)]
-    return [[du[i][a] + du[a][i] for a in range(n)] for i in range(n)]
+    du = grad_values(u)  # du[i, a] = d u_i / d x_a
+    return [[HField(u.grid, du[i, a] + du[a, i]) for a in range(n)] for i in range(n)]
 
 
 # Upper triangle (i, a), a >= i, of a symmetric n x n tensor, row by row:

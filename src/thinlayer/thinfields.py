@@ -46,7 +46,6 @@ class Strip:
         column, depth = (nz,) + (1,) * grid.n, self.eps * h0
         self.z = self.zeta.reshape(column) * depth
         self.weights = cheb.clenshaw_curtis_weights(nz).reshape(column) * depth
-        self._diff = cheb.diff_matrix(nz)
 
     def integral(self, f: np.ndarray) -> float:
         """Integral over the strip of nodal values f, shape (nz,) + grid.shape."""
@@ -55,7 +54,7 @@ class Strip:
     def dz(self, values: np.ndarray) -> np.ndarray:
         """d/dz of nodal values, shape (nz,) + grid.shape or (m, nz) + grid.shape."""
         axis = -self.grid.n - 1
-        dzeta = np.tensordot(self._diff, values, axes=([1], [axis]))
+        dzeta = np.tensordot(cheb.diff_matrix(self.nz), values, axes=([1], [axis]))
         return np.moveaxis(dzeta, 0, axis) / (self.eps * self.h0)
 
 

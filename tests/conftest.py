@@ -28,6 +28,22 @@ def split_tendency(dtq):
     return HField(dtq.grid, dtq.values[0]), HField(dtq.grid, dtq.values[1:])
 
 
+def per_axis_dx(f, a):
+    """d f / d x_a one axis at a time, with the symbol built per call: the
+    reference of the stacked first derivatives of grids."""
+    return HField.from_spec(f.grid, f.spec * grids._symbol(f.grid, 1)[a])
+
+
+def per_axis_grad(f):
+    """Gradient of a scalar field, one per_axis_dx per axis."""
+    return HField.stack([per_axis_dx(f, a) for a in range(f.grid.n)])
+
+
+def bit_equal(got, want):
+    """Equal values with equal signs, so -0.0 is told from 0.0."""
+    return np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
+
+
 @pytest.fixture
 def transforms(monkeypatch):
     """A list that grows by one entry per call of grids._rfft or grids._irfft,

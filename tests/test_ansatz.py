@@ -5,7 +5,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from conftest import loglog_slope, split_tendency, stacked_state
+from conftest import bit_equal, loglog_slope, split_tendency, stacked_state
 from thinlayer import chebyshev as cheb
 from thinlayer import ansatz
 from thinlayer.grids import Grid, HField, _spec_to_fine, div, from_fine, grad, nonlinear, to_fine
@@ -204,10 +204,10 @@ def _list_samples(a, strip):
 
 
 def _same(got, want):
-    """Equal values with equal signs, so -0.0 is told from 0.0."""
+    """bit_equal, reading a ZPoly or a list of fields as its stacked rows."""
     got = got.c.values if isinstance(got, ZPoly) else got
     want = np.stack([c.values for c in want]) if isinstance(want, list) else want
-    return np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
+    return bit_equal(got, want)
 
 
 @pytest.mark.parametrize("n, N", [(1, 32), (2, 16)])

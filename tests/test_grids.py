@@ -21,9 +21,12 @@ from thinlayer.grids import (
     div,
     from_fine,
     grad,
+    grad_values,
     nonlinear,
     to_fine,
 )
+from thinlayer.shallow_water import sym_grad
+from tests.conftest import bit_equal, per_axis_dx, per_axis_grad
 
 TWO_PI = 2.0 * np.pi
 
@@ -43,6 +46,15 @@ def test_grid_nodes_and_wavenumbers():
     assert np.allclose(g.nodes, np.arange(8) * TWO_PI / 8)
     # integer wavenumbers on the 2 pi torus, full axis layout
     assert np.allclose(np.sort(g.axis_wavenumbers), [-4, -3, -2, -1, 0, 1, 2, 3])
+
+
+@pytest.mark.parametrize("n,N", [(1, 8), (2, 8)])
+def test_mesh_is_one_read_only_node_stack(n, N):
+    g = Grid(n, N)
+    mesh = g.mesh
+    assert g.mesh is mesh and mesh.shape == (n,) + g.shape and mesh.dtype == float
+    assert not mesh.flags.writeable
+    assert np.array_equal(mesh, np.stack(np.broadcast_arrays(*g.coords())))
 
 
 def test_hfield_shape_guard():
@@ -91,8 +103,8 @@ def test_single_mode_derivatives_exact():
     x = g.nodes
     f = HField(g, np.sin(3 * x))
     assert np.abs(f.dx(0).values - 3 * np.cos(3 * x)).max() < 1e-12
-    assert np.abs(f.dx(0, 2).values + 9 * np.sin(3 * x)).max() < 1e-12
-    assert np.abs(f.dx(0, 4).values - 81 * np.sin(3 * x)).max() < 1e-10
+    assert np.abs(deriv(f, (2,)).values + 9 * np.sin(3 * x)).max() < 1e-12
+    assert np.abs(deriv(f, (4,)).values - 81 * np.sin(3 * x)).max() < 1e-10
 
 
 def test_derivative_of_constant_is_zero():
@@ -111,6 +123,58 @@ def test_derivative_rejections():
     bad = HField(g, np.full(16, np.nan))
     with pytest.raises(ValueError):
         deriv(bad, (1,))
+    # every first-derivative entry point rejects NaN, scalar and vector
+    bad_vec = HField(g, np.full((1, 16), np.nan))
+    for call in (lambda: bad.dx(0), lambda: grad(bad), lambda: grad_values(bad),
+                 lambda: bad_vec.dx(0), lambda: grad_values(bad_vec),
+                 lambda: div(bad_vec), lambda: sym_grad(bad_vec)):
+        with pytest.raises(ValueError, match="NaN"):
+            call()
+
+
+def _per_axis_div(v):
+    out = per_axis_dx(v.component(0), 0)
+    for a in range(1, v.grid.n):
+        out = out + per_axis_dx(v.component(a), a)
+    return out
+
+
+def _per_axis_sym_grad(u):
+    n = u.grid.n
+    du = [[per_axis_dx(u.component(i), a) for a in range(n)] for i in range(n)]
+    return [[du[i][a] + du[a][i] for a in range(n)] for i in range(n)]
+
+
+@pytest.mark.parametrize("n,N", [(1, 64), (2, 32)])
+def test_stacked_derivatives_match_per_axis_loops_bit_for_bit(n, N):
+    """dx, grad, div and sym_grad, each one inverse transform of a stack's
+    spectrum times Grid.ik, equal the loops that transform one component
+    and one axis at a time with a per-call symbol; the 2D fields vary in x2
+    and both velocity components are nonzero."""
+    g = Grid(n, N)
+    if n == 1:
+        (x,) = g.coords()
+        h = HField(g, 1.0 + 0.1 * np.cos(x) + 0.02 * np.sin(3 * x))
+        u = HField(g, (0.2 * np.sin(x) - 0.05 * np.cos(2 * x))[None])
+    else:
+        x1, x2 = g.coords()
+        h = HField(g, 1.0 + 0.1 * np.cos(x1) + 0.05 * np.sin(x2))
+        u = HField(g, np.stack(np.broadcast_arrays(
+            0.1 * np.sin(x1 + x2), 0.08 * np.cos(x2) + 0.03 * np.sin(x1)
+        )))
+    for a in range(n):
+        assert bit_equal(h.dx(a).values, per_axis_dx(h, a).values)
+        assert bit_equal(u.dx(a).values, per_axis_dx(u, a).values)
+    assert bit_equal(grad(h).values, per_axis_grad(h).values)
+    assert bit_equal(div(u).values, _per_axis_div(u).values)
+    got, want = sym_grad(u), _per_axis_sym_grad(u)
+    for i in range(n):
+        for a in range(n):
+            assert bit_equal(got[i][a].values, want[i][a].values)
+    du = grad_values(u)
+    assert du.shape == (n, n) + g.shape
+    for i in range(n):
+        assert bit_equal(du[i], per_axis_grad(u.component(i)).values)
 
 
 def test_mixed_derivatives_commute():

@@ -12,12 +12,11 @@ from thinlayer.lagrangian import (
     chart_records,
     integrate_chart,
     _flow_rate,
-    _material_nodes,
     _xjacobian,
 )
 from thinlayer.shallow_water import Params, SWTrajectory, initial_wave, sw_steps
 from thinlayer.thinfields import Strip
-from tests.conftest import loglog_slope, stacked_state
+from tests.conftest import bit_equal, loglog_slope, per_axis_grad, stacked_state
 
 EPS = 0.1
 
@@ -31,13 +30,15 @@ def _flat_charts(g, velocity=0.0, p=None, T=0.2, dt=0.05):
     return integrate_chart(sw_steps(init, p, T=T, dt=dt), dt, EPS, nlev=4), p
 
 
-@pytest.mark.parametrize("n,N,most", [(1, 64, 28), (2, 32, 32)])
+@pytest.mark.parametrize("n,N,most", [(1, 64, 28), (2, 32, 28)])
 def test_chart_state_transform_count(transforms, n, N, most):
     """Each charted state, its sw_steps step included, takes at most 28
-    transforms in 1D N = 64 and 32 in 2D N = 32: 24 for the step, one of the
-    Hermite midpoint's stacked q, one of h0 for its evaluation at X0 and
-    2n for dX0/dx0. The velocity rows of q.spec, which sw_rhs caches, need
-    none; transforming h0 and u0 apart took 31 and 35."""
+    transforms in 1D N = 64 and in 2D N = 32: 24 for the step, one of the
+    Hermite midpoint's stacked q, one of h0 for its evaluation at X0 and 2
+    for dX0/dx0, one forward and one inverse of the displacement stack. The
+    velocity rows of q.spec, which sw_rhs caches, need none; transforming h0
+    and u0 apart took 31 and 35, and a transform per component and axis for
+    dX0/dx0 (n + n^2) took 32 in 2D."""
     g = Grid(n, N)
     p = Params(F=1.0, Re=10.0, gamma_bar=1.0, eps=EPS)
     init = initial_wave(g, amplitude=0.1, velocity_amplitude=0.05)
@@ -116,7 +117,7 @@ def _separate_charts(steps, dt, eps, nlev):
         if X is None:
             g = sb.grid
             strip = Strip(g, eps, nlev)
-            x0 = _material_nodes(g)
+            x0 = np.stack(np.broadcast_arrays(*g.coords()))
             X, G = x0.copy(), np.ones(g.shape)
             f_b = _separate_sampler(sb)
         else:
@@ -266,6 +267,41 @@ def test_jacobian_blocks_on_hand_chart():
     want[..., 1, 0] = -0.05 * np.sin(x1)
     assert np.abs(F - want).max() < 1e-13
     assert np.abs(det - (1.0 + 0.005 * np.cos(x2) * np.sin(x1))).max() < 1e-13
+
+
+def _per_axis_xjacobian(grid, disp):
+    """dX0/dx0 and its determinant, one gradient per displacement component
+    and one transform per axis."""
+    n, shape = grid.n, grid.shape
+    F = np.empty(shape + (n, n))
+    for a in range(n):
+        ga = per_axis_grad(HField(grid, disp[a])).values
+        for b in range(n):
+            F[..., a, b] = ga[b]
+        F[..., a, a] += 1.0
+    if n == 1:
+        det = F[..., 0, 0]
+    else:
+        det = F[..., 0, 0] * F[..., 1, 1] - F[..., 0, 1] * F[..., 1, 0]
+    return F, det
+
+
+@pytest.mark.parametrize("n,N", [(1, 64), (2, 32)])
+def test_jacobian_of_the_whole_stack_matches_per_axis_loop_bit_for_bit(n, N):
+    # one grad_values of the displacement stack against a transform per
+    # component and axis; the 2D displacement varies along both axes in both rows
+    g = Grid(n, N)
+    if n == 1:
+        disp = (0.2 * np.sin(g.nodes) - 0.07 * np.cos(3 * g.nodes))[None]
+    else:
+        x1, x2 = g.coords()
+        disp = np.stack(np.broadcast_arrays(
+            0.1 * np.sin(x2) + 0.04 * np.cos(x1 - x2), 0.05 * np.cos(x1) - 0.02 * np.sin(2 * x2)
+        ))
+    F, det = _xjacobian(g, disp)
+    want_F, want_det = _per_axis_xjacobian(g, disp)
+    assert F.shape == want_F.shape
+    assert bit_equal(F, want_F) and bit_equal(det, want_det)
 
 
 # -- chain rule ---------------------------------------------------------------------

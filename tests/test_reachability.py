@@ -43,6 +43,8 @@ ALLOWLIST = {
     "thinfields.Strip.dz": "oracle: _unguarded_interior; "
     + PAPER + " (chain_rule_check, divergence_lift)",
     "ansatz.ZPoly.at_z": "oracle: the checks of the ZPoly calculus",
+    "grids.deriv": "oracle: the second derivatives of test_grids and test_elliptic; "
+    + PAPER + " (divergence_lift)",
     # test fixtures
     "grids.HField.from_function": "fixture",
     "thinfields.ThinField.from_function": "fixture",

@@ -6,8 +6,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import stacked_state
-from thinlayer import ansatz, shallow_water
+from conftest import bit_equal, per_axis_dx, stacked_state
+from thinlayer import ansatz, residuals, shallow_water
 from thinlayer.ansatz import AnsatzFields, ansatz_rate, build_ansatz
 from thinlayer.grids import Grid, HField
 from thinlayer.norms import norm
@@ -137,25 +137,120 @@ def test_residual_records_build_u_a_once_per_ansatz_and_rate(monkeypatch):
     assert all(S[i][j] is S[j][i] for i in range(3) for j in range(3))
 
 
-def test_one_study_eps_takes_at_most_200_transforms(transforms):
-    """One eps of the convergence study of configs/default.json in 2D at
-    N = 32, on its state at study.t_eval, takes at most 200 transforms: a
-    ZPoly transforms its stacked coefficients in one call. One call per
-    coefficient took 288."""
+def _default_state(n, N):
+    """Params at the first study eps and the state of configs/default.json
+    on Grid(n, N), evolved to study.t_eval as the study does; and the study
+    section."""
     cfg = json.loads(DEFAULT_CONFIG.read_text())
     par, init, study = cfg["params"], cfg["sw"]["init"], cfg["study"]
-    eps = study["eps_list"][0]
-    p = Params(F=par["F"], Re=par["Re"], gamma_bar=par["gamma_bar"], eps=eps)
+    p = Params(F=par["F"], Re=par["Re"], gamma_bar=par["gamma_bar"], eps=study["eps_list"][0])
     s0 = initial_wave(
-        Grid(2, 32, cfg["domain"]["L"]),
+        Grid(n, N, cfg["domain"]["L"]),
         init["amplitude"], init["wavenumber"], init["velocity_amplitude"],
     )
     for s, _ in sw_steps(s0, p, study["t_eval"], 0.4 * stable_dt(s0, p)):
         pass
+    return s, p, study
+
+
+@pytest.mark.parametrize("n,N,most", [(1, 64, 71), (2, 32, 137)])
+def test_build_ansatz_transform_count(transforms, n, N, most):
+    """build_ansatz of the default state at study.t_eval takes at most 71
+    transforms in 1D N = 64 and 137 in 2D N = 32: every gradient,
+    divergence and D(u) is one inverse transform of its stack. A transform
+    per component and axis took 75 and 173."""
+    s, p, _ = _default_state(n, N)
+    before = len(transforms)
+    build_ansatz(s, p)
+    assert len(transforms) - before <= most
+
+
+def test_one_study_eps_transform_count(transforms):
+    """One eps of the convergence study of configs/default.json in 2D at
+    N = 32, on its state at study.t_eval, takes at most 194 transforms: a
+    ZPoly transforms its stacked coefficients in one call, and the surface
+    residuals read one grad(h0). One call per coefficient took 288, and
+    one h0.dx per axis in each surface residual 200."""
+    s, p, study = _default_state(2, 32)
     a = build_ansatz(s, p)
     before = len(transforms)
-    _residual_records(a.at(eps), study["nz"])
-    assert len(transforms) - before <= 200
+    _residual_records(a.at(p.eps), study["nz"])
+    assert len(transforms) - before <= 194
+
+
+def _wavy_state(n, N):
+    """A state on Grid(n, N) whose 2D fields vary in x2, with both velocity
+    components nonzero."""
+    g = Grid(n, N)
+    if n == 1:
+        return _state(g, lambda x: 1.0 + 0.1 * np.cos(x) + 0.02 * np.sin(3 * x),
+                      [lambda x: 0.2 * np.sin(x) - 0.05 * np.cos(2 * x)])
+    return _state(
+        g,
+        lambda x1, x2: 1.0 + 0.1 * np.cos(x1) + 0.05 * np.sin(x2),
+        [lambda x1, x2: 0.1 * np.sin(x1 + x2),
+         lambda x1, x2: 0.08 * np.cos(x2) + 0.03 * np.sin(x1)],
+    )
+
+
+def _per_axis_kinematic(a):
+    eps, h0 = a.eps, a.base.h0
+    eta = eps * h0
+    *horizontal, vertical = a.velocity_polys
+    res = eps * a.rate.h0
+    for i, poly in enumerate(horizontal):
+        res = res + poly.at_height(eta) * (eps * per_axis_dx(h0, i))
+    return res - vertical.at_height(eta)
+
+
+def _per_axis_traction(a):
+    p, n, h0 = a.params, a.grid.n, a.base.h0
+    Ssurf = residuals._surface_stress(a)
+    p_over = residuals._surface_pressure(a)
+    normal_H = [(-p.eps) * per_axis_dx(h0, j) for j in range(n)]
+    rows = []
+    for i in range(n + 1):
+        acc = Ssurf[i][n] * (1.0 / p.Re)
+        if i == n:
+            acc = acc - p_over
+        for j in range(n):
+            Tij = Ssurf[i][j] * (1.0 / p.Re)
+            if i == j:
+                Tij = Tij - p_over
+            acc = acc + Tij * normal_H[j]
+        rows.append(acc)
+    return HField.stack(rows)
+
+
+def _per_axis_solved_form(a):
+    p, n = a.params, a.grid.n
+    S = residuals._surface_stress(a)
+    g_vec = [p.eps * per_axis_dx(a.base.h0, j) for j in range(n)]
+    gDg = g2 = HField.constant(a.grid, 0.0)
+    Dg = []
+    for i in range(n):
+        acc = S[i][0] * g_vec[0]
+        for j in range(1, n):
+            acc = acc + S[i][j] * g_vec[j]
+        Dg.append(acc)
+        gDg = gDg + g_vec[i] * acc
+        g2 = g2 + g_vec[i] * g_vec[i]
+    one_minus = 1.0 - g2
+    bracket = S[n][n] - gDg
+    r_p = p.Re * (one_minus * residuals._surface_pressure(a)) - bracket
+    rows = [one_minus * S[i][n] - one_minus * Dg[i] + bracket * g_vec[i] for i in range(n)]
+    return r_p, HField.stack(rows)
+
+
+@pytest.mark.parametrize("n,N", [(1, 64), (2, 32)])
+def test_surface_residuals_match_per_axis_slope_bit_for_bit(n, N):
+    """The kinematic, traction and solved-form residuals, each reading one
+    grad(h0), equal the forms that take h0.dx one axis at a time."""
+    a = build_ansatz(_wavy_state(n, N), P)
+    got = [kinematic_residual(a), traction_residual(a), *solved_form_residual(a)]
+    want = [_per_axis_kinematic(a), _per_axis_traction(a), *_per_axis_solved_form(a)]
+    for g, w in zip(got, want):
+        assert bit_equal(g.values, w.values)
 
 
 def test_residual_records_stream_the_interior_into_its_norms():
